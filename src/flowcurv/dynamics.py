@@ -4,7 +4,10 @@ The flow is stiff in the classical two-timescale sense but eps stays at
 desk scale (>= ~0.005), so an explicit Dormand-Prince 5(4) pair with PI
 step-size control and a hard step cap of 0.2*eps is both simple and fast
 enough; no implicit solver or Newton iteration is needed.  Section
-crossings are located by bisection in time on the x sign change.
+crossings are located by bisection in time on the x sign change.  The
+cycle search integrates each return-map period once: the orbit it reports
+is its converged pass, which starts at the previous iterate and ends
+within the convergence tolerance of the section value.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 from .curvature import phi, slow_branches
 from .energy import energy_rate, total_energy
-from .system import LienardSystem, State, check_assumptions, vector_field
+from .system import LienardSystem, State, positive_zeros_of_F, vector_field
 
 # Dormand-Prince 5(4) tableau (autonomous field, so no stage times).
 _A21 = 1 / 5
@@ -76,16 +79,18 @@ class VicinitySegment:
 
 
 def _make_rhs(sys: LienardSystem):
-    Fc = sys.F.coeffs
-    gc = sys.g.coeffs
+    # Coefficients descending by degree, reversed once here rather than on
+    # every evaluation; the Horner order is that of Polynomial.__call__.
+    Fc = sys.F.coeffs[::-1]
+    gc = sys.g.coeffs[::-1]
     eps = sys.eps
 
     def rhs(x: float, y: float) -> tuple[float, float]:
         fv = 0.0
-        for c in reversed(Fc):
+        for c in Fc:
             fv = fv * x + c
         gv = 0.0
-        for c in reversed(gc):
+        for c in gc:
             gv = gv * x + c
         return (y - fv) / eps, -gv
 
@@ -262,48 +267,45 @@ def find_limit_cycle(
     """Iterate the Poincare return map on the section {x = 0, xdot > 0}.
 
     Tangents are horizontal on the y-axis, so the crossing is transversal
-    and well conditioned.  After |y_{k+1} - y_k| <= tol the orbit for one
-    full period is re-integrated from (0, y*).  Non-convergence returns
-    converged=False with the best iterate; a missing return raises
-    IntegrationError.
+    and well conditioned.  Every pass records its samples; the pass with
+    |y_{k+1} - y_k| <= tol, or the last one when max_iter runs out, is the
+    orbit.  It starts at (0, y_k), the previous iterate, and ends on the
+    section at t = period with y = section_value = y_{k+1}, so it closes to
+    within tol.  Non-convergence returns converged=False with that last
+    pass; a missing return raises IntegrationError.
     """
     if not y_guess > 0:
         raise ValueError("y_guess must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     horizon = 10.0 * (1.0 + 1.0 / sys.eps)
 
     iterates = [float(y_guess)]
     converged = False
-    iterations = 0
-    y_cur = float(y_guess)
     for _ in range(max_iter):
-        stepper = _Stepper(sys, State(0.0, 0.0, y_cur), integ_tol)
-        cross = _next_upward_crossing(stepper, horizon)
-        iterations += 1
+        samples = [State(0.0, 0.0, iterates[-1])]
+        stepper = _Stepper(sys, samples[0], integ_tol)
+        cross = _next_upward_crossing(stepper, horizon, collect=samples)
         iterates.append(cross.y)
-        if abs(cross.y - y_cur) <= tol:
+        if abs(cross.y - iterates[-2]) <= tol:
             converged = True
-            y_cur = cross.y
             break
-        y_cur = cross.y
 
-    orbit_samples: list[State] = [State(0.0, 0.0, y_cur)]
-    stepper = _Stepper(sys, orbit_samples[0], integ_tol)
-    end = _next_upward_crossing(stepper, horizon, collect=orbit_samples)
     orbit = Trajectory(
-        samples=tuple(orbit_samples),
+        samples=tuple(samples),
         accepted_steps=stepper.accepted,
         rejected_steps=stepper.rejected,
         tol_used=integ_tol,
     )
     return LimitCycle(
-        period=end.t,
-        section_value=y_cur,
+        period=cross.t,
+        section_value=cross.y,
         orbit=orbit,
-        amplitude_x=max(abs(s.x) for s in orbit_samples),
+        amplitude_x=max(abs(s.x) for s in samples),
         converged=converged,
-        iterations=iterations,
+        iterations=len(iterates) - 1,
         iterates=tuple(iterates),
     )
 
@@ -326,10 +328,10 @@ def extract_vicinity(
     if not c > 0:
         raise ValueError("band multiplier c must be positive")
     if x_min is None:
-        rep = check_assumptions(sys)
-        if rep.positive_zero_a is None:
+        zeros = positive_zeros_of_F(sys)
+        if len(zeros) != 1:
             raise IntegrationError("cannot locate the positive zero of F")
-        x_min = rep.positive_zero_a + margin
+        x_min = zeros[0] + margin
     band = c * sys.eps
 
     def qualifies(s: State) -> bool:

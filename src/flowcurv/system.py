@@ -164,6 +164,16 @@ def _min_on(p: Polynomial, lo: float, hi: float) -> float:
     return min(p(t) for t in pts)
 
 
+def positive_zeros_of_F(sys: LienardSystem, x_max: float = 10.0) -> list[float]:
+    """The zeros of F in (0, x_max]; assumption IV asks for exactly one."""
+    if sys.F.is_zero:
+        return []
+    Fq, _ = _deflate_origin(sys.F)
+    if Fq.degree == 0:
+        return []
+    return [r for r in real_roots(Fq, 0.0, x_max) if r > 0.0]
+
+
 def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionReport:
     """Check the classical limit-cycle assumptions on [-x_max, x_max].
 
@@ -227,9 +237,7 @@ def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionRepo
     if F.is_zero:
         detail_IV = "F is identically zero"
     else:
-        Fq, _ = _deflate_origin(F)
-        pos = [] if Fq.degree == 0 else real_roots(Fq, 0.0, x_max)
-        pos = [r for r in pos if r > 0.0]
+        pos = positive_zeros_of_F(sys, x_max)
         if len(pos) != 1:
             detail_IV = f"F has {len(pos)} positive zeros in (0, {x_max}]"
         else:

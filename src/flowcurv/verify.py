@@ -186,6 +186,13 @@ def _descent_y_at(traj, x_probe: float, sys: LienardSystem) -> float | None:
     return None
 
 
+def _descent_x_range(traj) -> tuple[float, float]:
+    """The x-range the orbit covers while x decreases."""
+    xs = [x for s0, s1 in zip(traj.samples[:-1], traj.samples[1:]) if s1.x < s0.x
+          for x in (s0.x, s1.x)]
+    return min(xs), max(xs)
+
+
 def convergence_study(
     sys: LienardSystem,
     eps_list: "list[float]",
@@ -195,7 +202,12 @@ def convergence_study(
     integ_tol: float = 1e-10,
     n_probe: int = 25,
 ) -> ConvergenceStudy:
-    """Fit the order of the branch approximation over a decreasing eps list."""
+    """Fit the order of the branch approximation over a decreasing eps list.
+
+    A probe window that the orbit's descent does not cover at some eps is
+    an input error and raises ValueError; a numerical failure (no
+    converged cycle, no slow branch at a probe) raises IntegrationError.
+    """
     if len(eps_list) < 2:
         raise ValueError("need >= 2 epsilons to fit order")
     if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
@@ -218,7 +230,10 @@ def convergence_study(
         for px in probes:
             y_traj = _descent_y_at(cycle.orbit, px, sys_e)
             if y_traj is None:
-                raise IntegrationError(f"orbit does not cross the probe window at eps={eps}")
+                d_lo, d_hi = _descent_x_range(cycle.orbit)
+                raise ValueError(
+                    f"probe window probe_lo={lo}, probe_hi={hi} is not inside the "
+                    f"orbit's descent, x in [{d_lo:.6g}, {d_hi:.6g}], at eps={eps}")
             br = slow_branches(sys_e, px)
             if br.y_slow is None:
                 raise IntegrationError(f"no slow branch at x={px} for eps={eps}")

@@ -134,6 +134,22 @@ class TestStudy:
     def test_single_eps_exits_2(self):
         assert main(["study", "--config", VDP, "--eps-list", "0.1"]) == 2
 
+    def test_probe_window_off_the_orbit_exits_2(self, capsys):
+        # llibre_mereu's cycle reaches x ~ 1.41 at eps 0.1, below the
+        # default window [1.6, 1.9]: an input error, not a numerical one.
+        rc = main(["study", "--config", LM])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "probe_lo=1.6" in err and "probe_hi=1.9" in err
+        assert "x in [-1.40872, 1.40872], at eps=0.1" in err
+
+    def test_probe_window_on_the_descent_succeeds(self, capsys):
+        rc = main(["study", "--config", LM, "--probe-lo", "1.3", "--probe-hi", "1.38"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert 1.8 <= doc["fitted_order"] <= 2.2
+
 
 class TestDumpConfig:
     def test_round_trip_identity(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from flowcurv import (
     IntegrationError,
+    check_assumptions,
     State,
     extract_vicinity,
     find_limit_cycle,
@@ -13,12 +14,15 @@ from flowcurv import (
     energy_rate,
     vector_field,
 )
+from flowcurv import dynamics
 from flowcurv.dynamics import (
     TRAJECTORY_CSV_HEADER,
     _make_rhs,
     _propagate,
     format_trajectory_csv,
 )
+
+from conftest import system_from_config
 
 
 def fd_energy_rate(sys_, s, h=1e-4, n_sub=20):
@@ -152,6 +156,89 @@ class TestFindLimitCycle:
         with pytest.raises(ValueError):
             find_limit_cycle(vdp, -1.0, 1e-8)
 
+    def test_zero_max_iter_rejected(self, vdp):
+        with pytest.raises(ValueError, match="max_iter"):
+            find_limit_cycle(vdp, 1.0, 1e-8, max_iter=0)
+
+
+def _counting_crossings(monkeypatch) -> list[int]:
+    """Count the return-map passes: one _next_upward_crossing call each."""
+    calls = [0]
+    orig = dynamics._next_upward_crossing
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_next_upward_crossing", counted)
+    return calls
+
+
+class TestSinglePassCycleSearch:
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
+    def test_orbit_is_the_converged_pass(self, name, monkeypatch):
+        calls = _counting_crossings(monkeypatch)
+        cyc = find_limit_cycle(system_from_config(name), 1.0, 1e-9, integ_tol=1e-9)
+        assert cyc.converged
+        assert calls[0] == cyc.iterations == len(cyc.iterates) - 1
+        first, last = cyc.orbit.samples[0], cyc.orbit.samples[-1]
+        assert (first.t, first.x, first.y) == (0.0, 0.0, cyc.iterates[-2])
+        assert cyc.section_value == cyc.iterates[-1] == last.y
+        assert cyc.period == last.t
+        assert cyc.orbit.accepted_steps == len(cyc.orbit.samples) - 1
+        assert cyc.amplitude_x == max(abs(s.x) for s in cyc.orbit.samples)
+
+    def test_unconverged_orbit_is_the_last_pass(self, vdp, monkeypatch):
+        calls = _counting_crossings(monkeypatch)
+        cyc = find_limit_cycle(vdp, 1.0, 1e-9, max_iter=1)
+        assert not cyc.converged
+        assert calls[0] == cyc.iterations == 1
+        assert cyc.orbit.samples[0].y == cyc.iterates[-2] == 1.0
+        assert cyc.section_value == cyc.iterates[-1]
+        assert cyc.period == cyc.orbit.samples[-1].t
+
+
+class TestIndependentIntegrator:
+    """Period and section value against scipy's DOP853 at rtol 1e-12."""
+
+    @staticmethod
+    def _scipy_return(sys_, y0):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        F, g, eps = sys_.F, sys_.g, sys_.eps
+
+        def rhs(t, z):
+            return [(z[1] - F(z[0])) / eps, -g(z[0])]
+
+        def crossing(direction):
+            def event(t, z):
+                return z[0]
+
+            event.terminal = True
+            event.direction = direction
+            return event
+
+        # Leave through x = 0 downward, then come back upward: an upward
+        # event at the start, where x = 0, would otherwise fire at once.
+        t, z = 0.0, [0.0, y0]
+        for direction in (-1, 1):
+            sol = solve_ivp(rhs, (t, t + 10.0), z, method="DOP853", rtol=1e-12,
+                            atol=1e-12, events=crossing(direction))
+            assert sol.status == 1, sol.message
+            t, z = float(sol.t_events[0][0]), [0.0, float(sol.y_events[0][0][1])]
+        return t, z[1]
+
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
+    def test_period_and_section_value(self, name):
+        pytest.importorskip("scipy")
+        sys_ = system_from_config(name, eps=0.05)
+        cyc = find_limit_cycle(sys_, 1.0, 1e-10)
+        assert cyc.converged
+        # The return map contracts by orders of magnitude per period, so
+        # one scipy pass from the program's fixed point lands on scipy's.
+        period, y_return = self._scipy_return(sys_, cyc.section_value)
+        assert abs(period - cyc.period) <= 1e-8
+        assert abs(y_return - cyc.section_value) <= 1e-8
+
 
 class TestExtractVicinity:
     def test_segment_spans_expected_window(self, vdp):
@@ -183,6 +270,27 @@ class TestExtractVicinity:
         traj = integrate(vdp, State(0.0, 0.1, 0.1), 0.05, 1e-9)
         with pytest.raises(IntegrationError, match="slow vicinity"):
             extract_vicinity(traj, vdp, 1.0)
+
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
+    def test_default_floor_is_positive_zero_plus_margin(self, name, monkeypatch):
+        sys_ = system_from_config(name)
+        floor = check_assumptions(sys_).positive_zero_a + 0.1
+        cyc = find_limit_cycle(sys_, 1.0, 1e-9)
+        explicit = extract_vicinity(cyc.orbit, sys_, 1.0, x_min=floor)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("extract_vicinity must not run check_assumptions")
+
+        monkeypatch.setattr("flowcurv.system.check_assumptions", forbidden)
+        monkeypatch.setattr(dynamics, "check_assumptions", forbidden, raising=False)
+        assert extract_vicinity(cyc.orbit, sys_, 1.0) == explicit
+        assert min(s.x for s in explicit.samples) >= floor
+
+    def test_no_single_positive_zero_raises(self):
+        no_zero = make_system([0.0, 1.0], [0.0, 1.0], 0.05)  # F = x
+        traj = integrate(no_zero, State(0.0, 0.1, 0.1), 0.5, 1e-9)
+        with pytest.raises(IntegrationError, match="positive zero of F"):
+            extract_vicinity(traj, no_zero, 1.0)
 
 
 class TestTrajectoryCsv:
