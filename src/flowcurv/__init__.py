@@ -2,10 +2,6 @@
 two-timescale Lienard systems eps*xdot = y - F(x), ydot = -g(x)."""
 
 from .curvature import (
-    CurvatureSample,
-    ManifoldBranch,
-    curvature_sample,
-    flow_derivatives,
     lie_identity_residual,
     phi,
     phi_dot,
@@ -15,93 +11,61 @@ from .curvature import (
 from .dynamics import (
     IntegrationError,
     LimitCycle,
-    Trajectory,
-    VicinitySegment,
     extract_vicinity,
     find_limit_cycle,
     integrate,
 )
 from .energy import (
-    CaseClassification,
-    EnergySample,
     H_polynomial,
     H_rate,
     appendix_residual,
     classify_case,
     curvature_energy_residual,
-    energy_form_equivalence_residual,
     energy_rate,
-    energy_sample,
     relation_rate_residual,
     total_energy,
 )
-from .poly import Polynomial, real_roots
+from .poly import Polynomial
 from .system import (
-    AssumptionCheck,
-    AssumptionReport,
     LienardSystem,
     State,
     check_assumptions,
-    critical_manifold,
     jacobian,
     jacobian_rate,
+    jet,
     make_system,
     vector_field,
 )
-from .verify import (
-    ConvergenceStudy,
-    MinorskyReport,
-    convergence_study,
-    evaluate_checks,
-    minorsky_report,
-    sample_margins,
-)
+from .verify import convergence_study, minorsky_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionCheck",
-    "AssumptionReport",
-    "CaseClassification",
-    "ConvergenceStudy",
-    "CurvatureSample",
-    "EnergySample",
     "H_polynomial",
     "H_rate",
     "IntegrationError",
     "LienardSystem",
     "LimitCycle",
-    "ManifoldBranch",
-    "MinorskyReport",
     "Polynomial",
     "State",
-    "Trajectory",
-    "VicinitySegment",
     "appendix_residual",
     "check_assumptions",
     "classify_case",
     "convergence_study",
-    "critical_manifold",
     "curvature_energy_residual",
-    "curvature_sample",
-    "energy_form_equivalence_residual",
     "energy_rate",
-    "energy_sample",
-    "evaluate_checks",
     "extract_vicinity",
     "find_limit_cycle",
-    "flow_derivatives",
     "integrate",
     "jacobian",
     "jacobian_rate",
+    "jet",
     "lie_identity_residual",
     "make_system",
     "minorsky_report",
     "phi",
     "phi_dot",
-    "real_roots",
     "relation_rate_residual",
-    "sample_margins",
     "slow_branches",
     "slow_manifold_table",
     "total_energy",

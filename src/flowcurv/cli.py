@@ -29,6 +29,21 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
+# The scalar RunConfig fields, each with a flag of the same name and type.
+_OVERRIDE_FLAGS: dict[str, type] = {
+    "eps": float, "x0": float, "y0": float, "t_end": float, "tol": float,
+    "band": float, "x_lo": float, "x_hi": float, "n": int, "y_guess": float,
+    "x_max": float, "x_min": float, "probe_lo": float, "probe_hi": float,
+    "fold_tol": float,
+}
+
+
+def _is_number(v) -> bool:
+    """An int or float within float range; JSON true/false, Infinity and NaN are not."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -_sys.float_info.max <= v <= _sys.float_info.max)
+
+
 @dataclass
 class RunConfig:
     """System definition plus command parameters, all round-trippable."""
@@ -67,12 +82,19 @@ class RunConfig:
     def validate(self) -> None:
         if not isinstance(self.name, str):
             raise ConfigError("field 'name' must be a string")
-        for key in ("F", "g"):
-            coeffs = getattr(self, key)
-            if (not isinstance(coeffs, list) or not coeffs
-                    or not all(isinstance(v, (int, float)) for v in coeffs)):
-                raise ConfigError(f"field '{key}' must be a non-empty array of numbers")
-        if not (isinstance(self.eps, (int, float)) and self.eps > 0):
+        for key in ("F", "g", "eps_list"):
+            values = getattr(self, key)
+            if not (isinstance(values, list) and values and all(map(_is_number, values))):
+                raise ConfigError(f"field '{key}' must be a non-empty array of finite numbers")
+        for key, typ in _OVERRIDE_FLAGS.items():
+            v = getattr(self, key)
+            if key == "x_min" and v is None:
+                continue
+            if not _is_number(v):
+                raise ConfigError(f"field '{key}' must be a finite number")
+            if typ is int and not isinstance(v, int):
+                raise ConfigError(f"field '{key}' must be an integer")
+        if not self.eps > 0:
             raise ConfigError("field 'eps' must be positive")
         if not (1e-13 <= self.tol <= 1e-3):
             raise ConfigError("field 'tol' must lie in [1e-13, 1e-3]")
@@ -90,10 +112,8 @@ class RunConfig:
             raise ConfigError("field 'y_guess' must be positive")
         if not self.x_max > 0:
             raise ConfigError("field 'x_max' must be positive")
-        if not self.eps_list or any(
-            b >= a for a, b in zip(self.eps_list[:-1], self.eps_list[1:])
-        ):
-            raise ConfigError("field 'eps_list' must be strictly decreasing and non-empty")
+        if any(b >= a for a, b in zip(self.eps_list[:-1], self.eps_list[1:])):
+            raise ConfigError("field 'eps_list' must be strictly decreasing")
         if not self.probe_lo < self.probe_hi:
             raise ConfigError("fields 'probe_lo'/'probe_hi' must be an ordered range")
 
@@ -116,14 +136,6 @@ def _atomic_write(path: str, text: str) -> None:
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
-
-
-_OVERRIDE_FLAGS: dict[str, type] = {
-    "eps": float, "x0": float, "y0": float, "t_end": float, "tol": float,
-    "band": float, "x_lo": float, "x_hi": float, "n": int, "y_guess": float,
-    "x_max": float, "x_min": float, "probe_lo": float, "probe_hi": float,
-    "fold_tol": float,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:

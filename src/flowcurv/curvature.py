@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .system import LienardSystem, State
+from .system import Jet, LienardSystem, State, jet
 
 # |f(x)| below fold_tol marks a fold: the slow/fast branch split degenerates
 # there, so the branch solver excludes the point instead of extrapolating.
@@ -27,70 +27,14 @@ FOLD_TOL_SCALE = 1e-6
 DEGENERATE_GP = 1e-13
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    """State plus flow derivatives, curvature value and curvature rate."""
-
-    state: State
-    xdot: float
-    ydot: float
-    xddot: float
-    yddot: float
-    xdddot: float
-    ydddot: float
-    phi: float
-    phi_dot: float
-
-
-def flow_derivatives(
-    sys: LienardSystem, s: State
-) -> tuple[float, float, float, float, float, float]:
-    """First, second and third time derivatives of (x, y) along the flow.
-
-    Second derivatives come from the chain rule on the vector field; third
-    derivatives apply the Jacobian to the acceleration and add the
-    Jacobian-rate contribution, expanded entrywise.
-    """
-    eps = sys.eps
-    x = s.x
-    fx = sys.f(x)
-    gx = sys.g(x)
-    gpx = sys.gp(x)
-    gppx = sys.gpp(x)
-    fpx = sys.fp(x)
-
-    xdot = (s.y - sys.F(x)) / eps
-    ydot = -gx
-    xddot = (ydot - fx * xdot) / eps
-    yddot = -gpx * xdot
-    # J @ Xddot + (dJ/dt) @ Xdot with J = [[-f/eps, 1/eps], [-g', 0]] and
-    # dJ/dt = [[-f'*xdot/eps, 0], [-g''*xdot, 0]].
-    xdddot = (-fx / eps) * xddot + (1.0 / eps) * yddot + (-fpx * xdot / eps) * xdot
-    ydddot = -gpx * xddot + (-gppx * xdot) * xdot
-    return xdot, ydot, xddot, yddot, xdddot, ydddot
-
-
-def curvature_sample(sys: LienardSystem, s: State) -> CurvatureSample:
-    """Bundle the flow derivatives with phi (determinant form) and dphi/dt."""
-    xd, yd, xdd, ydd, xddd, yddd = flow_derivatives(sys, s)
-    return CurvatureSample(
-        state=s, xdot=xd, ydot=yd, xddot=xdd, yddot=ydd,
-        xdddot=xddd, ydddot=yddd,
-        phi=xdd * yd - ydd * xd,
-        phi_dot=xddd * yd - yddd * xd,
-    )
-
-
 def phi(sys: LienardSystem, s: State) -> float:
     """Curvature function xddot*ydot + g'(x)*xdot**2 (= det(Xddot, Xdot))."""
-    xd, yd, xdd, _, _, _ = flow_derivatives(sys, s)
-    return xdd * yd + sys.gp(s.x) * xd * xd
+    return jet(sys, s).phi
 
 
 def phi_dot(sys: LienardSystem, s: State) -> float:
     """Time derivative of the curvature function: xdddot*ydot - ydddot*xdot."""
-    xd, yd, _, _, xddd, yddd = flow_derivatives(sys, s)
-    return xddd * yd - yddd * xd
+    return jet(sys, s).phi_dot
 
 
 def lie_identity_residual(sys: LienardSystem, s: State) -> float:
@@ -100,16 +44,17 @@ def lie_identity_residual(sys: LienardSystem, s: State) -> float:
     it holds algebraically, so the residual is floating-point noise:
     |residual| <= 1e-9 * max(1, |dphi/dt|) at every finite state.
     """
-    eps = sys.eps
-    x = s.x
-    xd, yd, xdd, ydd, xddd, yddd = flow_derivatives(sys, s)
-    ph = xdd * yd + sys.gp(x) * xd * xd
-    phd = xddd * yd - yddd * xd
-    tr = -sys.f(x) / eps
-    w0 = (-sys.fp(x) * xd / eps) * xd
-    w1 = (-sys.gpp(x) * xd) * xd
-    det = w0 * yd - w1 * xd
-    return phd - (tr * ph + det)
+    return lie_residual(sys.eps, jet(sys, s))
+
+
+def lie_residual(eps: float, j: Jet) -> float:
+    """lie_identity_residual from a jet already evaluated at the state."""
+    xd = j.xdot
+    tr = -j.f / eps
+    w0 = (-j.fp * xd / eps) * xd
+    w1 = (-j.gpp * xd) * xd
+    det = w0 * j.ydot - w1 * xd
+    return j.phi_dot - (tr * j.phi + det)
 
 
 @dataclass(frozen=True)

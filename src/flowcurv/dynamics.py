@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curvature import phi, slow_branches
-from .energy import energy_rate, total_energy
-from .system import LienardSystem, State, positive_zeros_of_F, vector_field
+from .curvature import slow_branches
+from .poly import horner
+from .system import LienardSystem, State, jet, positive_zeros_of_F
 
 # Dormand-Prince 5(4) tableau (autonomous field, so no stage times).
 _A21 = 1 / 5
@@ -40,6 +40,9 @@ _BETA = 0.04
 _H_MIN = 1e-14
 _STEP_CAP_FACTOR = 0.2
 _BLOWUP_LIMIT = 1e150
+
+# Default vicinity floor: this far beyond the positive zero of F.
+VICINITY_MARGIN = 0.1
 
 
 class IntegrationError(RuntimeError):
@@ -79,20 +82,14 @@ class VicinitySegment:
 
 
 def _make_rhs(sys: LienardSystem):
-    # Coefficients descending by degree, reversed once here rather than on
-    # every evaluation; the Horner order is that of Polynomial.__call__.
-    Fc = sys.F.coeffs[::-1]
-    gc = sys.g.coeffs[::-1]
+    # horner on the stored coefficient tuples, without the method lookup of
+    # Polynomial.__call__ on the integrator's hot path.
+    Fc = sys.F.desc
+    gc = sys.g.desc
     eps = sys.eps
 
     def rhs(x: float, y: float) -> tuple[float, float]:
-        fv = 0.0
-        for c in Fc:
-            fv = fv * x + c
-        gv = 0.0
-        for c in gc:
-            gv = gv * x + c
-        return (y - fv) / eps, -gv
+        return (y - horner(Fc, x)) / eps, -horner(gc, x)
 
     return rhs
 
@@ -315,12 +312,11 @@ def extract_vicinity(
     sys: LienardSystem,
     c: float,
     x_min: float | None = None,
-    margin: float = 0.1,
 ) -> VicinitySegment:
     """Maximal contiguous run of samples in the slow-branch band.
 
     A sample qualifies when x >= x_min (default: the positive zero of F
-    plus `margin`), xdot < 0, the point is not fold-excluded, and
+    plus VICINITY_MARGIN), xdot < 0, the point is not fold-excluded, and
     |y - y_ref(x)| <= c*eps, where y_ref is the slow branch or, where the
     branch quadratic has no real root, the critical manifold it degenerates
     toward.  Raises IntegrationError when no sample qualifies.
@@ -331,7 +327,7 @@ def extract_vicinity(
         zeros = positive_zeros_of_F(sys)
         if len(zeros) != 1:
             raise IntegrationError("cannot locate the positive zero of F")
-        x_min = zeros[0] + margin
+        x_min = zeros[0] + VICINITY_MARGIN
     band = c * sys.eps
 
     def qualifies(s: State) -> bool:
@@ -369,9 +365,9 @@ def format_trajectory_csv(sys: LienardSystem, traj: Trajectory) -> str:
     """CSV export with derivative and diagnostic columns computed per sample."""
     lines = [TRAJECTORY_CSV_HEADER]
     for s in traj.samples:
-        xd, yd = vector_field(sys, s)
+        j = jet(sys, s)
         lines.append(
-            f"{s.t!r},{s.x!r},{s.y!r},{xd!r},{yd!r},"
-            f"{phi(sys, s)!r},{total_energy(sys, s)!r},{energy_rate(sys, s)!r}"
+            f"{s.t!r},{s.x!r},{s.y!r},{j.xdot!r},{j.ydot!r},"
+            f"{j.phi!r},{j.E!r},{j.dEdt!r}"
         )
     return "\n".join(lines) + "\n"

@@ -17,23 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .curvature import phi
-from .poly import Polynomial, real_roots
-from .system import LienardSystem, State, vector_field
+from .poly import Polynomial, extreme_values, real_roots
+from .system import Jet, LienardSystem, State, jet
 
 CaseLabel = Literal["CASE1_H_NONNEG", "CASE2_H_NONPOS", "MIXED"]
 SignLabel = Literal["NONNEG", "NONPOS", "MIXED", "ZERO"]
-
-
-@dataclass(frozen=True)
-class EnergySample:
-    """Energy, energy rate, and case-function data at one state."""
-
-    state: State
-    E: float
-    dEdt: float
-    H: float
-    dHdt: float
 
 
 @dataclass(frozen=True)
@@ -48,14 +36,12 @@ class CaseClassification:
 
 def total_energy(sys: LienardSystem, s: State) -> float:
     """E = eps*xdot**2/2 + G(x) with xdot = (y - F(x))/eps."""
-    xdot = (s.y - sys.F(s.x)) / sys.eps
-    return sys.eps * xdot * xdot / 2.0 + sys.G(s.x)
+    return jet(sys, s).E
 
 
 def energy_rate(sys: LienardSystem, s: State) -> float:
     """dE/dt = -f(x)*xdot**2 (negative wherever f > 0 and xdot != 0)."""
-    xdot = (s.y - sys.F(s.x)) / sys.eps
-    return -sys.f(s.x) * xdot * xdot
+    return jet(sys, s).dEdt
 
 
 def H_polynomial(sys: LienardSystem) -> Polynomial:
@@ -66,20 +52,8 @@ def H_polynomial(sys: LienardSystem) -> Polynomial:
 
 
 def H_rate(sys: LienardSystem, s: State) -> float:
-    """dH/dt = -2*G(x)*G'''(x)*xdot along the flow."""
-    xdot = (s.y - sys.F(s.x)) / sys.eps
-    return -2.0 * sys.G(s.x) * sys.Gppp(s.x) * xdot
-
-
-def energy_sample(sys: LienardSystem, s: State) -> EnergySample:
-    Hp = H_polynomial(sys)
-    return EnergySample(
-        state=s,
-        E=total_energy(sys, s),
-        dEdt=energy_rate(sys, s),
-        H=Hp(s.x),
-        dHdt=H_rate(sys, s),
-    )
+    """dH/dt = -2*G(x)*G'''(x)*xdot along the flow, with G''' = g''."""
+    return jet(sys, s).dHdt
 
 
 def _sign_on_open_interval(p: Polynomial, lo: float, hi: float) -> SignLabel:
@@ -115,12 +89,7 @@ def _c1_witness(sys: LienardSystem, x_max: float, case: CaseLabel) -> float | No
     """
     if sys.g.is_zero or sys.g.coeffs[0] != 0.0:
         return None
-    q = Polynomial(sys.g.coeffs[1:])
-    pts = [0.0, x_max]
-    dq = q.derivative()
-    if not dq.is_zero and dq.degree is not None and dq.degree >= 0 and q.degree >= 1:
-        pts += real_roots(dq, 0.0, x_max)
-    vals = [q(t) for t in pts]
+    vals = extreme_values(Polynomial(sys.g.coeffs[1:]), 0.0, x_max)
     if case == "CASE1_H_NONNEG":
         return max(vals)
     if case == "CASE2_H_NONPOS":
@@ -140,7 +109,7 @@ def classify_case(sys: LienardSystem, x_max: float = 10.0) -> CaseClassification
         label = "CASE2_H_NONPOS"
     else:
         label = "MIXED"
-    g3_sign = _sign_on_open_interval(sys.Gppp, 0.0, x_max)
+    g3_sign = _sign_on_open_interval(sys.gpp, 0.0, x_max)
     if g3_sign == "ZERO":
         # G''' identically zero satisfies both bounds; report the side that
         # keeps dH/dt <= 0, matching the sub-linear case.
@@ -158,32 +127,26 @@ def curvature_energy_residual(sys: LienardSystem, s: State) -> float:
 
     Exact identity; contract |residual| <= 1e-9 * max(1, |eps*phi|).
     """
-    xdot, ydot = vector_field(sys, s)
-    E = total_energy(sys, s)
-    Hx = H_polynomial(sys)(s.x)
-    lhs = sys.eps * phi(sys, s)
-    rhs = 2.0 * sys.gp(s.x) * E + Hx - sys.f(s.x) * xdot * ydot
-    return lhs - rhs
+    j = jet(sys, s)
+    return sys.eps * j.phi - (2.0 * j.gp * j.E + j.H - j.f * j.xdot * j.ydot)
+
+
+def relation_rate(j: Jet) -> float:
+    """d/dt(2*g'(x)*E + H) in closed form: 2*g''*xdot*E + 2*g'*dE/dt + dH/dt."""
+    return 2.0 * j.gpp * j.xdot * j.E + 2.0 * j.gp * j.dEdt + j.dHdt
 
 
 def relation_rate_residual(sys: LienardSystem, s: State) -> float:
     """Residual of d/dt(2*g'(x)*E + H) = 2*f(x)*xdot*yddot + eps*g''(x)*xdot**3.
 
-    The left side is expanded in closed form as
-    2*g''*xdot*E + 2*g'*dE/dt + dH/dt.  The g''-cubed term on the right is
+    The left side is relation_rate.  The g''-cubed term on the right is
     the Jacobian-rate contribution to the curvature rate; dropping it (as a
     pure 2*f*xdot*yddot right side would) breaks the identity whenever
     g'' != 0.  Contract: |residual| <= 1e-9 relative to the larger side.
     """
-    x = s.x
-    xdot = (s.y - sys.F(x)) / sys.eps
-    E = total_energy(sys, s)
-    dE = energy_rate(sys, s)
-    dH = H_rate(sys, s)
-    lhs = 2.0 * sys.gpp(x) * xdot * E + 2.0 * sys.gp(x) * dE + dH
-    yddot = -sys.gp(x) * xdot
-    rhs = 2.0 * sys.f(x) * xdot * yddot + sys.eps * sys.gpp(x) * xdot ** 3
-    return lhs - rhs
+    j = jet(sys, s)
+    rhs = 2.0 * j.f * j.xdot * j.yddot + sys.eps * j.gpp * j.xdot ** 3
+    return relation_rate(j) - rhs
 
 
 def appendix_residual(sys: LienardSystem, s: State) -> float:
@@ -192,18 +155,6 @@ def appendix_residual(sys: LienardSystem, s: State) -> float:
     This is the alternative (y-based) energy form; its decay law is
     equivalent to dE/dt = -f*xdot**2.  Contract: 1e-9 relative.
     """
-    xdot, ydot = vector_field(sys, s)
-    lhs = s.y * ydot + sys.eps * sys.g(s.x) * xdot
-    return lhs - sys.F(s.x) * ydot
-
-
-def energy_form_equivalence_residual(sys: LienardSystem, s: State) -> float:
-    """Residual of y*ydot + eps*G'(x)*xdot - F(x)*ydot = eps*(dE/dt + f*xdot**2).
-
-    Ties the y-based energy form to the kinetic-plus-potential one; both
-    sides vanish identically along the flow.
-    """
-    xdot, ydot = vector_field(sys, s)
-    lhs = s.y * ydot + sys.eps * sys.g(s.x) * xdot - sys.F(s.x) * ydot
-    rhs = sys.eps * (energy_rate(sys, s) + sys.f(s.x) * xdot * xdot)
-    return lhs - rhs
+    j = jet(sys, s)
+    lhs = s.y * j.ydot + sys.eps * j.g * j.xdot
+    return lhs - j.F * j.ydot

@@ -24,16 +24,25 @@ TOUCH_TOL = 1e-10
 GRID_CELLS = 1024
 
 
+def horner(desc: Sequence[float], x: float) -> float:
+    """Value at x of the polynomial with coefficients ``desc``, descending by degree."""
+    r = 0.0
+    for c in desc:
+        r = r * x + c
+    return r
+
+
 class Polynomial:
     """Immutable univariate polynomial, coefficients ascending by degree.
 
     ``coeffs[k]`` multiplies x**k.  Instances are canonical: trailing
     (near-)zero coefficients are stripped, so two polynomials are equal
     iff their coefficient tuples are equal.  The zero polynomial has an
-    empty coefficient tuple and degree ``None``.
+    empty coefficient tuple and degree ``None``.  ``desc`` holds the same
+    coefficients descending by degree, the order ``horner`` consumes.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "desc")
 
     def __init__(self, coeffs: Iterable[float] = (), zero_snap: float = ZERO_SNAP):
         c = [float(v) for v in coeffs]
@@ -41,6 +50,7 @@ class Polynomial:
         while c and c[-1] == 0.0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
+        object.__setattr__(self, "desc", tuple(reversed(c)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -56,10 +66,7 @@ class Polynomial:
 
     def __call__(self, x: float) -> float:
         """Horner evaluation; exact for degree 0."""
-        r = 0.0
-        for c in reversed(self.coeffs):
-            r = r * x + c
-        return r
+        return horner(self.desc, x)
 
     def derivative(self) -> "Polynomial":
         return Polynomial(k * c for k, c in enumerate(self.coeffs) if k > 0)
@@ -247,3 +254,12 @@ def real_roots(
         else:
             out.append(r)
     return out
+
+
+def extreme_values(p: Polynomial, lo: float, hi: float) -> list[float]:
+    """p at lo, hi and the roots of p' between: its extrema on [lo, hi] are among them."""
+    pts = [lo, hi]
+    dp = p.derivative()
+    if dp.degree is not None and dp.degree >= 1:
+        pts += real_roots(dp, lo, hi)
+    return [p(t) for t in pts]

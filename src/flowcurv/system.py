@@ -1,23 +1,22 @@
-"""Generalized Lienard system model, Jacobian data, and assumption checks.
+"""Generalized Lienard system model, the derivative jet, and assumption checks.
 
 The model is the planar two-timescale system
 
     eps * dx/dt = y - F(x),      dy/dt = -g(x)
 
-with polynomial F and g.  The derived family f = F', G (an antiderivative
-of g), g', g'' and G''' is cached on the system because every closed form
-downstream (curvature, energy, sign checks) is an expression in it.
+with polynomial F and g.  The derived family f = F', f', G (an
+antiderivative of g), g' and g'' is cached on the system, and ``jet``
+evaluates those seven polynomials once at a state: every closed form
+downstream (curvature, energy, sign checks, CSV columns) is an expression
+in its values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .poly import Polynomial, real_roots
+from .poly import Polynomial, extreme_values, real_roots
 
 
 class State(NamedTuple):
@@ -33,9 +32,9 @@ class LienardSystem:
     """The system eps*xdot = y - F(x), ydot = -g(x) with cached derivatives.
 
     Construction validates internal consistency: f = F', fp = f', gp = g',
-    gpp = gp', Gppp = gpp, and G' = g.  The integration constant of G is
-    free here (make_system pins G(0) = 0); constructing with a shifted G
-    is how quadratic-potential families with nonzero offset are modelled.
+    gpp = gp', and G' = g.  The integration constant of G is free here
+    (make_system pins G(0) = 0); constructing with a shifted G is how
+    quadratic-potential families with nonzero offset are modelled.
     """
 
     eps: float
@@ -46,7 +45,6 @@ class LienardSystem:
     G: Polynomial
     gp: Polynomial
     gpp: Polynomial
-    Gppp: Polynomial
 
     def __post_init__(self):
         if not (isinstance(self.eps, (int, float)) and self.eps > 0):
@@ -56,7 +54,6 @@ class LienardSystem:
             (self.fp, self.f.derivative(), "fp must equal f'"),
             (self.gp, self.g.derivative(), "gp must equal g'"),
             (self.gpp, self.gp.derivative(), "gpp must equal g''"),
-            (self.Gppp, self.gpp, "Gppp must equal g''"),
             (self.G.derivative(), self.g, "G must be an antiderivative of g"),
         ]
         for got, want, msg in pairs:
@@ -81,12 +78,11 @@ def make_system(
         raise ValueError("epsilon must be positive")
     f = F.derivative()
     gp = g.derivative()
-    gpp = gp.derivative()
     if G is None:
         G = g.antiderivative(0.0)
     return LienardSystem(
         eps=float(eps), F=F, f=f, fp=f.derivative(),
-        g=g, G=G, gp=gp, gpp=gpp, Gppp=gpp,
+        g=g, G=G, gp=gp, gpp=gp.derivative(),
     )
 
 
@@ -95,22 +91,85 @@ def vector_field(sys: LienardSystem, s: State) -> tuple[float, float]:
     return (s.y - sys.F(s.x)) / sys.eps, -sys.g(s.x)
 
 
-def jacobian(sys: LienardSystem, x: float) -> np.ndarray:
-    """Jacobian of the vector field: [[-f(x)/eps, 1/eps], [-g'(x), 0]]."""
-    return np.array([[-sys.f(x) / sys.eps, 1.0 / sys.eps],
-                     [-sys.gp(x), 0.0]])
+class Jet(NamedTuple):
+    """The seven polynomial values at x and every closed form built on them.
+
+    phi = det(Xddot, Xdot) is the curvature function, E = eps*xdot**2/2 + G
+    the energy, H = g**2 - 2*G*g' the case function; the *dot/*dt fields
+    are time derivatives along the flow.
+    """
+
+    F: float
+    f: float
+    fp: float
+    g: float
+    gp: float
+    gpp: float
+    G: float
+    xdot: float
+    ydot: float
+    xddot: float
+    yddot: float
+    xdddot: float
+    ydddot: float
+    phi: float
+    phi_dot: float
+    E: float
+    dEdt: float
+    H: float
+    dHdt: float
 
 
-def jacobian_rate(sys: LienardSystem, s: State) -> np.ndarray:
-    """dJ/dt along the flow: [[-f'(x)*xdot/eps, 0], [-g''(x)*xdot, 0]]."""
+def jet(sys: LienardSystem, s: State) -> Jet:
+    """Evaluate F, f, f', g, g', g'' and G once each at s and derive the jet.
+
+    Third derivatives apply the Jacobian J = [[-f/eps, 1/eps], [-g', 0]]
+    to the acceleration and add dJ/dt = [[-f'*xdot/eps, 0], [-g''*xdot, 0]]
+    applied to the velocity, expanded entrywise.
+    """
+    eps = sys.eps
+    x = s.x
+    Fx = sys.F(x)
+    fx = sys.f(x)
+    fpx = sys.fp(x)
+    gx = sys.g(x)
+    gpx = sys.gp(x)
+    gppx = sys.gpp(x)
+    Gx = sys.G(x)
+
+    xdot = (s.y - Fx) / eps
+    ydot = -gx
+    xddot = (ydot - fx * xdot) / eps
+    yddot = -gpx * xdot
+    xdddot = (-fx / eps) * xddot + (1.0 / eps) * yddot + (-fpx * xdot / eps) * xdot
+    ydddot = -gpx * xddot + (-gppx * xdot) * xdot
+    return Jet(
+        Fx, fx, fpx, gx, gpx, gppx, Gx,
+        xdot, ydot, xddot, yddot, xdddot, ydddot,
+        phi=xddot * ydot + gpx * xdot * xdot,
+        phi_dot=xdddot * ydot - ydddot * xdot,
+        E=eps * xdot * xdot / 2.0 + Gx,
+        dEdt=-fx * xdot * xdot,
+        H=gx * gx - 2.0 * Gx * gpx,
+        dHdt=-2.0 * Gx * gppx * xdot,
+    )
+
+
+# A 2x2 matrix as a tuple of rows.
+Matrix2 = tuple[tuple[float, float], tuple[float, float]]
+
+
+def jacobian(sys: LienardSystem, x: float) -> Matrix2:
+    """Jacobian of the vector field, by rows: ((-f(x)/eps, 1/eps), (-g'(x), 0))."""
+    return ((-sys.f(x) / sys.eps, 1.0 / sys.eps),
+            (-sys.gp(x), 0.0))
+
+
+def jacobian_rate(sys: LienardSystem, s: State) -> Matrix2:
+    """dJ/dt along the flow, by rows: ((-f'(x)*xdot/eps, 0), (-g''(x)*xdot, 0))."""
     xdot = (s.y - sys.F(s.x)) / sys.eps
-    return np.array([[-sys.fp(s.x) * xdot / sys.eps, 0.0],
-                     [-sys.gpp(s.x) * xdot, 0.0]])
-
-
-def critical_manifold(sys: LienardSystem, x: float) -> float:
-    """The graph y = F(x) on which the fast equation vanishes at eps = 0."""
-    return sys.F(x)
+    return ((-sys.fp(s.x) * xdot / sys.eps, 0.0),
+            (-sys.gpp(s.x) * xdot, 0.0))
 
 
 @dataclass(frozen=True)
@@ -145,23 +204,6 @@ def _deflate_origin(p: Polynomial) -> tuple[Polynomial, int]:
         c.pop(0)
         m += 1
     return Polynomial(c), m
-
-
-def _max_abs_on(p: Polynomial, lo: float, hi: float) -> float:
-    """max |p| over [lo, hi] via critical points of p plus the endpoints."""
-    pts = [lo, hi]
-    dp = p.derivative()
-    if not dp.is_zero and dp.degree is not None and dp.degree >= 1:
-        pts += real_roots(dp, lo, hi)
-    return max(abs(p(t)) for t in pts)
-
-
-def _min_on(p: Polynomial, lo: float, hi: float) -> float:
-    pts = [lo, hi]
-    dp = p.derivative()
-    if not dp.is_zero and dp.degree is not None and dp.degree >= 1:
-        pts += real_roots(dp, lo, hi)
-    return min(p(t) for t in pts)
 
 
 def positive_zeros_of_F(sys: LienardSystem, x_max: float = 10.0) -> list[float]:
@@ -212,7 +254,7 @@ def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionRepo
 
     # II: polynomials are continuous and Lipschitz on any bounded window;
     # the Lipschitz constant of g on [-x_max, x_max] is informational.
-    lip = _max_abs_on(sys.gp, -x_max, x_max) if not sys.gp.is_zero else 0.0
+    lip = max(map(abs, extreme_values(sys.gp, -x_max, x_max))) if not sys.gp.is_zero else 0.0
     rep_II = AssumptionCheck(
         holds=True,
         witness=lip,
@@ -252,7 +294,7 @@ def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionRepo
 
     # Separate flag: g' >= 0 on [0, x_max] (required by the sign propositions
     # but listed outside the four assumptions).
-    gp_min = _min_on(sys.gp, 0.0, x_max) if not sys.gp.is_zero else 0.0
+    gp_min = min(extreme_values(sys.gp, 0.0, x_max)) if not sys.gp.is_zero else 0.0
     rep_gp = AssumptionCheck(
         holds=gp_min >= -1e-12,
         witness=gp_min,

@@ -18,12 +18,10 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .curvature import curvature_sample, lie_identity_residual, slow_branches
+from .curvature import lie_residual, slow_branches
 from .dynamics import IntegrationError, LimitCycle, extract_vicinity, find_limit_cycle
-from .energy import H_rate, energy_rate, total_energy
-from .system import LienardSystem, State, make_system
+from .energy import relation_rate
+from .system import LienardSystem, State, jet, make_system
 
 CHECK_IDS = (
     "XDOT_NEG",
@@ -42,6 +40,9 @@ CHECK_IDS = (
 PHI_BOUNDARY_TOL = 1e-10
 
 LIE_RESIDUAL_TOL = 1e-8
+
+# Equally spaced probe abscissas per eps in convergence_study.
+N_PROBE = 25
 
 
 @dataclass
@@ -96,21 +97,17 @@ class MinorskyReport:
 
 def sample_margins(sys: LienardSystem, s: State) -> dict[str, float]:
     """Signed margins (positive = satisfied) of the nine checks at one state."""
-    cs = curvature_sample(sys, s)
-    E = total_energy(sys, s)
-    dE = energy_rate(sys, s)
-    dH = H_rate(sys, s)
-    eq56 = 2.0 * sys.gpp(s.x) * cs.xdot * E + 2.0 * sys.gp(s.x) * dE + dH
-    lie_rel = abs(lie_identity_residual(sys, s)) / max(1.0, abs(cs.phi_dot))
+    j = jet(sys, s)
+    lie_rel = abs(lie_residual(sys.eps, j)) / max(1.0, abs(j.phi_dot))
     return {
-        "XDOT_NEG": -cs.xdot,
-        "YDOT_NEG": -cs.ydot,
-        "XDDOT_NEG": -cs.xddot,
-        "YDDOT_POS": cs.yddot,
-        "PHI_NONNEG": cs.phi,
-        "PHIDOT_POS": cs.phi_dot,
-        "DEDT_NEG": -dE,
-        "EQ56_BOUND": -eq56,
+        "XDOT_NEG": -j.xdot,
+        "YDOT_NEG": -j.ydot,
+        "XDDOT_NEG": -j.xddot,
+        "YDDOT_POS": j.yddot,
+        "PHI_NONNEG": j.phi,
+        "PHIDOT_POS": j.phi_dot,
+        "DEDT_NEG": -j.dEdt,
+        "EQ56_BOUND": -relation_rate(j),
         "LIE_RESIDUAL": LIE_RESIDUAL_TOL - lie_rel,
     }
 
@@ -200,7 +197,6 @@ def convergence_study(
     y_guess: float = 1.0,
     cycle_tol: float = 1e-10,
     integ_tol: float = 1e-10,
-    n_probe: int = 25,
 ) -> ConvergenceStudy:
     """Fit the order of the branch approximation over a decreasing eps list.
 
@@ -218,7 +214,7 @@ def convergence_study(
     if not lo < hi:
         raise ValueError("x_probe must be an ordered interval")
 
-    probes = [lo + (hi - lo) * i / (n_probe - 1) for i in range(n_probe)]
+    probes = [lo + (hi - lo) * i / (N_PROBE - 1) for i in range(N_PROBE)]
     dists: list[float] = []
     dists_crit: list[float] = []
     for eps in eps_list:
@@ -242,13 +238,20 @@ def convergence_study(
         dists.append(worst)
         dists_crit.append(worst_crit)
 
-    log_eps = np.log(eps_list)
-    order = float(np.polyfit(log_eps, np.log(dists), 1)[0])
-    order_crit = float(np.polyfit(log_eps, np.log(dists_crit), 1)[0])
+    log_eps = [math.log(e) for e in eps_list]
     return ConvergenceStudy(
         eps_values=tuple(eps_list),
         distances=tuple(dists),
-        fitted_order=order,
+        fitted_order=_slope(log_eps, [math.log(d) for d in dists]),
         distances_critical=tuple(dists_crit),
-        fitted_order_critical=order_crit,
+        fitted_order_critical=_slope(log_eps, [math.log(d) for d in dists_crit]),
     )
+
+
+def _slope(xs: "list[float]", ys: "list[float]") -> float:
+    """Least-squares slope of ys against xs, with exactly rounded sums."""
+    mx = math.fsum(xs) / len(xs)
+    my = math.fsum(ys) / len(ys)
+    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    return sxy / sxx

@@ -1,10 +1,14 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from flowcurv.cli import RunConfig, main
 
-from conftest import CONFIGS
+from conftest import CONFIGS, REPO
 
 VDP = str(CONFIGS / "vdp.json")
 LM = str(CONFIGS / "llibre_mereu.json")
@@ -171,3 +175,37 @@ class TestDumpConfig:
         cfg.write_text(json.dumps({"name": "x", "F": [0, 1], "g": [0, 1],
                                    "eps": 0.05, "bogus": 1}))
         assert main(["classify", "--config", str(cfg)]) == 2
+
+
+class TestConfigTypes:
+    # A wrongly typed field is a config error (exit 2), never a traceback
+    # from deep inside a command.  An infinite t_end would make simulate's
+    # stepping loop endless, so it is run through classify, which returns
+    # without reading t_end when validation lets the value through.
+    @pytest.mark.parametrize("command, field, value", [
+        ("manifold", "n", 100.5),
+        ("manifold", "tol", "1e-9"),
+        ("study", "eps_list", [0.1, "a"]),
+        ("simulate", "x0", None),
+        ("verify", "band", "x"),
+        ("classify", "t_end", math.inf),
+        ("classify", "y0", math.nan),
+        ("classify", "eps", True),
+        ("classify", "F", [0, -1.0, 0, False]),
+        ("classify", "g", [0, 1.0, math.inf]),
+    ])
+    def test_wrong_type_exits_2(self, command, field, value, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "vdp.json").read_text())
+        doc[field] = value
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(doc))  # writes Infinity/NaN, which json reads back
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"config error: field '{field}'" in capsys.readouterr().err
+
+
+def test_import_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    code = "import sys, flowcurv; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from flowcurv import (
     State,
-    curvature_sample,
-    flow_derivatives,
     jacobian,
     jacobian_rate,
+    jet,
     lie_identity_residual,
     make_system,
     phi,
@@ -31,9 +30,15 @@ def det2(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
+def jet_derivatives(sys_, s):
+    """The jet's first, second and third time derivatives of (x, y)."""
+    j = jet(sys_, s)
+    return j.xdot, j.ydot, j.xddot, j.yddot, j.xdddot, j.ydddot
+
+
 class TestFlowDerivatives:
     def test_reference_point(self, vdp):
-        xd, yd, xdd, ydd, xddd, yddd = flow_derivatives(vdp, S_REF)
+        xd, yd, xdd, ydd, xddd, yddd = jet_derivatives(vdp, S_REF)
         assert xd == pytest.approx(-1 / 3, rel=1e-9)
         assert yd == -2.0
         assert xdd == pytest.approx(-20.0, rel=1e-9)
@@ -43,26 +48,27 @@ class TestFlowDerivatives:
 
     def test_on_critical_manifold(self, vdp):
         s = State(0.0, 1.4, vdp.F(1.4))
-        xd, _, _, ydd, _, _ = flow_derivatives(vdp, s)
+        xd, _, _, ydd, _, _ = jet_derivatives(vdp, s)
         assert xd == pytest.approx(0.0, abs=1e-14)
         assert ydd == pytest.approx(0.0, abs=1e-13)
 
     def test_quintic_point(self):
         sys_ = make_system([0, -1, 0, 1 / 3, 0, 1 / 5], [0, 1, 0, 1 / 3], 0.1)
-        xd, yd, _, ydd, _, _ = flow_derivatives(sys_, State(0.0, 1.0, -0.4))
+        xd, yd, _, ydd, _, _ = jet_derivatives(sys_, State(0.0, 1.0, -0.4))
         assert xd == pytest.approx(2 / 3, rel=1e-9)
         assert yd == pytest.approx(-4 / 3, rel=1e-12)
         assert ydd == pytest.approx(-4 / 3, rel=1e-9)
 
     def test_sample_velocity_matches_vector_field(self, vdp):
-        cs = curvature_sample(vdp, S_REF)
-        assert (cs.xdot, cs.ydot) == vector_field(vdp, S_REF)
+        j = jet(vdp, S_REF)
+        assert (j.xdot, j.ydot) == vector_field(vdp, S_REF)
 
     def test_third_derivative_matches_matrix_form(self, both_systems):
         for sys_ in both_systems:
             for s in sweep_states(200):
-                xd, yd, xdd, ydd, xddd, yddd = flow_derivatives(sys_, s)
-                vec = jacobian(sys_, s.x) @ np.array([xdd, ydd]) + jacobian_rate(sys_, s) @ np.array([xd, yd])
+                xd, yd, xdd, ydd, xddd, yddd = jet_derivatives(sys_, s)
+                vec = (np.array(jacobian(sys_, s.x)) @ np.array([xdd, ydd])
+                       + np.array(jacobian_rate(sys_, s)) @ np.array([xd, yd]))
                 scale = max(1.0, abs(sys_.gpp(s.x) * xd * xd) + abs(sys_.gp(s.x) * xdd))
                 assert yddd == pytest.approx(vec[1], abs=1e-11 * scale)
                 scale_x = max(1.0, abs(vec[0]))
@@ -82,9 +88,10 @@ class TestPhi:
     def test_determinant_and_expanded_forms_agree(self, both_systems):
         for sys_ in both_systems:
             for s in sweep_states(1000):
-                cs = curvature_sample(sys_, s)  # determinant form
-                expanded = phi(sys_, s)
-                assert expanded == pytest.approx(cs.phi, abs=1e-12 * max(1.0, abs(cs.phi)))
+                xd, yd, xdd, ydd, _, _ = jet_derivatives(sys_, s)
+                determinant = xdd * yd - ydd * xd
+                # phi's expanded form rounds identically: -(-a*b)*b == (a*b)*b
+                assert phi(sys_, s) == determinant
 
 
 class TestPhiDot:
@@ -116,7 +123,7 @@ class TestPhiDot:
     def test_matches_expanded_form(self, both_systems):
         for sys_ in both_systems:
             for s in sweep_states(300):
-                xd, yd, xdd, ydd, xddd, yddd = flow_derivatives(sys_, s)
+                xd, yd, xdd, ydd, xddd, yddd = jet_derivatives(sys_, s)
                 expanded = xddd * yd + xd * (sys_.gpp(s.x) * xd * xd + sys_.gp(s.x) * xdd)
                 got = phi_dot(sys_, s)
                 scale = max(1.0, abs(xddd * yd) + abs(yddd * xd))
@@ -147,7 +154,7 @@ class TestLieIdentity:
     def test_wedge_identity(self, vecs, x, vdp):
         a = np.array(vecs[:2])
         b = np.array(vecs[2:])
-        J = jacobian(vdp, x)
+        J = np.array(jacobian(vdp, x))
         lhs = det2(J @ a, b) + det2(a, J @ b)
         rhs = np.trace(J) * det2(a, b)
         scale = max(1.0, abs(det2(J @ a, b)) + abs(det2(a, J @ b)))

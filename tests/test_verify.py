@@ -1,16 +1,12 @@
 import json
+import math
 
 import pytest
 
-from flowcurv import (
-    IntegrationError,
-    LimitCycle,
-    Trajectory,
-    convergence_study,
-    find_limit_cycle,
-    make_system,
-)
-from flowcurv.verify import CHECK_IDS, minorsky_report, sample_margins
+from flowcurv import LimitCycle, convergence_study, find_limit_cycle, make_system
+from flowcurv.verify import CHECK_IDS, _slope, minorsky_report, sample_margins
+
+from conftest import halton
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +108,10 @@ class TestConvergenceStudy:
     def test_tiny_eps_rejected(self, vdp):
         with pytest.raises(ValueError, match="0.005"):
             convergence_study(vdp, [0.1, 0.001], (1.6, 1.9))
+
+    def test_order_fit_matches_numpy_polyfit(self):
+        np = pytest.importorskip("numpy")
+        for n in (2, 3, 5, 9):
+            xs = [math.log(0.1 / 2**k) for k in range(n)]
+            ys = [2.0 * x - 1.0 + 0.3 * (halton(k + 1, 3) - 0.5) for k, x in enumerate(xs)]
+            assert _slope(xs, ys) == pytest.approx(np.polyfit(xs, ys, 1)[0], rel=1e-14, abs=0)
