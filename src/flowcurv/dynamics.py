@@ -3,36 +3,50 @@
 The flow is stiff in the classical two-timescale sense but eps stays at
 desk scale (>= ~0.005), so an explicit Dormand-Prince 5(4) pair with PI
 step-size control and a hard step cap of 0.2*eps is both simple and fast
-enough; no implicit solver or Newton iteration is needed.  Section
-crossings are located by bisection in time on the x sign change.  The
-cycle search integrates each return-map period once: the orbit it reports
-is its converged pass, which starts at the previous iterate and ends
-within the convergence tolerance of the section value.
+enough; no implicit solver or Newton iteration is needed.
+
+Each system gets one step kernel: the DP5(4) step with every F and g
+evaluation written out as a straight-line Horner expression, generated
+once per pair of coefficient counts and bound to the system's
+coefficients, so a stage makes no call and runs no loop.  One stepping
+loop, `_march`, serves both `integrate` and the cycle search.  A section
+crossing is located on the crossing step's 4th-order dense output
+(Hairer, Norsett & Wanner, Solving ODEs I, II.6), which costs one more
+kernel call.  The cycle search integrates each return-map period once:
+the orbit it reports is its converged pass, which starts at the previous
+iterate and ends within the convergence tolerance of the section value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .curvature import slow_branches
-from .poly import horner
+from .poly import horner_source
 from .system import LienardSystem, State, jet, positive_zeros_of_F
 
-# Dormand-Prince 5(4) tableau (autonomous field, so no stage times).
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-# Error coefficients: 5th-order weights minus the embedded 4th-order weights.
-_E1 = 71 / 57600
-_E3 = -71 / 16695
-_E4 = 71 / 1920
-_E5 = -17253 / 339200
-_E6 = 22 / 525
-_E7 = -1 / 40
+# Dormand-Prince 5(4) tableau (autonomous field, so no stage times).  Row i
+# of _DP_A forms stage i + 2 from the slopes k1 ... k(i + 1); its last row is
+# the 5th-order solution, whose slope k7 starts the next step (FSAL).
+# _DP_E holds the 5th-order weights minus the embedded 4th-order ones (the
+# error estimate), _DP_D the weights of the dense output's last
+# coefficient (Hairer's DOPRI5).  Zero weights are left out of the code.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DP_D = (
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423,
+)
 
 _SAFETY = 0.9
 _ALPHA = 0.17
@@ -40,13 +54,26 @@ _BETA = 0.04
 _H_MIN = 1e-14
 _STEP_CAP_FACTOR = 0.2
 _BLOWUP_LIMIT = 1e150
+# A section crossing is located to this resolution in time.
+_CROSSING_T_TOL = 1e-12
 
 # Default vicinity floor: this far beyond the positive zero of F.
 VICINITY_MARGIN = 0.1
 
 
 class IntegrationError(RuntimeError):
-    """Numerical failure: stall, blow-up, missing return, empty vicinity."""
+    """Numerical failure: stall, blow-up, missing return, empty vicinity.
+
+    Failures of the stepping loop carry where they happened: the time t,
+    the state (x, y), the step size h being taken, and the accepted and
+    rejected step counts so far.  Other failures leave these None.
+    """
+
+    def __init__(self, message: str, *, t=None, x=None, y=None, h=None,
+                 accepted=None, rejected=None):
+        super().__init__(message)
+        self.t, self.x, self.y, self.h = t, x, y, h
+        self.accepted, self.rejected = accepted, rejected
 
 
 @dataclass(frozen=True)
@@ -81,122 +108,159 @@ class VicinitySegment:
     band_width: float
 
 
-def _make_rhs(sys: LienardSystem):
-    # horner on the stored coefficient tuples, without the method lookup of
-    # Polynomial.__call__ on the integrator's hot path.
-    Fc = sys.F.desc
-    gc = sys.g.desc
+def _weighted(row: "tuple[float, ...]", c: str) -> str:
+    """Source of h * (w1 * k1c + w2 * k2c + ...), summed left to right."""
+    terms = " + ".join(f"({w!r}) * k{j}{c}" for j, w in enumerate(row, 1) if w)
+    return f"h * ({terms})"
+
+
+@functools.cache
+def _kernel_factory(n_F: int, n_g: int):
+    """Compile the step-kernel factory for F and g with these coefficient counts.
+
+    factory(F coefficients..., g coefficients..., eps), coefficients
+    descending by degree, returns step(x, y, h, k1x, k1y, dense=False).
+    The step returns (xn, yn, ex, ey, k7x, k7y): the 5th-order state, the
+    error estimate and the slope at the new state.  With dense=True it
+    returns the x and y dense-output coefficients h * sum(d_i * k_i)
+    instead.  Every stage evaluates F and g as horner does, so a step is
+    bit-identical to one through Polynomial.__call__.
+    """
+    F = [f"F{i}" for i in range(n_F)]
+    g = [f"g{i}" for i in range(n_g)]
+    lines = [f"def factory({', '.join(F + g + ['eps'])}):",
+             "    def step(x, y, h, k1x, k1y, dense=False):"]
+    for i, row in enumerate(_DP_A, 2):
+        xs, ys = ("xn", "yn") if i == 7 else (f"x{i}", f"y{i}")
+        lines += [f"        {xs} = x + {_weighted(row, 'x')}",
+                  f"        {ys} = y + {_weighted(row, 'y')}",
+                  f"        k{i}x = ({ys} - {horner_source(F, xs)}) / eps",
+                  f"        k{i}y = -{horner_source(g, xs)}"]
+    lines += ["        if dense:",
+              f"            return {_weighted(_DP_D, 'x')}, {_weighted(_DP_D, 'y')}",
+              f"        return xn, yn, {_weighted(_DP_E, 'x')}, {_weighted(_DP_E, 'y')}, k7x, k7y",
+              "    return step"]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<dp5 kernel F{n_F} g{n_g}>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _step_kernel(sys: LienardSystem):
+    """The DP5(4) step of this system's field (see _kernel_factory)."""
+    return _kernel_factory(len(sys.F.desc), len(sys.g.desc))(*sys.F.desc, *sys.g.desc, sys.eps)
+
+
+def _dense(c: "tuple[float, float, float, float, float]", th: float) -> float:
+    """The DP5(4) dense output at fraction th of the step (Hairer's CONTD5)."""
+    th1 = 1.0 - th
+    return c[0] + th * (c[1] + th1 * (c[2] + th * (c[3] + th1 * c[4])))
+
+
+def _crossing(kernel, t, x, y, k1x, k1y, h, xn, yn, k7x, k7y) -> State:
+    """Upward x = 0 crossing inside the accepted step of length h from (t, x, y).
+
+    One dense-mode kernel call completes the step's interpolant; the
+    crossing time is bisected on it to _CROSSING_T_TOL, keeping the
+    x >= 0 side.
+    """
+    dx, dy = kernel(x, y, h, k1x, k1y, True)
+    cs = []
+    for v0, v1, k1, k7, d in ((x, xn, k1x, k7x, dx), (y, yn, k1y, k7y, dy)):
+        diff = v1 - v0
+        bspl = h * k1 - diff
+        cs.append((v0, diff, bspl, diff - h * k7 - bspl, d))
+    cx, cy = cs
+    lo, hi = 0.0, 1.0
+    while (hi - lo) * h > _CROSSING_T_TOL:
+        mid = 0.5 * (lo + hi)
+        if _dense(cx, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return State(t + hi * h, _dense(cx, hi), _dense(cy, hi))
+
+
+def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None) -> Trajectory:
+    """The error-controlled stepping loop shared by integrate and the cycle search.
+
+    Every accepted state is a sample.  With t_end, step to t_end (the
+    last step lands on it exactly).  Without, step until x crosses 0
+    upward with y > 0; the crossing, not the end of its step, is the last
+    sample, and a pass longer than 10 * (1 + 1/eps) raises.  t, x, y, h,
+    the FSAL slopes and the PI controller state live in locals.
+    """
+    if not (1e-13 <= tol <= 1e-3):
+        raise ValueError("tol must lie in [1e-13, 1e-3]")
+    if not all(math.isfinite(v) for v in s0):
+        raise ValueError("initial state must be finite")
+    kernel = _step_kernel(sys)
+    isfinite, sqrt = math.isfinite, math.sqrt
+    section = t_end is None
     eps = sys.eps
-
-    def rhs(x: float, y: float) -> tuple[float, float]:
-        return (y - horner(Fc, x)) / eps, -horner(gc, x)
-
-    return rhs
-
-
-def _dp_step(rhs, x, y, h, k1x, k1y):
-    """One Dormand-Prince step: 5th-order state, error estimate, FSAL slopes."""
-    x2 = x + h * (_A21 * k1x)
-    y2 = y + h * (_A21 * k1y)
-    k2x, k2y = rhs(x2, y2)
-    x3 = x + h * (_A31 * k1x + _A32 * k2x)
-    y3 = y + h * (_A31 * k1y + _A32 * k2y)
-    k3x, k3y = rhs(x3, y3)
-    x4 = x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
-    y4 = y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y)
-    k4x, k4y = rhs(x4, y4)
-    x5 = x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
-    y5 = y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y)
-    k5x, k5y = rhs(x5, y5)
-    x6 = x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)
-    y6 = y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y)
-    k6x, k6y = rhs(x6, y6)
-    xn = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
-    yn = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
-    k7x, k7y = rhs(xn, yn)
-    ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
-    ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
-    return xn, yn, ex, ey, k7x, k7y
-
-
-def _propagate(rhs, x, y, h, n_sub=1):
-    """Fixed 5th-order substeps without error control (event refinement)."""
-    hs = h / n_sub
-    for _ in range(n_sub):
-        k1x, k1y = rhs(x, y)
-        x, y, _, _, _, _ = _dp_step(rhs, x, y, hs, k1x, k1y)
-    return x, y
-
-
-class _Stepper:
-    """Error-controlled stepping shared by integrate() and the cycle search."""
-
-    def __init__(self, sys: LienardSystem, s0: State, tol: float):
-        if not (1e-13 <= tol <= 1e-3):
-            raise ValueError("tol must lie in [1e-13, 1e-3]")
-        if not all(math.isfinite(v) for v in s0):
-            raise ValueError("initial state must be finite")
-        self.rhs = _make_rhs(sys)
-        self.tol = tol
-        self.t, self.x, self.y = s0.t, s0.x, s0.y
-        self.h_max = _STEP_CAP_FACTOR * sys.eps
-        self.h = self.h_max
-        self.k1x, self.k1y = self.rhs(self.x, self.y)
-        self.err_prev = 1.0
-        self.accepted = 0
-        self.rejected = 0
-        self.last_h = 0.0
-
-    def advance(self, t_cap: float | None = None) -> State:
-        """Take one accepted step (clamped so t never exceeds t_cap)."""
-        tol = self.tol
-        bad_streak = 0
-        while True:
-            h = self.h
-            capped = False
-            if t_cap is not None and self.t + h >= t_cap:
-                h = t_cap - self.t
-                capped = True
-                if h < _H_MIN:
-                    # Remaining span is below timestep resolution: snap.
-                    self.t = t_cap
-                    return State(self.t, self.x, self.y)
-            if h < _H_MIN:
-                if bad_streak:
-                    raise IntegrationError("blow-up")
-                raise IntegrationError("integration stalled (stiffness)")
-            xn, yn, ex, ey, k7x, k7y = _dp_step(self.rhs, self.x, self.y, h, self.k1x, self.k1y)
-            scx = tol * (1.0 + abs(self.x))
-            scy = tol * (1.0 + abs(self.y))
-            finite = math.isfinite(xn) and math.isfinite(yn) and math.isfinite(ex) and math.isfinite(ey)
-            if not finite:
-                bad_streak += 1
-                if bad_streak > 30:
-                    raise IntegrationError("blow-up")
-                self.h = max(h * 0.2, _H_MIN * 0.5)
-                self.rejected += 1
-                continue
-            err = math.sqrt(0.5 * ((ex / scx) ** 2 + (ey / scy) ** 2))
-            if err <= 1.0:
-                self.t = t_cap if capped else self.t + h
-                self.x, self.y = xn, yn
-                self.k1x, self.k1y = k7x, k7y
-                self.accepted += 1
-                self.last_h = h
-                if abs(xn) > _BLOWUP_LIMIT or abs(yn) > _BLOWUP_LIMIT:
-                    raise IntegrationError("blow-up")
-                e = max(err, 1e-10)
-                fac = _SAFETY * e ** (-_ALPHA) * self.err_prev ** _BETA
-                self.err_prev = e
-                self.h = min(self.h_max, max(h * min(5.0, max(0.2, fac)), _H_MIN))
-                return State(self.t, self.x, self.y)
-            self.rejected += 1
-            e = max(err, 1e-10)
-            self.h = h * min(1.0, max(0.2, _SAFETY * e ** (-_ALPHA)))
-
-    @property
-    def state(self) -> State:
-        return State(self.t, self.x, self.y)
+    horizon = 10.0 * (1.0 + 1.0 / eps)
+    t0 = t = s0.t
+    x, y = s0.x, s0.y
+    kx, ky = (y - sys.F(x)) / eps, -sys.g(x)
+    h_max = _STEP_CAP_FACTOR * eps
+    h = h_max
+    err_prev = 1.0
+    accepted = rejected = bad = 0
+    samples = [State(t, x, y)]
+    while True:
+        hs = h
+        capped = False
+        if not section and t + hs >= t_end:
+            hs = t_end - t
+            capped = True
+            if hs < _H_MIN:
+                # Remaining span is below timestep resolution: snap.
+                samples.append(State(t_end, x, y))
+                break
+        if hs < _H_MIN:
+            raise IntegrationError("blow-up" if bad else "integration stalled (stiffness)",
+                                   t=t, x=x, y=y, h=hs, accepted=accepted, rejected=rejected)
+        xn, yn, ex, ey, k7x, k7y = kernel(x, y, hs, kx, ky)
+        if not (isfinite(xn) and isfinite(yn) and isfinite(ex) and isfinite(ey)):
+            bad += 1
+            rejected += 1
+            if bad > 30:
+                raise IntegrationError("blow-up", t=t, x=x, y=y, h=hs,
+                                       accepted=accepted, rejected=rejected)
+            h = max(hs * 0.2, _H_MIN * 0.5)
+            continue
+        err = sqrt(0.5 * ((ex / (tol * (1.0 + abs(x)))) ** 2 + (ey / (tol * (1.0 + abs(y)))) ** 2))
+        # Clamps below are conditionals, not min/max calls: this runs per step.
+        e = 1e-10 if err < 1e-10 else err
+        if err > 1.0:
+            rejected += 1
+            h = hs * min(1.0, max(0.2, _SAFETY * e ** (-_ALPHA)))
+            continue
+        bad = 0
+        accepted += 1
+        tp, xp, yp, kpx, kpy = t, x, y, kx, ky
+        t = t_end if capped else t + hs
+        x, y, kx, ky = xn, yn, k7x, k7y
+        if abs(xn) > _BLOWUP_LIMIT or abs(yn) > _BLOWUP_LIMIT:
+            raise IntegrationError("blow-up", t=t, x=x, y=y, h=hs,
+                                   accepted=accepted, rejected=rejected)
+        fac = _SAFETY * e ** (-_ALPHA) * err_prev ** _BETA
+        err_prev = e
+        h = hs * (0.2 if fac <= 0.2 else 5.0 if fac >= 5.0 else fac)
+        h = _H_MIN if h < _H_MIN else h_max if h > h_max else h
+        if section:
+            if xp < 0.0 <= x and 0.5 * (yp + y) > 0.0:
+                samples.append(_crossing(kernel, tp, xp, yp, kpx, kpy, hs, x, y, kx, ky))
+                break
+            samples.append(State(t, x, y))
+            if t - t0 > horizon:
+                raise IntegrationError("no return to the section within the safety horizon",
+                                       t=t, x=x, y=y, h=h, accepted=accepted, rejected=rejected)
+        else:
+            samples.append(State(t, x, y))
+            if not t < t_end:
+                break
+    return Trajectory(samples=tuple(samples), accepted_steps=accepted,
+                      rejected_steps=rejected, tol_used=tol)
 
 
 def integrate(sys: LienardSystem, s0: State, t_end: float, tol: float) -> Trajectory:
@@ -208,50 +272,7 @@ def integrate(sys: LienardSystem, s0: State, t_end: float, tol: float) -> Trajec
     """
     if not t_end > s0.t:
         raise ValueError("t_end must exceed the initial time")
-    stepper = _Stepper(sys, s0, tol)
-    samples = [stepper.state]
-    while stepper.t < t_end:
-        samples.append(stepper.advance(t_cap=t_end))
-    return Trajectory(
-        samples=tuple(samples),
-        accepted_steps=stepper.accepted,
-        rejected_steps=stepper.rejected,
-        tol_used=tol,
-    )
-
-
-def _refine_crossing(rhs, s_prev: State, h: float, t_tol: float = 1e-12) -> State:
-    """Bisect the upward x=0 crossing inside the step of length h from s_prev."""
-    lo, hi = 0.0, h
-    while hi - lo > t_tol:
-        mid = 0.5 * (lo + hi)
-        xm, _ = _propagate(rhs, s_prev.x, s_prev.y, mid)
-        if xm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    xh, yh = _propagate(rhs, s_prev.x, s_prev.y, hi)
-    return State(s_prev.t + hi, xh, yh)
-
-
-def _next_upward_crossing(
-    stepper: _Stepper, horizon: float, collect: list[State] | None = None
-) -> State:
-    """Advance until x crosses 0 upward with y > 0; bisect the crossing time."""
-    t_start = stepper.t
-    prev = stepper.state
-    while True:
-        if stepper.t - t_start > horizon:
-            raise IntegrationError("no return to the section within the safety horizon")
-        cur = stepper.advance()
-        if prev.x < 0.0 <= cur.x and 0.5 * (prev.y + cur.y) > 0.0:
-            cross = _refine_crossing(stepper.rhs, prev, stepper.last_h)
-            if collect is not None:
-                collect.append(cross)
-            return cross
-        if collect is not None:
-            collect.append(cur)
-        prev = cur
+    return _march(sys, s0, tol, t_end)
 
 
 def find_limit_cycle(
@@ -277,30 +298,22 @@ def find_limit_cycle(
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    horizon = 10.0 * (1.0 + 1.0 / sys.eps)
 
     iterates = [float(y_guess)]
     converged = False
     for _ in range(max_iter):
-        samples = [State(0.0, 0.0, iterates[-1])]
-        stepper = _Stepper(sys, samples[0], integ_tol)
-        cross = _next_upward_crossing(stepper, horizon, collect=samples)
+        orbit = _march(sys, State(0.0, 0.0, iterates[-1]), integ_tol)
+        cross = orbit.samples[-1]
         iterates.append(cross.y)
         if abs(cross.y - iterates[-2]) <= tol:
             converged = True
             break
 
-    orbit = Trajectory(
-        samples=tuple(samples),
-        accepted_steps=stepper.accepted,
-        rejected_steps=stepper.rejected,
-        tol_used=integ_tol,
-    )
     return LimitCycle(
         period=cross.t,
         section_value=cross.y,
         orbit=orbit,
-        amplitude_x=max(abs(s.x) for s in samples),
+        amplitude_x=max(abs(s.x) for s in orbit.samples),
         converged=converged,
         iterations=len(iterates) - 1,
         iterates=tuple(iterates),

@@ -32,6 +32,22 @@ def horner(desc: Sequence[float], x: float) -> float:
     return r
 
 
+def horner_source(desc: Sequence[str], x: str) -> str:
+    """Python expression text for ``horner`` over the coefficient names ``desc``.
+
+    The text multiplies and adds in ``horner``'s order, so for finite x it
+    evaluates bit for bit like ``horner`` on the named values: horner's
+    first step, ``0.0 * x + c``, returns the leading coefficient c, which
+    a Polynomial keeps nonzero.
+    """
+    if not desc:
+        return "0.0"
+    src = desc[0]
+    for c in desc[1:]:
+        src = f"({src} * {x} + {c})"
+    return src
+
+
 class Polynomial:
     """Immutable univariate polynomial, coefficients ascending by degree.
 

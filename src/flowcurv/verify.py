@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .curvature import lie_residual, slow_branches
@@ -171,16 +172,28 @@ class ConvergenceStudy:
     fitted_order_critical: float
 
 
-def _descent_y_at(traj, x_probe: float, sys: LienardSystem) -> float | None:
-    """Interpolate y on the slow descent (x decreasing) at x = x_probe."""
-    samples = traj.samples
-    for s0, s1 in zip(samples[:-1], samples[1:]):
-        if s1.x < s0.x and s1.x <= x_probe <= s0.x:
-            if s0.x == s1.x:
-                return s0.y
-            w = (x_probe - s1.x) / (s0.x - s1.x)
-            return s1.y + w * (s0.y - s1.y)
-    return None
+def _descent_ys(traj, probes: "list[float]") -> "list[float | None]":
+    """Interpolate y on the slow descent (x decreasing) at each probe abscissa.
+
+    One walk along the orbit serves every probe: a probe takes its value
+    from the first descending step whose x-span holds it, and stays None
+    when no step does.  `probes` must be ascending.
+    """
+    ys: "list[float | None]" = [None] * len(probes)
+    left = len(probes)
+    it = iter(traj.samples)
+    s0 = next(it)
+    for s1 in it:
+        if s1.x < s0.x:
+            for i in range(bisect_left(probes, s1.x), bisect_right(probes, s0.x)):
+                if ys[i] is None:
+                    w = (probes[i] - s1.x) / (s0.x - s1.x)
+                    ys[i] = s1.y + w * (s0.y - s1.y)
+                    left -= 1
+            if not left:
+                break
+        s0 = s1
+    return ys
 
 
 def _descent_x_range(traj) -> tuple[float, float]:
@@ -223,8 +236,7 @@ def convergence_study(
         if not cycle.converged:
             raise IntegrationError(f"limit cycle did not converge at eps={eps}")
         worst = worst_crit = 0.0
-        for px in probes:
-            y_traj = _descent_y_at(cycle.orbit, px, sys_e)
+        for px, y_traj in zip(probes, _descent_ys(cycle.orbit, probes)):
             if y_traj is None:
                 d_lo, d_hi = _descent_x_range(cycle.orbit)
                 raise ValueError(

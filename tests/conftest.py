@@ -8,6 +8,7 @@ import pathlib
 import pytest
 
 from flowcurv import State, make_system
+from flowcurv.dynamics import _step_kernel
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -29,6 +30,19 @@ def sweep_states(n: int, lo: float = -3.0, hi: float = 3.0) -> list[State]:
         State(0.0, lo + span * halton(i, 2), lo + span * halton(i, 3))
         for i in range(1, n + 1)
     ]
+
+
+def propagate(sys_, x: float, y: float, h: float, n_sub: int = 1) -> tuple[float, float]:
+    """n_sub fixed DP5(4) steps of total length h through the program's kernel.
+
+    No error control (event refinement, finite differences); h < 0 steps
+    backward, bit for bit like stepping the negated field forward.
+    """
+    step = _step_kernel(sys_)
+    hs = h / n_sub
+    for _ in range(n_sub):
+        x, y = step(x, y, hs, (y - sys_.F(x)) / sys_.eps, -sys_.g(x))[:2]
+    return x, y
 
 
 def load_config(name: str) -> dict:

@@ -19,9 +19,8 @@ from flowcurv import (
     vector_field,
 )
 from flowcurv.curvature import MANIFOLD_CSV_HEADER, format_manifold_csv
-from flowcurv.dynamics import _make_rhs, _propagate
 
-from conftest import sweep_states
+from conftest import propagate, sweep_states
 
 S_REF = State(0.0, 2.0, 0.65)
 
@@ -113,9 +112,8 @@ class TestPhiDot:
             sys_ = make_system([0, -1, 0, 1 / 3, 0, 1 / 5], [0, 1, 0, 1 / 3], 0.1)
             s0 = State(0.0, 1.5, sys_.F(1.5) - 0.05)
         h = 1e-6
-        rhs = _make_rhs(sys_)
-        x1, y1 = _propagate(rhs, s0.x, s0.y, h, n_sub=10)
-        x2, y2 = _propagate(rhs, x1, y1, h, n_sub=10)
+        x1, y1 = propagate(sys_, s0.x, s0.y, h, n_sub=10)
+        x2, y2 = propagate(sys_, x1, y1, h, n_sub=10)
         fd = (phi(sys_, State(0.0, x2, y2)) - phi(sys_, s0)) / (2 * h)
         mid = phi_dot(sys_, State(0.0, x1, y1))
         assert fd == pytest.approx(mid, rel=1e-4)

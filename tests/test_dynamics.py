@@ -15,24 +15,65 @@ from flowcurv import (
     vector_field,
 )
 from flowcurv import dynamics
-from flowcurv.dynamics import (
-    TRAJECTORY_CSV_HEADER,
-    _make_rhs,
-    _propagate,
-    format_trajectory_csv,
-)
+from flowcurv.dynamics import TRAJECTORY_CSV_HEADER, format_trajectory_csv
+from flowcurv.poly import horner
 
-from conftest import system_from_config
+from conftest import propagate, sweep_states, system_from_config
+
+
+def horner_rhs(sys_):
+    """The vector field through poly.horner, one call per component."""
+    Fc, gc, eps = sys_.F.desc, sys_.g.desc, sys_.eps
+
+    def rhs(x, y):
+        return (y - horner(Fc, x)) / eps, -horner(gc, x)
+
+    return rhs
+
+
+def reference_dp_step(rhs, x, y, h, k1x, k1y):
+    """One Dormand-Prince 5(4) step with one rhs call per stage: the kernel's oracle."""
+    x2 = x + h * (1 / 5 * k1x)
+    y2 = y + h * (1 / 5 * k1y)
+    k2x, k2y = rhs(x2, y2)
+    x3 = x + h * (3 / 40 * k1x + 9 / 40 * k2x)
+    y3 = y + h * (3 / 40 * k1y + 9 / 40 * k2y)
+    k3x, k3y = rhs(x3, y3)
+    x4 = x + h * (44 / 45 * k1x + -56 / 15 * k2x + 32 / 9 * k3x)
+    y4 = y + h * (44 / 45 * k1y + -56 / 15 * k2y + 32 / 9 * k3y)
+    k4x, k4y = rhs(x4, y4)
+    a5 = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
+    x5 = x + h * (a5[0] * k1x + a5[1] * k2x + a5[2] * k3x + a5[3] * k4x)
+    y5 = y + h * (a5[0] * k1y + a5[1] * k2y + a5[2] * k3y + a5[3] * k4y)
+    k5x, k5y = rhs(x5, y5)
+    a6 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
+    x6 = x + h * (a6[0] * k1x + a6[1] * k2x + a6[2] * k3x + a6[3] * k4x + a6[4] * k5x)
+    y6 = y + h * (a6[0] * k1y + a6[1] * k2y + a6[2] * k3y + a6[3] * k4y + a6[4] * k5y)
+    k6x, k6y = rhs(x6, y6)
+    b = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+    xn = x + h * (b[0] * k1x + b[1] * k3x + b[2] * k4x + b[3] * k5x + b[4] * k6x)
+    yn = y + h * (b[0] * k1y + b[1] * k3y + b[2] * k4y + b[3] * k5y + b[4] * k6y)
+    k7x, k7y = rhs(xn, yn)
+    e = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+    ex = h * (e[0] * k1x + e[1] * k3x + e[2] * k4x + e[3] * k5x + e[4] * k6x + e[5] * k7x)
+    ey = h * (e[0] * k1y + e[1] * k3y + e[2] * k4y + e[3] * k5y + e[4] * k6y + e[5] * k7y)
+    return xn, yn, ex, ey, k7x, k7y
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+# F of degree 9 and g of degree 5 with zero and negative coefficients.
+DEG9 = make_system([0.0, -1.0, 0.0, 0.5, -0.25, 0.0, 0.0, 0.125, 0.0, -0.0625],
+                   [0.0, 1.0, 0.0, -0.3, 0.0, 0.02], 0.05)
 
 
 def fd_energy_rate(sys_, s, h=1e-4, n_sub=20):
     """Fourth-order centered finite difference of E along the flow."""
-    rhs = _make_rhs(sys_)
-    rhs_back = lambda x, y: tuple(-v for v in rhs(x, y))
 
     def e_at(signed_h):
-        f = rhs if signed_h > 0 else rhs_back
-        x, y = _propagate(f, s.x, s.y, abs(signed_h), n_sub=n_sub)
+        x, y = propagate(sys_, s.x, s.y, signed_h, n_sub=n_sub)
         return total_energy(sys_, State(0.0, x, y))
 
     return (e_at(-2 * h) - 8 * e_at(-h) + 8 * e_at(h) - e_at(2 * h)) / (12 * h)
@@ -84,12 +125,11 @@ class TestIntegrate:
 
 class TestIntegratorOrder:
     def test_fixed_step_order_at_least_four(self, vdp):
-        rhs = _make_rhs(vdp)
         x0, y0 = 0.1, 0.1
         span = 0.5
 
         def run(n):
-            return _propagate(rhs, x0, y0, span, n_sub=n)
+            return propagate(vdp, x0, y0, span, n_sub=n)
 
         ref = run(4096)
         errs = []
@@ -112,6 +152,58 @@ class TestIntegratorOrder:
         e6, e7, e8 = err(1e-6), err(1e-7), err(1e-8)
         assert e7 < e6
         assert e8 < e7
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu", "deg9"])
+    @pytest.mark.parametrize("h", [0.01, -0.01, 3e-4, -3e-4])
+    def test_bitwise_equal_to_horner_reference(self, name, h):
+        sys_ = DEG9 if name == "deg9" else system_from_config(name)
+        step, rhs = dynamics._step_kernel(sys_), horner_rhs(sys_)
+        for s in sweep_states(100, -1.5, 1.5):
+            k1 = rhs(s.x, s.y)
+            assert bits(step(s.x, s.y, h, *k1)) == bits(reference_dp_step(rhs, s.x, s.y, h, *k1))
+
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu", "deg9"])
+    def test_backward_step_is_the_negated_field_step(self, name):
+        sys_ = DEG9 if name == "deg9" else system_from_config(name)
+        step, rhs = dynamics._step_kernel(sys_), horner_rhs(sys_)
+        rhs_back = lambda x, y: tuple(-v for v in rhs(x, y))
+        for s in sweep_states(100, -1.5, 1.5):
+            xn, yn, ex, ey, k7x, k7y = step(s.x, s.y, -0.004, *rhs(s.x, s.y))
+            want = reference_dp_step(rhs_back, s.x, s.y, 0.004, *rhs_back(s.x, s.y))
+            assert bits((xn, yn, ex, ey, -k7x, -k7y)) == bits(want)
+
+    def test_code_is_shared_by_coefficient_count_only(self):
+        a, b = system_from_config("vdp"), system_from_config("vdp", eps=0.1)
+        c = make_system([0.0, 2.0, 0.0, -1.0], [0.5, 3.0], 0.05)
+        ka, kb, kc = (dynamics._step_kernel(s) for s in (a, b, c))
+        assert ka.__code__ is kb.__code__ is kc.__code__
+        args = (0.3, 0.2, 0.01, 1.0, -0.5)
+        assert len({ka(*args), kb(*args), kc(*args)}) == 3
+
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
+    def test_dense_crossing_is_fifth_order_local(self, name):
+        sys_ = system_from_config(name)
+        step = dynamics._step_kernel(sys_)
+        x0, y0 = -0.05, 0.8
+        k1 = ((y0 - sys_.F(x0)) / sys_.eps, -sys_.g(x0))
+        # Reference crossing: bisection on 40 fixed substeps per probe.
+        lo, hi = 0.0, 0.005
+        while hi - lo > 1e-15:
+            mid = 0.5 * (lo + hi)
+            if propagate(sys_, x0, y0, mid, n_sub=40)[0] < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        y_ref = propagate(sys_, x0, y0, hi, n_sub=40)[1]
+        errs = []
+        for h in (0.02, 0.01, 0.005):
+            xn, yn, _, _, k7x, k7y = step(x0, y0, h, *k1)
+            c = dynamics._crossing(step, 0.0, x0, y0, *k1, h, xn, yn, k7x, k7y)
+            errs.append(max(abs(c.t - hi), abs(c.y - y_ref)))
+        assert math.log2(errs[0] / errs[1]) >= 4.5
+        assert math.log2(errs[1] / errs[2]) >= 4.5
 
 
 class TestFindLimitCycle:
@@ -162,15 +254,15 @@ class TestFindLimitCycle:
 
 
 def _counting_crossings(monkeypatch) -> list[int]:
-    """Count the return-map passes: one _next_upward_crossing call each."""
+    """Count the return-map passes: one _march call each."""
     calls = [0]
-    orig = dynamics._next_upward_crossing
+    orig = dynamics._march
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_next_upward_crossing", counted)
+    monkeypatch.setattr(dynamics, "_march", counted)
     return calls
 
 
@@ -196,6 +288,88 @@ class TestSinglePassCycleSearch:
         assert cyc.orbit.samples[0].y == cyc.iterates[-2] == 1.0
         assert cyc.section_value == cyc.iterates[-1]
         assert cyc.period == cyc.orbit.samples[-1].t
+
+
+def bisection_crossing(sys_, prev, span):
+    """The crossing as bisection in time located it before dense output.
+
+    Each probe time re-propagates one fixed DP step from prev; the x >= 0
+    side is kept, to 1e-12 in time.
+    """
+    rhs = horner_rhs(sys_)
+
+    def at(tau):
+        return reference_dp_step(rhs, prev.x, prev.y, tau, *rhs(prev.x, prev.y))[:2]
+
+    assert at(span)[0] >= 0.0
+    lo, hi = 0.0, span
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if at(mid)[0] < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    x, y = at(hi)
+    return State(prev.t + hi, x, y)
+
+
+def _recording_passes(monkeypatch) -> list:
+    """Record every _march call's trajectory and the kernel calls it made."""
+    passes, calls = [], [0]
+    orig_kernel, orig_march = dynamics._step_kernel, dynamics._march
+
+    def counting_kernel(sys_):
+        step = orig_kernel(sys_)
+
+        def counted(*args):
+            calls[0] += 1
+            return step(*args)
+
+        return counted
+
+    def recorded(*args, **kwargs):
+        before = calls[0]
+        traj = orig_march(*args, **kwargs)
+        passes.append((traj, calls[0] - before))
+        return traj
+
+    monkeypatch.setattr(dynamics, "_step_kernel", counting_kernel)
+    monkeypatch.setattr(dynamics, "_march", recorded)
+    return passes
+
+
+# The cycle searches of the benchmark's certify operation: the report's
+# (tol 1e-9) and the order study's (tol 1e-10), for each system and eps.
+CERTIFY_CASES = [(name, eps, tol) for name in ("vdp", "llibre_mereu")
+                 for eps in (0.1, 0.05, 0.02, 0.01, 0.005) for tol in (1e-9, 1e-10)]
+
+
+class TestDenseCrossing:
+    @pytest.mark.parametrize("name, eps, tol", CERTIFY_CASES)
+    def test_agrees_with_bisection_crossing(self, name, eps, tol, monkeypatch):
+        passes = _recording_passes(monkeypatch)
+        sys_ = system_from_config(name, eps=eps)
+        cyc = find_limit_cycle(sys_, 1.0, tol, integ_tol=tol)
+        assert cyc.converged and len(passes) == cyc.iterations
+        for traj, _ in passes:
+            prev, cross = traj.samples[-2], traj.samples[-1]
+            old = bisection_crossing(sys_, prev, 2.0 * (cross.t - prev.t))
+            assert abs(cross.t - old.t) <= 1e-9
+            assert abs(cross.y - old.y) <= 1e-9
+            assert prev.x < 0.0 and abs(cross.x) <= 1e-8
+
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
+    def test_kernel_calls_per_pass(self, name, monkeypatch):
+        passes = _recording_passes(monkeypatch)
+        sys_ = system_from_config(name, eps=0.02)
+        cyc = find_limit_cycle(sys_, 1.0, 1e-9, integ_tol=1e-9)
+        assert len(passes) == cyc.iterations >= 2
+        for traj, kernel_calls in passes:
+            assert kernel_calls == traj.accepted_steps + traj.rejected_steps + 1
+        # integrate locates no crossing: one kernel call per step.
+        passes.clear()
+        traj = integrate(sys_, State(0.0, 0.1, 0.1), 3.0, 1e-9)
+        assert passes == [(traj, traj.accepted_steps + traj.rejected_steps)]
 
 
 class TestIndependentIntegrator:
@@ -238,6 +412,45 @@ class TestIndependentIntegrator:
         period, y_return = self._scipy_return(sys_, cyc.section_value)
         assert abs(period - cyc.period) <= 1e-8
         assert abs(y_return - cyc.section_value) <= 1e-8
+
+
+class TestIntegrationErrorState:
+    """The stepping loop's failures carry t, x, y, h and the step counts."""
+
+    def test_stall(self):
+        stiff = make_system([0, 1e14], [0, 1], 0.05)  # x relaxes at rate 2e15
+        with pytest.raises(IntegrationError, match="stalled") as info:
+            integrate(stiff, State(0.0, 1.0, 1.0), 1.0, 1e-9)
+        e = info.value
+        assert (e.t, e.x, e.y) == (0.0, 1.0, 1.0)
+        assert 0.0 < e.h < 1e-14
+        assert e.accepted == 0 and e.rejected >= 10
+
+    def test_blow_up(self):
+        runaway = make_system([0, 0, 0, -1.0], [0, 1], 0.05)  # F = -x^3
+        with pytest.raises(IntegrationError, match="blow-up") as info:
+            integrate(runaway, State(0.0, 1e80, 0.0), 1.0, 1e-6)
+        e = info.value
+        assert (e.t, e.x, e.y) == (0.0, 1e80, 0.0)
+        assert 0.0 < e.h < 1e-14
+        assert e.accepted == 0 and e.rejected >= 10
+
+    def test_no_return(self):
+        sys_ = make_system([0, 1.0], [0, -1.0], 0.2)  # monotone runaway flow
+        with pytest.raises(IntegrationError, match="no return") as info:
+            find_limit_cycle(sys_, 1.0, 1e-8)
+        e = info.value
+        assert e.t > 10.0 * (1.0 + 1.0 / 0.2)
+        assert e.x > 1e20 and e.y > 1e20
+        assert 0.0 < e.h <= 0.2 * 0.2
+        assert e.accepted > 1000 and e.rejected >= 0
+
+    def test_other_failures_carry_no_state(self, vdp):
+        traj = integrate(vdp, State(0.0, 0.1, 0.1), 0.05, 1e-9)
+        with pytest.raises(IntegrationError, match="slow vicinity") as info:
+            extract_vicinity(traj, vdp, 1.0)
+        e = info.value
+        assert (e.t, e.x, e.y, e.h, e.accepted, e.rejected) == (None,) * 6
 
 
 class TestExtractVicinity:

@@ -15,9 +15,8 @@ from flowcurv import (
     relation_rate_residual,
     total_energy,
 )
-from flowcurv.dynamics import _make_rhs, _propagate
 
-from conftest import sweep_states
+from conftest import propagate, sweep_states
 
 S_REF = State(0.0, 2.0, 0.65)
 
@@ -97,9 +96,8 @@ class TestHRate:
         Hp = H_polynomial(llibre_mereu)
         s0 = State(0.0, 1.5, llibre_mereu.F(1.5) - 0.05)
         h = 1e-6
-        rhs = _make_rhs(llibre_mereu)
-        x1, y1 = _propagate(rhs, s0.x, s0.y, h, n_sub=10)
-        x2, y2 = _propagate(rhs, x1, y1, h, n_sub=10)
+        x1, y1 = propagate(llibre_mereu, s0.x, s0.y, h, n_sub=10)
+        x2, y2 = propagate(llibre_mereu, x1, y1, h, n_sub=10)
         fd = (Hp(x2) - Hp(s0.x)) / (2 * h)
         assert fd == pytest.approx(H_rate(llibre_mereu, State(0.0, x1, y1)), rel=1e-4)
 

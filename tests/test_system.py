@@ -16,6 +16,8 @@ from flowcurv import (
     vector_field,
 )
 
+from conftest import propagate
+
 
 class TestMakeSystem:
     def test_vdp_derived_family(self, vdp):
@@ -106,14 +108,10 @@ class TestJacobianRate:
         assert dJ == pytest.approx(np.array([[60.0, 0.0], [2.0, 0.0]]), rel=1e-9)
 
     def test_matches_finite_difference_along_flow(self, vdp):
-        from flowcurv.dynamics import _make_rhs, _propagate
-
         s = State(0.0, 2.0, 0.65)
         h = 1e-5
-        rhs = _make_rhs(vdp)
-        rhs_back = lambda x, y: tuple(-v for v in rhs(x, y))
-        xp, _ = _propagate(rhs, s.x, s.y, h, n_sub=10)
-        xm, _ = _propagate(rhs_back, s.x, s.y, h, n_sub=10)
+        xp, _ = propagate(vdp, s.x, s.y, h, n_sub=10)
+        xm, _ = propagate(vdp, s.x, s.y, -h, n_sub=10)
         fd = (np.array(jacobian(vdp, xp)) - np.array(jacobian(vdp, xm))) / (2 * h)
         dJ = np.array(jacobian_rate(vdp, s))
         assert fd == pytest.approx(dJ, abs=1e-6 * max(1.0, np.abs(dJ).max()))

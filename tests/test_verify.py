@@ -4,9 +4,9 @@ import math
 import pytest
 
 from flowcurv import LimitCycle, convergence_study, find_limit_cycle, make_system
-from flowcurv.verify import CHECK_IDS, _slope, minorsky_report, sample_margins
+from flowcurv.verify import CHECK_IDS, N_PROBE, _descent_ys, _slope, minorsky_report, sample_margins
 
-from conftest import halton
+from conftest import halton, system_from_config
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,40 @@ class TestMinorskyReport:
         )
         with pytest.raises(ValueError, match="converged"):
             minorsky_report(vdp, broken, 1.0)
+
+
+def rescan_descent_y_at(traj, x_probe):
+    """y on the slow descent at x_probe by a scan from the orbit's start per probe."""
+    samples = traj.samples
+    for s0, s1 in zip(samples[:-1], samples[1:]):
+        if s1.x < s0.x and s1.x <= x_probe <= s0.x:
+            w = (x_probe - s1.x) / (s0.x - s1.x)
+            return s1.y + w * (s0.y - s1.y)
+    return None
+
+
+class TestDescentInterpolation:
+    @pytest.mark.parametrize("eps", [0.1, 0.02, 0.005])
+    @pytest.mark.parametrize("name, lo, hi", [("vdp", 1.6, 1.9), ("llibre_mereu", 1.3, 1.38)])
+    def test_one_walk_equals_per_probe_scans(self, name, lo, hi, eps):
+        cycle = find_limit_cycle(system_from_config(name, eps=eps), 1.0, 1e-10)
+        probes = [lo + (hi - lo) * i / (N_PROBE - 1) for i in range(N_PROBE)]
+        got = _descent_ys(cycle.orbit, probes)
+        want = [rescan_descent_y_at(cycle.orbit, px) for px in probes]
+        assert None not in got
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_first_descending_step_wins_and_misses_stay_none(self):
+        from flowcurv import State
+        from flowcurv.dynamics import Trajectory
+
+        # Two descents over x in [0, 2]; a probe on a sample takes the
+        # earlier step's endpoint; 3.0 lies on no descending step.
+        xs_ys = [(2.0, 0.0), (1.0, 1.0), (0.0, 2.0), (2.0, 5.0), (0.0, 9.0)]
+        traj = Trajectory(tuple(State(float(i), x, y) for i, (x, y) in enumerate(xs_ys)), 4, 0, 1e-9)
+        probes = [0.5, 1.0, 1.5, 3.0]
+        assert _descent_ys(traj, probes) == [1.5, 1.0, 0.5, None]
+        assert [rescan_descent_y_at(traj, px) for px in probes] == [1.5, 1.0, 0.5, None]
 
 
 class TestConvergenceStudy:
