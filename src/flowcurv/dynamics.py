@@ -54,6 +54,9 @@ _BETA = 0.04
 _H_MIN = 1e-14
 _STEP_CAP_FACTOR = 0.2
 _BLOWUP_LIMIT = 1e150
+# A step-size underflow after the state has grown this many times beyond
+# max(1, |x0|, |y0|) is reported as a blow-up, not as stiffness.
+_BLOWUP_GROWTH = 1e4
 # A section crossing is located to this resolution in time.
 _CROSSING_T_TOL = 1e-12
 
@@ -200,6 +203,7 @@ def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None
     horizon = 10.0 * (1.0 + 1.0 / eps)
     t0 = t = s0.t
     x, y = s0.x, s0.y
+    scale0 = max(1.0, abs(x), abs(y))
     kx, ky = (y - sys.F(x)) / eps, -sys.g(x)
     h_max = _STEP_CAP_FACTOR * eps
     h = h_max
@@ -217,7 +221,8 @@ def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None
                 samples.append(State(t_end, x, y))
                 break
         if hs < _H_MIN:
-            raise IntegrationError("blow-up" if bad else "integration stalled (stiffness)",
+            grown = max(abs(x), abs(y)) > _BLOWUP_GROWTH * scale0
+            raise IntegrationError("blow-up" if bad or grown else "integration stalled (stiffness)",
                                    t=t, x=x, y=y, h=hs, accepted=accepted, rejected=rejected)
         xn, yn, ex, ey, k7x, k7y = kernel(x, y, hs, kx, ky)
         if not (isfinite(xn) and isfinite(yn) and isfinite(ex) and isfinite(ey)):

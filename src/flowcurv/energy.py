@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .poly import Polynomial, extreme_values, real_roots
+from .poly import Polynomial, extreme_values, signs_on
 from .system import Jet, LienardSystem, State, jet
 
 CaseLabel = Literal["CASE1_H_NONNEG", "CASE2_H_NONPOS", "MIXED"]
@@ -57,28 +57,13 @@ def H_rate(sys: LienardSystem, s: State) -> float:
 
 
 def _sign_on_open_interval(p: Polynomial, lo: float, hi: float) -> SignLabel:
-    """Certified sign of p on (lo, hi]: root isolation + samples between roots."""
+    """Certified sign of p on (lo, hi], decided exactly (poly.signs_on)."""
     if p.is_zero:
         return "ZERO"
-    if p.degree == 0:
-        v = p.coeffs[0]
-        return "NONNEG" if v > 0 else "NONPOS"
-    cuts = [lo] + [r for r in real_roots(p, lo, hi, 1e-10) if r > lo] + [hi]
-    cuts = sorted(set(cuts))
-    saw_pos = saw_neg = False
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        v = p(0.5 * (a + b))
-        if v > 1e-12:
-            saw_pos = True
-        elif v < -1e-12:
-            saw_neg = True
-    if saw_pos and saw_neg:
+    signs = signs_on(p, lo, hi)
+    if len(signs) == 2:
         return "MIXED"
-    if saw_neg:
-        return "NONPOS"
-    if saw_pos:
-        return "NONNEG"
-    return "ZERO"
+    return "NONNEG" if 1 in signs else "NONPOS"
 
 
 def _c1_witness(sys: LienardSystem, x_max: float, case: CaseLabel) -> float | None:

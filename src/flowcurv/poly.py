@@ -1,4 +1,4 @@
-"""Dense real-coefficient polynomials and bracketing real-root isolation.
+"""Dense real-coefficient polynomials and exact real-root isolation.
 
 Everything downstream (vector fields, curvature functions, energy balances)
 is built from closed-form polynomial evaluation, so this module keeps exact
@@ -6,22 +6,26 @@ coefficient arithmetic and canonicalizes aggressively: coefficients whose
 magnitude is at or below ``ZERO_SNAP`` are treated as zero, which makes
 exactly-cancelling combinations (e.g. the curvature case function of a
 quadratic potential) come out as the genuine zero polynomial.
+
+Every decision about roots and signs is exact.  A float coefficient is a
+dyadic rational, so scaling p by one power of two gives an integer
+polynomial with p's roots.  Its repeated roots are removed with an integer
+pseudo-remainder gcd against p', the Sturm chain of the square-free part
+counts distinct roots between dyadic points, bisection isolates each root
+in a bracket of its own, and every sign is an integer Horner sum.  Roots
+are then refined by float bisection, trusting a float sign only above its
+Horner error bound, down to adjacent floats: each root comes back as the
+float nearest to it.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 # Snap threshold applied to every coefficient during canonicalization.
 ZERO_SNAP = 1e-14
-
-# |p| must dip below this at a local minimizer of |p| for a root that does
-# not change sign (even multiplicity) to be reported by real_roots.
-TOUCH_TOL = 1e-10
-
-# Default number of grid cells scanned for sign changes by real_roots.
-GRID_CELLS = 1024
 
 
 def horner(desc: Sequence[float], x: float) -> float:
@@ -150,126 +154,279 @@ def _coerce(v) -> "Polynomial":
     return NotImplemented
 
 
-def _bisect(p: Polynomial, a: float, b: float, fa: float, fb: float, tol: float) -> float:
-    while b - a > tol:
+# --- Exact root isolation ---------------------------------------------------
+#
+# An integer polynomial is a list of ints, descending by degree.  A point is
+# a float, or an exact dyadic pair (n, e) standing for n / 2**e; pairs occur
+# only strictly between two adjacent floats.
+
+
+def _dyadic(x) -> tuple[int, int]:
+    """(n, e) with x == n / 2**e and e >= 0."""
+    if isinstance(x, tuple):
+        return x
+    n, d = x.as_integer_ratio()
+    return n, d.bit_length() - 1
+
+
+def _cmp(a, b) -> int:
+    (na, ea), (nb, eb) = _dyadic(a), _dyadic(b)
+    e = max(ea, eb)
+    d = (na << (e - ea)) - (nb << (e - eb))
+    return (d > 0) - (d < 0)
+
+
+def _midpoint(a, b):
+    """A point strictly between a < b: a float where one exists, else the exact midpoint."""
+    if isinstance(a, float) and isinstance(b, float):
         m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break
-        fm = p(m)
-        if fm == 0.0:
+        if a < m < b:
             return m
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
+        m = math.nextafter(a, b)
+        if m < b:
+            return m
+    (na, ea), (nb, eb) = _dyadic(a), _dyadic(b)
+    e = max(ea, eb)
+    return (na << (e - ea)) + (nb << (e - eb)), e + 1
+
+
+def _float_below(x: tuple[int, int]) -> float:
+    """The largest float not above the dyadic pair x."""
+    n, e = x
+    f = n / (1 << e)  # int true division rounds correctly
+    return math.nextafter(f, -math.inf) if _cmp(f, x) > 0 else f
+
+
+def _sign_at(c: list[int], x) -> int:
+    """Exact sign of the integer polynomial c at the point x (homogeneous Horner)."""
+    n, e = _dyadic(x)
+    r = sh = 0
+    for k in c:
+        r = r * n + (k << sh)
+        sh += e
+    return (r > 0) - (r < 0)
+
+
+def _float_sign(cf: list[float], x: float) -> int | None:
+    """Sign of cf at x, or None where Horner's rounding error could flip it.
+
+    The bound covers rounding each coefficient to float and the 2*degree
+    roundings of Horner, with a factor of two to spare.
+    """
+    r = b = 0.0
+    ax = abs(x)
+    for c in cf:
+        r = r * x + c
+        b = b * ax + abs(c)
+    if abs(r) > (2 * len(cf) + 2) * 2.220446049250313e-16 * b + 1e-300:
+        return 1 if r > 0.0 else -1
+    return None
+
+
+def _side_sign(c: list[int], x, side: int) -> int:
+    """Sign of c just right (side 1) or just left (side -1) of x.
+
+    The first derivative that does not vanish at x decides; c must not be
+    the zero polynomial.
+    """
+    k = 0
+    while True:
+        s = _sign_at(c, x)
+        if s:
+            return s * side ** k
+        c = _int_derivative(c)
+        k += 1
+
+
+def _primitive(c: list[int]) -> list[int]:
+    g = math.gcd(*c)
+    return [v // g for v in c] if g > 1 else c
+
+
+def _int_derivative(c: list[int]) -> list[int]:
+    d = len(c) - 1
+    return [k * (d - i) for i, k in enumerate(c[:-1])]
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with m*a == q*b + r for an integer m > 0 and deg r < deg b."""
+    m, s = abs(b[0]), (1 if b[0] > 0 else -1)
+    q = [0] * (len(a) - len(b) + 1)
+    r = list(a)
+    while len(r) >= len(b):
+        k = r[0] * s
+        q = [m * v for v in q]
+        q[len(q) - 1 - (len(r) - len(b))] += k
+        r = [m * v for v in r]
+        for i, v in enumerate(b):
+            r[i] -= k * v
+        del r[0]  # now zero
+        while r and r[0] == 0:
+            del r[0]
+    return q, r
+
+
+def _sturm(c: list[int]) -> list[list[int]]:
+    """Sturm chain c, c', -rem, ... by primitive pseudo-remainders; its last entry is gcd(c, c')."""
+    chain = [c, _primitive(_int_derivative(c))]
+    while True:
+        r = _pseudo_divmod(chain[-2], chain[-1])[1]
+        if not r:
+            return chain
+        chain.append(_primitive([-v for v in r]))
+
+
+def _variations(chain: list[list[int]], x) -> tuple[int, int]:
+    """Sign changes along the chain at x (zeros skipped), and the sign of its head there."""
+    x = _dyadic(x)
+    signs = [_sign_at(c, x) for c in chain]
+    nonzero = [s for s in signs if s]
+    return sum(s != t for s, t in zip(nonzero, nonzero[1:])), signs[0]
+
+
+def _interval(lo: float, hi: float) -> tuple[float, float]:
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("root isolation requires finite lo < hi")
+    return lo, hi
+
+
+def _chain(p: Polynomial) -> tuple[list[int], list[int], list[list[int]]]:
+    """p as primitive integers, its square-free part q, and q's Sturm chain.
+
+    For square-free q, the number of distinct roots in (a, b] is the chain's
+    sign changes at a minus those at b (Sturm), at any points a < b.
+    """
+    ratios = [v.as_integer_ratio() for v in p.desc]
+    e = max(d for _, d in ratios).bit_length() - 1
+    c = _primitive([n << (e - d.bit_length() + 1) for n, d in ratios])
+    if len(c) == 1:
+        return c, c, [c]
+    chain = _sturm(c)
+    if len(chain[-1]) == 1:
+        return c, c, chain
+    q = _primitive(_pseudo_divmod(c, chain[-1])[0])  # c / gcd(c, c'): exact
+    return c, q, _sturm(q)
+
+
+class _Isolation(NamedTuple):
+    """The distinct roots of p on [lo, hi], each in an open bracket of its own.
+
+    ``brackets`` holds one (a, b, sb) per root in (lo, hi), in order: the
+    root is the only one in (a, b) and q has sign sb just left of b.  No
+    bracket end is a root except lo and hi, which ``at_lo``/``at_hi`` flag.
+    """
+
+    p: list[int]
+    q: list[int]
+    brackets: list[tuple]
+    at_lo: bool
+    at_hi: bool
+
+
+def _isolate(p: Polynomial, lo: float, hi: float) -> _Isolation:
+    c, q, chain = _chain(p)
+    va, s_lo = _variations(chain, lo)
+    vb, s_hi = _variations(chain, hi)
+    sb = s_hi
+    if s_hi == 0:  # count roots in (lo, hi), hi excluded
+        vb, sb = vb + 1, _side_sign(q, hi, -1)
+    brackets = []
+    stack = [(lo, va, hi, vb, sb)]
+    while stack:
+        a, va, b, vb, sb = stack.pop()
+        if va - vb == 1:
+            brackets.append((a, b, sb))
+        elif va - vb > 1:
+            m = _midpoint(a, b)
+            vm, sm = _variations(chain, m)
+            while sm == 0:  # split only at points that are not roots
+                m = _midpoint(a, m)
+                vm, sm = _variations(chain, m)
+            stack.append((m, vm, b, vb, sb))
+            stack.append((a, va, m, vm, sm))
+    return _Isolation(c, q, brackets, s_lo == 0, s_hi == 0)
+
+
+def _nearest_root(q: list[int], qf: list[float] | None, a, b, sb: int, tol: float) -> float:
+    """The float nearest the one root of q in (a, b), ties to the lower.
+
+    q has sign sb just left of b.  With tol > 0, stop early and return the
+    midpoint of a bracket no wider than tol.
+    """
+    while isinstance(a, float) and isinstance(b, float):
+        m = _midpoint(a, b)
+        if not isinstance(m, float):
+            break  # a and b are adjacent floats
+        if b - a <= tol:
+            return m
+        s = (qf and _float_sign(qf, m)) or _sign_at(q, m)
+        if s == 0:
+            return m
+        if s == sb:
+            b = m
         else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+            a = m
+    # The root lies strictly between two adjacent floats; their midpoint decides.
+    below = a if isinstance(a, float) else _float_below(a)
+    above = math.nextafter(below, math.inf)
+    mid = _midpoint(below, above)
+    if _cmp(mid, a) <= 0:
+        return above
+    if _cmp(mid, b) >= 0:
+        return below
+    return below if _sign_at(q, mid) in (0, sb) else above
 
 
-def _newton_polish(p: Polynomial, dp: Polynomial, r: float, lo: float, hi: float) -> float:
-    best, fbest = r, abs(p(r))
-    x = r
-    for _ in range(4):
-        d = dp(x)
-        if d == 0.0:
-            break
-        x = x - p(x) / d
-        if not (lo <= x <= hi) or not math.isfinite(x):
-            break
-        fx = abs(p(x))
-        if fx < fbest:
-            best, fbest = x, fx
-    return best
+def real_roots(p: Polynomial, lo: float, hi: float, tol: float = 0.0) -> list[float]:
+    """All distinct real roots of ``p`` in [lo, hi], sorted, one float each.
 
-
-def real_roots(
-    p: Polynomial,
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    cells: int = GRID_CELLS,
-) -> list[float]:
-    """All distinct real roots of ``p`` in [lo, hi], sorted, accurate to ~tol.
-
-    Sign changes are located on a grid of ``cells`` cells and refined by
-    bisection plus a guarded Newton polish.  Roots of even multiplicity
-    (no sign change) are recovered from local minimizers of |p| where
-    |p| dips below ``TOUCH_TOL``.  No two returned roots are closer
-    than ``tol``.
+    The roots are isolated exactly, so the list has one entry per distinct
+    root, whatever its multiplicity or its distance to the next one.  Each
+    entry is the float nearest its root (ties to the lower); with tol > 0,
+    refinement stops once the root's bracket is no wider than tol.
 
     Raises:
-        ValueError: for the zero polynomial, or if lo >= hi or tol <= 0.
+        ValueError: for the zero polynomial, if lo < hi fails or either is
+            not finite, or if tol < 0.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
-    if not lo < hi:
-        raise ValueError("real_roots requires lo < hi")
-    if not tol > 0.0:
-        raise ValueError("real_roots requires tol > 0")
-    if p.degree == 0:
-        return []
+    lo, hi = _interval(lo, hi)
+    if not tol >= 0.0:
+        raise ValueError("real_roots requires tol >= 0")
+    iso = _isolate(p, lo, hi)
+    try:
+        qf = [float(v) for v in iso.q]
+    except OverflowError:
+        qf = None  # every sign is decided exactly
+    inner = [_nearest_root(iso.q, qf, a, b, sb, tol) for a, b, sb in iso.brackets]
+    return [lo] * iso.at_lo + inner + [hi] * iso.at_hi
 
-    dp = p.derivative()
 
-    def noise_floor(x: float) -> float:
-        # |p| below ~100 ulps of the evaluation is indistinguishable from zero
-        scale = sum(abs(c) * max(1.0, abs(x)) ** k for k, c in enumerate(p.coeffs))
-        return 100.0 * 2.220446049250313e-16 * scale
+def signs_on(p: Polynomial, lo: float, hi: float) -> set[int]:
+    """The signs (-1, 1) that p takes on (lo, hi], decided exactly; empty for p == 0.
 
-    bracketed: list[float] = []
-    xs = [lo + (hi - lo) * i / cells for i in range(cells + 1)]
-    vals = [p(x) for x in xs]
-    for i in range(cells):
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            bracketed.append(xs[i])
-        elif fa * fb < 0.0:
-            bracketed.append(_bisect(p, xs[i], xs[i + 1], fa, fb, tol))
-    if vals[-1] == 0.0:
-        bracketed.append(hi)
+    p has one sign on each open piece between consecutive roots.  The
+    pieces at lo and hi are read from the first derivative that does not
+    vanish there, the others at a bracket end, which is never a root.
+    """
+    lo, hi = _interval(lo, hi)
+    if p.is_zero:
+        return set()
+    iso = _isolate(p, lo, hi)
+    c = iso.p
+    return ({_side_sign(c, lo, 1), _side_sign(c, hi, -1)}
+            | {_sign_at(c, b) for _, b, _ in iso.brackets[:-1]})
 
-    # Critical points of p separate its simple roots, so bracketing between
-    # consecutive critical points catches sign changes finer than the grid;
-    # even-multiplicity roots show up where |p| dips to ~0 at a minimizer.
-    touched: list[float] = []
-    if p.degree >= 2 and not dp.is_zero:
-        crits = real_roots(dp, lo, hi, tol, cells)
-        cuts = [lo] + crits + [hi]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            fa, fb = p(a), p(b)
-            if a < b and fa * fb < 0.0:
-                bracketed.append(_bisect(p, a, b, fa, fb, tol))
-        for c in crits:
-            v = abs(p(c))
-            if v > TOUCH_TOL:
-                continue
-            if v > noise_floor(c) and any(
-                abs(p(0.5 * (c + r))) <= TOUCH_TOL for r in bracketed
-            ):
-                # decisively nonzero trough bottom between detected
-                # crossings: p changes sign there, so it is not a
-                # touching (even-multiplicity) root
-                continue
-            touched.append(c)
 
-    candidates = [_newton_polish(p, dp, r, lo, hi) for r in bracketed]
-    candidates += [_newton_polish(p, dp, c, lo, hi) for c in touched]
-
-    def same_basin(a: float, b: float) -> bool:
-        if b - a < tol:
-            return True
-        m = 0.5 * (a + b)
-        return abs(p(m)) <= noise_floor(m)
-
-    # Candidates inside one numerically-zero basin (an even-multiplicity dip
-    # or a sub-noise cluster) are one root: keep the best representative.
-    out: list[float] = []
-    for r in sorted(candidates):
-        if out and same_basin(out[-1], r):
-            if abs(p(r)) < abs(p(out[-1])):
-                out[-1] = r
-        else:
-            out.append(r)
-    return out
+def positive_on(p: Polynomial, lo: float, hi: float) -> bool:
+    """Whether p > 0 at every point of (lo, hi], decided exactly."""
+    lo, hi = _interval(lo, hi)
+    if p.is_zero:
+        return False
+    c, _, chain = _chain(p)
+    return _sign_at(c, hi) > 0 and _variations(chain, lo)[0] == _variations(chain, hi)[0]
 
 
 def extreme_values(p: Polynomial, lo: float, hi: float) -> list[float]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .poly import Polynomial, extreme_values, real_roots
+from .poly import Polynomial, extreme_values, positive_on, real_roots, signs_on
 
 
 class State(NamedTuple):
@@ -213,15 +213,15 @@ def positive_zeros_of_F(sys: LienardSystem, x_max: float = 10.0) -> list[float]:
     Fq, _ = _deflate_origin(sys.F)
     if Fq.degree == 0:
         return []
-    return [r for r in real_roots(Fq, 0.0, x_max) if r > 0.0]
+    return real_roots(Fq, 0.0, x_max)  # Fq(0) != 0: every root is positive
 
 
 def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionReport:
     """Check the classical limit-cycle assumptions on [-x_max, x_max].
 
-    Parity and growth are decided exactly from the coefficients; the
-    pointwise positivity conditions are certified by root absence on the
-    window plus one sample sign.  Failures are reported, never raised.
+    Parity and growth are decided exactly from the coefficients, and the
+    pointwise sign conditions by exact root counts and signs (see poly).
+    Failures are reported, never raised.
     """
     if not x_max > 0:
         raise ValueError("x_max must be positive")
@@ -236,13 +236,8 @@ def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionRepo
     if not (g_odd and not g.is_zero):
         problems.append("g has a non-zero even-degree coefficient (not odd)"
                         if not g.is_zero else "g is identically zero")
-    xg_pos = False
-    if g_odd and not g.is_zero:
-        q, _ = _deflate_origin(g)
-        qroots = real_roots(q, 0.0, x_max)
-        xg_pos = not qroots and q(x_max / 2) > 0.0
-        if not xg_pos:
-            problems.append("x*g(x) <= 0 somewhere in (0, x_max]")
+    if g_odd and not g.is_zero and not positive_on(g, 0.0, x_max):
+        problems.append("x*g(x) <= 0 somewhere in (0, x_max]")
     f0 = f(0.0)
     if not f0 < 0.0:
         problems.append(f"f(0) = {f0} is not negative")
@@ -284,19 +279,18 @@ def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionRepo
             detail_IV = f"F has {len(pos)} positive zeros in (0, {x_max}]"
         else:
             a = pos[0]
-            f_roots = [] if f.is_zero or f.degree == 0 else real_roots(f, a, x_max)
-            f_roots = [r for r in f_roots if r > a + 1e-9]
-            mono = not f_roots and f((a + x_max) / 2) > 0.0
-            ok_IV = mono
+            # f > 0 on (a, x_max], with a the float nearest the zero
+            ok_IV = a == x_max or positive_on(f, a, x_max)
             detail_IV = (f"single positive zero a = {a:.9g}, F monotone increasing beyond it"
-                         if mono else f"F is not monotone increasing on [a, {x_max}]")
+                         if ok_IV else f"F is not monotone increasing on [a, {x_max}]")
     rep_IV = AssumptionCheck(holds=ok_IV, witness=a, detail=detail_IV)
 
     # Separate flag: g' >= 0 on [0, x_max] (required by the sign propositions
-    # but listed outside the four assumptions).
+    # but listed outside the four assumptions), decided exactly; the float
+    # minimum is the witness.
     gp_min = min(extreme_values(sys.gp, 0.0, x_max)) if not sys.gp.is_zero else 0.0
     rep_gp = AssumptionCheck(
-        holds=gp_min >= -1e-12,
+        holds=-1 not in signs_on(sys.gp, 0.0, x_max),
         witness=gp_min,
         detail=f"min g' on [0, x_max] = {gp_min:.6g}",
     )

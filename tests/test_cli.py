@@ -204,8 +204,11 @@ class TestConfigTypes:
 
 
 def test_import_loads_no_numpy():
+    # nor fractions/decimal: the exact root core works on plain ints, and
+    # decimal alone would add milliseconds and megabytes to every CLI start
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    code = "import sys, flowcurv; print('numpy' in sys.modules)"
+    code = ("import sys, flowcurv, flowcurv.cli; "
+            "print([m for m in ('numpy', 'fractions', 'decimal') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

@@ -435,6 +435,18 @@ class TestIntegrationErrorState:
         assert 0.0 < e.h < 1e-14
         assert e.accepted == 0 and e.rejected >= 10
 
+    def test_finite_time_blow_up_is_not_a_stall(self):
+        # x runs from 2 to ~7.5e5 by t ~ 0.00625; the step size then
+        # underflows with every attempt finite.
+        runaway = make_system([0, 0, 0, -1.0], [0, 1], 0.05)
+        with pytest.raises(IntegrationError, match="blow-up") as info:
+            integrate(runaway, State(0.0, 2.0, 0.0), 10.0, 1e-6)
+        e = info.value
+        assert abs(e.x) > 1e4 * 2.0
+        assert 0.0 < e.t < 0.01
+        assert 0.0 < e.h < 1e-14
+        assert e.accepted > 0 and e.rejected > 0
+
     def test_no_return(self):
         sys_ = make_system([0, 1.0], [0, -1.0], 0.2)  # monotone runaway flow
         with pytest.raises(IntegrationError, match="no return") as info:

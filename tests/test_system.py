@@ -16,7 +16,7 @@ from flowcurv import (
     vector_field,
 )
 
-from conftest import propagate
+from conftest import propagate, system_from_config
 
 
 class TestMakeSystem:
@@ -146,6 +146,47 @@ class TestAssumptions:
         sys_ = make_system([0, 1, 0, -1 / 3], [0, 1], 0.05)
         rep = check_assumptions(sys_)
         assert not rep.assumption_III.holds
+
+
+    def test_gprime_flag_is_exact_at_a_touching_zero(self):
+        # g = x^3: g' = 3x^2 >= 0 touches 0 at x = 0
+        rep = check_assumptions(make_system([0, -1, 0, 1 / 3], [0, 0, 0, 1.0], 0.05))
+        assert rep.gprime_nonneg.holds and rep.gprime_nonneg.witness == 0.0
+        # g = x^3 - x: g' = 3x^2 - 1 < 0 near 0, and x*g < 0 on (0, 1)
+        rep = check_assumptions(make_system([0, -1, 0, 1 / 3], [0, -1.0, 0, 1.0], 0.05))
+        assert not rep.gprime_nonneg.holds
+        assert "x*g(x) <= 0" in rep.assumption_I.detail
+
+    def test_monotone_beyond_the_zero(self):
+        # F = x^3 - x - 6: single positive zero a = 2, f = 3x^2 - 1 > 0 beyond
+        rep = check_assumptions(make_system([-6, -1, 0, 1.0], [0, 1], 0.05))
+        assert rep.assumption_IV.holds and rep.positive_zero_a == 2.0
+        # F = (x-1)((x-3)^2 + 1): single zero a = 1, f < 0 on (2, 8/3)
+        rep = check_assumptions(make_system([-10, 16, -7, 1.0], [0, 1], 0.05))
+        assert not rep.assumption_IV.holds and rep.positive_zero_a == 1.0
+        assert "not monotone" in rep.assumption_IV.detail
+
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
+    def test_polynomial_evaluations_per_check(self, name, monkeypatch):
+        # The exact root core evaluates no Polynomial; what remains are the
+        # extreme-value witnesses.  The former grid scan made 4,233 (vdp) and
+        # 12,503 (llibre_mereu) evaluations per check_assumptions call.
+        from flowcurv import classify_case
+
+        calls = [0]
+        orig = Polynomial.__call__
+
+        def counted(self, x):
+            calls[0] += 1
+            return orig(self, x)
+
+        monkeypatch.setattr(Polynomial, "__call__", counted)
+        sys_ = system_from_config(name)
+        check_assumptions(sys_)
+        assert calls[0] <= 100
+        calls[0] = 0
+        classify_case(sys_)
+        assert calls[0] <= 100
 
 
 class TestCriticalManifold:
