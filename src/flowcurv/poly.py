@@ -297,6 +297,8 @@ def _chain(p: Polynomial) -> tuple[list[int], list[int], list[list[int]]]:
     For square-free q, the number of distinct roots in (a, b] is the chain's
     sign changes at a minus those at b (Sturm), at any points a < b.
     """
+    if not all(math.isfinite(v) for v in p.desc):
+        raise ValueError(f"root isolation requires finite coefficients, got {p!r}")
     ratios = [v.as_integer_ratio() for v in p.desc]
     e = max(d for _, d in ratios).bit_length() - 1
     c = _primitive([n << (e - d.bit_length() + 1) for n, d in ratios])
@@ -348,18 +350,15 @@ def _isolate(p: Polynomial, lo: float, hi: float) -> _Isolation:
     return _Isolation(c, q, brackets, s_lo == 0, s_hi == 0)
 
 
-def _nearest_root(q: list[int], qf: list[float] | None, a, b, sb: int, tol: float) -> float:
+def _nearest_root(q: list[int], qf: list[float] | None, a, b, sb: int) -> float:
     """The float nearest the one root of q in (a, b), ties to the lower.
 
-    q has sign sb just left of b.  With tol > 0, stop early and return the
-    midpoint of a bracket no wider than tol.
+    q has sign sb just left of b.
     """
     while isinstance(a, float) and isinstance(b, float):
         m = _midpoint(a, b)
         if not isinstance(m, float):
             break  # a and b are adjacent floats
-        if b - a <= tol:
-            return m
         s = (qf and _float_sign(qf, m)) or _sign_at(q, m)
         if s == 0:
             return m
@@ -378,29 +377,26 @@ def _nearest_root(q: list[int], qf: list[float] | None, a, b, sb: int, tol: floa
     return below if _sign_at(q, mid) in (0, sb) else above
 
 
-def real_roots(p: Polynomial, lo: float, hi: float, tol: float = 0.0) -> list[float]:
+def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
     """All distinct real roots of ``p`` in [lo, hi], sorted, one float each.
 
     The roots are isolated exactly, so the list has one entry per distinct
     root, whatever its multiplicity or its distance to the next one.  Each
-    entry is the float nearest its root (ties to the lower); with tol > 0,
-    refinement stops once the root's bracket is no wider than tol.
+    entry is the float nearest its root (ties to the lower).
 
     Raises:
         ValueError: for the zero polynomial, if lo < hi fails or either is
-            not finite, or if tol < 0.
+            not finite, or if a coefficient is not finite.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
     lo, hi = _interval(lo, hi)
-    if not tol >= 0.0:
-        raise ValueError("real_roots requires tol >= 0")
     iso = _isolate(p, lo, hi)
     try:
         qf = [float(v) for v in iso.q]
     except OverflowError:
         qf = None  # every sign is decided exactly
-    inner = [_nearest_root(iso.q, qf, a, b, sb, tol) for a, b, sb in iso.brackets]
+    inner = [_nearest_root(iso.q, qf, a, b, sb) for a, b, sb in iso.brackets]
     return [lo] * iso.at_lo + inner + [hi] * iso.at_hi
 
 

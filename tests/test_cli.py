@@ -176,6 +176,14 @@ class TestDumpConfig:
                                    "eps": 0.05, "bogus": 1}))
         assert main(["classify", "--config", str(cfg)]) == 2
 
+    def test_overflowing_coefficients_exit_2(self, tmp_path, capsys):
+        # g = 1e160 x passes validation, but g'^2 overflows: H is not finite
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"name": "x", "F": [0, -1.0, 0, 1 / 3],
+                                   "g": [0, 1e160], "eps": 0.05}))
+        assert main(["classify", "--config", str(cfg)]) == 2
+        assert "finite coefficients" in capsys.readouterr().err
+
 
 class TestConfigTypes:
     # A wrongly typed field is a config error (exit 2), never a traceback

@@ -1,0 +1,109 @@
+"""real_roots and the sign label against sympy's exact root isolation."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from flowcurv.energy import _sign_on_open_interval
+from flowcurv.poly import Polynomial, real_roots
+
+sympy = pytest.importorskip("sympy")
+
+
+def _exact(p: Polynomial) -> sympy.Poly:
+    x = sympy.Symbol("x")
+    return sympy.Poly([sympy.Rational(*c.as_integer_ratio()) for c in p.desc], x)
+
+
+def sympy_oracle(p: Polynomial, lo: float, hi: float,
+                 eps=sympy.Rational(1, 2 ** 120)) -> tuple[list[float], str]:
+    """p's distinct roots in [lo, hi] as nearest floats, and its sign label on (lo, hi].
+
+    From sympy's exact isolating intervals, refined to width eps; the
+    label comes from exact signs at one rational point between each pair
+    of consecutive roots.
+    """
+    q = _exact(p)
+    lo_q, hi_q = sympy.Rational(*lo.as_integer_ratio()), sympy.Rational(*hi.as_integer_ratio())
+    roots, inner = [], []
+    for (a, b), _ in q.intervals(eps=eps):
+        if b < lo_q or a > hi_q:
+            continue
+        if a != b and (a <= lo_q <= b or a <= hi_q <= b):
+            raise AssertionError("an isolating interval straddles lo or hi")
+        mid = (a + b) / 2
+        roots.append(float(Fraction(int(mid.p), int(mid.q))))
+        if lo_q < a and b < hi_q:
+            inner.append((a, b))
+    cuts = [lo_q] + [v for iv in sorted(inner) for v in iv] + [hi_q]
+    signs = {sympy.sign(q.eval((cuts[i] + cuts[i + 1]) / 2)) for i in range(0, len(cuts), 2)}
+    assert 0 not in signs
+    label = "MIXED" if len(signs) == 2 else ("NONNEG" if 1 in signs else "NONPOS")
+    return sorted(roots), label
+
+
+# (k, m, j): the factor (x - k/2**m)**j.  Numerators up to 16 over 2**3, a
+# total degree up to 7 and scales of a few bits keep every coefficient of the
+# product exact in float (the test asserts it).
+dyadic_factors = st.lists(
+    st.tuples(st.integers(-16, 16), st.integers(0, 3), st.integers(1, 3)),
+    min_size=1, max_size=4,
+).filter(lambda fs: sum(j for _, _, j in fs) <= 7)
+grid_windows = st.tuples(st.integers(-24, 24), st.integers(-24, 24)).filter(lambda w: w[0] < w[1])
+
+
+class TestSympyOracle:
+    @given(dyadic_factors, grid_windows, st.sampled_from([1.0, -1.0, 0.25, -3.0, 5.0]))
+    @example([(8, 3, 2), (-8, 3, 1)], (-8, 8), 1.0)  # roots on both ends
+    @example([(0, 0, 3), (12, 3, 1)], (0, 12), -3.0)
+    @settings(max_examples=150, deadline=None)
+    def test_dyadic_roots_counts_and_signs(self, factors, window, scale):
+        x = sympy.Symbol("x")
+        expr = sympy.Rational(*scale.as_integer_ratio()) * sympy.prod(
+            (x - sympy.Rational(k, 2 ** m)) ** j for k, m, j in factors)
+        p = Polynomial([scale])
+        for k, m, j in factors:
+            for _ in range(j):
+                p = p * Polynomial([-k / 2 ** m, 1])
+        assert _exact(p) == sympy.Poly(expr, x)  # the float product is exact
+        lo, hi = window[0] / 8, window[1] / 8
+        got = real_roots(p, lo, hi)
+        roots, label = sympy_oracle(p, lo, hi)
+        assert len(got) == _exact(p).count_roots(lo, hi)
+        assert got == roots  # dyadic roots are floats: exact equality
+        assert _sign_on_open_interval(p, lo, hi) == label
+
+    @given(st.lists(st.floats(-10, 10).filter(lambda v: v == 0.0 or abs(v) > 1e-6),
+                    min_size=2, max_size=7).filter(lambda c: c[-1] != 0.0),
+           grid_windows)
+    @settings(max_examples=150, deadline=None)
+    def test_float_coefficients_nearest_roots(self, coeffs, window):
+        p = Polynomial(coeffs)
+        lo, hi = window[0] / 8, window[1] / 8
+        got = real_roots(p, lo, hi)
+        roots, label = sympy_oracle(p, lo, hi)
+        assert len(got) == _exact(p).count_roots(lo, hi) == len(roots)
+        for g, w in zip(got, roots):
+            assert abs(g - w) <= math.ulp(w)
+        assert _sign_on_open_interval(p, lo, hi) == label
+
+
+class TestExactDecisionsAgainstSympy:
+    """The hand-picked cases of test_poly.TestExactDecisions, checked by the oracle."""
+
+    @pytest.mark.parametrize("p, lo, hi", [
+        (Polynomial([-1.0, 1]) * Polynomial([-(1.0 + 1e-7), 1]), 0.0, 3.0),
+        (Polynomial([-2.0, 2.0 ** 28, -2.0 ** 53, 0, 0, 0, 0, 0, 1.0]), 0.0, 1.0),
+        (Polynomial([math.comb(7, k) * (-1) ** (7 - k) - (k == 0) * 2.0 ** -40
+                     for k in range(8)]), 0.0, 2.0),
+    ], ids=["roots_1e7_apart", "mignotte", "ill_conditioned"])
+    def test_roots_match(self, p, lo, hi):
+        assert real_roots(p, lo, hi) == sympy_oracle(p, lo, hi)[0]
+
+    def test_huge_coefficient_spread(self):
+        p = Polynomial([-1e-10, 0, 1e300])
+        assert (real_roots(p, 1e-300, 1.0)
+                == sympy_oracle(p, 1e-300, 1.0, eps=sympy.Rational(1, 2 ** 1100))[0])
