@@ -7,7 +7,7 @@ series go out as CSV, reports as JSON with a stable field order.  Output
 files are written atomically (temp file + rename).
 
 Exit codes: 0 success/verified, 1 verification false, 2 usage or config
-error, 3 numerical failure.
+error (an unwritable --out included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ from .verify import convergence_study, minorsky_report
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
+
+
+class OutputError(Exception):
+    """An output file could not be written; the message names its path."""
 
 
 # The scalar RunConfig fields, each with a flag of the same name and type.
@@ -132,10 +136,21 @@ def _load_config(path: str) -> dict:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to a temp file beside path, then rename it over path.
+
+    On failure the temp file is removed and OutputError names the path.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise OutputError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,6 +322,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except IntegrationError as exc:
         _sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
+    except OutputError as exc:
+        _sys.stderr.write(f"output error: {exc}\n")
+        return 2
     except ValueError as exc:
         _sys.stderr.write(f"config error: {exc}\n")
         return 2

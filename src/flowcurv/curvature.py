@@ -9,13 +9,15 @@ and setting it to zero at fixed x gives a quadratic in u = y - F(x):
 
 The smaller-|u| root is the slow branch (it reduces to the critical
 manifold as eps -> 0); the other root is a spurious companion branch at
-distance ~ f*g/g'.
+distance ~ f*g/g'.  The branch solver reads F, f, g and g' from one call
+of the system's compiled evaluator (``sys.values``), and the branch table
+is a list of plain NamedTuple rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .system import Jet, LienardSystem, State, jet
 
@@ -57,8 +59,7 @@ def lie_residual(eps: float, j: Jet) -> float:
     return j.phi_dot - (tr * j.phi + det)
 
 
-@dataclass(frozen=True)
-class ManifoldBranch:
+class ManifoldBranch(NamedTuple):
     """Roots of the curvature quadratic in u = y - F(x) at one abscissa.
 
     When both branches exist, |u_slow| <= |u_fast|.  At a fold
@@ -84,10 +85,7 @@ def slow_branches(
     small (slow) root accurate at small eps.
     """
     eps = sys.eps
-    fx = sys.f(x)
-    gx = sys.g(x)
-    gpx = sys.gp(x)
-    Fx = sys.F(x)
+    Fx, fx, _, gx, gpx, _, _ = sys.values(x)
 
     fold_tol = fold_tol_scale * max(1.0, abs(gx))
     if abs(fx) < fold_tol:
@@ -129,14 +127,13 @@ MANIFOLD_CSV_HEADER = "x,y_slow,u_slow,u_fast,fold_excluded"
 
 
 def format_manifold_csv(rows: "list[ManifoldBranch]") -> str:
-    """CSV for a branch table; floats use round-trip (repr) formatting."""
-    def cell(v):
-        return "" if v is None else repr(v)
-
+    """CSV for a branch table; floats use round-trip (repr) formatting, None is empty."""
     lines = [MANIFOLD_CSV_HEADER]
-    for r in rows:
+    for x, u_slow, u_fast, y_slow, fold_excluded in rows:
         lines.append(
-            f"{cell(r.x)},{cell(r.y_slow)},{cell(r.u_slow)},{cell(r.u_fast)},"
-            f"{str(r.fold_excluded).lower()}"
+            f"{x!r},{'' if y_slow is None else repr(y_slow)},"
+            f"{'' if u_slow is None else repr(u_slow)},"
+            f"{'' if u_fast is None else repr(u_fast)},"
+            f"{'true' if fold_excluded else 'false'}"
         )
     return "\n".join(lines) + "\n"

@@ -1,9 +1,11 @@
 """Adaptive integration, return-map limit-cycle search, vicinity extraction.
 
 The flow is stiff in the classical two-timescale sense but eps stays at
-desk scale (>= ~0.005), so an explicit Dormand-Prince 5(4) pair with PI
-step-size control and a hard step cap of 0.2*eps is both simple and fast
-enough; no implicit solver or Newton iteration is needed.
+desk scale (the cycle search is measured to converge down to 5e-5, and
+verify.convergence_study accepts eps >= 1e-4), so an explicit
+Dormand-Prince 5(4) pair with PI step-size control and a hard step cap of
+0.2*eps is both simple and fast enough; no implicit solver or Newton
+iteration is needed.
 
 Each system gets one step kernel: the DP5(4) step with every F and g
 evaluation written out as a straight-line Horner expression, generated
@@ -346,17 +348,19 @@ def extract_vicinity(
         if len(zeros) != 1:
             raise IntegrationError("cannot locate the positive zero of F")
         x_min = zeros[0] + VICINITY_MARGIN
-    band = c * sys.eps
+    eps, values = sys.eps, sys.values
+    band = c * eps
 
     def qualifies(s: State) -> bool:
         if s.x < x_min:
             return False
-        if (s.y - sys.F(s.x)) / sys.eps >= 0.0:
+        Fx = values(s.x)[0]
+        if (s.y - Fx) / eps >= 0.0:
             return False
         br = slow_branches(sys, s.x)
         if br.fold_excluded:
             return False
-        y_ref = br.y_slow if br.y_slow is not None else sys.F(s.x)
+        y_ref = br.y_slow if br.y_slow is not None else Fx
         return abs(s.y - y_ref) <= band
 
     best: list[State] = []

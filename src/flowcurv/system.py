@@ -5,18 +5,25 @@ The model is the planar two-timescale system
     eps * dx/dt = y - F(x),      dy/dt = -g(x)
 
 with polynomial F and g.  The derived family f = F', f', G (an
-antiderivative of g), g' and g'' is cached on the system, and ``jet``
-evaluates those seven polynomials once at a state: every closed form
-downstream (curvature, energy, sign checks, CSV columns) is an expression
-in its values.
+antiderivative of g), g' and g'' is cached on the system, together with
+one compiled evaluator of all seven: ``sys.values(x)`` returns
+(F, f, f', g, g', g'', G) at x from straight-line Horner code, generated
+once per tuple of coefficient counts and bound to the system's
+coefficients when it is built.  Every value is bit-identical to
+``Polynomial.__call__``.  ``jet`` calls it once at a state: every closed
+form downstream (curvature, energy, sign checks, CSV columns) is an
+expression in its values, and the slow-branch solver reads the same call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .poly import Polynomial, extreme_values, positive_on, real_roots, signs_on
+from .poly import (Polynomial, extreme_values, horner_source, positive_on, real_roots,
+                   signs_on)
 
 
 class State(NamedTuple):
@@ -27,6 +34,32 @@ class State(NamedTuple):
     y: float
 
 
+# The seven polynomials the evaluator computes, in the order it returns them.
+_SEVEN = ("F", "f", "fp", "g", "gp", "gpp", "G")
+
+
+@functools.cache
+def _evaluator_factory(counts: "tuple[int, ...]"):
+    """Compile the evaluator factory for polynomials with these coefficient counts.
+
+    factory(F coefficients..., f ..., fp ..., g ..., gp ..., gpp ...,
+    G ...), each list descending by degree, returns values(x), which
+    returns (F, f, fp, g, gp, gpp, G) at x.  Each value is a
+    straight-line Horner expression (poly.horner_source), so it is
+    bit-identical to Polynomial.__call__ at every finite x.
+    """
+    names = [[f"{p}{i}" for i in range(n)] for p, n in zip(_SEVEN, counts)]
+    src = "\n".join([
+        f"def factory({', '.join(c for cs in names for c in cs)}):",
+        "    def values(x):",
+        f"        return {', '.join(horner_source(cs, 'x') for cs in names)}",
+        "    return values",
+    ])
+    namespace: dict = {}
+    exec(compile(src, f"<evaluator {'-'.join(map(str, counts))}>", "exec"), namespace)
+    return namespace["factory"]
+
+
 @dataclass(frozen=True)
 class LienardSystem:
     """The system eps*xdot = y - F(x), ydot = -g(x) with cached derivatives.
@@ -35,6 +68,8 @@ class LienardSystem:
     gpp = gp', and G' = g.  The integration constant of G is free here
     (make_system pins G(0) = 0); constructing with a shifted G is how
     quadratic-potential families with nonzero offset are modelled.
+    Construction also binds ``values``, the compiled evaluator of the
+    seven polynomials (see _evaluator_factory).
     """
 
     eps: float
@@ -45,6 +80,7 @@ class LienardSystem:
     G: Polynomial
     gp: Polynomial
     gpp: Polynomial
+    values: Callable[[float], tuple[float, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.eps, (int, float)) and self.eps > 0):
@@ -59,6 +95,9 @@ class LienardSystem:
         for got, want, msg in pairs:
             if got != want:
                 raise ValueError(msg)
+        polys = [getattr(self, p) for p in _SEVEN]
+        factory = _evaluator_factory(tuple(len(p.desc) for p in polys))
+        object.__setattr__(self, "values", factory(*(c for p in polys for c in p.desc)))
 
 
 def make_system(
@@ -121,22 +160,14 @@ class Jet(NamedTuple):
 
 
 def jet(sys: LienardSystem, s: State) -> Jet:
-    """Evaluate F, f, f', g, g', g'' and G once each at s and derive the jet.
+    """Evaluate F, f, f', g, g', g'' and G at s in one evaluator call; derive the jet.
 
     Third derivatives apply the Jacobian J = [[-f/eps, 1/eps], [-g', 0]]
     to the acceleration and add dJ/dt = [[-f'*xdot/eps, 0], [-g''*xdot, 0]]
     applied to the velocity, expanded entrywise.
     """
     eps = sys.eps
-    x = s.x
-    Fx = sys.F(x)
-    fx = sys.f(x)
-    fpx = sys.fp(x)
-    gx = sys.g(x)
-    gpx = sys.gp(x)
-    gppx = sys.gpp(x)
-    Gx = sys.G(x)
-
+    Fx, fx, fpx, gx, gpx, gppx, Gx = sys.values(s.x)
     xdot = (s.y - Fx) / eps
     ydot = -gx
     xddot = (ydot - fx * xdot) / eps
@@ -146,12 +177,12 @@ def jet(sys: LienardSystem, s: State) -> Jet:
     return Jet(
         Fx, fx, fpx, gx, gpx, gppx, Gx,
         xdot, ydot, xddot, yddot, xdddot, ydddot,
-        phi=xddot * ydot + gpx * xdot * xdot,
-        phi_dot=xdddot * ydot - ydddot * xdot,
-        E=eps * xdot * xdot / 2.0 + Gx,
-        dEdt=-fx * xdot * xdot,
-        H=gx * gx - 2.0 * Gx * gpx,
-        dHdt=-2.0 * Gx * gppx * xdot,
+        xddot * ydot + gpx * xdot * xdot,  # phi
+        xdddot * ydot - ydddot * xdot,  # phi_dot
+        eps * xdot * xdot / 2.0 + Gx,  # E
+        -fx * xdot * xdot,  # dEdt
+        gx * gx - 2.0 * Gx * gpx,  # H
+        -2.0 * Gx * gppx * xdot,  # dHdt
     )
 
 
@@ -279,8 +310,10 @@ def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionRepo
             detail_IV = f"F has {len(pos)} positive zeros in (0, {x_max}]"
         else:
             a = pos[0]
-            # f > 0 on (a, x_max], with a the float nearest the zero
-            ok_IV = a == x_max or positive_on(f, a, x_max)
+            # f >= 0 on (a, x_max], with a the float nearest the zero: f is
+            # not the zero polynomial, so its zeros are isolated and F is
+            # strictly increasing there
+            ok_IV = a == x_max or -1 not in signs_on(f, a, x_max)
             detail_IV = (f"single positive zero a = {a:.9g}, F monotone increasing beyond it"
                          if ok_IV else f"F is not monotone increasing on [a, {x_max}]")
     rep_IV = AssumptionCheck(holds=ok_IV, witness=a, detail=detail_IV)

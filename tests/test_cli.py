@@ -155,6 +155,26 @@ class TestStudy:
         assert 1.8 <= doc["fitted_order"] <= 2.2
 
 
+class TestOutputErrors:
+    def test_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "x.json"
+        assert main(["classify", "--config", VDP, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and str(out) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "no").exists()
+
+    @pytest.mark.parametrize("command", ["classify", "manifold", "simulate"])
+    def test_directory_as_out_exits_2_and_leaves_no_temp_file(self, command, tmp_path, capsys):
+        target = tmp_path / "a_directory"
+        target.mkdir()
+        assert main([command, "--config", VDP, "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and str(target) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory"]
+        assert list(target.iterdir()) == []
+
+
 class TestDumpConfig:
     def test_round_trip_identity(self, tmp_path, capsys):
         rc = main(["verify", "--config", VDP, "--band", "2.0", "--dump-config"])

@@ -166,6 +166,19 @@ class TestAssumptions:
         assert not rep.assumption_IV.holds and rep.positive_zero_a == 1.0
         assert "not monotone" in rep.assumption_IV.detail
 
+    def test_monotone_where_f_touches_zero_beyond_the_zero(self):
+        # F = (x-2)^3 + 1: single zero a = 1, f = 3(x-2)^2 >= 0 vanishes only
+        # at x = 2, so F is strictly increasing beyond a
+        rep = check_assumptions(make_system([-7, 12, -6, 1.0], [0, 1], 0.05))
+        assert rep.assumption_IV.holds and rep.positive_zero_a == 1.0
+        assert "monotone increasing beyond it" in rep.assumption_IV.detail
+        # F = (x-2)^3 - 0.1(x-2) + 1: single zero a ~ 0.967, f = 3(x-2)^2 - 0.1
+        # dips below 0 on (2 - 0.183, 2 + 0.183)
+        rep = check_assumptions(make_system([-6.8, 11.9, -6, 1.0], [0, 1], 0.05))
+        assert not rep.assumption_IV.holds
+        assert rep.positive_zero_a == pytest.approx(0.96668, abs=1e-5)
+        assert "not monotone" in rep.assumption_IV.detail
+
     @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
     def test_polynomial_evaluations_per_check(self, name, monkeypatch):
         # The exact root core evaluates no Polynomial; what remains are the

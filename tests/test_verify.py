@@ -140,8 +140,15 @@ class TestConvergenceStudy:
             convergence_study(vdp, [0.05, 0.1], (1.6, 1.9))
 
     def test_tiny_eps_rejected(self, vdp):
-        with pytest.raises(ValueError, match="0.005"):
-            convergence_study(vdp, [0.1, 0.001], (1.6, 1.9))
+        with pytest.raises(ValueError, match="0.0001"):
+            convergence_study(vdp, [0.1, 5e-5], (1.6, 1.9))
+
+    def test_second_order_down_to_small_eps(self, vdp):
+        # below the former 0.005 floor: distance / eps^2 settles near 1.38
+        study = convergence_study(vdp, [0.01, 0.005, 0.002, 0.001], (1.6, 1.9))
+        assert 1.8 <= study.fitted_order <= 2.2
+        assert study.fitted_order_critical == pytest.approx(1.0, abs=0.1)
+        assert all(1.3 <= d / e**2 <= 1.45 for d, e in zip(study.distances, study.eps_values))
 
     def test_order_fit_matches_numpy_polyfit(self):
         np = pytest.importorskip("numpy")
