@@ -13,10 +13,12 @@ error (an unwritable --out included), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
-from dataclasses import asdict, dataclass, field, fields
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from .curvature import format_manifold_csv, slow_manifold_table
 from .dynamics import IntegrationError, find_limit_cycle, format_trajectory_csv, integrate
@@ -48,13 +50,17 @@ def _is_number(v) -> bool:
             and -_sys.float_info.max <= v <= _sys.float_info.max)
 
 
-@dataclass
-class RunConfig:
-    """System definition plus command parameters, all round-trippable."""
+class RunConfig(NamedTuple):
+    """System definition plus command parameters, all round-trippable.
+
+    An immutable record: flag overrides make a new config (``_replace``).
+    The array fields default to tuples, so no two configs share a list;
+    a config read from JSON holds the lists it was given.
+    """
 
     name: str = ""
-    F: list[float] = field(default_factory=list)
-    g: list[float] = field(default_factory=list)
+    F: Sequence[float] = ()
+    g: Sequence[float] = ()
     eps: float = 0.05
     x0: float = 0.1
     y0: float = 0.1
@@ -68,27 +74,27 @@ class RunConfig:
     x_max: float = 10.0
     x_min: float | None = None
     fold_tol: float = 1e-6
-    eps_list: list[float] = field(default_factory=lambda: [0.1, 0.05, 0.025])
+    eps_list: Sequence[float] = (0.1, 0.05, 0.025)
     probe_lo: float = 1.6
     probe_hi: float = 1.9
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
         return cls(**data)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(self._asdict())
 
     def validate(self) -> None:
         if not isinstance(self.name, str):
             raise ConfigError("field 'name' must be a string")
         for key in ("F", "g", "eps_list"):
             values = getattr(self, key)
-            if not (isinstance(values, list) and values and all(map(_is_number, values))):
+            if not (isinstance(values, (list, tuple)) and values
+                    and all(map(_is_number, values))):
                 raise ConfigError(f"field '{key}' must be a non-empty array of finite numbers")
         for key, typ in _OVERRIDE_FLAGS.items():
             v = getattr(self, key)
@@ -153,7 +159,20 @@ def _atomic_write(path: str, text: str) -> None:
         raise OutputError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The flowcurv parser, built once per process (parsing leaves it unchanged).
+
+    Every subcommand takes the flags of one parent parser; study adds
+    --eps-list.
+    """
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="path to the system JSON config")
+    common.add_argument("--out", default=None, help="output file (default: stdout)")
+    common.add_argument("--dump-config", action="store_true",
+                        help="print the merged config JSON and exit")
+    for flag, typ in _OVERRIDE_FLAGS.items():
+        common.add_argument(f"--{flag.replace('_', '-')}", type=typ, default=None)
     parser = argparse.ArgumentParser(
         prog="flowcurv",
         description="Slow-manifold, curvature and energy analysis of planar "
@@ -167,13 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("classify", "sign-certify the case function H"),
         ("study", "fit the approximation order over an eps sweep"),
     ):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", required=True, help="path to the system JSON config")
-        sp.add_argument("--out", default=None, help="output file (default: stdout)")
-        sp.add_argument("--dump-config", action="store_true",
-                        help="print the merged config JSON and exit")
-        for flag, typ in _OVERRIDE_FLAGS.items():
-            sp.add_argument(f"--{flag.replace('_', '-')}", type=typ, default=None)
+        sp = sub.add_parser(name, help=help_text, parents=[common])
         if name == "study":
             sp.add_argument("--eps-list", default=None,
                             help="comma-separated decreasing eps values")
@@ -182,16 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_dict(_load_config(args.config))
-    for flag in _OVERRIDE_FLAGS:
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(cfg, flag, val)
+    overrides = {flag: v for flag in _OVERRIDE_FLAGS if (v := getattr(args, flag)) is not None}
     eps_list = getattr(args, "eps_list", None)
     if eps_list is not None:
         try:
-            cfg.eps_list = [float(v) for v in eps_list.split(",") if v.strip()]
+            overrides["eps_list"] = [float(v) for v in eps_list.split(",") if v.strip()]
         except ValueError as exc:
             raise ConfigError(f"field 'eps_list' must be numbers: {exc}") from exc
+    cfg = cfg._replace(**overrides)
     cfg.validate()
     return cfg
 
@@ -307,8 +318,7 @@ _COMMANDS = {
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
     except (ConfigError, ValueError) as exc:

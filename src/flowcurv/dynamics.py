@@ -17,13 +17,15 @@ crossing is located on the crossing step's 4th-order dense output
 kernel call.  The cycle search integrates each return-map period once:
 the orbit it reports is its converged pass, which starts at the previous
 iterate and ends within the convergence tolerance of the section value.
+Trajectories, cycles and vicinity segments are immutable NamedTuple
+records, like every record in the package.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curvature import slow_branches
 from .poly import horner_source
@@ -81,8 +83,7 @@ class IntegrationError(RuntimeError):
         self.accepted, self.rejected = accepted, rejected
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Accepted-step samples with strictly increasing t."""
 
     samples: tuple[State, ...]
@@ -91,8 +92,7 @@ class Trajectory:
     tol_used: float
 
 
-@dataclass(frozen=True)
-class LimitCycle:
+class LimitCycle(NamedTuple):
     """A converged (or best-effort) periodic orbit from the return map."""
 
     period: float
@@ -104,8 +104,7 @@ class LimitCycle:
     iterates: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class VicinitySegment:
+class VicinitySegment(NamedTuple):
     """Contiguous run of trajectory samples inside the slow-branch band."""
 
     samples: tuple[State, ...]

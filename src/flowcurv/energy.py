@@ -14,8 +14,7 @@ limited by finite differencing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .poly import Polynomial, extreme_values, signs_on
 from .system import Jet, LienardSystem, State, jet
@@ -24,8 +23,7 @@ CaseLabel = Literal["CASE1_H_NONNEG", "CASE2_H_NONPOS", "MIXED"]
 SignLabel = Literal["NONNEG", "NONPOS", "MIXED", "ZERO"]
 
 
-@dataclass(frozen=True)
-class CaseClassification:
+class CaseClassification(NamedTuple):
     """Certified sign of H on the probe window plus the linear-bound witness."""
 
     case_label: CaseLabel

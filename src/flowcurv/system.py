@@ -13,13 +13,17 @@ coefficients when it is built.  Every value is bit-identical to
 ``Polynomial.__call__``.  ``jet`` calls it once at a state: every closed
 form downstream (curvature, energy, sign checks, CSV columns) is an
 expression in its values, and the slow-branch solver reads the same call.
+
+Every record in the package is a ``typing.NamedTuple``: immutable, with
+its fields in a fixed order, compared and printed by them.
+``LienardSystem`` extends the idiom with a validating ``__new__``;
+``verify.CheckResult``, the one accumulator, is a small slotted class.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from sys import float_info
 from typing import NamedTuple
 
 from .poly import (Polynomial, extreme_values, horner_source, positive_on, real_roots,
@@ -60,18 +64,7 @@ def _evaluator_factory(counts: "tuple[int, ...]"):
     return namespace["factory"]
 
 
-@dataclass(frozen=True)
-class LienardSystem:
-    """The system eps*xdot = y - F(x), ydot = -g(x) with cached derivatives.
-
-    Construction validates internal consistency: f = F', fp = f', gp = g',
-    gpp = gp', and G' = g.  The integration constant of G is free here
-    (make_system pins G(0) = 0); constructing with a shifted G is how
-    quadratic-potential families with nonzero offset are modelled.
-    Construction also binds ``values``, the compiled evaluator of the
-    seven polynomials (see _evaluator_factory).
-    """
-
+class _LienardFields(NamedTuple):
     eps: float
     F: Polynomial
     f: Polynomial
@@ -80,24 +73,53 @@ class LienardSystem:
     G: Polynomial
     gp: Polynomial
     gpp: Polynomial
-    values: Callable[[float], tuple[float, ...]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not (isinstance(self.eps, (int, float)) and self.eps > 0):
+
+class LienardSystem(_LienardFields):
+    """The system eps*xdot = y - F(x), ydot = -g(x) with cached derivatives.
+
+    Construction validates eps (a finite positive number, not a bool;
+    stored as a float) and internal consistency: f = F', fp = f',
+    gp = g', gpp = gp', and G' = g.  The integration constant of G is
+    free here (make_system pins G(0) = 0); constructing with a shifted G
+    is how quadratic-potential families with nonzero offset are modelled.
+    Construction also binds ``values``, the compiled evaluator of the
+    seven polynomials (see _evaluator_factory); it is not a field, so
+    equality and repr see only the eight fields.  Instances are
+    immutable, and ``_replace`` builds through the same validation.
+    """
+
+    def __new__(cls, eps, F, f, fp, g, G, gp, gpp):
+        if not (isinstance(eps, (int, float)) and eps > 0):
             raise ValueError("epsilon must be positive")
+        if isinstance(eps, bool) or not eps <= float_info.max:
+            raise ValueError(f"epsilon must be a finite number, not {eps!r}")
         pairs = [
-            (self.f, self.F.derivative(), "f must equal F'"),
-            (self.fp, self.f.derivative(), "fp must equal f'"),
-            (self.gp, self.g.derivative(), "gp must equal g'"),
-            (self.gpp, self.gp.derivative(), "gpp must equal g''"),
-            (self.G.derivative(), self.g, "G must be an antiderivative of g"),
+            (f, F.derivative(), "f must equal F'"),
+            (fp, f.derivative(), "fp must equal f'"),
+            (gp, g.derivative(), "gp must equal g'"),
+            (gpp, gp.derivative(), "gpp must equal g''"),
+            (G.derivative(), g, "G must be an antiderivative of g"),
         ]
         for got, want, msg in pairs:
             if got != want:
                 raise ValueError(msg)
+        self = super().__new__(cls, float(eps), F, f, fp, g, G, gp, gpp)
         polys = [getattr(self, p) for p in _SEVEN]
         factory = _evaluator_factory(tuple(len(p.desc) for p in polys))
         object.__setattr__(self, "values", factory(*(c for p in polys for c in p.desc)))
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so ``_replace`` validates and compiles again."""
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LienardSystem is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"LienardSystem is immutable: cannot delete {name!r}")
 
 
 def make_system(
@@ -113,14 +135,12 @@ def make_system(
     """
     F = F if isinstance(F, Polynomial) else Polynomial(F)
     g = g if isinstance(g, Polynomial) else Polynomial(g)
-    if not (isinstance(eps, (int, float)) and eps > 0):
-        raise ValueError("epsilon must be positive")
     f = F.derivative()
     gp = g.derivative()
     if G is None:
         G = g.antiderivative(0.0)
     return LienardSystem(
-        eps=float(eps), F=F, f=f, fp=f.derivative(),
+        eps=eps, F=F, f=f, fp=f.derivative(),
         g=g, G=G, gp=gp, gpp=gp.derivative(),
     )
 
@@ -203,15 +223,13 @@ def jacobian_rate(sys: LienardSystem, s: State) -> Matrix2:
             (-sys.gpp(s.x) * xdot, 0.0))
 
 
-@dataclass(frozen=True)
-class AssumptionCheck:
+class AssumptionCheck(NamedTuple):
     holds: bool
     witness: float | None
     detail: str
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     """Results of the four limit-cycle assumptions plus the g' >= 0 flag."""
 
     assumption_I: AssumptionCheck

@@ -10,6 +10,10 @@ report is the product, and `overall` is simply "no check failed".
 convergence_study measures how fast the limit cycle's slow descent
 approaches (a) the curvature zero-set branch and (b) the critical
 manifold as eps shrinks, and fits log-log slopes.
+
+The reports are immutable NamedTuple records, like every record in the
+package; CheckResult, which evaluate_checks fills sample by sample, is
+the one mutable accumulator, a small slotted class.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curvature import lie_residual, slow_branches
 from .dynamics import IntegrationError, LimitCycle, extract_vicinity, find_limit_cycle
@@ -55,12 +59,14 @@ N_PROBE = 25
 EPS_FLOOR = 1e-4
 
 
-@dataclass
 class CheckResult:
-    pass_count: int = 0
-    fail_count: int = 0
-    min_margin: float = math.inf
-    boundary_count: int = 0
+    """One check's running pass/fail/boundary counts and smallest margin."""
+
+    __slots__ = ("pass_count", "fail_count", "min_margin", "boundary_count")
+
+    def __init__(self):
+        self.pass_count = self.fail_count = self.boundary_count = 0
+        self.min_margin = math.inf
 
     def record(self, margin: float, ok: bool, boundary: bool = False) -> None:
         if ok:
@@ -73,8 +79,7 @@ class CheckResult:
             self.min_margin = margin
 
 
-@dataclass(frozen=True)
-class MinorskyReport:
+class MinorskyReport(NamedTuple):
     """Per-check pass/fail counts with the smallest signed margins."""
 
     system_name: str
@@ -165,8 +170,7 @@ def minorsky_report(
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceStudy:
+class ConvergenceStudy(NamedTuple):
     """Distances (max over probe abscissas) and fitted log-log orders.
 
     `distances` measures trajectory-to-curvature-branch separation;

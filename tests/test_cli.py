@@ -233,10 +233,80 @@ class TestConfigTypes:
 
 def test_import_loads_no_numpy():
     # nor fractions/decimal: the exact root core works on plain ints, and
-    # decimal alone would add milliseconds and megabytes to every CLI start
+    # decimal alone would add milliseconds and megabytes to every CLI start;
+    # nor dataclasses/inspect: the records are NamedTuples, and importing
+    # dataclasses (with inspect and ast) and running its decorators cost
+    # about 10 ms of every CLI start
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    code = ("import sys, flowcurv, flowcurv.cli; "
-            "print([m for m in ('numpy', 'fractions', 'decimal') if m in sys.modules])")
+    code = ("import sys, flowcurv, flowcurv.cli; print([m for m in "
+            "('numpy', 'fractions', 'decimal', 'dataclasses', 'inspect') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+_OPTIONS_HELP = """\
+options:
+  -h, --help           show this help message and exit
+  --config CONFIG      path to the system JSON config
+  --out OUT            output file (default: stdout)
+  --dump-config        print the merged config JSON and exit
+  --eps EPS
+  --x0 X0
+  --y0 Y0
+  --t-end T_END
+  --tol TOL
+  --band BAND
+  --x-lo X_LO
+  --x-hi X_HI
+  --n N
+  --y-guess Y_GUESS
+  --x-max X_MAX
+  --x-min X_MIN
+  --probe-lo PROBE_LO
+  --probe-hi PROBE_HI
+  --fold-tol FOLD_TOL
+"""
+HELP = {
+    "verify": """\
+usage: flowcurv verify [-h] --config CONFIG [--out OUT] [--dump-config]
+                       [--eps EPS] [--x0 X0] [--y0 Y0] [--t-end T_END]
+                       [--tol TOL] [--band BAND] [--x-lo X_LO] [--x-hi X_HI]
+                       [--n N] [--y-guess Y_GUESS] [--x-max X_MAX]
+                       [--x-min X_MIN] [--probe-lo PROBE_LO]
+                       [--probe-hi PROBE_HI] [--fold-tol FOLD_TOL]
+
+""" + _OPTIONS_HELP,
+    "study": """\
+usage: flowcurv study [-h] --config CONFIG [--out OUT] [--dump-config]
+                      [--eps EPS] [--x0 X0] [--y0 Y0] [--t-end T_END]
+                      [--tol TOL] [--band BAND] [--x-lo X_LO] [--x-hi X_HI]
+                      [--n N] [--y-guess Y_GUESS] [--x-max X_MAX]
+                      [--x-min X_MIN] [--probe-lo PROBE_LO]
+                      [--probe-hi PROBE_HI] [--fold-tol FOLD_TOL]
+                      [--eps-list EPS_LIST]
+
+""" + _OPTIONS_HELP + "  --eps-list EPS_LIST  comma-separated decreasing eps values\n",
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_text(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
+
+    def test_eps_list_is_a_study_flag_only(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--config", VDP, "--eps-list", "0.1,0.05"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --eps-list 0.1,0.05" in capsys.readouterr().err
+
+    def test_missing_config_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["classify"])
+        assert exit_.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err

@@ -35,6 +35,13 @@ class TestMakeSystem:
         with pytest.raises(ValueError, match="epsilon must be positive"):
             make_system([0, -1, 0, 1 / 3], [0, 1], 0.0)
 
+    @pytest.mark.parametrize("eps", [True, math.inf, 10**400], ids=["bool", "inf", "huge_int"])
+    def test_bool_and_infinite_eps_rejected(self, eps):
+        # True would pass as eps = 1.0, inf would fail later as a "blow-up",
+        # and an int beyond float range would overflow converting to float
+        with pytest.raises(ValueError, match="epsilon must be a finite number"):
+            make_system([0, -1, 0, 1 / 3], [0, 1], eps)
+
     def test_inconsistent_fields_rejected(self, vdp):
         with pytest.raises(ValueError, match="f must equal"):
             LienardSystem(
