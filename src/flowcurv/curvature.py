@@ -1,9 +1,11 @@
-"""Flow-curvature function, its invariance identity, and the slow branch.
+"""The curvature function's invariance identity, and the slow branch.
 
-The curvature function is det(acceleration, velocity) along the flow; its
-zero set is a first-order (in eps) approximation of the slow invariant
-manifold.  For the Lienard field it collapses to closed polynomial forms,
-and setting it to zero at fixed x gives a quadratic in u = y - F(x):
+The curvature function phi is det(acceleration, velocity) along the
+flow; its zero set is a first-order (in eps) approximation of the slow
+invariant manifold.  For the Lienard field it collapses to closed
+polynomial forms: phi and its rate are fields of ``system.jet``, and
+``lie_residual`` checks the invariance identity on a jet.  Setting phi
+to zero at fixed x gives a quadratic in u = y - F(x):
 
     g'(x) u**2 + f(x) g(x) u + eps g(x)**2 = 0.
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .system import Jet, LienardSystem, State, jet
+from .system import Jet, LienardSystem
 
 # |f(x)| below fold_tol marks a fold: the slow/fast branch split degenerates
 # there, so the branch solver excludes the point instead of extrapolating.
@@ -29,28 +31,13 @@ FOLD_TOL_SCALE = 1e-6
 DEGENERATE_GP = 1e-13
 
 
-def phi(sys: LienardSystem, s: State) -> float:
-    """Curvature function xddot*ydot + g'(x)*xdot**2 (= det(Xddot, Xdot))."""
-    return jet(sys, s).phi
-
-
-def phi_dot(sys: LienardSystem, s: State) -> float:
-    """Time derivative of the curvature function: xdddot*ydot - ydddot*xdot."""
-    return jet(sys, s).phi_dot
-
-
-def lie_identity_residual(sys: LienardSystem, s: State) -> float:
-    """Residual of dphi/dt = trace(J)*phi + det((dJ/dt) Xdot, Xdot).
+def lie_residual(eps: float, j: Jet) -> float:
+    """Residual of dphi/dt = trace(J)*phi + det((dJ/dt) Xdot, Xdot) at a jet.
 
     This is the invariance (cofactor) identity of the curvature zero set;
     it holds algebraically, so the residual is floating-point noise:
     |residual| <= 1e-9 * max(1, |dphi/dt|) at every finite state.
     """
-    return lie_residual(sys.eps, jet(sys, s))
-
-
-def lie_residual(eps: float, j: Jet) -> float:
-    """lie_identity_residual from a jet already evaluated at the state."""
     xd = j.xdot
     tr = -j.f / eps
     w0 = (-j.fp * xd / eps) * xd

@@ -64,9 +64,9 @@ class Polynomial:
 
     __slots__ = ("coeffs", "desc")
 
-    def __init__(self, coeffs: Iterable[float] = (), zero_snap: float = ZERO_SNAP):
+    def __init__(self, coeffs: Iterable[float] = ()):
         c = [float(v) for v in coeffs]
-        c = [0.0 if abs(v) <= zero_snap else v for v in c]
+        c = [0.0 if abs(v) <= ZERO_SNAP else v for v in c]
         while c and c[-1] == 0.0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))

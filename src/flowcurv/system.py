@@ -4,15 +4,19 @@ The model is the planar two-timescale system
 
     eps * dx/dt = y - F(x),      dy/dt = -g(x)
 
-with polynomial F and g.  The derived family f = F', f', G (an
-antiderivative of g), g' and g'' is cached on the system, together with
-one compiled evaluator of all seven: ``sys.values(x)`` returns
-(F, f, f', g, g', g'', G) at x from straight-line Horner code, generated
-once per tuple of coefficient counts and bound to the system's
-coefficients when it is built.  Every value is bit-identical to
-``Polynomial.__call__``.  ``jet`` calls it once at a state: every closed
-form downstream (curvature, energy, sign checks, CSV columns) is an
-expression in its values, and the slow-branch solver reads the same call.
+with polynomial F and g.  A system holds eps, F, g and G (an
+antiderivative of g).  When it is built it derives f = F', f', g' and
+g'' once, and compiles one evaluator of all seven: ``sys.values(x)``
+returns (F, f, f', g, g', g'', G) at x from straight-line Horner code,
+generated once per tuple of coefficient counts and bound to the
+system's coefficients.  Every value is bit-identical to
+``Polynomial.__call__``.
+
+``jet`` is the one point evaluator.  It calls ``values`` once at a
+state, and every closed form downstream (velocity, curvature, energy,
+the paper's identities, the sign checks and the CSV columns) is a field
+of the jet or an expression in its fields.  The slow-branch solver reads
+the same evaluator at a bare abscissa.
 
 Every record in the package is a ``typing.NamedTuple``: immutable, with
 its fields in a fixed order, compared and printed by them.
@@ -67,47 +71,44 @@ def _evaluator_factory(counts: "tuple[int, ...]"):
 class _LienardFields(NamedTuple):
     eps: float
     F: Polynomial
-    f: Polynomial
-    fp: Polynomial
     g: Polynomial
     G: Polynomial
-    gp: Polynomial
-    gpp: Polynomial
 
 
 class LienardSystem(_LienardFields):
     """The system eps*xdot = y - F(x), ydot = -g(x) with cached derivatives.
 
-    Construction validates eps (a finite positive number, not a bool;
-    stored as a float) and internal consistency: f = F', fp = f',
-    gp = g', gpp = gp', and G' = g.  The integration constant of G is
-    free here (make_system pins G(0) = 0); constructing with a shifted G
-    is how quadratic-potential families with nonzero offset are modelled.
-    Construction also binds ``values``, the compiled evaluator of the
-    seven polynomials (see _evaluator_factory); it is not a field, so
-    equality and repr see only the eight fields.  Instances are
-    immutable, and ``_replace`` builds through the same validation.
+    The fields are what the caller gives: eps, F, g and G.  Construction
+    validates eps (a finite positive number, not a bool; stored as a
+    float) and G' = g.  The integration constant of G is free here
+    (make_system pins G(0) = 0); constructing with a shifted G is how
+    quadratic-potential families with nonzero offset are modelled.
+    Construction then derives f = F', fp = f', gp = g' and gpp = g'' once
+    and binds ``values``, the compiled evaluator of the seven polynomials
+    (see _evaluator_factory).  These five are attributes, not fields, so
+    equality and repr see only the four fields.  Instances are immutable,
+    and ``_replace`` builds through the same validation.
     """
 
-    def __new__(cls, eps, F, f, fp, g, G, gp, gpp):
+    f: Polynomial
+    fp: Polynomial
+    gp: Polynomial
+    gpp: Polynomial
+
+    def __new__(cls, eps, F, g, G):
         if not (isinstance(eps, (int, float)) and eps > 0):
             raise ValueError("epsilon must be positive")
         if isinstance(eps, bool) or not eps <= float_info.max:
             raise ValueError(f"epsilon must be a finite number, not {eps!r}")
-        pairs = [
-            (f, F.derivative(), "f must equal F'"),
-            (fp, f.derivative(), "fp must equal f'"),
-            (gp, g.derivative(), "gp must equal g'"),
-            (gpp, gp.derivative(), "gpp must equal g''"),
-            (G.derivative(), g, "G must be an antiderivative of g"),
-        ]
-        for got, want, msg in pairs:
-            if got != want:
-                raise ValueError(msg)
-        self = super().__new__(cls, float(eps), F, f, fp, g, G, gp, gpp)
-        polys = [getattr(self, p) for p in _SEVEN]
+        if G.derivative() != g:
+            raise ValueError("G must be an antiderivative of g")
+        self = super().__new__(cls, float(eps), F, g, G)
+        f, gp = F.derivative(), g.derivative()
+        fp, gpp = f.derivative(), gp.derivative()
+        polys = (F, f, fp, g, gp, gpp, G)
         factory = _evaluator_factory(tuple(len(p.desc) for p in polys))
-        object.__setattr__(self, "values", factory(*(c for p in polys for c in p.desc)))
+        vars(self).update(f=f, fp=fp, gp=gp, gpp=gpp,
+                          values=factory(*(c for p in polys for c in p.desc)))
         return self
 
     @classmethod
@@ -135,19 +136,7 @@ def make_system(
     """
     F = F if isinstance(F, Polynomial) else Polynomial(F)
     g = g if isinstance(g, Polynomial) else Polynomial(g)
-    f = F.derivative()
-    gp = g.derivative()
-    if G is None:
-        G = g.antiderivative(0.0)
-    return LienardSystem(
-        eps=eps, F=F, f=f, fp=f.derivative(),
-        g=g, G=G, gp=gp, gpp=gp.derivative(),
-    )
-
-
-def vector_field(sys: LienardSystem, s: State) -> tuple[float, float]:
-    """(xdot, ydot) = ((y - F(x))/eps, -g(x)) at the state."""
-    return (s.y - sys.F(s.x)) / sys.eps, -sys.g(s.x)
+    return LienardSystem(eps, F, g, g.antiderivative(0.0) if G is None else G)
 
 
 class Jet(NamedTuple):
@@ -204,23 +193,6 @@ def jet(sys: LienardSystem, s: State) -> Jet:
         gx * gx - 2.0 * Gx * gpx,  # H
         -2.0 * Gx * gppx * xdot,  # dHdt
     )
-
-
-# A 2x2 matrix as a tuple of rows.
-Matrix2 = tuple[tuple[float, float], tuple[float, float]]
-
-
-def jacobian(sys: LienardSystem, x: float) -> Matrix2:
-    """Jacobian of the vector field, by rows: ((-f(x)/eps, 1/eps), (-g'(x), 0))."""
-    return ((-sys.f(x) / sys.eps, 1.0 / sys.eps),
-            (-sys.gp(x), 0.0))
-
-
-def jacobian_rate(sys: LienardSystem, s: State) -> Matrix2:
-    """dJ/dt along the flow, by rows: ((-f'(x)*xdot/eps, 0), (-g''(x)*xdot, 0))."""
-    xdot = (s.y - sys.F(s.x)) / sys.eps
-    return ((-sys.fp(s.x) * xdot / sys.eps, 0.0),
-            (-sys.gpp(s.x) * xdot, 0.0))
 
 
 class AssumptionCheck(NamedTuple):

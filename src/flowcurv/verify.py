@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .curvature import lie_residual, slow_branches
 from .dynamics import IntegrationError, LimitCycle, extract_vicinity, find_limit_cycle
 from .energy import relation_rate
-from .system import LienardSystem, State, jet, make_system
+from .system import LienardSystem, State, jet
 
 CHECK_IDS = (
     "XDOT_NEG",
@@ -39,10 +39,6 @@ CHECK_IDS = (
     "EQ56_BOUND",
     "LIE_RESIDUAL",
 )
-
-# Margins below this magnitude count as "boundary" hits for PHI_NONNEG,
-# which is asserted non-strictly.
-PHI_BOUNDARY_TOL = 1e-10
 
 LIE_RESIDUAL_TOL = 1e-8
 
@@ -60,21 +56,19 @@ EPS_FLOOR = 1e-4
 
 
 class CheckResult:
-    """One check's running pass/fail/boundary counts and smallest margin."""
+    """One check's running pass/fail counts and smallest margin."""
 
-    __slots__ = ("pass_count", "fail_count", "min_margin", "boundary_count")
+    __slots__ = ("pass_count", "fail_count", "min_margin")
 
     def __init__(self):
-        self.pass_count = self.fail_count = self.boundary_count = 0
+        self.pass_count = self.fail_count = 0
         self.min_margin = math.inf
 
-    def record(self, margin: float, ok: bool, boundary: bool = False) -> None:
+    def record(self, margin: float, ok: bool) -> None:
         if ok:
             self.pass_count += 1
         else:
             self.fail_count += 1
-        if boundary:
-            self.boundary_count += 1
         if margin < self.min_margin:
             self.min_margin = margin
 
@@ -134,10 +128,7 @@ def evaluate_checks(sys: LienardSystem, samples: "tuple[State, ...]") -> dict[st
         margins = sample_margins(sys, s)
         for cid in CHECK_IDS:
             m = margins[cid]
-            if cid == "PHI_NONNEG":
-                results[cid].record(m, ok=m >= 0.0, boundary=abs(m) < PHI_BOUNDARY_TOL)
-            else:
-                results[cid].record(m, ok=m > 0.0)
+            results[cid].record(m, ok=m >= 0.0 if cid == "PHI_NONNEG" else m > 0.0)
     return results
 
 
@@ -244,7 +235,7 @@ def convergence_study(
     dists: list[float] = []
     dists_crit: list[float] = []
     for eps in eps_list:
-        sys_e = make_system(sys.F, sys.g, eps, G=sys.G)
+        sys_e = sys._replace(eps=eps)
         cycle = find_limit_cycle(sys_e, y_guess, cycle_tol, integ_tol=integ_tol)
         if not cycle.converged:
             raise IntegrationError(f"limit cycle did not converge at eps={eps}")

@@ -1,4 +1,6 @@
-"""Shared fixtures: the two bundled systems and a deterministic state sweep."""
+"""Shared fixtures: the two bundled systems, a deterministic state sweep, and
+the Jacobian oracle (the field's Jacobian and its rate along the flow, from
+Polynomial evaluation, independent of system.jet)."""
 
 from __future__ import annotations
 
@@ -43,6 +45,19 @@ def propagate(sys_, x: float, y: float, h: float, n_sub: int = 1) -> tuple[float
     for _ in range(n_sub):
         x, y = step(x, y, hs, (y - sys_.F(x)) / sys_.eps, -sys_.g(x))[:2]
     return x, y
+
+
+def jacobian(sys_, x: float):
+    """Jacobian of the vector field, by rows: ((-f(x)/eps, 1/eps), (-g'(x), 0))."""
+    return ((-sys_.f(x) / sys_.eps, 1.0 / sys_.eps),
+            (-sys_.gp(x), 0.0))
+
+
+def jacobian_rate(sys_, s: State):
+    """dJ/dt along the flow, by rows: ((-f'(x)*xdot/eps, 0), (-g''(x)*xdot, 0))."""
+    xdot = (s.y - sys_.F(s.x)) / sys_.eps
+    return ((-sys_.fp(s.x) * xdot / sys_.eps, 0.0),
+            (-sys_.gpp(s.x) * xdot, 0.0))
 
 
 def load_config(name: str) -> dict:

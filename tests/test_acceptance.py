@@ -8,7 +8,6 @@ import pytest
 
 from flowcurv import (
     H_polynomial,
-    H_rate,
     Polynomial,
     State,
     check_assumptions,
@@ -16,10 +15,9 @@ from flowcurv import (
     curvature_energy_residual,
     extract_vicinity,
     find_limit_cycle,
-    lie_identity_residual,
+    jet,
+    lie_residual,
     make_system,
-    phi,
-    phi_dot,
     relation_rate_residual,
     appendix_residual,
     slow_branches,
@@ -73,7 +71,8 @@ def test_criterion_01_lie_invariance_identity(systems):
     worst = 0.0
     for sys_ in systems.values():
         for s in sweep_states(1000):
-            rel = abs(lie_identity_residual(sys_, s)) / max(1.0, abs(phi_dot(sys_, s)))
+            j = jet(sys_, s)
+            rel = abs(lie_residual(sys_.eps, j)) / max(1.0, abs(j.phi_dot))
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 1.0
@@ -85,12 +84,13 @@ def test_criterion_02_curvature_energy_identities(systems):
     worst50 = worst55 = 0.0
     for sys_ in systems.values():
         for s in sweep_states(1000):
-            r50 = abs(curvature_energy_residual(sys_, s))
-            worst50 = max(worst50, r50 / max(1.0, abs(sys_.eps * phi(sys_, s))))
+            j = jet(sys_, s)
+            r50 = abs(curvature_energy_residual(sys_.eps, j))
+            worst50 = max(worst50, r50 / max(1.0, abs(sys_.eps * j.phi)))
             x = s.x
             xd = (s.y - sys_.F(x)) / sys_.eps
             rhs = 2.0 * sys_.f(x) * xd * (-sys_.gp(x) * xd) + sys_.eps * sys_.gpp(x) * xd**3
-            r55 = abs(relation_rate_residual(sys_, s))
+            r55 = abs(relation_rate_residual(sys_.eps, j))
             worst55 = max(worst55, r55 / max(1.0, abs(rhs)))
     ok = worst50 <= 1e-9 and worst55 <= 1e-9
     assert report("02", "curvature-energy relation and its rate", ok,
@@ -122,7 +122,7 @@ def test_criterion_04_quintic_case_function(systems):
     sign_ok = cls.case_label == "CASE2_H_NONPOS"
     sys_, cyc = cycle_for("llibre_mereu", 0.05)
     seg = extract_vicinity(cyc.orbit, sys_, 1.0)
-    rate_ok = all(H_rate(sys_, s) >= 0.0 for s in seg.samples)
+    rate_ok = all(jet(sys_, s).dHdt >= 0.0 for s in seg.samples)
     ok = coeffs_ok and sign_ok and rate_ok
     assert report("04", "quintic case function sign structure", ok,
                   f"coeffs={coeffs_ok}, certified nonpositive={sign_ok}, "
@@ -197,7 +197,7 @@ def test_criterion_06_slow_branch_value(systems):
     vdp = systems["vdp"]
     br = slow_branches(vdp, 2.0)
     val_ok = abs(br.u_slow - (-0.033521)) <= 1e-6
-    resid = abs(vdp.eps**2 * phi(vdp, State(0.0, 2.0, br.y_slow)))
+    resid = abs(vdp.eps**2 * jet(vdp, State(0.0, 2.0, br.y_slow)).phi)
     resid_ok = resid <= 1e-9
     ok = val_ok and resid_ok
     assert report("06", "slow-branch root and its curvature residual", ok,
@@ -230,21 +230,20 @@ def test_criterion_08b_relaxation_period():
 
 
 def test_criterion_09_energy_decay_oracle():
-    from flowcurv import energy_rate
-
     sys_, cyc = cycle_for("vdp", 0.05)
     worst_fd = 0.0
     worst_app = 0.0
     checked = 0
     for s in cyc.orbit.samples:
-        closed = energy_rate(sys_, s)
+        j = jet(sys_, s)
+        closed = j.dEdt
         if abs(closed) > 1e-6:
             fd = fd_energy_rate(sys_, s)
             worst_fd = max(worst_fd, abs(fd - closed) / abs(closed))
             checked += 1
         lhs = s.y * (-sys_.g(s.x)) + sys_.eps * sys_.g(s.x) * (s.y - sys_.F(s.x)) / sys_.eps
         worst_app = max(
-            worst_app, abs(appendix_residual(sys_, s)) / max(1.0, abs(lhs))
+            worst_app, abs(appendix_residual(sys_.eps, j, s.y)) / max(1.0, abs(lhs))
         )
     ok = worst_fd <= 1e-3 and worst_app <= 1e-9 and checked > 100
     assert report("09", "energy decay law against finite differences", ok,

@@ -100,6 +100,25 @@ class TestVerify:
         assert doc["overall"] is False
         assert doc["checks"] == {}
 
+    def test_zero_of_F_beyond_ten_sets_the_floor(self, tmp_path, capsys):
+        # F = x**3/192 - x has its positive zero at 8*sqrt(3) = 13.86, outside
+        # (0, 10]: with --x-max 20 assumption IV finds it, and the vicinity
+        # floor is taken from it as if --x-min had been passed by hand
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps({"name": "far", "F": [0, -1, 0, 1 / 192],
+                                   "g": [0, 1 / 64], "eps": 0.05}))
+        rc = main(["verify", "--config", str(cfg), "--x-max", "20"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        a = doc["assumptions"]["positive_zero_a"]
+        assert a == pytest.approx(8 * math.sqrt(3), rel=1e-15)
+        assert doc["assumptions"]["IV"]["holds"] is True
+        fails = {cid: c["fail"] for cid, c in doc["checks"].items() if c["fail"]}
+        assert list(fails) == ["PHIDOT_POS"] and doc["n_points"] > fails["PHIDOT_POS"]
+        rc_hand = main(["verify", "--config", str(cfg), "--x-max", "20",
+                        "--x-min", repr(a + 0.1)])
+        assert rc_hand == 1 and json.loads(capsys.readouterr().out) == doc
+
 
 class TestClassify:
     def test_vdp_case1(self, capsys):

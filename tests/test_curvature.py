@@ -5,22 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcurv import (
-    State,
-    jacobian,
-    jacobian_rate,
-    jet,
-    lie_identity_residual,
-    make_system,
-    phi,
-    phi_dot,
-    slow_branches,
-    slow_manifold_table,
-    vector_field,
-)
+from flowcurv import State, jet, lie_residual, make_system, slow_branches, slow_manifold_table
 from flowcurv.curvature import MANIFOLD_CSV_HEADER, format_manifold_csv
 
-from conftest import propagate, sweep_states
+from conftest import jacobian, jacobian_rate, propagate, sweep_states
 
 S_REF = State(0.0, 2.0, 0.65)
 
@@ -60,7 +48,7 @@ class TestFlowDerivatives:
 
     def test_sample_velocity_matches_vector_field(self, vdp):
         j = jet(vdp, S_REF)
-        assert (j.xdot, j.ydot) == vector_field(vdp, S_REF)
+        assert (j.xdot, j.ydot) == ((S_REF.y - vdp.F(S_REF.x)) / vdp.eps, -vdp.g(S_REF.x))
 
     def test_third_derivative_matches_matrix_form(self, both_systems):
         for sys_ in both_systems:
@@ -76,13 +64,13 @@ class TestFlowDerivatives:
 
 class TestPhi:
     def test_reference_point(self, vdp):
-        assert phi(vdp, S_REF) == pytest.approx(40.111111111, rel=1e-9)
+        assert jet(vdp, S_REF).phi == pytest.approx(40.111111111, rel=1e-9)
 
     def test_equilibrium_gives_zero(self, vdp):
-        assert phi(vdp, State(0.0, 0.0, 0.0)) == 0.0
+        assert jet(vdp, State(0.0, 0.0, 0.0)).phi == 0.0
 
     def test_below_manifold_negative(self, vdp):
-        assert phi(vdp, State(0.0, 2.0, 0.6)) == pytest.approx(-78.22222222, rel=1e-9)
+        assert jet(vdp, State(0.0, 2.0, 0.6)).phi == pytest.approx(-78.22222222, rel=1e-9)
 
     def test_determinant_and_expanded_forms_agree(self, both_systems):
         for sys_ in both_systems:
@@ -90,12 +78,12 @@ class TestPhi:
                 xd, yd, xdd, ydd, _, _ = jet_derivatives(sys_, s)
                 determinant = xdd * yd - ydd * xd
                 # phi's expanded form rounds identically: -(-a*b)*b == (a*b)*b
-                assert phi(sys_, s) == determinant
+                assert jet(sys_, s).phi == determinant
 
 
 class TestPhiDot:
     def test_zero_velocity_state(self, vdp):
-        assert phi_dot(vdp, State(0.0, 0.0, 0.0)) == 0.0
+        assert jet(vdp, State(0.0, 0.0, 0.0)).phi_dot == 0.0
 
     @pytest.mark.parametrize(
         "config, state",
@@ -114,8 +102,8 @@ class TestPhiDot:
         h = 1e-6
         x1, y1 = propagate(sys_, s0.x, s0.y, h, n_sub=10)
         x2, y2 = propagate(sys_, x1, y1, h, n_sub=10)
-        fd = (phi(sys_, State(0.0, x2, y2)) - phi(sys_, s0)) / (2 * h)
-        mid = phi_dot(sys_, State(0.0, x1, y1))
+        fd = (jet(sys_, State(0.0, x2, y2)).phi - jet(sys_, s0).phi) / (2 * h)
+        mid = jet(sys_, State(0.0, x1, y1)).phi_dot
         assert fd == pytest.approx(mid, rel=1e-4)
 
     def test_matches_expanded_form(self, both_systems):
@@ -123,24 +111,25 @@ class TestPhiDot:
             for s in sweep_states(300):
                 xd, yd, xdd, ydd, xddd, yddd = jet_derivatives(sys_, s)
                 expanded = xddd * yd + xd * (sys_.gpp(s.x) * xd * xd + sys_.gp(s.x) * xdd)
-                got = phi_dot(sys_, s)
+                got = jet(sys_, s).phi_dot
                 scale = max(1.0, abs(xddd * yd) + abs(yddd * xd))
                 assert got == pytest.approx(expanded, abs=1e-10 * scale)
 
 
 class TestLieIdentity:
     def test_reference_point(self, vdp):
-        r = lie_identity_residual(vdp, S_REF)
-        assert abs(r) <= 1e-9 * max(1.0, abs(phi_dot(vdp, S_REF)))
+        j = jet(vdp, S_REF)
+        assert abs(lie_residual(vdp.eps, j)) <= 1e-9 * max(1.0, abs(j.phi_dot))
 
     def test_equilibrium_exact_zero(self, vdp):
-        assert lie_identity_residual(vdp, State(0.0, 0.0, 0.0)) == 0.0
+        assert lie_residual(vdp.eps, jet(vdp, State(0.0, 0.0, 0.0))) == 0.0
 
     def test_sweep_both_systems(self, both_systems):
         for sys_ in both_systems:
             worst = 0.0
             for s in sweep_states(100):
-                rel = abs(lie_identity_residual(sys_, s)) / max(1.0, abs(phi_dot(sys_, s)))
+                j = jet(sys_, s)
+                rel = abs(lie_residual(sys_.eps, j)) / max(1.0, abs(j.phi_dot))
                 worst = max(worst, rel)
             assert worst <= 1e-9
 
@@ -206,7 +195,7 @@ class TestSlowBranches:
             for br in slow_manifold_table(sys_, 1.4, 2.4, 60):
                 if br.y_slow is None:
                     continue
-                val = sys_.eps**2 * phi(sys_, State(0.0, br.x, br.y_slow))
+                val = sys_.eps**2 * jet(sys_, State(0.0, br.x, br.y_slow)).phi
                 assert abs(val) <= 1e-9 * max(1.0, sys_.eps * sys_.g(br.x) ** 2)
 
     def test_first_order_asymptotics_ratio(self, vdp):

@@ -9,10 +9,8 @@ from flowcurv import (
     extract_vicinity,
     find_limit_cycle,
     integrate,
+    jet,
     make_system,
-    total_energy,
-    energy_rate,
-    vector_field,
 )
 from flowcurv import dynamics
 from flowcurv.dynamics import TRAJECTORY_CSV_HEADER, format_trajectory_csv
@@ -74,7 +72,7 @@ def fd_energy_rate(sys_, s, h=1e-4, n_sub=20):
 
     def e_at(signed_h):
         x, y = propagate(sys_, s.x, s.y, signed_h, n_sub=n_sub)
-        return total_energy(sys_, State(0.0, x, y))
+        return jet(sys_, State(0.0, x, y)).E
 
     return (e_at(-2 * h) - 8 * e_at(-h) + 8 * e_at(h) - e_at(2 * h)) / (12 * h)
 
@@ -104,7 +102,7 @@ class TestIntegrate:
         traj = integrate(vdp, State(0.0, 0.1, 0.1), 6.0, 1e-10)
         checked = 0
         for s in traj.samples[:: len(traj.samples) // 60]:
-            closed = energy_rate(vdp, s)
+            closed = jet(vdp, s).dEdt
             if abs(closed) <= 1e-6:
                 continue
             assert fd_energy_rate(vdp, s) == pytest.approx(closed, rel=1e-3)
@@ -477,9 +475,9 @@ class TestExtractVicinity:
         cyc = find_limit_cycle(vdp, 1.0, 1e-9)
         seg = extract_vicinity(cyc.orbit, vdp, 1.0)
         for s in seg.samples:
-            xd, yd = vector_field(vdp, s)
-            assert xd < 0.0
-            assert yd < 0.0
+            j = jet(vdp, s)
+            assert j.xdot < 0.0
+            assert j.ydot < 0.0
 
     def test_segment_respects_band_and_floor(self, vdp):
         from flowcurv import slow_branches

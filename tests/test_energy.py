@@ -2,19 +2,16 @@ import pytest
 
 from flowcurv import (
     H_polynomial,
-    H_rate,
     Polynomial,
     State,
     appendix_residual,
     classify_case,
     curvature_energy_residual,
-    energy_rate,
     jet,
     make_system,
-    phi,
     relation_rate_residual,
-    total_energy,
 )
+from flowcurv.energy import H_rate, energy_rate, total_energy
 
 from conftest import propagate, sweep_states
 
@@ -30,30 +27,30 @@ def quadratic_potential_system(c1: float, c2: float):
 
 class TestTotalEnergy:
     def test_reference_point(self, vdp):
-        assert total_energy(vdp, S_REF) == pytest.approx(2.0027777778, rel=1e-9)
+        assert jet(vdp, S_REF).E == pytest.approx(2.0027777778, rel=1e-9)
 
     def test_kinetic_term_vanishes_on_critical_manifold(self, vdp):
         for x in (0.5, 1.3, 2.2):
             s = State(0.0, x, vdp.F(x))
-            assert total_energy(vdp, s) == pytest.approx(vdp.G(x), rel=1e-12)
+            assert jet(vdp, s).E == pytest.approx(vdp.G(x), rel=1e-12)
 
     def test_quintic_on_manifold(self):
         sys_ = make_system([0, -1, 0, 1 / 3, 0, 1 / 5], [0, 1, 0, 1 / 3], 0.1)
         s = State(0.0, 1.0, sys_.F(1.0))
-        assert total_energy(sys_, s) == pytest.approx(7 / 12, rel=1e-10)
+        assert jet(sys_, s).E == pytest.approx(7 / 12, rel=1e-10)
 
 
 class TestEnergyRate:
     def test_reference_point(self, vdp):
-        assert energy_rate(vdp, S_REF) == pytest.approx(-1 / 3, rel=1e-9)
+        assert jet(vdp, S_REF).dEdt == pytest.approx(-1 / 3, rel=1e-9)
 
     def test_absorbing_inside_f_negative_strip(self, vdp):
         s = State(0.0, 0.5, vdp.F(0.5) + 0.1)  # |x| < 1, xdot != 0
-        assert energy_rate(vdp, s) > 0.0
+        assert jet(vdp, s).dEdt > 0.0
 
     def test_zero_velocity(self, vdp):
         s = State(0.0, 1.7, vdp.F(1.7))
-        assert energy_rate(vdp, s) == 0.0
+        assert jet(vdp, s).dEdt == 0.0
 
 
 class TestHPolynomial:
@@ -76,20 +73,21 @@ class TestHPolynomial:
 class TestHRate:
     def test_vdp_zero_everywhere(self, vdp):
         for s in sweep_states(50):
-            assert H_rate(vdp, s) == 0.0
+            assert jet(vdp, s).dHdt == 0.0
 
     def test_quintic_reference(self):
         sys_ = make_system([0, -1, 0, 1 / 3, 0, 1 / 5], [0, 1, 0, 1 / 3], 0.1)
         s = State(0.0, 1.0, sys_.F(1.0) - 0.1)  # xdot = -1
-        assert H_rate(sys_, s) == pytest.approx(7 / 3, rel=1e-9)
-        assert H_rate(sys_, s) >= 0.0
+        dHdt = jet(sys_, s).dHdt
+        assert dHdt == pytest.approx(7 / 3, rel=1e-9)
+        assert dHdt >= 0.0
 
     def test_matches_chain_rule_on_H_polynomial(self, llibre_mereu):
         Hp = H_polynomial(llibre_mereu).derivative()
         for s in sweep_states(200):
             xdot = (s.y - llibre_mereu.F(s.x)) / llibre_mereu.eps
             expected = Hp(s.x) * xdot
-            got = H_rate(llibre_mereu, s)
+            got = jet(llibre_mereu, s).dHdt
             assert got == pytest.approx(expected, abs=1e-10 * max(1.0, abs(expected)))
 
     def test_matches_finite_difference_along_flow(self, llibre_mereu):
@@ -99,7 +97,7 @@ class TestHRate:
         x1, y1 = propagate(llibre_mereu, s0.x, s0.y, h, n_sub=10)
         x2, y2 = propagate(llibre_mereu, x1, y1, h, n_sub=10)
         fd = (Hp(x2) - Hp(s0.x)) / (2 * h)
-        assert fd == pytest.approx(H_rate(llibre_mereu, State(0.0, x1, y1)), rel=1e-4)
+        assert fd == pytest.approx(jet(llibre_mereu, State(0.0, x1, y1)).dHdt, rel=1e-4)
 
 
 class TestClassifyCase:
@@ -127,33 +125,35 @@ class TestClassifyCase:
 
 class TestCurvatureEnergyRelation:
     def test_reference_point(self, vdp):
-        r = curvature_energy_residual(vdp, S_REF)
-        assert abs(r) <= 1e-9 * max(1.0, abs(vdp.eps * phi(vdp, S_REF)))
+        j = jet(vdp, S_REF)
+        r = curvature_energy_residual(vdp.eps, j)
+        assert abs(r) <= 1e-9 * max(1.0, abs(vdp.eps * j.phi))
         # both sides independently
-        assert vdp.eps * phi(vdp, S_REF) == pytest.approx(2.0055555556, rel=1e-9)
+        assert vdp.eps * j.phi == pytest.approx(2.0055555556, rel=1e-9)
 
     def test_equilibrium(self, vdp):
-        assert curvature_energy_residual(vdp, State(0.0, 0.0, 0.0)) == 0.0
+        assert curvature_energy_residual(vdp.eps, jet(vdp, State(0.0, 0.0, 0.0))) == 0.0
 
     def test_sweep_both_systems(self, both_systems):
         for sys_ in both_systems:
             for s in sweep_states(1000):
-                r = curvature_energy_residual(sys_, s)
-                assert abs(r) <= 1e-9 * max(1.0, abs(sys_.eps * phi(sys_, s)))
+                j = jet(sys_, s)
+                r = curvature_energy_residual(sys_.eps, j)
+                assert abs(r) <= 1e-9 * max(1.0, abs(sys_.eps * j.phi))
 
 
 class TestRelationRate:
     def test_reference_point_closed_forms(self, vdp):
         s = S_REF
         xdot = (s.y - vdp.F(s.x)) / vdp.eps
-        lhs = 2.0 * vdp.gp(s.x) * energy_rate(vdp, s)  # g'' = 0, dH/dt = 0
+        lhs = 2.0 * vdp.gp(s.x) * jet(vdp, s).dEdt  # g'' = 0, dH/dt = 0
         assert lhs == pytest.approx(-2 / 3, rel=1e-9)
-        assert relation_rate_residual(vdp, s) == pytest.approx(0.0, abs=1e-12)
+        assert relation_rate_residual(vdp.eps, jet(vdp, s)) == pytest.approx(0.0, abs=1e-12)
         assert xdot == pytest.approx(-1 / 3, rel=1e-9)
 
     def test_zero_velocity(self, vdp):
         s = State(0.0, 1.4, vdp.F(1.4))
-        assert relation_rate_residual(vdp, s) == pytest.approx(0.0, abs=1e-13)
+        assert relation_rate_residual(vdp.eps, jet(vdp, s)) == pytest.approx(0.0, abs=1e-13)
 
     def test_sweep_both_systems(self, both_systems):
         for sys_ in both_systems:
@@ -162,13 +162,14 @@ class TestRelationRate:
                 xdot = (s.y - sys_.F(x)) / sys_.eps
                 rhs = (2.0 * sys_.f(x) * xdot * (-sys_.gp(x) * xdot)
                        + sys_.eps * sys_.gpp(x) * xdot**3)
-                r = relation_rate_residual(sys_, s)
+                r = relation_rate_residual(sys_.eps, jet(sys_, s))
                 assert abs(r) <= 1e-9 * max(1.0, abs(rhs))
 
 
 class TestAppendixIdentity:
     def test_reference_point(self, vdp):
-        assert appendix_residual(vdp, S_REF) == pytest.approx(0.0, abs=1e-12)
+        r = appendix_residual(vdp.eps, jet(vdp, S_REF), S_REF.y)
+        assert r == pytest.approx(0.0, abs=1e-12)
         # left side value for the record
         xdot, ydot = (-1 / 3, -2.0)
         assert S_REF.y * ydot + vdp.eps * vdp.g(S_REF.x) * xdot == pytest.approx(
@@ -176,12 +177,12 @@ class TestAppendixIdentity:
         )
 
     def test_equilibrium(self, vdp):
-        assert appendix_residual(vdp, State(0.0, 0.0, 0.0)) == 0.0
+        assert appendix_residual(vdp.eps, jet(vdp, State(0.0, 0.0, 0.0)), 0.0) == 0.0
 
     def test_sweep_both_systems(self, both_systems):
         for sys_ in both_systems:
             for s in sweep_states(1000):
-                r = appendix_residual(sys_, s)
+                r = appendix_residual(sys_.eps, jet(sys_, s), s.y)
                 scale = max(1.0, abs(sys_.F(s.x) * sys_.g(s.x)))
                 assert abs(r) <= 1e-9 * scale
 
@@ -190,12 +191,15 @@ class TestAppendixIdentity:
         # right side is identically zero: the appendix identity itself.
         for sys_ in both_systems:
             for s in sweep_states(300):
-                r = appendix_residual(sys_, s)
-                assert abs(r) <= 1e-10 * max(1.0, abs(total_energy(sys_, s)))
+                j = jet(sys_, s)
+                r = appendix_residual(sys_.eps, j, s.y)
+                assert abs(r) <= 1e-10 * max(1.0, abs(j.E))
 
 
 class TestEnergySample:
     def test_fields_consistent(self, llibre_mereu):
+        # total_energy, energy_rate and H_rate are the point evaluations the
+        # benchmark's tracer counts: each returns its jet field
         j = jet(llibre_mereu, S_REF)
         assert j.E == total_energy(llibre_mereu, S_REF)
         assert j.dEdt == energy_rate(llibre_mereu, S_REF)

@@ -121,9 +121,6 @@ class TestCanonicalForm:
         assert Polynomial().degree is None
         assert Polynomial([0.0, 1e-15]).degree is None
 
-    def test_configurable_snap(self):
-        assert Polynomial([1, 1e-13], zero_snap=1e-12).coeffs == (1.0,)
-
 
 class TestRealRoots:
     def test_f_roots(self):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import flowcurv
 from flowcurv import (State, check_assumptions, classify_case, extract_vicinity,
                       find_limit_cycle, integrate, minorsky_report)
 from flowcurv.cli import ConfigError, RunConfig
@@ -12,8 +13,17 @@ from flowcurv.verify import CheckResult, ConvergenceStudy
 
 from conftest import load_config
 
+# The public API: a name joins or leaves only with an edit here.
+ALL = {
+    "H_polynomial", "IntegrationError", "LienardSystem", "LimitCycle", "Polynomial", "State",
+    "appendix_residual", "check_assumptions", "classify_case", "convergence_study",
+    "curvature_energy_residual", "extract_vicinity", "find_limit_cycle", "integrate", "jet",
+    "lie_residual", "make_system", "minorsky_report", "relation_rate_residual",
+    "slow_branches", "slow_manifold_table",
+}
+
 FIELDS = {
-    "LienardSystem": ("eps", "F", "f", "fp", "g", "G", "gp", "gpp"),
+    "LienardSystem": ("eps", "F", "g", "G"),
     "AssumptionCheck": ("holds", "witness", "detail"),
     "AssumptionReport": ("assumption_I", "assumption_II", "assumption_III", "assumption_IV",
                          "positive_zero_a", "gprime_nonneg"),
@@ -57,11 +67,17 @@ def test_record_fields_are_pinned_and_read_only(records, name):
             setattr(rec, field, getattr(rec, field))
 
 
+def test_public_api_is_pinned():
+    assert len(flowcurv.__all__) == len(ALL) and set(flowcurv.__all__) == ALL
+    assert all(hasattr(flowcurv, name) for name in ALL)
+
+
 def test_system_evaluator_is_read_only_and_replace_revalidates(vdp):
-    with pytest.raises(AttributeError):
-        vdp.values = vdp.values
-    with pytest.raises(AttributeError):
-        del vdp.values
+    for name in ("values", "f", "fp", "gp", "gpp"):
+        with pytest.raises(AttributeError):
+            setattr(vdp, name, getattr(vdp, name))
+        with pytest.raises(AttributeError):
+            delattr(vdp, name)
     faster = vdp._replace(eps=0.1)
     assert faster.eps == 0.1 and faster.F == vdp.F
     assert faster.values is not vdp.values
@@ -72,11 +88,11 @@ def test_system_evaluator_is_read_only_and_replace_revalidates(vdp):
 
 def test_check_result_accumulates():
     r = CheckResult()
-    assert (r.pass_count, r.fail_count, r.boundary_count, r.min_margin) == (0, 0, 0, math.inf)
+    assert (r.pass_count, r.fail_count, r.min_margin) == (0, 0, math.inf)
     r.record(0.5, ok=True)
     r.record(-0.25, ok=False)
-    r.record(1e-12, ok=True, boundary=True)
-    assert (r.pass_count, r.fail_count, r.boundary_count, r.min_margin) == (2, 1, 1, -0.25)
+    r.record(1e-12, ok=True)
+    assert (r.pass_count, r.fail_count, r.min_margin) == (2, 1, -0.25)
 
 
 class TestRunConfig:

@@ -5,18 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcurv import (
-    LienardSystem,
-    Polynomial,
-    State,
-    check_assumptions,
-    jacobian,
-    jacobian_rate,
-    make_system,
-    vector_field,
-)
+from flowcurv import LienardSystem, Polynomial, State, check_assumptions, jet, make_system
 
-from conftest import propagate, system_from_config
+from conftest import jacobian, jacobian_rate, propagate, system_from_config
 
 
 class TestMakeSystem:
@@ -42,12 +33,11 @@ class TestMakeSystem:
         with pytest.raises(ValueError, match="epsilon must be a finite number"):
             make_system([0, -1, 0, 1 / 3], [0, 1], eps)
 
-    def test_inconsistent_fields_rejected(self, vdp):
-        with pytest.raises(ValueError, match="f must equal"):
-            LienardSystem(
-                eps=0.05, F=vdp.F, f=Polynomial([1.0]), fp=vdp.fp,
-                g=vdp.g, G=vdp.G, gp=vdp.gp, gpp=vdp.gpp,
-            )
+    def test_constructor_derives_the_family(self, llibre_mereu):
+        sys_ = LienardSystem(0.05, llibre_mereu.F, llibre_mereu.g, llibre_mereu.G)
+        assert sys_ == llibre_mereu and tuple(sys_) == (0.05, sys_.F, sys_.g, sys_.G)
+        assert sys_.f == sys_.F.derivative() and sys_.fp == sys_.f.derivative()
+        assert sys_.gp == sys_.g.derivative() and sys_.gpp == sys_.gp.derivative()
 
     def test_custom_antiderivative_constant_allowed(self):
         G = Polynomial([0.5, 1.0, 0.5])  # (x + 1)^2 / 2
@@ -61,19 +51,18 @@ class TestMakeSystem:
 
 class TestVectorField:
     def test_point_off_manifold(self, vdp):
-        xd, yd = vector_field(vdp, State(0.0, 2.0, 0.65))
-        assert xd == pytest.approx(-1 / 3, rel=1e-10)
-        assert yd == -2.0
+        j = jet(vdp, State(0.0, 2.0, 0.65))
+        assert j.xdot == pytest.approx(-1 / 3, rel=1e-10)
+        assert j.ydot == -2.0
 
     def test_x_component_vanishes_on_critical_manifold(self, vdp):
         for x in (-2.0, 0.3, 1.7):
-            xd, _ = vector_field(vdp, State(0.0, x, vdp.F(x)))
-            assert abs(xd) <= 1e-13 / vdp.eps
+            assert abs(jet(vdp, State(0.0, x, vdp.F(x))).xdot) <= 1e-13 / vdp.eps
 
     def test_on_axis(self, vdp):
-        xd, yd = vector_field(vdp, State(0.0, 0.0, 1.0))
-        assert xd == pytest.approx(20.0)
-        assert yd == 0.0
+        j = jet(vdp, State(0.0, 0.0, 1.0))
+        assert j.xdot == pytest.approx(20.0)
+        assert j.ydot == 0.0
 
 
 class TestJacobian:

@@ -28,8 +28,7 @@ class TestMinorskyReport:
                 continue
             assert rep.checks[cid].fail_count == 0, cid
             assert rep.checks[cid].min_margin > 0.0 or cid == "PHI_NONNEG"
-        assert rep.checks["PHI_NONNEG"].min_margin > 0.0
-        assert rep.checks["PHI_NONNEG"].boundary_count == 0
+        assert rep.checks["PHI_NONNEG"].min_margin >= 1e-10
         assert rep.checks["EQ56_BOUND"].fail_count == 0
         assert rep.n_points > 20
 
