@@ -21,8 +21,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .curvature import format_manifold_csv, slow_manifold_table
-from .dynamics import (VICINITY_MARGIN, IntegrationError, find_limit_cycle,
-                       format_trajectory_csv, integrate)
+from .dynamics import IntegrationError, find_limit_cycle, format_trajectory_csv, integrate
 from .energy import classify_case
 from .system import State, check_assumptions, make_system
 from .verify import convergence_study, minorsky_report
@@ -273,12 +272,7 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
     cycle = find_limit_cycle(sys_, cfg.y_guess, cfg.tol, integ_tol=cfg.tol)
     if not cycle.converged:
         raise IntegrationError("limit cycle search did not converge")
-    # The default floor sits beyond the zero the assumption check found on
-    # (0, x_max], which may lie outside extract_vicinity's own window.
-    x_min = cfg.x_min
-    if x_min is None:
-        x_min = assumptions.positive_zero_a + VICINITY_MARGIN
-    report = minorsky_report(sys_, cycle, cfg.band, system_name=cfg.name, x_min=x_min)
+    report = minorsky_report(sys_, cycle, cfg.band, system_name=cfg.name, x_min=cfg.x_min)
     doc = report.to_json_dict()
     doc["assumptions"] = _assumptions_dict(assumptions)
     _emit(json.dumps(doc) + "\n", out)

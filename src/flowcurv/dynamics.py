@@ -334,19 +334,22 @@ def extract_vicinity(
 ) -> VicinitySegment:
     """Maximal contiguous run of samples in the slow-branch band.
 
-    A sample qualifies when x >= x_min (default: the positive zero of F
-    plus VICINITY_MARGIN), xdot < 0, the point is not fold-excluded, and
-    |y - y_ref(x)| <= c*eps, where y_ref is the slow branch or, where the
-    branch quadratic has no real root, the critical manifold it degenerates
-    toward.  Raises IntegrationError when no sample qualifies.
+    A sample qualifies when x >= x_min (default: VICINITY_MARGIN beyond
+    the zero a of F in (0, max x of traj], which the cycle crosses),
+    xdot < 0, the point is not fold-excluded, and |y - y_ref(x)| <= c*eps,
+    where y_ref is the slow branch or, where the branch quadratic has no
+    real root, the critical manifold it degenerates toward.  Raises
+    IntegrationError when no sample qualifies, or when the default finds
+    several zeros, or none while F >= 0 at max x.
     """
     if not c > 0:
         raise ValueError("band multiplier c must be positive")
     if x_min is None:
-        zeros = positive_zeros_of_F(sys)
-        if len(zeros) != 1:
+        top = max(s.x for s in traj.samples)
+        zeros = positive_zeros_of_F(sys, top) if top > 0.0 else []
+        if len(zeros) > 1 or (not zeros and top > 0.0 and sys.F(top) >= 0.0):
             raise IntegrationError("cannot locate the positive zero of F")
-        x_min = zeros[0] + VICINITY_MARGIN
+        x_min = zeros[0] + VICINITY_MARGIN if zeros else math.inf  # a lies beyond the orbit
     eps, values = sys.eps, sys.values
     band = c * eps
 

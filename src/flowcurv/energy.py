@@ -55,7 +55,7 @@ def _c1_witness(sys: LienardSystem, x_max: float, case: CaseLabel) -> float | No
     Requires g(0) = 0 (odd g), so that g(x)/x is itself a polynomial whose
     extrema on the window are exact.
     """
-    if sys.g.is_zero or sys.g.coeffs[0] != 0.0:
+    if sys.g.is_zero or sys.g.num[0] != 0:
         return None
     vals = extreme_values(Polynomial(sys.g.coeffs[1:]), 0.0, x_max)
     if case == "CASE1_H_NONNEG":

@@ -1,31 +1,28 @@
-"""Dense real-coefficient polynomials and exact real-root isolation.
+"""Dense polynomials with exact rational coefficients, and exact real-root isolation.
 
-Everything downstream (vector fields, curvature functions, energy balances)
-is built from closed-form polynomial evaluation, so this module keeps exact
-coefficient arithmetic and canonicalizes aggressively: coefficients whose
-magnitude is at or below ``ZERO_SNAP`` are treated as zero, which makes
-exactly-cancelling combinations (e.g. the curvature case function of a
-quadratic potential) come out as the genuine zero polynomial.
+Everything downstream is built from polynomials.  A Polynomial holds its
+coefficients exactly, as integer numerators over one integer denominator,
+and its arithmetic and calculus are exact: a derived polynomial (f = F',
+G = integral of g, H = g**2 - 2*G*g') is the exact one, and one that
+cancels (H of a quadratic potential) is the zero polynomial.  The
+coefficients are rounded to floats once, for evaluation.
 
-Every decision about roots and signs is exact.  A float coefficient is a
-dyadic rational, so scaling p by one power of two gives an integer
-polynomial with p's roots.  Its repeated roots are removed with an integer
-pseudo-remainder gcd against p', the Sturm chain of the square-free part
-counts distinct roots between dyadic points, bisection isolates each root
-in a bracket of its own, and every sign is an integer Horner sum.  Roots
-are then refined by float bisection, trusting a float sign only above its
-Horner error bound, down to adjacent floats: each root comes back as the
-float nearest to it.
+Every decision about roots and signs is exact.  Scaled by its denominator,
+p is an integer polynomial with p's roots.  Its repeated roots are removed
+with an integer pseudo-remainder gcd against p', the Sturm chain of the
+square-free part counts distinct roots between dyadic points, bisection
+isolates each root in a bracket of its own, and every sign is an integer
+Horner sum.  Roots are then refined by float bisection, trusting a float
+sign only above its Horner error bound, down to adjacent floats: each root
+comes back as the float nearest to it.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from itertools import zip_longest
 from typing import NamedTuple
-
-# Snap threshold applied to every coefficient during canonicalization.
-ZERO_SNAP = 1e-14
 
 
 def horner(desc: Sequence[float], x: float) -> float:
@@ -53,60 +50,86 @@ def horner_source(desc: Sequence[str], x: str) -> str:
 
 
 class Polynomial:
-    """Immutable univariate polynomial, coefficients ascending by degree.
+    """Immutable univariate polynomial with exact rational coefficients.
 
-    ``coeffs[k]`` multiplies x**k.  Instances are canonical: trailing
-    (near-)zero coefficients are stripped, so two polynomials are equal
-    iff their coefficient tuples are equal.  The zero polynomial has an
-    empty coefficient tuple and degree ``None``.  ``desc`` holds the same
-    coefficients descending by degree, the order ``horner`` consumes.
+    ``num[k] / den`` is the coefficient of x**k, exactly: ``num`` is a
+    tuple of ints without trailing zeros and ``den`` a positive int, in
+    lowest terms, so two polynomials are equal iff their (num, den) are.
+    ``coeffs`` holds each coefficient rounded to the nearest float,
+    ascending by degree, and ``desc`` the same floats descending, the
+    order ``horner`` consumes.  The zero polynomial has empty tuples and
+    degree ``None``.  Built from numbers, it takes each one's exact value;
+    one that is not finite, or an exact value that overflows a float,
+    raises ValueError.
     """
 
-    __slots__ = ("coeffs", "desc")
+    __slots__ = ("num", "den", "coeffs", "desc")
 
     def __init__(self, coeffs: Iterable[float] = ()):
-        c = [float(v) for v in coeffs]
-        c = [0.0 if abs(v) <= ZERO_SNAP else v for v in c]
-        while c and c[-1] == 0.0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
-        object.__setattr__(self, "desc", tuple(reversed(c)))
+        try:
+            ratios = [float(v).as_integer_ratio() for v in coeffs]
+        except (OverflowError, ValueError):
+            raise ValueError("a Polynomial needs finite coefficients") from None
+        den = max((d for _, d in ratios), default=1)  # powers of two: the lcm
+        self._settle([n * (den // d) for n, d in ratios], den)
+
+    @classmethod
+    def _exact(cls, num: list[int], den: int) -> "Polynomial":
+        """The polynomial sum(num[k] * x**k) / den, for ints num and den > 0."""
+        p = object.__new__(cls)
+        p._settle(num, den)
+        return p
+
+    def _settle(self, num: list[int], den: int) -> None:
+        while num and num[-1] == 0:
+            num.pop()
+        g = math.gcd(den, *num)
+        num, den = tuple(v // g for v in num), den // g
+        try:
+            coeffs = tuple(v / den for v in num)  # int true division rounds correctly
+        except OverflowError:
+            raise ValueError("a Polynomial needs finite coefficients") from None
+        for name, value in (("num", num), ("den", den), ("coeffs", coeffs),
+                            ("desc", coeffs[::-1])):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial (no numeric sentinel)."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.num) - 1 if self.num else None
 
     def __call__(self, x: float) -> float:
-        """Horner evaluation; exact for degree 0."""
+        """Horner evaluation on the float coefficients; exact for degree 0."""
         return horner(self.desc, x)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        return Polynomial._exact([k * v for k, v in enumerate(self.num)][1:], self.den)
 
     def antiderivative(self, c0: float = 0.0) -> "Polynomial":
-        return Polynomial([c0] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
+        m = math.lcm(*range(1, len(self.num) + 1))
+        return Polynomial._exact([0] + [v * (m // (k + 1)) for k, v in enumerate(self.num)],
+                                 self.den * m) + c0
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0.0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0.0] * (n - len(other.coeffs))
-        return Polynomial(x + y for x, y in zip(a, b))
+        return Polynomial._exact(
+            [a * other.den + b * self.den
+             for a, b in zip_longest(self.num, other.num, fillvalue=0)],
+            self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial._exact([-v for v in self.num], self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -118,29 +141,26 @@ class Polynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Polynomial(other * c for c in self.coeffs)
-        if not isinstance(other, Polynomial):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+        out = [0] * max(len(self.num) + len(other.num) - 1, 0)
+        for i, a in enumerate(self.num):
+            for j, b in enumerate(other.num):
                 out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial._exact(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def to_list(self) -> list[float]:
-        """JSON form: plain list of coefficients, ascending degree."""
+        """JSON form: plain list of the float coefficients, ascending degree."""
         return list(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return isinstance(other, Polynomial) and (self.num, self.den) == (other.num, other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
@@ -297,11 +317,7 @@ def _chain(p: Polynomial) -> tuple[list[int], list[int], list[list[int]]]:
     For square-free q, the number of distinct roots in (a, b] is the chain's
     sign changes at a minus those at b (Sturm), at any points a < b.
     """
-    if not all(math.isfinite(v) for v in p.desc):
-        raise ValueError(f"root isolation requires finite coefficients, got {p!r}")
-    ratios = [v.as_integer_ratio() for v in p.desc]
-    e = max(d for _, d in ratios).bit_length() - 1
-    c = _primitive([n << (e - d.bit_length() + 1) for n, d in ratios])
+    c = _primitive(list(reversed(p.num)))
     if len(c) == 1:
         return c, c, [c]
     chain = _sturm(c)
@@ -385,8 +401,8 @@ def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
     entry is the float nearest its root (ties to the lower).
 
     Raises:
-        ValueError: for the zero polynomial, if lo < hi fails or either is
-            not finite, or if a coefficient is not finite.
+        ValueError: for the zero polynomial, or if lo < hi fails or either
+            is not finite.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")

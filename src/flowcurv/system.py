@@ -217,24 +217,11 @@ class AssumptionReport(NamedTuple):
                 and self.assumption_III.holds and self.assumption_IV.holds)
 
 
-def _deflate_origin(p: Polynomial) -> tuple[Polynomial, int]:
-    """Write p = x**m * q with q(0) != 0; returns (q, m)."""
-    c = list(p.coeffs)
-    m = 0
-    while c and c[0] == 0.0:
-        c.pop(0)
-        m += 1
-    return Polynomial(c), m
-
-
 def positive_zeros_of_F(sys: LienardSystem, x_max: float = 10.0) -> list[float]:
     """The zeros of F in (0, x_max]; assumption IV asks for exactly one."""
     if sys.F.is_zero:
         return []
-    Fq, _ = _deflate_origin(sys.F)
-    if Fq.degree == 0:
-        return []
-    return real_roots(Fq, 0.0, x_max)  # Fq(0) != 0: every root is positive
+    return [r for r in real_roots(sys.F, 0.0, x_max) if r > 0.0]
 
 
 def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionReport:
@@ -250,10 +237,10 @@ def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionRepo
 
     # I: f even, g odd, x*g(x) > 0 for x != 0, f(0) < 0.
     problems = []
-    f_even = all(c == 0.0 for k, c in enumerate(f.coeffs) if k % 2 == 1)
+    f_even = not any(f.num[1::2])
     if not f_even:
         problems.append("f has a non-zero odd-degree coefficient (not even)")
-    g_odd = all(c == 0.0 for k, c in enumerate(g.coeffs) if k % 2 == 0)
+    g_odd = not any(g.num[0::2])
     if not (g_odd and not g.is_zero):
         problems.append("g has a non-zero even-degree coefficient (not odd)"
                         if not g.is_zero else "g is identically zero")
@@ -280,7 +267,7 @@ def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionRepo
     # III: F -> +-inf with x  <=>  odd leading degree, positive leading coeff.
     deg = F.degree
     lead = F.coeffs[-1] if not F.is_zero else 0.0
-    ok_III = deg is not None and deg % 2 == 1 and lead > 0.0
+    ok_III = deg is not None and deg % 2 == 1 and F.num[-1] > 0
     rep_III = AssumptionCheck(
         holds=ok_III,
         witness=lead,

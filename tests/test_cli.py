@@ -135,6 +135,17 @@ class TestClassify:
         assert doc["H_coeffs"][4] == pytest.approx(-0.5)
         assert doc["H_coeffs"][6] == pytest.approx(-1 / 18)
 
+    def test_g_with_inexact_antiderivative_coefficient(self, tmp_path, capsys):
+        # G = x**2/2 + (0.21/6) x**6 is not float-exact; g = G' must still hold
+        cfg = tmp_path / "quintic_g.json"
+        cfg.write_text(json.dumps({"name": "quintic_g", "F": [0, -1, 0, 0.3333333333333333],
+                                   "g": [0, 1, 0, 0, 0, 0.21], "eps": 0.05}))
+        assert main(["classify", "--config", str(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["case"] == "CASE2_H_NONPOS"
+        assert doc["H_coeffs"] == pytest.approx([0, 0, 0, 0, 0, 0, -0.7, 0, 0, 0, -0.0294],
+                                                rel=1e-15, abs=0)
+
     def test_mixed_case(self, tmp_path, capsys):
         cfg = tmp_path / "mixed.json"
         cfg.write_text(json.dumps({"name": "mixed", "F": [0, -1, 0, 0.3333333333333333],

@@ -11,6 +11,7 @@ from flowcurv import (
     integrate,
     jet,
     make_system,
+    minorsky_report,
 )
 from flowcurv import dynamics
 from flowcurv.dynamics import TRAJECTORY_CSV_HEADER, format_trajectory_csv
@@ -508,6 +509,17 @@ class TestExtractVicinity:
         monkeypatch.setattr(dynamics, "check_assumptions", forbidden, raising=False)
         assert extract_vicinity(cyc.orbit, sys_, 1.0) == explicit
         assert min(s.x for s in explicit.samples) >= floor
+
+    def test_default_floor_finds_a_zero_beyond_ten(self):
+        # F's positive zero is 8*sqrt(3) = 13.86: the floor comes from the
+        # orbit's own x-range, not from a fixed window
+        sys_ = make_system([0, -1, 0, 1 / 192], [0, 1 / 64], 0.05)
+        cyc = find_limit_cycle(sys_, 1.0, 1e-9, integ_tol=1e-9)
+        report = minorsky_report(sys_, cyc).to_json_dict()
+        fails = {cid: c["fail"] for cid, c in report["checks"].items() if c["fail"]}
+        assert report["n_points"] == 2231 and fails == {"PHIDOT_POS": 29}
+        floor = check_assumptions(sys_, 20.0).positive_zero_a + 0.1
+        assert minorsky_report(sys_, cyc, x_min=floor).to_json_dict() == report
 
     def test_no_single_positive_zero_raises(self):
         no_zero = make_system([0.0, 1.0], [0.0, 1.0], 0.05)  # F = x

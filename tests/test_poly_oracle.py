@@ -1,5 +1,6 @@
 """real_roots and the sign label against sympy's exact root isolation."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -7,15 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowcurv.energy import _sign_on_open_interval
+from flowcurv.energy import H_polynomial, _sign_on_open_interval
 from flowcurv.poly import Polynomial, real_roots
+from flowcurv.system import make_system
+
+from conftest import CONFIGS
 
 sympy = pytest.importorskip("sympy")
 
 
 def _exact(p: Polynomial) -> sympy.Poly:
     x = sympy.Symbol("x")
-    return sympy.Poly([sympy.Rational(*c.as_integer_ratio()) for c in p.desc], x)
+    return sympy.Poly([sympy.Rational(n, p.den) for n in reversed(p.num)], x)
 
 
 def sympy_oracle(p: Polynomial, lo: float, hi: float,
@@ -107,3 +111,31 @@ class TestExactDecisionsAgainstSympy:
         p = Polynomial([-1e-10, 0, 1e300])
         assert (real_roots(p, 1e-300, 1.0)
                 == sympy_oracle(p, 1e-300, 1.0, eps=sympy.Rational(1, 2 ** 1100))[0])
+
+
+# G = integral of g has the coefficient 0.21/6, which is not a float
+QUINTIC_G = {"F": [0, -1, 0, 1 / 3], "g": [0, 1, 0, 0, 0, 0.21]}
+
+
+class TestDerivedPolynomialsAgainstSympy:
+    """f, f', g', g'', G and H are the exact calculus of the float inputs."""
+
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu", "quintic_g"])
+    def test_exact_forms(self, name):
+        cfg = (QUINTIC_G if name == "quintic_g"
+               else json.loads((CONFIGS / f"{name}.json").read_text()))
+        F, g = cfg["F"], cfg["g"]
+        x = sympy.Symbol("x")
+
+        def exact(coeffs):
+            return sum(sympy.Rational(*float(c).as_integer_ratio()) * x ** k
+                       for k, c in enumerate(coeffs))
+
+        Fs, gs = exact(F), exact(g)
+        Gs = sympy.integrate(gs, x)
+        sys_ = make_system(F, g, 0.05)
+        pairs = [(sys_.f, sympy.diff(Fs, x)), (sys_.fp, sympy.diff(Fs, x, 2)),
+                 (sys_.gp, sympy.diff(gs, x)), (sys_.gpp, sympy.diff(gs, x, 2)),
+                 (sys_.G, Gs), (H_polynomial(sys_), gs ** 2 - 2 * Gs * sympy.diff(gs, x))]
+        for got, want in pairs:
+            assert _exact(got).all_coeffs() == sympy.Poly(sympy.expand(want), x).all_coeffs()

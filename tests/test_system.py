@@ -44,6 +44,11 @@ class TestMakeSystem:
         sys_ = make_system([0, -1, 0, 1 / 3], [1, 1], 0.05, G=G)
         assert sys_.G == G
 
+    def test_antiderivative_check_is_exact(self):
+        # 6 * (0.21 / 6) rounds to 0.20999999999999996 in floats
+        sys_ = make_system([0, -1, 0, 1 / 3], [0, 1, 0, 0, 0, 0.21], 0.05)
+        assert sys_.G.derivative() == sys_.g
+
     def test_custom_G_must_match_g(self):
         with pytest.raises(ValueError, match="antiderivative"):
             make_system([0, -1, 0, 1 / 3], [0, 1], 0.05, G=Polynomial([0, 0, 1.0]))
