@@ -232,11 +232,10 @@ def cmd_simulate(cfg: RunConfig, out: str | None) -> int:
     sys_ = make_system(cfg.F, cfg.g, cfg.eps)
     traj = integrate(sys_, State(0.0, cfg.x0, cfg.y0), cfg.t_end, cfg.tol)
     csv = format_trajectory_csv(sys_, traj)
-    last = traj.samples[-1]
     summary = json.dumps({
         "accepted_steps": traj.accepted_steps,
         "rejected_steps": traj.rejected_steps,
-        "final_state": {"t": last.t, "x": last.x, "y": last.y},
+        "final_state": {"t": traj.t[-1], "x": traj.x[-1], "y": traj.y[-1]},
     })
     if out is None:
         _sys.stdout.write(csv)

@@ -1,11 +1,10 @@
 """Adaptive integration, return-map limit-cycle search, vicinity extraction.
 
 The flow is stiff in the classical two-timescale sense but eps stays at
-desk scale (the cycle search is measured to converge down to 5e-5, and
-verify.convergence_study accepts eps >= 1e-4), so an explicit
-Dormand-Prince 5(4) pair with PI step-size control and a hard step cap of
-0.2*eps is both simple and fast enough; no implicit solver or Newton
-iteration is needed.
+desk scale: every integration refuses eps below EPS_FLOOR = 1e-4, so an
+explicit Dormand-Prince 5(4) pair with PI step-size control and a hard
+step cap of 0.2*eps is both simple and fast enough; no implicit solver or
+Newton iteration is needed.
 
 Each system gets one step kernel: the DP5(4) step with every F and g
 evaluation written out as a straight-line Horner expression, generated
@@ -18,18 +17,23 @@ kernel call.  The cycle search integrates each return-map period once:
 the orbit it reports is its converged pass, which starts at the previous
 iterate and ends within the convergence tolerance of the section value.
 Trajectories, cycles and vicinity segments are immutable NamedTuple
-records, like every record in the package.
+records, like every record in the package.  A trajectory keeps its
+samples as three read-only float64 columns, t, x and y (24 bytes a
+sample, where a State tuple of three floats costs about 144): the step
+count grows like 1/eps, and the loop appends plain floats to the
+columns.  Trajectory.samples builds State tuples on demand.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from typing import NamedTuple
 
 from .curvature import slow_branches
 from .poly import horner_source
-from .system import LienardSystem, State, jet, positive_zeros_of_F
+from .system import LienardSystem, State, jet_at, positive_zeros_of_F
 
 # Dormand-Prince 5(4) tableau (autonomous field, so no stage times).  Row i
 # of _DP_A forms stage i + 2 from the slopes k1 ... k(i + 1); its last row is
@@ -67,6 +71,17 @@ _CROSSING_T_TOL = 1e-12
 # Default vicinity floor: this far beyond the positive zero of F.
 VICINITY_MARGIN = 0.1
 
+# Smallest eps any integration accepts.  The step is capped at 0.2*eps and
+# every accepted step is kept, so the work and the memory of a run grow
+# like 1/eps.  Measured with the default tolerances on both bundled
+# configs: the cycle search converges in two passes at every eps from
+# 0.005 down to 5e-5, and convergence_study's branch distance over eps**2
+# stays within 2.5% of its eps = 0.001 value (vdp 1.38-1.40, llibre_mereu
+# 0.307-0.315).  At 1e-4 a pass takes 64,000-82,000 steps and the smallest
+# distance is still 31 times the integration tolerance of 1e-10; at 5e-5
+# it is only 7.7 times.
+EPS_FLOOR = 1e-4
+
 
 class IntegrationError(RuntimeError):
     """Numerical failure: stall, blow-up, missing return, empty vicinity.
@@ -84,12 +99,34 @@ class IntegrationError(RuntimeError):
 
 
 class Trajectory(NamedTuple):
-    """Accepted-step samples with strictly increasing t."""
+    """Accepted-step samples with strictly increasing t, as float64 columns.
 
-    samples: tuple[State, ...]
+    t, x and y are read-only memoryviews of one array("d") each; sample i
+    is (t[i], x[i], y[i]).
+    """
+
+    t: memoryview
+    x: memoryview
+    y: memoryview
     accepted_steps: int
     rejected_steps: int
     tol_used: float
+
+    @classmethod
+    def _of_arrays(cls, t: array, x: array, y: array, accepted_steps: int,
+                   rejected_steps: int, tol_used: float) -> "Trajectory":
+        """The trajectory over these array("d") columns, viewed read-only."""
+        return cls(memoryview(t).toreadonly(), memoryview(x).toreadonly(),
+                   memoryview(y).toreadonly(), accepted_steps, rejected_steps, tol_used)
+
+    def __reduce__(self):
+        # A memoryview does not pickle or deep-copy; the array it views does.
+        return Trajectory._of_arrays, (self.t.obj, self.x.obj, self.y.obj, *self[3:])
+
+    @property
+    def samples(self) -> tuple[State, ...]:
+        """The samples as State tuples, built on each access."""
+        return tuple(map(State, self.t, self.x, self.y))
 
 
 class LimitCycle(NamedTuple):
@@ -187,12 +224,15 @@ def _crossing(kernel, t, x, y, k1x, k1y, h, xn, yn, k7x, k7y) -> State:
 def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None) -> Trajectory:
     """The error-controlled stepping loop shared by integrate and the cycle search.
 
-    Every accepted state is a sample.  With t_end, step to t_end (the
-    last step lands on it exactly).  Without, step until x crosses 0
-    upward with y > 0; the crossing, not the end of its step, is the last
-    sample, and a pass longer than 10 * (1 + 1/eps) raises.  t, x, y, h,
-    the FSAL slopes and the PI controller state live in locals.
+    Every accepted state is a sample, appended to the t, x and y columns.
+    With t_end, step to t_end (the last step lands on it exactly).
+    Without, step until x crosses 0 upward with y > 0; the crossing, not
+    the end of its step, is the last sample, and a pass longer than
+    10 * (1 + 1/eps) raises.  t, x, y, h, the FSAL slopes and the PI
+    controller state live in locals.
     """
+    if sys.eps < EPS_FLOOR:
+        raise ValueError(f"eps below {EPS_FLOOR} is outside the integrator's comfort zone")
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError("tol must lie in [1e-13, 1e-3]")
     if not all(math.isfinite(v) for v in s0):
@@ -210,7 +250,8 @@ def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None
     h = h_max
     err_prev = 1.0
     accepted = rejected = bad = 0
-    samples = [State(t, x, y)]
+    ts, xs, ys = array("d", (t,)), array("d", (x,)), array("d", (y,))
+    t_append, x_append, y_append = ts.append, xs.append, ys.append
     while True:
         hs = h
         capped = False
@@ -219,7 +260,9 @@ def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None
             capped = True
             if hs < _H_MIN:
                 # Remaining span is below timestep resolution: snap.
-                samples.append(State(t_end, x, y))
+                t_append(t_end)
+                x_append(x)
+                y_append(y)
                 break
         if hs < _H_MIN:
             grown = max(abs(x), abs(y)) > _BLOWUP_GROWTH * scale0
@@ -255,18 +298,24 @@ def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None
         h = _H_MIN if h < _H_MIN else h_max if h > h_max else h
         if section:
             if xp < 0.0 <= x and 0.5 * (yp + y) > 0.0:
-                samples.append(_crossing(kernel, tp, xp, yp, kpx, kpy, hs, x, y, kx, ky))
+                cross = _crossing(kernel, tp, xp, yp, kpx, kpy, hs, x, y, kx, ky)
+                t_append(cross.t)
+                x_append(cross.x)
+                y_append(cross.y)
                 break
-            samples.append(State(t, x, y))
+            t_append(t)
+            x_append(x)
+            y_append(y)
             if t - t0 > horizon:
                 raise IntegrationError("no return to the section within the safety horizon",
                                        t=t, x=x, y=y, h=h, accepted=accepted, rejected=rejected)
         else:
-            samples.append(State(t, x, y))
+            t_append(t)
+            x_append(x)
+            y_append(y)
             if not t < t_end:
                 break
-    return Trajectory(samples=tuple(samples), accepted_steps=accepted,
-                      rejected_steps=rejected, tol_used=tol)
+    return Trajectory._of_arrays(ts, xs, ys, accepted, rejected, tol)
 
 
 def integrate(sys: LienardSystem, s0: State, t_end: float, tol: float) -> Trajectory:
@@ -274,7 +323,7 @@ def integrate(sys: LienardSystem, s0: State, t_end: float, tol: float) -> Trajec
 
     Emits a sample at every accepted step (the last lands on t_end
     exactly).  Raises IntegrationError on step-size underflow or
-    non-finite states.
+    non-finite states, and ValueError when eps < EPS_FLOOR.
     """
     if not t_end > s0.t:
         raise ValueError("t_end must exceed the initial time")
@@ -296,7 +345,8 @@ def find_limit_cycle(
     orbit.  It starts at (0, y_k), the previous iterate, and ends on the
     section at t = period with y = section_value = y_{k+1}, so it closes to
     within tol.  Non-convergence returns converged=False with that last
-    pass; a missing return raises IntegrationError.
+    pass; a missing return raises IntegrationError, and eps < EPS_FLOOR
+    raises ValueError.
     """
     if not y_guess > 0:
         raise ValueError("y_guess must be positive")
@@ -309,17 +359,16 @@ def find_limit_cycle(
     converged = False
     for _ in range(max_iter):
         orbit = _march(sys, State(0.0, 0.0, iterates[-1]), integ_tol)
-        cross = orbit.samples[-1]
-        iterates.append(cross.y)
-        if abs(cross.y - iterates[-2]) <= tol:
+        iterates.append(orbit.y[-1])
+        if abs(iterates[-1] - iterates[-2]) <= tol:
             converged = True
             break
 
     return LimitCycle(
-        period=cross.t,
-        section_value=cross.y,
+        period=orbit.t[-1],
+        section_value=iterates[-1],
         orbit=orbit,
-        amplitude_x=max(abs(s.x) for s in orbit.samples),
+        amplitude_x=max(map(abs, orbit.x)),
         converged=converged,
         iterations=len(iterates) - 1,
         iterates=tuple(iterates),
@@ -345,7 +394,7 @@ def extract_vicinity(
     if not c > 0:
         raise ValueError("band multiplier c must be positive")
     if x_min is None:
-        top = max(s.x for s in traj.samples)
+        top = max(traj.x)
         zeros = positive_zeros_of_F(sys, top) if top > 0.0 else []
         if len(zeros) > 1 or (not zeros and top > 0.0 and sys.F(top) >= 0.0):
             raise IntegrationError("cannot locate the positive zero of F")
@@ -353,33 +402,33 @@ def extract_vicinity(
     eps, values = sys.eps, sys.values
     band = c * eps
 
-    def qualifies(s: State) -> bool:
-        if s.x < x_min:
+    def qualifies(x: float, y: float) -> bool:
+        if x < x_min:
             return False
-        Fx = values(s.x)[0]
-        if (s.y - Fx) / eps >= 0.0:
+        Fx = values(x)[0]
+        if (y - Fx) / eps >= 0.0:
             return False
-        br = slow_branches(sys, s.x)
+        br = slow_branches(sys, x)
         if br.fold_excluded:
             return False
         y_ref = br.y_slow if br.y_slow is not None else Fx
-        return abs(s.y - y_ref) <= band
+        return abs(y - y_ref) <= band
 
-    best: list[State] = []
-    run: list[State] = []
-    for s in traj.samples:
-        if qualifies(s):
-            run.append(s)
-        else:
-            if len(run) > len(best):
-                best = run
-            run = []
-    if len(run) > len(best):
-        best = run
-    if not best:
+    # Runs are index ranges [lo, i); the first of the longest wins.
+    best_lo = best_hi = lo = 0
+    for i, (x, y) in enumerate(zip(traj.x, traj.y)):
+        if not qualifies(x, y):
+            if i - lo > best_hi - best_lo:
+                best_lo, best_hi = lo, i
+            lo = i + 1
+    if len(traj.x) - lo > best_hi - best_lo:
+        best_lo, best_hi = lo, len(traj.x)
+    if best_lo == best_hi:
         raise IntegrationError("trajectory does not visit the slow vicinity (integrate longer)")
-    xs = [s.x for s in best]
-    return VicinitySegment(samples=tuple(best), x_range=(min(xs), max(xs)), band_width=band)
+    run = slice(best_lo, best_hi)
+    xs = traj.x[run]
+    return VicinitySegment(samples=tuple(map(State, traj.t[run], xs, traj.y[run])),
+                           x_range=(min(xs), max(xs)), band_width=band)
 
 
 TRAJECTORY_CSV_HEADER = "t,x,y,xdot,ydot,phi,E,dEdt"
@@ -388,10 +437,10 @@ TRAJECTORY_CSV_HEADER = "t,x,y,xdot,ydot,phi,E,dEdt"
 def format_trajectory_csv(sys: LienardSystem, traj: Trajectory) -> str:
     """CSV export with derivative and diagnostic columns computed per sample."""
     lines = [TRAJECTORY_CSV_HEADER]
-    for s in traj.samples:
-        j = jet(sys, s)
+    for t, x, y in zip(traj.t, traj.x, traj.y):
+        j = jet_at(sys, x, y)
         lines.append(
-            f"{s.t!r},{s.x!r},{s.y!r},{j.xdot!r},{j.ydot!r},"
+            f"{t!r},{x!r},{y!r},{j.xdot!r},{j.ydot!r},"
             f"{j.phi!r},{j.E!r},{j.dEdt!r}"
         )
     return "\n".join(lines) + "\n"

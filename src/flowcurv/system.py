@@ -12,11 +12,12 @@ generated once per tuple of coefficient counts and bound to the
 system's coefficients.  Every value is bit-identical to
 ``Polynomial.__call__``.
 
-``jet`` is the one point evaluator.  It calls ``values`` once at a
-state, and every closed form downstream (velocity, curvature, energy,
+``jet_at`` is the one point evaluator.  It calls ``values`` once at a
+point (x, y), and every closed form downstream (velocity, curvature, energy,
 the paper's identities, the sign checks and the CSV columns) is a field
 of the jet or an expression in its fields.  The slow-branch solver reads
-the same evaluator at a bare abscissa.
+the same evaluator at a bare abscissa.  ``jet`` reads a ``State``;
+the trajectory CSV writer calls ``jet_at`` on its float columns.
 
 Every record in the package is a ``typing.NamedTuple``: immutable, with
 its fields in a fixed order, compared and printed by them.
@@ -169,15 +170,20 @@ class Jet(NamedTuple):
 
 
 def jet(sys: LienardSystem, s: State) -> Jet:
-    """Evaluate F, f, f', g, g', g'' and G at s in one evaluator call; derive the jet.
+    """The jet at state s (see jet_at)."""
+    return jet_at(sys, s.x, s.y)
+
+
+def jet_at(sys: LienardSystem, x: float, y: float) -> Jet:
+    """Evaluate F, f, f', g, g', g'' and G at x in one evaluator call; derive the jet at (x, y).
 
     Third derivatives apply the Jacobian J = [[-f/eps, 1/eps], [-g', 0]]
     to the acceleration and add dJ/dt = [[-f'*xdot/eps, 0], [-g''*xdot, 0]]
     applied to the velocity, expanded entrywise.
     """
     eps = sys.eps
-    Fx, fx, fpx, gx, gpx, gppx, Gx = sys.values(s.x)
-    xdot = (s.y - Fx) / eps
+    Fx, fx, fpx, gx, gpx, gppx, Gx = sys.values(x)
+    xdot = (y - Fx) / eps
     ydot = -gx
     xddot = (ydot - fx * xdot) / eps
     yddot = -gpx * xdot

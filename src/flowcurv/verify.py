@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .curvature import lie_residual, slow_branches
-from .dynamics import IntegrationError, LimitCycle, extract_vicinity, find_limit_cycle
+from .dynamics import EPS_FLOOR, IntegrationError, LimitCycle, extract_vicinity, find_limit_cycle
 from .energy import relation_rate
 from .system import LienardSystem, State, jet
 
@@ -44,16 +44,6 @@ LIE_RESIDUAL_TOL = 1e-8
 
 # Equally spaced probe abscissas per eps in convergence_study.
 N_PROBE = 25
-
-# Smallest eps convergence_study accepts.  Measured with its default
-# tolerances on both bundled configs: the cycle search converges in two
-# passes at every eps from 0.005 down to 5e-5, and the branch distance
-# over eps**2 stays within 2.5% of its eps = 0.001 value (vdp 1.38-1.40,
-# llibre_mereu 0.307-0.315).  At 1e-4 a pass takes 64,000-82,000 steps
-# and the smallest distance is still 31 times the integration tolerance
-# of 1e-10; at 5e-5 it is only 7.7 times.
-EPS_FLOOR = 1e-4
-
 
 class CheckResult:
     """One check's running pass/fail counts and smallest margin."""
@@ -185,25 +175,24 @@ def _descent_ys(traj, probes: "list[float]") -> "list[float | None]":
     """
     ys: "list[float | None]" = [None] * len(probes)
     left = len(probes)
-    it = iter(traj.samples)
-    s0 = next(it)
-    for s1 in it:
-        if s1.x < s0.x:
-            for i in range(bisect_left(probes, s1.x), bisect_right(probes, s0.x)):
+    it = zip(traj.x, traj.y)
+    x0, y0 = next(it)
+    for x1, y1 in it:
+        if x1 < x0:
+            for i in range(bisect_left(probes, x1), bisect_right(probes, x0)):
                 if ys[i] is None:
-                    w = (probes[i] - s1.x) / (s0.x - s1.x)
-                    ys[i] = s1.y + w * (s0.y - s1.y)
+                    w = (probes[i] - x1) / (x0 - x1)
+                    ys[i] = y1 + w * (y0 - y1)
                     left -= 1
             if not left:
                 break
-        s0 = s1
+        x0, y0 = x1, y1
     return ys
 
 
 def _descent_x_range(traj) -> tuple[float, float]:
     """The x-range the orbit covers while x decreases."""
-    xs = [x for s0, s1 in zip(traj.samples[:-1], traj.samples[1:]) if s1.x < s0.x
-          for x in (s0.x, s1.x)]
+    xs = [x for x0, x1 in zip(traj.x[:-1], traj.x[1:]) if x1 < x0 for x in (x0, x1)]
     return min(xs), max(xs)
 
 

@@ -120,6 +120,19 @@ class TestVerify:
         assert rc_hand == 1 and json.loads(capsys.readouterr().out) == doc
 
 
+class TestEpsFloor:
+    # Below the floor an integration would keep about 1/eps samples and run
+    # for hours; the commands that integrate refuse it as a config error.
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_integrating_commands_exit_2(self, command, capsys):
+        assert main([command, "--config", VDP, "--eps", "1e-9", "--t-end", "1"]) == 2
+        assert "eps below 0.0001" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["manifold", "classify"])
+    def test_commands_without_integration_still_run(self, command, capsys):
+        assert main([command, "--config", VDP, "--eps", "1e-9"]) == 0
+
+
 class TestClassify:
     def test_vdp_case1(self, capsys):
         assert main(["classify", "--config", VDP]) == 0

@@ -1,4 +1,8 @@
+import copy
+import hashlib
 import math
+import pickle
+import tracemalloc
 
 import pytest
 
@@ -120,6 +124,11 @@ class TestIntegrate:
         assert traj.accepted_steps == len(traj.samples) - 1
         assert traj.rejected_steps >= 0
         assert traj.tol_used == 1e-9
+
+    def test_eps_below_floor_rejected(self, vdp):
+        tiny = vdp._replace(eps=1e-9)
+        with pytest.raises(ValueError, match=f"eps below {dynamics.EPS_FLOOR}"):
+            integrate(tiny, State(0.0, 0.1, 0.1), 1.0, 1e-9)
 
 
 class TestIntegratorOrder:
@@ -250,6 +259,85 @@ class TestFindLimitCycle:
     def test_zero_max_iter_rejected(self, vdp):
         with pytest.raises(ValueError, match="max_iter"):
             find_limit_cycle(vdp, 1.0, 1e-8, max_iter=0)
+
+    def test_eps_below_floor_rejected(self, vdp):
+        with pytest.raises(ValueError, match=f"eps below {dynamics.EPS_FLOOR}"):
+            find_limit_cycle(vdp._replace(eps=1e-9), 1.0, 1e-8)
+
+
+def sample_digest(traj) -> str:
+    """SHA-256 over float.hex of every (t, x, y), then the step counts."""
+    h = hashlib.sha256()
+    for t, x, y in zip(traj.t, traj.x, traj.y):
+        h.update(f"{t.hex()},{x.hex()},{y.hex()}\n".encode())
+    h.update(f"{traj.accepted_steps},{traj.rejected_steps}".encode())
+    return h.hexdigest()
+
+
+# Degree-9 F with a cubic g, for the sample pin.
+PIN_DEG9 = ([0, -1, 0, 0.2, 0, 0.1, 0, 0.05, 0, 0.01], [0, 1, 0, 0.3])
+# sample_digest of find_limit_cycle(sys, 1.0, 1e-9, integ_tol=1e-9).orbit
+CYCLE_PINS = {
+    ("vdp", 0.1): "9171f5d37f8613eedfd7180ecb1fd0d72ab97a32ab1dc2ed556598d1a6c29e7d",
+    ("vdp", 0.005): "fbe2db0969af34d6ab4a717b41f28ec0e1741c862496b64e757880b55f51910d",
+    ("llibre_mereu", 0.1): "c326c3e48364af7cde5f3cfe064366d7bf11034c943f1b6c6f7711b3376f2dcd",
+    ("llibre_mereu", 0.005): "0bc4a7967c16ec5a82e47c723c2bf02a797bc2c781d90959437f868477ed6f66",
+    ("deg9", 0.1): "791df354f3d1fc1fc81ad496bf5e2dd607f1b077886fc3f0c3027293abc2b868",
+    ("deg9", 0.005): "02dc94b2c83346c64900100511ed13c190e56b130aa905048f2bf4f2590d8f28",
+}
+# sample_digest of integrate(sys at eps 0.05, State(0.0, 0.1, 0.1), 20.0, 1e-9)
+INTEGRATE_PINS = {
+    "vdp": "23cfe952d28d47d5d6d4a3f91033ff675c8bd1e4cec3f349baea3757a9129e88",
+    "llibre_mereu": "0aa3b9a0c582ba11dfbcfc844ff34b7dc3833549f52934c9941c3ce07f490450",
+}
+
+
+class TestSamplePin:
+    """Every sample and step count, bit for bit, as the integrator produced them
+    when trajectories became columns.  A change to the step, the controller
+    or the crossing shows here first; one that is meant must restate these."""
+
+    @pytest.mark.parametrize("name, eps", list(CYCLE_PINS))
+    def test_cycle_samples(self, name, eps):
+        sys_ = make_system(*PIN_DEG9, eps) if name == "deg9" else system_from_config(name, eps=eps)
+        cyc = find_limit_cycle(sys_, 1.0, 1e-9, integ_tol=1e-9)
+        assert sample_digest(cyc.orbit) == CYCLE_PINS[name, eps]
+
+    @pytest.mark.parametrize("name", list(INTEGRATE_PINS))
+    def test_integrate_samples(self, name):
+        traj = integrate(system_from_config(name, eps=0.05), State(0.0, 0.1, 0.1), 20.0, 1e-9)
+        assert sample_digest(traj) == INTEGRATE_PINS[name]
+
+
+class TestTrajectoryColumns:
+    def test_columns_are_read_only_float64(self, vdp):
+        traj = integrate(vdp, State(0.0, 0.1, 0.1), 2.0, 1e-9)
+        assert len(traj.t) == len(traj.x) == len(traj.y) == traj.accepted_steps + 1
+        for col in (traj.t, traj.x, traj.y):
+            assert col.format == "d" and col.readonly
+            assert col.nbytes == 8 * len(col)
+            with pytest.raises(TypeError):
+                col[0] = 0.0
+
+    def test_cycle_pickles_and_deep_copies(self, vdp):
+        cyc = find_limit_cycle(vdp, 1.0, 1e-8)
+        for twin in (pickle.loads(pickle.dumps(cyc)), copy.deepcopy(cyc)):
+            assert twin == cyc
+            assert twin.orbit.x.readonly and twin.orbit.x.obj is not cyc.orbit.x.obj
+
+    def test_cycle_retains_under_40_bytes_a_sample(self):
+        sys_ = system_from_config("vdp", eps=0.005)
+        find_limit_cycle(sys_, 1.0, 1e-9)  # warm-up: the kernel compile is cached
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cyc = find_limit_cycle(sys_, 1.0, 1e-9)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n = len(cyc.orbit.t)
+        assert n > 1900
+        assert retained <= 40 * n
 
 
 def _counting_crossings(monkeypatch) -> list[int]:

@@ -2,6 +2,7 @@
 reads against Polynomial.__call__, and the work both do per point."""
 
 import math
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -114,7 +115,7 @@ def test_check_sample_evaluates_seven_polynomials(monkeypatch):
 def test_csv_row_evaluates_seven_polynomials(monkeypatch):
     sys_ = system_from_config("llibre_mereu")
     samples = tuple(State(0.1 * i, 1.5 - 0.01 * i, -0.2) for i in range(10))
-    traj = Trajectory(samples=samples, accepted_steps=9, rejected_steps=0, tol_used=1e-9)
+    traj = Trajectory._of_arrays(*(array("d", col) for col in zip(*samples)), 9, 0, 1e-9)
     calls = count_evaluations(monkeypatch)
     values_calls = count_evaluator_calls(sys_)
     text = format_trajectory_csv(sys_, traj)

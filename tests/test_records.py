@@ -27,7 +27,7 @@ FIELDS = {
     "AssumptionCheck": ("holds", "witness", "detail"),
     "AssumptionReport": ("assumption_I", "assumption_II", "assumption_III", "assumption_IV",
                          "positive_zero_a", "gprime_nonneg"),
-    "Trajectory": ("samples", "accepted_steps", "rejected_steps", "tol_used"),
+    "Trajectory": ("t", "x", "y", "accepted_steps", "rejected_steps", "tol_used"),
     "LimitCycle": ("period", "section_value", "orbit", "amplitude_x", "converged",
                    "iterations", "iterates"),
     "VicinitySegment": ("samples", "x_range", "band_width"),

@@ -108,13 +108,15 @@ class TestDescentInterpolation:
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_first_descending_step_wins_and_misses_stay_none(self):
-        from flowcurv import State
+        from array import array
+
         from flowcurv.dynamics import Trajectory
 
         # Two descents over x in [0, 2]; a probe on a sample takes the
         # earlier step's endpoint; 3.0 lies on no descending step.
-        xs_ys = [(2.0, 0.0), (1.0, 1.0), (0.0, 2.0), (2.0, 5.0), (0.0, 9.0)]
-        traj = Trajectory(tuple(State(float(i), x, y) for i, (x, y) in enumerate(xs_ys)), 4, 0, 1e-9)
+        xs = array("d", [2.0, 1.0, 0.0, 2.0, 0.0])
+        ys = array("d", [0.0, 1.0, 2.0, 5.0, 9.0])
+        traj = Trajectory._of_arrays(array("d", range(len(xs))), xs, ys, 4, 0, 1e-9)
         probes = [0.5, 1.0, 1.5, 3.0]
         assert _descent_ys(traj, probes) == [1.5, 1.0, 0.5, None]
         assert [rescan_descent_y_at(traj, px) for px in probes] == [1.5, 1.0, 0.5, None]
