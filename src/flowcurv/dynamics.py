@@ -6,14 +6,18 @@ explicit Dormand-Prince 5(4) pair with PI step-size control and a hard
 step cap of 0.2*eps is both simple and fast enough; no implicit solver or
 Newton iteration is needed.
 
-Each system gets one step kernel: the DP5(4) step with every F and g
-evaluation written out as a straight-line Horner expression, generated
-once per pair of coefficient counts and bound to the system's
-coefficients, so a stage makes no call and runs no loop.  One stepping
-loop, `_march`, serves both `integrate` and the cycle search.  A section
-crossing is located on the crossing step's 4th-order dense output
-(Hairer, Norsett & Wanner, Solving ODEs I, II.6), which costs one more
-kernel call.  The cycle search integrates each return-map period once:
+Each system gets one march kernel: the whole stepping loop of `_march`
+in one generated function, which `integrate` and the cycle search both
+call once per pass.  Its six DP5(4) stages are straight-line code, every
+F and g evaluation a Horner expression without its zero terms; the PI
+controller, the blow-up tests and the column appends run in the same
+frame, so a step calls nothing but sqrt and the appends.  It is generated once
+per zero pattern of the F and g coefficients and per mode (stop at
+t_end, or at a section crossing), and bound to the system's
+coefficients.  A section crossing is located on the crossing step's
+4th-order dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6),
+whose coefficients come from the stage slopes already in the frame.
+The cycle search integrates each return-map period once:
 the orbit it reports is its converged pass, which starts at the previous
 iterate and ends within the convergence tolerance of the section value.
 Trajectories, cycles and vicinity segments are immutable NamedTuple
@@ -32,7 +36,7 @@ from array import array
 from typing import NamedTuple
 
 from .curvature import slow_branches
-from .poly import horner_source
+from .poly import coefficient_names, compile_factory, horner_source
 from .system import LienardSystem, State, jet_at, positive_zeros_of_F
 
 # Dormand-Prince 5(4) tableau (autonomous field, so no stage times).  Row i
@@ -156,39 +160,136 @@ def _weighted(row: "tuple[float, ...]", c: str) -> str:
 
 
 @functools.cache
-def _kernel_factory(n_F: int, n_g: int):
-    """Compile the step-kernel factory for F and g with these coefficient counts.
+def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]",
+                    section: bool):
+    """Compile the march-kernel factory for F and g with these zero patterns.
 
-    factory(F coefficients..., g coefficients..., eps), coefficients
-    descending by degree, returns step(x, y, h, k1x, k1y, dense=False).
-    The step returns (xn, yn, ex, ey, k7x, k7y): the 5th-order state, the
-    error estimate and the slope at the new state.  With dense=True it
-    returns the x and y dense-output coefficients h * sum(d_i * k_i)
-    instead.  Every stage evaluates F and g as horner does, so a step is
-    bit-identical to one through Polynomial.__call__.
+    A pattern tells, per coefficient descending by degree, whether it is
+    nonzero.  factory(nonzero F coefficients..., nonzero g coefficients...,
+    eps) returns march(t, x, y, k1x, k1y, h_max, tol, stop, t_append,
+    x_append, y_append): the whole error-controlled loop of _march in one
+    frame.  It steps from (t, x, y) with slope (k1x, k1y) and step cap
+    h_max, hands every accepted state to the appends, and returns the
+    accepted and rejected step counts.  With section=False, stop is t_end;
+    with section=True, stop is the horizon, and the loop ends on the
+    upward x = 0 crossing, located on the crossing step's dense output,
+    whose coefficients it forms from the stage slopes in hand.  Every
+    stage evaluates F and g as horner does, so a step is bit-identical to
+    one through Polynomial.__call__.
     """
-    F = [f"F{i}" for i in range(n_F)]
-    g = [f"g{i}" for i in range(n_g)]
-    lines = [f"def factory({', '.join(F + g + ['eps'])}):",
-             "    def step(x, y, h, k1x, k1y, dense=False):"]
+    F, g = coefficient_names(F_pattern, "F"), coefficient_names(g_pattern, "g")
+    stages = []
     for i, row in enumerate(_DP_A, 2):
         xs, ys = ("xn", "yn") if i == 7 else (f"x{i}", f"y{i}")
-        lines += [f"        {xs} = x + {_weighted(row, 'x')}",
-                  f"        {ys} = y + {_weighted(row, 'y')}",
-                  f"        k{i}x = ({ys} - {horner_source(F, xs)}) / eps",
-                  f"        k{i}y = -{horner_source(g, xs)}"]
-    lines += ["        if dense:",
-              f"            return {_weighted(_DP_D, 'x')}, {_weighted(_DP_D, 'y')}",
-              f"        return xn, yn, {_weighted(_DP_E, 'x')}, {_weighted(_DP_E, 'y')}, k7x, k7y",
-              "    return step"]
-    namespace: dict = {}
-    exec(compile("\n".join(lines), f"<dp5 kernel F{n_F} g{n_g}>", "exec"), namespace)
-    return namespace["factory"]
+        stages += [f"{xs} = x + {_weighted(row, 'x')}",
+                   f"{ys} = y + {_weighted(row, 'y')}",
+                   f"k{i}x = ({ys} - {horner_source(F, xs)}) / eps",
+                   f"k{i}y = -{horner_source(g, xs)}"]
+    stages += [f"ex = {_weighted(_DP_E, 'x')}", f"ey = {_weighted(_DP_E, 'y')}"]
+    fail = "t=t, x=x, y=y, h=h, accepted=accepted, rejected=rejected"
+    lines = [
+        "def march(t, x, y, k1x, k1y, h_max, tol, stop, t_append, x_append, y_append):",
+        "    t0, x0, y0 = t, x, y",
+        "    hp = h_max",
+        "    err_prev = 1.0",
+        "    accepted = rejected = bad = 0",
+        "    while True:",
+        "        h = hp",
+    ]
+    if not section:
+        lines += [
+            "        capped = t + h >= stop",
+            "        if capped:",
+            "            h = stop - t",
+            f"            if h < {_H_MIN!r}:",
+            "                # Remaining span is below timestep resolution: snap.",
+            "                t_append(stop)",
+            "                x_append(x)",
+            "                y_append(y)",
+            "                return accepted, rejected",
+        ]
+    lines += [
+        f"        if h < {_H_MIN!r}:",
+        "            raise _underflow(bad, x0, y0, t, x, y, h, accepted, rejected)",
+        *(f"        {line}" for line in stages),
+        # v - v == 0.0 holds exactly for finite v.  Below, abs and the
+        # clamps are conditionals, not calls, and the constants literals:
+        # this runs per step.
+        "        if not (xn - xn == 0.0 and yn - yn == 0.0 and ex - ex == 0.0 and ey - ey == 0.0):",
+        "            bad += 1",
+        "            rejected += 1",
+        "            if bad > 30:",
+        f"                raise IntegrationError('blow-up', {fail})",
+        "            hp = h * 0.2",
+        f"            hp = {_H_MIN * 0.5!r} if hp < {_H_MIN * 0.5!r} else hp",
+        "            continue",
+        "        try:",
+        "            err = sqrt(0.5 * ((ex / (tol * (1.0 + (x if x >= 0.0 else -x)))) ** 2"
+        " + (ey / (tol * (1.0 + (y if y >= 0.0 else -y)))) ** 2))",
+        "        except OverflowError:",
+        f"            raise IntegrationError('blow-up', {fail}) from None",
+        "        e = 1e-10 if err < 1e-10 else err",
+        "        if err > 1.0:",
+        "            rejected += 1",
+        f"            fac = {_SAFETY!r} * e ** {-_ALPHA!r}",
+        "            hp = h * (0.2 if fac < 0.2 else 1.0 if fac > 1.0 else fac)",
+        "            continue",
+        "        bad = 0",
+        "        accepted += 1",
+        "        tn = " + ("t + h" if section else "stop if capped else t + h"),
+        f"        if xn > {_BLOWUP_LIMIT!r} or xn < {-_BLOWUP_LIMIT!r}"
+        f" or yn > {_BLOWUP_LIMIT!r} or yn < {-_BLOWUP_LIMIT!r}:",
+        "            raise IntegrationError('blow-up', t=tn, x=xn, y=yn, h=h,"
+        " accepted=accepted, rejected=rejected)",
+        f"        fac = {_SAFETY!r} * e ** {-_ALPHA!r} * err_prev ** {_BETA!r}",
+        "        err_prev = e",
+        "        hp = h * (0.2 if fac <= 0.2 else 5.0 if fac >= 5.0 else fac)",
+        f"        hp = {_H_MIN!r} if hp < {_H_MIN!r} else h_max if hp > h_max else hp",
+    ]
+    if section:
+        lines += [
+            "        if x < 0.0 <= xn and 0.5 * (y + yn) > 0.0:",
+            f"            tc, xc, yc = _crossing(t, h, x, y, k1x, k1y, xn, yn, k7x, k7y,"
+            f" {_weighted(_DP_D, 'x')}, {_weighted(_DP_D, 'y')})",
+            "            t_append(tc)",
+            "            x_append(xc)",
+            "            y_append(yc)",
+            "            return accepted, rejected",
+        ]
+    lines += [
+        "        t = tn",
+        "        x = xn",
+        "        y = yn",
+        "        k1x = k7x",
+        "        k1y = k7y",
+        "        t_append(t)",
+        "        x_append(x)",
+        "        y_append(y)",
+    ]
+    if section:
+        lines += [
+            "        if t - t0 > stop:",
+            "            raise IntegrationError('no return to the section within the safety horizon',",
+            "                                   t=t, x=x, y=y, h=hp, accepted=accepted, rejected=rejected)",
+        ]
+    else:
+        lines += [
+            "        if not t < stop:",
+            "            return accepted, rejected",
+        ]
+    return compile_factory(
+        [c for c in F + g if c] + ["eps"],
+        [f"    {line}" for line in lines] + ["    return march"],
+        f"dp5 march F{len(F_pattern)} g{len(g_pattern)} {'section' if section else 't_end'}",
+        {"sqrt": math.sqrt, "IntegrationError": IntegrationError,
+         "_underflow": _underflow, "_crossing": _crossing})
 
 
-def _step_kernel(sys: LienardSystem):
-    """The DP5(4) step of this system's field (see _kernel_factory)."""
-    return _kernel_factory(len(sys.F.desc), len(sys.g.desc))(*sys.F.desc, *sys.g.desc, sys.eps)
+def _underflow(bad, x0, y0, t, x, y, h, accepted, rejected) -> IntegrationError:
+    """The error for a step size below _H_MIN: a blow-up or a stall."""
+    grown = max(abs(x), abs(y)) > _BLOWUP_GROWTH * max(1.0, abs(x0), abs(y0))
+    return IntegrationError("blow-up" if bad or grown else "integration stalled (stiffness)",
+                            t=t, x=x, y=y, h=h, accepted=accepted, rejected=rejected)
 
 
 def _dense(c: "tuple[float, float, float, float, float]", th: float) -> float:
@@ -197,14 +298,14 @@ def _dense(c: "tuple[float, float, float, float, float]", th: float) -> float:
     return c[0] + th * (c[1] + th1 * (c[2] + th * (c[3] + th1 * c[4])))
 
 
-def _crossing(kernel, t, x, y, k1x, k1y, h, xn, yn, k7x, k7y) -> State:
-    """Upward x = 0 crossing inside the accepted step of length h from (t, x, y).
+def _crossing(t, h, x, y, k1x, k1y, xn, yn, k7x, k7y, dx, dy) -> "tuple[float, float, float]":
+    """(t, x, y) of the upward x = 0 crossing inside the accepted step of length h.
 
-    One dense-mode kernel call completes the step's interpolant; the
-    crossing time is bisected on it to _CROSSING_T_TOL, keeping the
-    x >= 0 side.
+    The step goes from (t, x, y) with slope (k1x, k1y) to (xn, yn) with
+    slope (k7x, k7y); dx and dy are the last dense-output coefficients
+    h * sum(d_i * k_i).  The crossing time is bisected on the step's
+    interpolant to _CROSSING_T_TOL, keeping the x >= 0 side.
     """
-    dx, dy = kernel(x, y, h, k1x, k1y, True)
     cs = []
     for v0, v1, k1, k7, d in ((x, xn, k1x, k7x, dx), (y, yn, k1y, k7y, dy)):
         diff = v1 - v0
@@ -218,7 +319,14 @@ def _crossing(kernel, t, x, y, k1x, k1y, h, xn, yn, k7x, k7y) -> State:
             lo = mid
         else:
             hi = mid
-    return State(t + hi * h, _dense(cx, hi), _dense(cy, hi))
+    return t + hi * h, _dense(cx, hi), _dense(cy, hi)
+
+
+def _kernel(sys: LienardSystem, section: bool):
+    """This system's march kernel (see _kernel_factory)."""
+    F, g = sys.F.desc, sys.g.desc
+    factory = _kernel_factory(tuple(map(bool, F)), tuple(map(bool, g)), section)
+    return factory(*filter(None, F), *filter(None, g), sys.eps)
 
 
 def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None) -> Trajectory:
@@ -228,8 +336,8 @@ def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None
     With t_end, step to t_end (the last step lands on it exactly).
     Without, step until x crosses 0 upward with y > 0; the crossing, not
     the end of its step, is the last sample, and a pass longer than
-    10 * (1 + 1/eps) raises.  t, x, y, h, the FSAL slopes and the PI
-    controller state live in locals.
+    10 * (1 + 1/eps) raises.  The loop itself is one call of the system's
+    march kernel.
     """
     if sys.eps < EPS_FLOOR:
         raise ValueError(f"eps below {EPS_FLOOR} is outside the integrator's comfort zone")
@@ -237,84 +345,13 @@ def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None
         raise ValueError("tol must lie in [1e-13, 1e-3]")
     if not all(math.isfinite(v) for v in s0):
         raise ValueError("initial state must be finite")
-    kernel = _step_kernel(sys)
-    isfinite, sqrt = math.isfinite, math.sqrt
     section = t_end is None
     eps = sys.eps
-    horizon = 10.0 * (1.0 + 1.0 / eps)
-    t0 = t = s0.t
-    x, y = s0.x, s0.y
-    scale0 = max(1.0, abs(x), abs(y))
-    kx, ky = (y - sys.F(x)) / eps, -sys.g(x)
-    h_max = _STEP_CAP_FACTOR * eps
-    h = h_max
-    err_prev = 1.0
-    accepted = rejected = bad = 0
+    t, x, y = s0
     ts, xs, ys = array("d", (t,)), array("d", (x,)), array("d", (y,))
-    t_append, x_append, y_append = ts.append, xs.append, ys.append
-    while True:
-        hs = h
-        capped = False
-        if not section and t + hs >= t_end:
-            hs = t_end - t
-            capped = True
-            if hs < _H_MIN:
-                # Remaining span is below timestep resolution: snap.
-                t_append(t_end)
-                x_append(x)
-                y_append(y)
-                break
-        if hs < _H_MIN:
-            grown = max(abs(x), abs(y)) > _BLOWUP_GROWTH * scale0
-            raise IntegrationError("blow-up" if bad or grown else "integration stalled (stiffness)",
-                                   t=t, x=x, y=y, h=hs, accepted=accepted, rejected=rejected)
-        xn, yn, ex, ey, k7x, k7y = kernel(x, y, hs, kx, ky)
-        if not (isfinite(xn) and isfinite(yn) and isfinite(ex) and isfinite(ey)):
-            bad += 1
-            rejected += 1
-            if bad > 30:
-                raise IntegrationError("blow-up", t=t, x=x, y=y, h=hs,
-                                       accepted=accepted, rejected=rejected)
-            h = max(hs * 0.2, _H_MIN * 0.5)
-            continue
-        err = sqrt(0.5 * ((ex / (tol * (1.0 + abs(x)))) ** 2 + (ey / (tol * (1.0 + abs(y)))) ** 2))
-        # Clamps below are conditionals, not min/max calls: this runs per step.
-        e = 1e-10 if err < 1e-10 else err
-        if err > 1.0:
-            rejected += 1
-            h = hs * min(1.0, max(0.2, _SAFETY * e ** (-_ALPHA)))
-            continue
-        bad = 0
-        accepted += 1
-        tp, xp, yp, kpx, kpy = t, x, y, kx, ky
-        t = t_end if capped else t + hs
-        x, y, kx, ky = xn, yn, k7x, k7y
-        if abs(xn) > _BLOWUP_LIMIT or abs(yn) > _BLOWUP_LIMIT:
-            raise IntegrationError("blow-up", t=t, x=x, y=y, h=hs,
-                                   accepted=accepted, rejected=rejected)
-        fac = _SAFETY * e ** (-_ALPHA) * err_prev ** _BETA
-        err_prev = e
-        h = hs * (0.2 if fac <= 0.2 else 5.0 if fac >= 5.0 else fac)
-        h = _H_MIN if h < _H_MIN else h_max if h > h_max else h
-        if section:
-            if xp < 0.0 <= x and 0.5 * (yp + y) > 0.0:
-                cross = _crossing(kernel, tp, xp, yp, kpx, kpy, hs, x, y, kx, ky)
-                t_append(cross.t)
-                x_append(cross.x)
-                y_append(cross.y)
-                break
-            t_append(t)
-            x_append(x)
-            y_append(y)
-            if t - t0 > horizon:
-                raise IntegrationError("no return to the section within the safety horizon",
-                                       t=t, x=x, y=y, h=h, accepted=accepted, rejected=rejected)
-        else:
-            t_append(t)
-            x_append(x)
-            y_append(y)
-            if not t < t_end:
-                break
+    accepted, rejected = _kernel(sys, section)(
+        t, x, y, (y - sys.F(x)) / eps, -sys.g(x), _STEP_CAP_FACTOR * eps, tol,
+        10.0 * (1.0 + 1.0 / eps) if section else t_end, ts.append, xs.append, ys.append)
     return Trajectory._of_arrays(ts, xs, ys, accepted, rejected, tol)
 
 

@@ -33,20 +33,45 @@ def horner(desc: Sequence[float], x: float) -> float:
     return r
 
 
-def horner_source(desc: Sequence[str], x: str) -> str:
+def coefficient_names(pattern: Sequence[bool], prefix: str) -> "list[str | None]":
+    """Names prefix0, prefix1, ... for the coefficients ``pattern`` marks nonzero, else None."""
+    return [f"{prefix}{i}" if nonzero else None for i, nonzero in enumerate(pattern)]
+
+
+def horner_source(desc: "Sequence[str | None]", x: str) -> str:
     """Python expression text for ``horner`` over the coefficient names ``desc``.
 
-    The text multiplies and adds in ``horner``'s order, so for finite x it
-    evaluates bit for bit like ``horner`` on the named values: horner's
-    first step, ``0.0 * x + c``, returns the leading coefficient c, which
-    a Polynomial keeps nonzero.
+    None stands for a zero coefficient.  The text multiplies and adds in
+    ``horner``'s order, so for finite x it evaluates bit for bit like
+    ``horner`` on the named values: horner's first step, ``0.0 * x + c``,
+    returns the leading coefficient c, which a Polynomial keeps nonzero.
+    An interior zero term is left out, since adding 0.0 changes at most
+    the sign of a zero; the next nonzero term, or the last term, which is
+    kept (as ``+ 0.0`` when zero), gives that zero the sign horner's does.
     """
     if not desc:
         return "0.0"
-    src = desc[0]
-    for c in desc[1:]:
-        src = f"({src} * {x} + {c})"
+    src, last = desc[0], len(desc) - 1
+    for i in range(1, len(desc)):
+        if desc[i] is None and i < last:
+            src = f"{src} * {x}"
+        else:
+            src = f"({src} * {x} + {desc[i] or '0.0'})"
     return src
+
+
+def compile_factory(params: Sequence[str], body: Sequence[str], label: str,
+                    env: "dict | None" = None):
+    """Compile ``def factory(*params)`` with the given body lines and return it.
+
+    The body lines are indented one level; ``env`` holds the names the
+    generated code reads besides its parameters.  The label names the code
+    in tracebacks.
+    """
+    src = "\n".join([f"def factory({', '.join(params)}):", *body])
+    namespace = dict(env or {})
+    exec(compile(src, f"<{label}>", "exec"), namespace)
+    return namespace["factory"]
 
 
 class Polynomial:

@@ -7,10 +7,10 @@ The model is the planar two-timescale system
 with polynomial F and g.  A system holds eps, F, g and G (an
 antiderivative of g).  When it is built it derives f = F', f', g' and
 g'' once, and compiles one evaluator of all seven: ``sys.values(x)``
-returns (F, f, f', g, g', g'', G) at x from straight-line Horner code,
-generated once per tuple of coefficient counts and bound to the
-system's coefficients.  Every value is bit-identical to
-``Polynomial.__call__``.
+returns (F, f, f', g, g', g'', G) at x from straight-line Horner code
+without zero terms, generated once per zero pattern of the seven
+polynomials' coefficients and bound to the system's coefficients.
+Every value is bit-identical to ``Polynomial.__call__``.
 
 ``jet_at`` is the one point evaluator.  It calls ``values`` once at a
 point (x, y), and every closed form downstream (velocity, curvature, energy,
@@ -31,8 +31,8 @@ import functools
 from sys import float_info
 from typing import NamedTuple
 
-from .poly import (Polynomial, extreme_values, horner_source, positive_on, real_roots,
-                   signs_on)
+from .poly import (Polynomial, coefficient_names, compile_factory, extreme_values,
+                   horner_source, positive_on, real_roots, signs_on)
 
 
 class State(NamedTuple):
@@ -48,25 +48,24 @@ _SEVEN = ("F", "f", "fp", "g", "gp", "gpp", "G")
 
 
 @functools.cache
-def _evaluator_factory(counts: "tuple[int, ...]"):
-    """Compile the evaluator factory for polynomials with these coefficient counts.
+def _evaluator_factory(patterns: "tuple[tuple[bool, ...], ...]"):
+    """Compile the evaluator factory for polynomials with these zero patterns.
 
-    factory(F coefficients..., f ..., fp ..., g ..., gp ..., gpp ...,
-    G ...), each list descending by degree, returns values(x), which
-    returns (F, f, fp, g, gp, gpp, G) at x.  Each value is a
-    straight-line Horner expression (poly.horner_source), so it is
-    bit-identical to Polynomial.__call__ at every finite x.
+    patterns[i][k] tells whether coefficient k (descending by degree) of
+    polynomial i of F, f, fp, g, gp, gpp, G is nonzero.
+    factory(nonzero F coefficients..., f ..., ..., G ...), each list
+    descending by degree, returns values(x), which returns
+    (F, f, fp, g, gp, gpp, G) at x.  Each value is a straight-line Horner
+    expression (poly.horner_source), so it is bit-identical to
+    Polynomial.__call__ at every finite x.
     """
-    names = [[f"{p}{i}" for i in range(n)] for p, n in zip(_SEVEN, counts)]
-    src = "\n".join([
-        f"def factory({', '.join(c for cs in names for c in cs)}):",
-        "    def values(x):",
-        f"        return {', '.join(horner_source(cs, 'x') for cs in names)}",
-        "    return values",
-    ])
-    namespace: dict = {}
-    exec(compile(src, f"<evaluator {'-'.join(map(str, counts))}>", "exec"), namespace)
-    return namespace["factory"]
+    names = [coefficient_names(pattern, p) for p, pattern in zip(_SEVEN, patterns)]
+    return compile_factory(
+        [c for cs in names for c in cs if c],
+        ["    def values(x):",
+         f"        return {', '.join(horner_source(cs, 'x') for cs in names)}",
+         "    return values"],
+        f"evaluator {'-'.join(map(str, map(len, patterns)))}")
 
 
 class _LienardFields(NamedTuple):
@@ -107,9 +106,9 @@ class LienardSystem(_LienardFields):
         f, gp = F.derivative(), g.derivative()
         fp, gpp = f.derivative(), gp.derivative()
         polys = (F, f, fp, g, gp, gpp, G)
-        factory = _evaluator_factory(tuple(len(p.desc) for p in polys))
+        factory = _evaluator_factory(tuple(tuple(map(bool, p.desc)) for p in polys))
         vars(self).update(f=f, fp=fp, gp=gp, gpp=gpp,
-                          values=factory(*(c for p in polys for c in p.desc)))
+                          values=factory(*(c for p in polys for c in p.desc if c)))
         return self
 
     @classmethod

@@ -1,6 +1,8 @@
-"""Shared fixtures: the two bundled systems, a deterministic state sweep, and
-the Jacobian oracle (the field's Jacobian and its rate along the flow, from
-Polynomial evaluation, independent of system.jet)."""
+"""Shared fixtures: the two bundled systems, a deterministic state sweep, the
+Jacobian oracle (the field's Jacobian and its rate along the flow, from
+Polynomial evaluation, independent of system.jet), and a reference DP5(4)
+step with one rhs call per stage, independent of the program's generated
+march."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import pathlib
 import pytest
 
 from flowcurv import State, make_system
-from flowcurv.dynamics import _step_kernel
+from flowcurv.poly import horner
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -34,16 +36,55 @@ def sweep_states(n: int, lo: float = -3.0, hi: float = 3.0) -> list[State]:
     ]
 
 
+def horner_rhs(sys_):
+    """The vector field through poly.horner, one call per component."""
+    Fc, gc, eps = sys_.F.desc, sys_.g.desc, sys_.eps
+
+    def rhs(x, y):
+        return (y - horner(Fc, x)) / eps, -horner(gc, x)
+
+    return rhs
+
+
+def reference_dp_step(rhs, x, y, h, k1x, k1y):
+    """One Dormand-Prince 5(4) step with one rhs call per stage: the march's oracle."""
+    x2 = x + h * (1 / 5 * k1x)
+    y2 = y + h * (1 / 5 * k1y)
+    k2x, k2y = rhs(x2, y2)
+    x3 = x + h * (3 / 40 * k1x + 9 / 40 * k2x)
+    y3 = y + h * (3 / 40 * k1y + 9 / 40 * k2y)
+    k3x, k3y = rhs(x3, y3)
+    x4 = x + h * (44 / 45 * k1x + -56 / 15 * k2x + 32 / 9 * k3x)
+    y4 = y + h * (44 / 45 * k1y + -56 / 15 * k2y + 32 / 9 * k3y)
+    k4x, k4y = rhs(x4, y4)
+    a5 = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
+    x5 = x + h * (a5[0] * k1x + a5[1] * k2x + a5[2] * k3x + a5[3] * k4x)
+    y5 = y + h * (a5[0] * k1y + a5[1] * k2y + a5[2] * k3y + a5[3] * k4y)
+    k5x, k5y = rhs(x5, y5)
+    a6 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
+    x6 = x + h * (a6[0] * k1x + a6[1] * k2x + a6[2] * k3x + a6[3] * k4x + a6[4] * k5x)
+    y6 = y + h * (a6[0] * k1y + a6[1] * k2y + a6[2] * k3y + a6[3] * k4y + a6[4] * k5y)
+    k6x, k6y = rhs(x6, y6)
+    b = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+    xn = x + h * (b[0] * k1x + b[1] * k3x + b[2] * k4x + b[3] * k5x + b[4] * k6x)
+    yn = y + h * (b[0] * k1y + b[1] * k3y + b[2] * k4y + b[3] * k5y + b[4] * k6y)
+    k7x, k7y = rhs(xn, yn)
+    e = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+    ex = h * (e[0] * k1x + e[1] * k3x + e[2] * k4x + e[3] * k5x + e[4] * k6x + e[5] * k7x)
+    ey = h * (e[0] * k1y + e[1] * k3y + e[2] * k4y + e[3] * k5y + e[4] * k6y + e[5] * k7y)
+    return xn, yn, ex, ey, k7x, k7y
+
+
 def propagate(sys_, x: float, y: float, h: float, n_sub: int = 1) -> tuple[float, float]:
-    """n_sub fixed DP5(4) steps of total length h through the program's kernel.
+    """n_sub fixed reference DP5(4) steps of total length h.
 
     No error control (event refinement, finite differences); h < 0 steps
     backward, bit for bit like stepping the negated field forward.
     """
-    step = _step_kernel(sys_)
+    rhs = horner_rhs(sys_)
     hs = h / n_sub
     for _ in range(n_sub):
-        x, y = step(x, y, hs, (y - sys_.F(x)) / sys_.eps, -sys_.g(x))[:2]
+        x, y = reference_dp_step(rhs, x, y, hs, *rhs(x, y))[:2]
     return x, y
 
 

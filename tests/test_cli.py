@@ -42,6 +42,19 @@ class TestSimulate:
                    "--t-end", "1", "--tol", "1e-6"])
         assert rc == 3
 
+    @pytest.mark.parametrize("g, x0", [([0, 1.0], "1000"), ([0, 0, 0, 0, 0, 1.0], "1e5")])
+    def test_error_norm_overflow_exits_3(self, g, x0, tmp_path):
+        # The square in the step's error norm overflows: a typed blow-up,
+        # reported as a numerical failure, not a traceback with exit 1.
+        cfg = tmp_path / "runaway.json"
+        cfg.write_text(json.dumps({"name": "runaway", "F": [0, 0, 0, -1.0], "g": g, "eps": 0.05}))
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        run = subprocess.run([sys.executable, "-m", "flowcurv", "simulate", "--config", str(cfg),
+                              "--x0", x0, "--t-end", "1"], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 3
+        assert run.stderr == "numerical failure: blow-up\n"
+
 
 class TestManifold:
     def test_table_rows(self, tmp_path):
@@ -286,6 +299,22 @@ def test_import_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cold_verify_compiles_one_kernel_and_one_evaluator():
+    # Each generated function costs an exec compile on every CLI start: a
+    # fresh verify compiles the march kernel and the evaluator once each.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    code = ("import contextlib, io\n"
+            "from flowcurv import cli, dynamics, system\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['verify', '--config', 'configs/llibre_mereu.json'])\n"
+            "print(rc, dynamics._kernel_factory.cache_info().misses,\n"
+            "      system._evaluator_factory.cache_info().misses)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=REPO, capture_output=True,
+                         text=True, check=True).stdout
+    # verify exits 1 here: the settling layer fails PHIDOT_POS (see 05a)
+    assert out.split() == ["1", "1", "1"]
 
 
 _OPTIONS_HELP = """\

@@ -19,48 +19,9 @@ from flowcurv import (
 )
 from flowcurv import dynamics
 from flowcurv.dynamics import TRAJECTORY_CSV_HEADER, format_trajectory_csv
-from flowcurv.poly import horner
 
-from conftest import propagate, sweep_states, system_from_config
-
-
-def horner_rhs(sys_):
-    """The vector field through poly.horner, one call per component."""
-    Fc, gc, eps = sys_.F.desc, sys_.g.desc, sys_.eps
-
-    def rhs(x, y):
-        return (y - horner(Fc, x)) / eps, -horner(gc, x)
-
-    return rhs
-
-
-def reference_dp_step(rhs, x, y, h, k1x, k1y):
-    """One Dormand-Prince 5(4) step with one rhs call per stage: the kernel's oracle."""
-    x2 = x + h * (1 / 5 * k1x)
-    y2 = y + h * (1 / 5 * k1y)
-    k2x, k2y = rhs(x2, y2)
-    x3 = x + h * (3 / 40 * k1x + 9 / 40 * k2x)
-    y3 = y + h * (3 / 40 * k1y + 9 / 40 * k2y)
-    k3x, k3y = rhs(x3, y3)
-    x4 = x + h * (44 / 45 * k1x + -56 / 15 * k2x + 32 / 9 * k3x)
-    y4 = y + h * (44 / 45 * k1y + -56 / 15 * k2y + 32 / 9 * k3y)
-    k4x, k4y = rhs(x4, y4)
-    a5 = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
-    x5 = x + h * (a5[0] * k1x + a5[1] * k2x + a5[2] * k3x + a5[3] * k4x)
-    y5 = y + h * (a5[0] * k1y + a5[1] * k2y + a5[2] * k3y + a5[3] * k4y)
-    k5x, k5y = rhs(x5, y5)
-    a6 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
-    x6 = x + h * (a6[0] * k1x + a6[1] * k2x + a6[2] * k3x + a6[3] * k4x + a6[4] * k5x)
-    y6 = y + h * (a6[0] * k1y + a6[1] * k2y + a6[2] * k3y + a6[3] * k4y + a6[4] * k5y)
-    k6x, k6y = rhs(x6, y6)
-    b = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-    xn = x + h * (b[0] * k1x + b[1] * k3x + b[2] * k4x + b[3] * k5x + b[4] * k6x)
-    yn = y + h * (b[0] * k1y + b[1] * k3y + b[2] * k4y + b[3] * k5y + b[4] * k6y)
-    k7x, k7y = rhs(xn, yn)
-    e = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-    ex = h * (e[0] * k1x + e[1] * k3x + e[2] * k4x + e[3] * k5x + e[4] * k6x + e[5] * k7x)
-    ey = h * (e[0] * k1y + e[1] * k3y + e[2] * k4y + e[3] * k5y + e[4] * k6y + e[5] * k7y)
-    return xn, yn, ex, ey, k7x, k7y
+from conftest import (horner_rhs, propagate, reference_dp_step, sweep_states,
+                      system_from_config)
 
 
 def bits(values):
@@ -162,38 +123,86 @@ class TestIntegratorOrder:
         assert e8 < e7
 
 
+# The loosest tolerance integrate accepts: it takes most first steps below.
+FIRST_STEP_TOL = 1e-3
+
+
+def mirrored(sys_):
+    """The system whose forward flow is sys_'s backward flow in (x, -y): F becomes -F."""
+    return make_system([-c for c in sys_.F.coeffs], sys_.g, sys_.eps)
+
+
+def first_step(sys_, x, y, h):
+    """integrate's first step of length |h| from (x, y): (step counts, x1, y1).
+
+    h < 0 steps backward, as the forward step of the mirrored system from
+    (x, -y).  (x1, y1) is the step's end when the step is accepted; a run
+    that fails after a rejected first step gives the counts it failed with.
+    """
+    sys_, y0 = (sys_, y) if h > 0 else (mirrored(sys_), -y)
+    try:
+        traj = integrate(sys_, State(0.0, x, y0), abs(h), FIRST_STEP_TOL)
+    except IntegrationError as e:
+        return (e.accepted, e.rejected), None, None
+    assert traj.t[1] == abs(h) or traj.rejected_steps
+    return (traj.accepted_steps, traj.rejected_steps), traj.x[1], math.copysign(1.0, h) * traj.y[1]
+
+
+def step_accepted(x, y, ex, ey, tol=FIRST_STEP_TOL):
+    """The controller's acceptance test on a step from (x, y) with error (ex, ey)."""
+    return math.sqrt(0.5 * ((ex / (tol * (1.0 + abs(x)))) ** 2
+                            + (ey / (tol * (1.0 + abs(y)))) ** 2)) <= 1.0
+
+
 class TestStepKernel:
+    """One step of the generated march against the per-stage reference step."""
+
     @pytest.mark.parametrize("name", ["vdp", "llibre_mereu", "deg9"])
     @pytest.mark.parametrize("h", [0.01, -0.01, 3e-4, -3e-4])
     def test_bitwise_equal_to_horner_reference(self, name, h):
         sys_ = DEG9 if name == "deg9" else system_from_config(name)
-        step, rhs = dynamics._step_kernel(sys_), horner_rhs(sys_)
+        rhs = horner_rhs(sys_)
+        taken = 0
         for s in sweep_states(100, -1.5, 1.5):
-            k1 = rhs(s.x, s.y)
-            assert bits(step(s.x, s.y, h, *k1)) == bits(reference_dp_step(rhs, s.x, s.y, h, *k1))
+            xn, yn, ex, ey, _, _ = reference_dp_step(rhs, s.x, s.y, h, *rhs(s.x, s.y))
+            counts, x1, y1 = first_step(sys_, s.x, s.y, h)
+            if step_accepted(s.x, s.y, ex, ey):
+                assert counts == (1, 0)
+                assert bits((x1, y1)) == bits((xn, yn))
+                taken += 1
+            else:
+                assert counts[1] >= 1
+        assert taken >= 90
 
     @pytest.mark.parametrize("name", ["vdp", "llibre_mereu", "deg9"])
     def test_backward_step_is_the_negated_field_step(self, name):
         sys_ = DEG9 if name == "deg9" else system_from_config(name)
-        step, rhs = dynamics._step_kernel(sys_), horner_rhs(sys_)
+        rhs = horner_rhs(sys_)
         rhs_back = lambda x, y: tuple(-v for v in rhs(x, y))
+        taken = 0
         for s in sweep_states(100, -1.5, 1.5):
-            xn, yn, ex, ey, k7x, k7y = step(s.x, s.y, -0.004, *rhs(s.x, s.y))
-            want = reference_dp_step(rhs_back, s.x, s.y, 0.004, *rhs_back(s.x, s.y))
-            assert bits((xn, yn, ex, ey, -k7x, -k7y)) == bits(want)
+            xn, yn, ex, ey, _, _ = reference_dp_step(rhs_back, s.x, s.y, 0.004, *rhs_back(s.x, s.y))
+            counts, x1, y1 = first_step(sys_, s.x, s.y, -0.004)
+            assert (counts == (1, 0)) == step_accepted(s.x, s.y, ex, ey)
+            if counts == (1, 0):
+                assert bits((x1, y1)) == bits((xn, yn))
+                taken += 1
+        assert taken >= 90
 
-    def test_code_is_shared_by_coefficient_count_only(self):
+    def test_code_is_shared_by_zero_pattern(self):
         a, b = system_from_config("vdp"), system_from_config("vdp", eps=0.1)
-        c = make_system([0.0, 2.0, 0.0, -1.0], [0.5, 3.0], 0.05)
-        ka, kb, kc = (dynamics._step_kernel(s) for s in (a, b, c))
+        c = make_system([0.0, 2.0, 0.0, -1.0], [0.0, 3.0], 0.05)
+        d = make_system([0.5, 2.0, 0.0, -1.0], [0.0, 3.0], 0.05)  # F(0) != 0
+        ka, kb, kc, kd = (dynamics._kernel(s, True) for s in (a, b, c, d))
         assert ka.__code__ is kb.__code__ is kc.__code__
-        args = (0.3, 0.2, 0.01, 1.0, -0.5)
-        assert len({ka(*args), kb(*args), kc(*args)}) == 3
+        assert kd.__code__ is not ka.__code__
+        assert dynamics._kernel(a, False).__code__ is not ka.__code__
+        ends = {integrate(s, State(0.0, 0.3, 0.2), 0.5, 1e-9).x[-1] for s in (a, b, c, d)}
+        assert len(ends) == 4
 
     @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
     def test_dense_crossing_is_fifth_order_local(self, name):
         sys_ = system_from_config(name)
-        step = dynamics._step_kernel(sys_)
         x0, y0 = -0.05, 0.8
         k1 = ((y0 - sys_.F(x0)) / sys_.eps, -sys_.g(x0))
         # Reference crossing: bisection on 40 fixed substeps per probe.
@@ -205,11 +214,14 @@ class TestStepKernel:
             else:
                 hi = mid
         y_ref = propagate(sys_, x0, y0, hi, n_sub=40)[1]
+        march = dynamics._kernel(sys_, True)
         errs = []
         for h in (0.02, 0.01, 0.005):
-            xn, yn, _, _, k7x, k7y = step(x0, y0, h, *k1)
-            c = dynamics._crossing(step, 0.0, x0, y0, *k1, h, xn, yn, k7x, k7y)
-            errs.append(max(abs(c.t - hi), abs(c.y - y_ref)))
+            # h is the step cap, so the first step has length h; it crosses x = 0.
+            ts, xs, ys = [0.0], [x0], [y0]
+            counts = march(0.0, x0, y0, *k1, h, FIRST_STEP_TOL, 1.0, ts.append, xs.append, ys.append)
+            assert counts == (1, 0) and len(ts) == 2
+            errs.append(max(abs(ts[-1] - hi), abs(ys[-1] - y_ref)))
         assert math.log2(errs[0] / errs[1]) >= 4.5
         assert math.log2(errs[1] / errs[2]) >= 4.5
 
@@ -401,16 +413,16 @@ def bisection_crossing(sys_, prev, span):
 
 
 def _recording_passes(monkeypatch) -> list:
-    """Record every _march call's trajectory and the kernel calls it made."""
+    """Record every _march call's trajectory and the march-kernel calls it made."""
     passes, calls = [], [0]
-    orig_kernel, orig_march = dynamics._step_kernel, dynamics._march
+    orig_kernel, orig_march = dynamics._kernel, dynamics._march
 
-    def counting_kernel(sys_):
-        step = orig_kernel(sys_)
+    def counting_kernel(sys_, section):
+        march = orig_kernel(sys_, section)
 
         def counted(*args):
             calls[0] += 1
-            return step(*args)
+            return march(*args)
 
         return counted
 
@@ -420,7 +432,7 @@ def _recording_passes(monkeypatch) -> list:
         passes.append((traj, calls[0] - before))
         return traj
 
-    monkeypatch.setattr(dynamics, "_step_kernel", counting_kernel)
+    monkeypatch.setattr(dynamics, "_kernel", counting_kernel)
     monkeypatch.setattr(dynamics, "_march", recorded)
     return passes
 
@@ -447,16 +459,18 @@ class TestDenseCrossing:
 
     @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
     def test_kernel_calls_per_pass(self, name, monkeypatch):
+        # A pass is one march-kernel call: its steps and its crossing run in
+        # that one frame.
         passes = _recording_passes(monkeypatch)
         sys_ = system_from_config(name, eps=0.02)
         cyc = find_limit_cycle(sys_, 1.0, 1e-9, integ_tol=1e-9)
         assert len(passes) == cyc.iterations >= 2
         for traj, kernel_calls in passes:
-            assert kernel_calls == traj.accepted_steps + traj.rejected_steps + 1
-        # integrate locates no crossing: one kernel call per step.
+            assert kernel_calls == 1
+            assert len(traj.t) == traj.accepted_steps + 1
         passes.clear()
         traj = integrate(sys_, State(0.0, 0.1, 0.1), 3.0, 1e-9)
-        assert passes == [(traj, traj.accepted_steps + traj.rejected_steps)]
+        assert passes == [(traj, 1)]
 
 
 class TestIndependentIntegrator:
@@ -533,6 +547,19 @@ class TestIntegrationErrorState:
         assert 0.0 < e.t < 0.01
         assert 0.0 < e.h < 1e-14
         assert e.accepted > 0 and e.rejected > 0
+
+    @pytest.mark.parametrize("g, x0", [([0, 1.0], 1000.0), ([0, 0, 0, 0, 0, 1.0], 1e5)])
+    def test_error_norm_overflow_is_a_blow_up(self, g, x0):
+        # F = -x^3 from a large x: after a few rejected attempts, a step's
+        # stages are finite but the square of its scaled error estimate
+        # overflows in the error norm.
+        runaway = make_system([0, 0, 0, -1.0], g, 0.05)
+        with pytest.raises(IntegrationError, match="blow-up") as info:
+            integrate(runaway, State(0.0, x0, 0.1), 1.0, 1e-9)
+        e = info.value
+        assert (e.t, e.x, e.y) == (0.0, x0, 0.1)
+        assert 0.0 < e.h < 0.2 * 0.05
+        assert e.accepted == 0 and e.rejected >= 1
 
     def test_no_return(self):
         sys_ = make_system([0, 1.0], [0, -1.0], 0.2)  # monotone runaway flow

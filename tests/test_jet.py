@@ -172,11 +172,13 @@ def test_evaluator_is_bitwise_polynomial_call(name):
         assert [v.hex() for v in got] == [v.hex() for v in want], (name, x)
 
 
-def test_evaluator_code_is_shared_by_coefficient_counts():
+def test_evaluator_code_is_shared_by_zero_pattern():
     a = make_system([0.0, -1.0, 0.0, 1 / 3], [0.0, 1.0], 0.05)
-    b = make_system([1.0, -2.0, 0.5, 0.25], [0.0, 3.0], 0.01)
+    b = make_system([0.0, -2.0, 0.0, 0.25], [0.0, 3.0], 0.01)
+    c = make_system([1.0, -2.0, 0.5, 0.25], [0.0, 3.0], 0.01)  # same counts, other zeros
     assert a.values is not b.values
     assert a.values.__code__ is b.values.__code__
+    assert c.values.__code__ is not a.values.__code__
     assert a.values(2.0) != b.values(2.0)
 
 

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcurv.energy import _sign_on_open_interval
-from flowcurv.poly import Polynomial, positive_on, real_roots, signs_on
+from flowcurv.poly import (Polynomial, coefficient_names, compile_factory, horner_source,
+                           positive_on, real_roots, signs_on)
 
 F_VDP = Polynomial([0, -1, 0, 1 / 3])
 F_LM = Polynomial([0, -1, 0, 1 / 3, 0, 1 / 5])
@@ -37,6 +38,35 @@ class TestEval:
         p = Polynomial(coeffs)
         expected = naive_eval(p, x)
         assert p(x) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+
+# Coefficients with many exact zeros, and abscissae with signed zeros, tiny
+# and huge magnitudes.
+sparse_coeffs = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)),
+    min_size=0, max_size=12)
+wide_xs = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestHornerSource:
+    @given(sparse_coeffs, wide_xs)
+    @example([0.3, -1.7, 0.0, 0.25, 0.0, 0.0, -0.5, 0.0, 0.0, 0.125], -0.0)
+    @example([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -2.0], 1e-40)
+    @example([0.0, 1.0], -0.0)
+    @example([0.0, 0.0, 0.0, -1.0], 1e-200)
+    @settings(max_examples=400)
+    def test_generated_code_is_bitwise_horner(self, coeffs, x):
+        # Interior zero terms are left out of the text; the value, a signed
+        # zero included, stays horner's to the bit.
+        p = Polynomial(coeffs)
+        names = coefficient_names(tuple(map(bool, p.desc)), "c")
+        assert names.count(None) == p.desc.count(0.0)
+        at = compile_factory([c for c in names if c],
+                             [f"    return lambda x: {horner_source(names, 'x')}"],
+                             "horner test")(*filter(None, p.desc))
+        assert at(x).hex() == p(x).hex()
 
 
 class TestCalculus:
