@@ -2,9 +2,11 @@
 
 Configs are JSON objects {"name", "F", "g", "eps"} with polynomial
 coefficients ascending by degree; command parameters can ride along in
-the same object and every one of them has a flag override.  Dense numeric
-series go out as CSV, reports as JSON with a stable field order.  Output
-files are written atomically (temp file + rename).
+the same object.  Each subcommand has a flag override for exactly the
+parameters it reads (_COMMANDS), so a flag it would ignore is a usage
+error.  Dense numeric series go out as CSV, reports as JSON with a
+stable field order.  Output files are written atomically (temp file +
+rename).
 
 Exit codes: 0 success/verified, 1 verification false, 2 usage or config
 error (an unwritable --out included), 3 numerical failure.
@@ -35,12 +37,11 @@ class OutputError(Exception):
     """An output file could not be written; the message names its path."""
 
 
-# The scalar RunConfig fields, each with a flag of the same name and type.
-_OVERRIDE_FLAGS: dict[str, type] = {
+# The scalar RunConfig fields and their types.
+_SCALAR_FIELDS: dict[str, type] = {
     "eps": float, "x0": float, "y0": float, "t_end": float, "tol": float,
     "band": float, "x_lo": float, "x_hi": float, "n": int, "y_guess": float,
     "x_max": float, "x_min": float, "probe_lo": float, "probe_hi": float,
-    "fold_tol": float,
 }
 
 
@@ -73,7 +74,6 @@ class RunConfig(NamedTuple):
     y_guess: float = 1.0
     x_max: float = 10.0
     x_min: float | None = None
-    fold_tol: float = 1e-6
     eps_list: Sequence[float] = (0.1, 0.05, 0.025)
     probe_lo: float = 1.6
     probe_hi: float = 1.9
@@ -96,7 +96,7 @@ class RunConfig(NamedTuple):
             if not (isinstance(values, (list, tuple)) and values
                     and all(map(_is_number, values))):
                 raise ConfigError(f"field '{key}' must be a non-empty array of finite numbers")
-        for key, typ in _OVERRIDE_FLAGS.items():
+        for key, typ in _SCALAR_FIELDS.items():
             v = getattr(self, key)
             if key == "x_min" and v is None:
                 continue
@@ -112,8 +112,6 @@ class RunConfig(NamedTuple):
             raise ConfigError("field 't_end' must be positive")
         if not self.band > 0:
             raise ConfigError("field 'band' must be positive")
-        if not self.fold_tol > 0:
-            raise ConfigError("field 'fold_tol' must be positive")
         if not self.x_lo < self.x_hi:
             raise ConfigError("fields 'x_lo'/'x_hi' must be an ordered range")
         if self.n < 2:
@@ -163,43 +161,38 @@ def _atomic_write(path: str, text: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The flowcurv parser, built once per process (parsing leaves it unchanged).
 
-    Every subcommand takes the flags of one parent parser; study adds
-    --eps-list.
+    Every subcommand takes --config, --out and --dump-config and the
+    override flags _COMMANDS gives it; an override left out is absent from
+    the namespace.  No flag is abbreviated, or study's --eps-list would
+    take a mistyped --eps.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the system JSON config")
     common.add_argument("--out", default=None, help="output file (default: stdout)")
     common.add_argument("--dump-config", action="store_true",
                         help="print the merged config JSON and exit")
-    for flag, typ in _OVERRIDE_FLAGS.items():
-        common.add_argument(f"--{flag.replace('_', '-')}", type=typ, default=None)
     parser = argparse.ArgumentParser(
         prog="flowcurv",
         description="Slow-manifold, curvature and energy analysis of planar "
                     "two-timescale Lienard systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "integrate a trajectory and export t,x,y,... CSV"),
-        ("manifold", "export the slow-branch table over an x range"),
-        ("verify", "limit cycle -> vicinity -> sign-check report"),
-        ("classify", "sign-certify the case function H"),
-        ("study", "fit the approximation order over an eps sweep"),
-    ):
-        sp = sub.add_parser(name, help=help_text, parents=[common])
-        if name == "study":
-            sp.add_argument("--eps-list", default=None,
-                            help="comma-separated decreasing eps values")
+    for name, (_, help_text, fields) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, parents=[common], allow_abbrev=False)
+        for field in fields:
+            hint = "comma-separated decreasing eps values" if field == "eps_list" else None
+            sp.add_argument(f"--{field.replace('_', '-')}", type=_SCALAR_FIELDS.get(field, str),
+                            default=argparse.SUPPRESS, help=hint)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_dict(_load_config(args.config))
-    overrides = {flag: v for flag in _OVERRIDE_FLAGS if (v := getattr(args, flag)) is not None}
-    eps_list = getattr(args, "eps_list", None)
-    if eps_list is not None:
+    overrides = {k: v for k, v in vars(args).items() if k in RunConfig._fields}
+    if "eps_list" in overrides:
         try:
-            overrides["eps_list"] = [float(v) for v in eps_list.split(",") if v.strip()]
+            overrides["eps_list"] = [float(v) for v in overrides["eps_list"].split(",")
+                                     if v.strip()]
         except ValueError as exc:
             raise ConfigError(f"field 'eps_list' must be numbers: {exc}") from exc
     cfg = cfg._replace(**overrides)
@@ -248,7 +241,7 @@ def cmd_simulate(cfg: RunConfig, out: str | None) -> int:
 
 def cmd_manifold(cfg: RunConfig, out: str | None) -> int:
     sys_ = make_system(cfg.F, cfg.g, cfg.eps)
-    rows = slow_manifold_table(sys_, cfg.x_lo, cfg.x_hi, cfg.n, fold_tol_scale=cfg.fold_tol)
+    rows = slow_manifold_table(sys_, cfg.x_lo, cfg.x_hi, cfg.n)
     _emit(format_manifold_csv(rows), out)
     return 0
 
@@ -307,12 +300,18 @@ def cmd_study(cfg: RunConfig, out: str | None) -> int:
     return 0
 
 
+# Each subcommand's function, help line and override flags: the flags
+# are the RunConfig fields the function reads (field x_lo is flag --x-lo).
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "manifold": cmd_manifold,
-    "verify": cmd_verify,
-    "classify": cmd_classify,
-    "study": cmd_study,
+    "simulate": (cmd_simulate, "integrate a trajectory and export t,x,y,... CSV",
+                 ("eps", "x0", "y0", "t_end", "tol")),
+    "manifold": (cmd_manifold, "export the slow-branch table over an x range",
+                 ("eps", "x_lo", "x_hi", "n")),
+    "verify": (cmd_verify, "limit cycle -> vicinity -> sign-check report",
+               ("eps", "tol", "band", "y_guess", "x_max", "x_min")),
+    "classify": (cmd_classify, "sign-certify the case function H", ("x_max",)),
+    "study": (cmd_study, "fit the approximation order over an eps sweep",
+              ("y_guess", "probe_lo", "probe_hi", "eps_list")),
 }
 
 
@@ -327,7 +326,7 @@ def main(argv: "list[str] | None" = None) -> int:
         _sys.stdout.write(cfg.to_json() + "\n")
         return 0
     try:
-        return _COMMANDS[args.command](cfg, args.out)
+        return _COMMANDS[args.command][0](cfg, args.out)
     except IntegrationError as exc:
         _sys.stderr.write(f"numerical failure: {exc}\n")
         return 3

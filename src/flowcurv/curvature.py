@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 from .system import Jet, LienardSystem
 
-# |f(x)| below fold_tol marks a fold: the slow/fast branch split degenerates
-# there, so the branch solver excludes the point instead of extrapolating.
+# |f(x)| below FOLD_TOL_SCALE * max(1, |g(x)|) marks a fold: the slow/fast
+# branch split degenerates there, so the branch solver excludes the point
+# instead of extrapolating.
 FOLD_TOL_SCALE = 1e-6
 
 # |g'(x)| at or below this switches the branch quadratic to its linear limit.
@@ -49,10 +50,10 @@ def lie_residual(eps: float, j: Jet) -> float:
 class ManifoldBranch(NamedTuple):
     """Roots of the curvature quadratic in u = y - F(x) at one abscissa.
 
-    When both branches exist, |u_slow| <= |u_fast|.  At a fold
-    (|f(x)| < fold_tol) the split degenerates: fold_excluded is True and
-    no branch is reported.  A negative discriminant also yields no
-    branches but is not a fold.
+    When both branches exist, |u_slow| <= |u_fast|.  At a fold (see
+    FOLD_TOL_SCALE) the split degenerates: fold_excluded is True and no
+    branch is reported.  A negative discriminant also yields no branches
+    but is not a fold.
     """
 
     x: float
@@ -62,9 +63,7 @@ class ManifoldBranch(NamedTuple):
     fold_excluded: bool
 
 
-def slow_branches(
-    sys: LienardSystem, x: float, fold_tol_scale: float = FOLD_TOL_SCALE
-) -> ManifoldBranch:
+def slow_branches(sys: LienardSystem, x: float) -> ManifoldBranch:
     """Solve g'(x) u**2 + f(x)g(x) u + eps g(x)**2 = 0 for the branches.
 
     The quadratic is solved in the cancellation-safe form
@@ -74,8 +73,7 @@ def slow_branches(
     eps = sys.eps
     Fx, fx, _, gx, gpx, _, _ = sys.values(x)
 
-    fold_tol = fold_tol_scale * max(1.0, abs(gx))
-    if abs(fx) < fold_tol:
+    if abs(fx) < FOLD_TOL_SCALE * max(1.0, abs(gx)):
         return ManifoldBranch(x, None, None, None, True)
 
     if abs(gpx) <= DEGENERATE_GP:
@@ -95,11 +93,7 @@ def slow_branches(
 
 
 def slow_manifold_table(
-    sys: LienardSystem,
-    x_lo: float,
-    x_hi: float,
-    n: int,
-    fold_tol_scale: float = FOLD_TOL_SCALE,
+    sys: LienardSystem, x_lo: float, x_hi: float, n: int
 ) -> list[ManifoldBranch]:
     """n equally spaced slow_branches samples over [x_lo, x_hi]."""
     if not x_lo < x_hi:
@@ -107,7 +101,7 @@ def slow_manifold_table(
     if n < 2:
         raise ValueError("slow_manifold_table requires n >= 2")
     step = (x_hi - x_lo) / (n - 1)
-    return [slow_branches(sys, x_lo + i * step, fold_tol_scale) for i in range(n)]
+    return [slow_branches(sys, x_lo + i * step) for i in range(n)]
 
 
 MANIFOLD_CSV_HEADER = "x,y_slow,u_slow,u_fast,fold_excluded"
@@ -123,4 +117,5 @@ def format_manifold_csv(rows: "list[ManifoldBranch]") -> str:
             f"{'' if u_fast is None else repr(u_fast)},"
             f"{'true' if fold_excluded else 'false'}"
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)

@@ -2,9 +2,15 @@
 
 The flow is stiff in the classical two-timescale sense but eps stays at
 desk scale: every integration refuses eps below EPS_FLOOR = 1e-4, so an
-explicit Dormand-Prince 5(4) pair with PI step-size control and a hard
-step cap of 0.2*eps is both simple and fast enough; no implicit solver or
-Newton iteration is needed.
+explicit Dormand-Prince 5(4) pair with PI step-size control does; no
+implicit solver or Newton iteration is needed.  The step is capped at
+0.2*eps for accuracy, not for speed: the cap keeps |h*f/eps| <= 0.2*|f|,
+so the explicit step damps the stiff mode (rate -f/eps) that the
+PHIDOT_POS check amplifies.  Without it, on F = x**3/192 - x, g = x/64 at
+eps 0.05, PHIDOT_POS fails at all 705 of 705 vicinity samples instead of
+29 of 2231, while a certify pass over both bundled systems attempts
+32,976 steps instead of 37,605 and a vdp pass at eps 1e-4 (tol 1e-10)
+16,145 instead of 81,649.
 
 Each system gets one march kernel: the whole stepping loop of `_march`
 in one generated function, which `integrate` and the cycle search both
@@ -72,18 +78,21 @@ _BLOWUP_GROWTH = 1e4
 # A section crossing is located to this resolution in time.
 _CROSSING_T_TOL = 1e-12
 
+# Return-map passes find_limit_cycle makes before it reports non-convergence.
+MAX_PASSES = 50
+
 # Default vicinity floor: this far beyond the positive zero of F.
 VICINITY_MARGIN = 0.1
 
-# Smallest eps any integration accepts.  The step is capped at 0.2*eps and
-# every accepted step is kept, so the work and the memory of a run grow
-# like 1/eps.  Measured with the default tolerances on both bundled
-# configs: the cycle search converges in two passes at every eps from
-# 0.005 down to 5e-5, and convergence_study's branch distance over eps**2
-# stays within 2.5% of its eps = 0.001 value (vdp 1.38-1.40, llibre_mereu
-# 0.307-0.315).  At 1e-4 a pass takes 64,000-82,000 steps and the smallest
-# distance is still 31 times the integration tolerance of 1e-10; at 5e-5
-# it is only 7.7 times.
+# Smallest eps any integration accepts.  The step is capped at 0.2*eps (see
+# the module docstring) and every accepted step is kept, so the work and
+# the memory of a run grow like 1/eps.  Measured with the default
+# tolerances on both bundled configs: the cycle search converges in two
+# passes at every eps from 0.005 down to 5e-5, and convergence_study's
+# branch distance over eps**2 stays within 0.3% of its eps = 0.001 value
+# down to 1e-4 (vdp 1.3785-1.3827, llibre_mereu 0.2972-0.2975).  At 1e-4
+# a pass takes 64,000-82,000 steps and the smallest distance is still 30
+# times the integration tolerance of 1e-10; at 5e-5 it was only 7.7 times.
 EPS_FLOOR = 1e-4
 
 
@@ -368,17 +377,13 @@ def integrate(sys: LienardSystem, s0: State, t_end: float, tol: float) -> Trajec
 
 
 def find_limit_cycle(
-    sys: LienardSystem,
-    y_guess: float,
-    tol: float,
-    max_iter: int = 50,
-    integ_tol: float = 1e-10,
+    sys: LienardSystem, y_guess: float, tol: float, integ_tol: float = 1e-10
 ) -> LimitCycle:
     """Iterate the Poincare return map on the section {x = 0, xdot > 0}.
 
     Tangents are horizontal on the y-axis, so the crossing is transversal
     and well conditioned.  Every pass records its samples; the pass with
-    |y_{k+1} - y_k| <= tol, or the last one when max_iter runs out, is the
+    |y_{k+1} - y_k| <= tol, or the last one after MAX_PASSES, is the
     orbit.  It starts at (0, y_k), the previous iterate, and ends on the
     section at t = period with y = section_value = y_{k+1}, so it closes to
     within tol.  Non-convergence returns converged=False with that last
@@ -389,12 +394,10 @@ def find_limit_cycle(
         raise ValueError("y_guess must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
 
     iterates = [float(y_guess)]
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_PASSES):
         orbit = _march(sys, State(0.0, 0.0, iterates[-1]), integ_tol)
         iterates.append(orbit.y[-1])
         if abs(iterates[-1] - iterates[-2]) <= tol:
@@ -480,4 +483,5 @@ def format_trajectory_csv(sys: LienardSystem, traj: Trajectory) -> str:
             f"{t!r},{x!r},{y!r},{j.xdot!r},{j.ydot!r},"
             f"{j.phi!r},{j.E!r},{j.dEdt!r}"
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)

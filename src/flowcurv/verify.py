@@ -45,6 +45,13 @@ LIE_RESIDUAL_TOL = 1e-8
 # Equally spaced probe abscissas per eps in convergence_study.
 N_PROBE = 25
 
+# Return-map and integration tolerance of every cycle convergence_study finds.
+STUDY_TOL = 1e-10
+
+# Newton steps that solve a step's Hermite cubic x(s) = probe from the chord point.
+_HERMITE_NEWTON_STEPS = 3
+
+
 class CheckResult:
     """One check's running pass/fail counts and smallest margin."""
 
@@ -166,27 +173,57 @@ class ConvergenceStudy(NamedTuple):
     fitted_order_critical: float
 
 
-def _descent_ys(traj, probes: "list[float]") -> "list[float | None]":
+def _step_interpolant(sys: LienardSystem, t0, x0, y0, t1, x1, y1):
+    """y as a function of x on the cubic Hermite interpolant of one step.
+
+    x and y are cubics in s = (t - t0)/(t1 - t0), fixed by the step's end
+    values and the field's slopes there (one sys.values call per end).  A
+    probe abscissa is found by Newton's method on x(s) from the chord
+    point; the interpolant's error is O(h**4), where the chord's is O(h**2).
+    """
+    h, eps = t1 - t0, sys.eps
+    F0, _, _, g0, _, _, _ = sys.values(x0)
+    F1, _, _, g1, _, _, _ = sys.values(x1)
+    # h times the slopes dx/dt and dy/dt at each end
+    ax0, ay0 = h * (y0 - F0) / eps, -h * g0
+    ax1, ay1 = h * (y1 - F1) / eps, -h * g1
+    dx, dy = x1 - x0, y1 - y0
+
+    def y_at(px: float) -> float:
+        s = (x0 - px) / (x0 - x1)
+        for _ in range(_HERMITE_NEWTON_STEPS):
+            b = (1.0 - 2.0 * s) * dx + (s - 1.0) * ax0 + s * ax1
+            x_s = x0 + s * (dx + (s - 1.0) * b)
+            dx_ds = dx + (2.0 * s - 1.0) * b + s * (s - 1.0) * (ax0 + ax1 - 2.0 * dx)
+            s -= (x_s - px) / dx_ds
+        return y0 + s * (dy + (s - 1.0) * ((1.0 - 2.0 * s) * dy + (s - 1.0) * ay0 + s * ay1))
+
+    return y_at
+
+
+def _descent_ys(sys: LienardSystem, traj, probes: "list[float]") -> "list[float | None]":
     """Interpolate y on the slow descent (x decreasing) at each probe abscissa.
 
     One walk along the orbit serves every probe: a probe takes its value
-    from the first descending step whose x-span holds it, and stays None
-    when no step does.  `probes` must be ascending.
+    from the cubic Hermite interpolant (_step_interpolant) of the first
+    descending step whose x-span holds it, and stays None when no step
+    does.  `probes` must be ascending.
     """
     ys: "list[float | None]" = [None] * len(probes)
     left = len(probes)
-    it = zip(traj.x, traj.y)
-    x0, y0 = next(it)
-    for x1, y1 in it:
+    it = zip(traj.t, traj.x, traj.y)
+    t0, x0, y0 = next(it)
+    for t1, x1, y1 in it:
         if x1 < x0:
+            y_at = None
             for i in range(bisect_left(probes, x1), bisect_right(probes, x0)):
                 if ys[i] is None:
-                    w = (probes[i] - x1) / (x0 - x1)
-                    ys[i] = y1 + w * (y0 - y1)
+                    y_at = y_at or _step_interpolant(sys, t0, x0, y0, t1, x1, y1)
+                    ys[i] = y_at(probes[i])
                     left -= 1
             if not left:
                 break
-        x0, y0 = x1, y1
+        t0, x0, y0 = t1, x1, y1
     return ys
 
 
@@ -201,8 +238,6 @@ def convergence_study(
     eps_list: "list[float]",
     x_probe: tuple[float, float],
     y_guess: float = 1.0,
-    cycle_tol: float = 1e-10,
-    integ_tol: float = 1e-10,
 ) -> ConvergenceStudy:
     """Fit the order of the branch approximation over a decreasing eps list.
 
@@ -225,11 +260,11 @@ def convergence_study(
     dists_crit: list[float] = []
     for eps in eps_list:
         sys_e = sys._replace(eps=eps)
-        cycle = find_limit_cycle(sys_e, y_guess, cycle_tol, integ_tol=integ_tol)
+        cycle = find_limit_cycle(sys_e, y_guess, STUDY_TOL, integ_tol=STUDY_TOL)
         if not cycle.converged:
             raise IntegrationError(f"limit cycle did not converge at eps={eps}")
         worst = worst_crit = 0.0
-        for px, y_traj in zip(probes, _descent_ys(cycle.orbit, probes)):
+        for px, y_traj in zip(probes, _descent_ys(sys_e, cycle.orbit, probes)):
             if y_traj is None:
                 d_lo, d_hi = _descent_x_range(cycle.orbit)
                 raise ValueError(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -126,3 +127,16 @@ def llibre_mereu():
 @pytest.fixture(scope="session")
 def both_systems(vdp, llibre_mereu):
     return [vdp, llibre_mereu]
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes (tracemalloc)."""
+    fn(*args)  # warm-up: a compiled evaluator is cached, not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from flowcurv.cli import RunConfig, main
+from flowcurv.cli import RunConfig, build_parser, main
 
 from conftest import CONFIGS, REPO
 
@@ -76,13 +76,6 @@ class TestManifold:
     def test_n_of_one_exits_2(self):
         assert main(["manifold", "--config", VDP, "--n", "1"]) == 2
 
-    def test_fold_tol_flag_widens_exclusion(self, capsys):
-        rc = main(["manifold", "--config", VDP, "--x-lo", "1.2", "--x-hi", "1.27",
-                   "--n", "3", "--fold-tol", "0.5"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert all(l.endswith("true") for l in out.strip().split("\n")[1:])
-
 
 class TestVerify:
     def test_vdp_report_structure_and_exit(self, capsys):
@@ -138,12 +131,18 @@ class TestEpsFloor:
     # for hours; the commands that integrate refuse it as a config error.
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_integrating_commands_exit_2(self, command, capsys):
-        assert main([command, "--config", VDP, "--eps", "1e-9", "--t-end", "1"]) == 2
+        extra = ["--t-end", "1"] if command == "simulate" else []
+        assert main([command, "--config", VDP, "--eps", "1e-9", *extra]) == 2
         assert "eps below 0.0001" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["manifold", "classify"])
-    def test_commands_without_integration_still_run(self, command, capsys):
-        assert main([command, "--config", VDP, "--eps", "1e-9"]) == 0
+    def test_commands_without_integration_still_run(self, command, tmp_path, capsys):
+        # classify takes no --eps flag, so the eps comes from a config file
+        doc = json.loads((CONFIGS / "vdp.json").read_text())
+        doc["eps"] = 1e-9
+        cfg = tmp_path / "tiny_eps.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == 0
 
 
 class TestClassify:
@@ -252,6 +251,15 @@ class TestDumpConfig:
                                    "eps": 0.05, "bogus": 1}))
         assert main(["classify", "--config", str(cfg)]) == 2
 
+    def test_fold_tol_is_an_unknown_field(self, tmp_path, capsys):
+        # the fold threshold is the library constant FOLD_TOL_SCALE
+        doc = json.loads((CONFIGS / "vdp.json").read_text())
+        doc["fold_tol"] = 1e-6
+        cfg = tmp_path / "fold.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["manifold", "--config", str(cfg)]) == 2
+        assert "unknown config field(s): ['fold_tol']" in capsys.readouterr().err
+
     def test_overflowing_coefficients_exit_2(self, tmp_path, capsys):
         # g = 1e160 x passes validation, but g'^2 overflows: H is not finite
         cfg = tmp_path / "huge.json"
@@ -317,49 +325,51 @@ def test_cold_verify_compiles_one_kernel_and_one_evaluator():
     assert out.split() == ["1", "1", "1"]
 
 
-_OPTIONS_HELP = """\
+HELP = {
+    "verify": """\
+usage: flowcurv verify [-h] --config CONFIG [--out OUT] [--dump-config]
+                       [--eps EPS] [--tol TOL] [--band BAND]
+                       [--y-guess Y_GUESS] [--x-max X_MAX] [--x-min X_MIN]
+
+options:
+  -h, --help         show this help message and exit
+  --config CONFIG    path to the system JSON config
+  --out OUT          output file (default: stdout)
+  --dump-config      print the merged config JSON and exit
+  --eps EPS
+  --tol TOL
+  --band BAND
+  --y-guess Y_GUESS
+  --x-max X_MAX
+  --x-min X_MIN
+""",
+    "study": """\
+usage: flowcurv study [-h] --config CONFIG [--out OUT] [--dump-config]
+                      [--y-guess Y_GUESS] [--probe-lo PROBE_LO]
+                      [--probe-hi PROBE_HI] [--eps-list EPS_LIST]
+
 options:
   -h, --help           show this help message and exit
   --config CONFIG      path to the system JSON config
   --out OUT            output file (default: stdout)
   --dump-config        print the merged config JSON and exit
-  --eps EPS
-  --x0 X0
-  --y0 Y0
-  --t-end T_END
-  --tol TOL
-  --band BAND
-  --x-lo X_LO
-  --x-hi X_HI
-  --n N
   --y-guess Y_GUESS
-  --x-max X_MAX
-  --x-min X_MIN
   --probe-lo PROBE_LO
   --probe-hi PROBE_HI
-  --fold-tol FOLD_TOL
-"""
-HELP = {
-    "verify": """\
-usage: flowcurv verify [-h] --config CONFIG [--out OUT] [--dump-config]
-                       [--eps EPS] [--x0 X0] [--y0 Y0] [--t-end T_END]
-                       [--tol TOL] [--band BAND] [--x-lo X_LO] [--x-hi X_HI]
-                       [--n N] [--y-guess Y_GUESS] [--x-max X_MAX]
-                       [--x-min X_MIN] [--probe-lo PROBE_LO]
-                       [--probe-hi PROBE_HI] [--fold-tol FOLD_TOL]
-
-""" + _OPTIONS_HELP,
-    "study": """\
-usage: flowcurv study [-h] --config CONFIG [--out OUT] [--dump-config]
-                      [--eps EPS] [--x0 X0] [--y0 Y0] [--t-end T_END]
-                      [--tol TOL] [--band BAND] [--x-lo X_LO] [--x-hi X_HI]
-                      [--n N] [--y-guess Y_GUESS] [--x-max X_MAX]
-                      [--x-min X_MIN] [--probe-lo PROBE_LO]
-                      [--probe-hi PROBE_HI] [--fold-tol FOLD_TOL]
-                      [--eps-list EPS_LIST]
-
-""" + _OPTIONS_HELP + "  --eps-list EPS_LIST  comma-separated decreasing eps values\n",
+  --eps-list EPS_LIST  comma-separated decreasing eps values
+""",
 }
+
+# The override flags each subcommand reads; every other one is a usage error.
+COMMAND_FLAGS = {
+    "simulate": ("--eps", "--x0", "--y0", "--t-end", "--tol"),
+    "manifold": ("--eps", "--x-lo", "--x-hi", "--n"),
+    "verify": ("--eps", "--tol", "--band", "--y-guess", "--x-max", "--x-min"),
+    "classify": ("--x-max",),
+    "study": ("--y-guess", "--probe-lo", "--probe-hi", "--eps-list"),
+}
+# Every flag some subcommand reads, and --fold-tol, which none does.
+OVERRIDE_FLAGS = sorted({f for flags in COMMAND_FLAGS.values() for f in flags} | {"--fold-tol"})
 
 
 class TestParser:
@@ -370,6 +380,22 @@ class TestParser:
             main([command, "--help"])
         assert exit_.value.code == 0
         assert capsys.readouterr().out == HELP[command]
+
+    def test_accepted_flags(self):
+        pairs = [(c, f) for c, flags in COMMAND_FLAGS.items() for f in flags]
+        assert len(pairs) == 20
+        for command, flag in pairs:
+            args = build_parser().parse_args([command, "--config", VDP, flag, "2"])
+            assert vars(args)[flag[2:].replace("-", "_")] in (2, 2.0, "2")
+
+    @pytest.mark.parametrize("command, flag", [
+        (c, f) for c in COMMAND_FLAGS for f in OVERRIDE_FLAGS if f not in COMMAND_FLAGS[c]])
+    def test_unread_flag_is_a_usage_error(self, command, flag, capsys):
+        # e.g. study reads eps_list, not eps, so `study --eps 1e-9` would be ignored
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", VDP, flag, "1e-9"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 1e-9" in capsys.readouterr().err
 
     def test_eps_list_is_a_study_flag_only(self, capsys):
         with pytest.raises(SystemExit) as exit_:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from flowcurv import State, jet, lie_residual, make_system, slow_branches, slow_manifold_table
 from flowcurv.curvature import MANIFOLD_CSV_HEADER, format_manifold_csv
 
-from conftest import jacobian, jacobian_rate, propagate, sweep_states
+from conftest import jacobian, jacobian_rate, propagate, sweep_states, traced_peak
 
 S_REF = State(0.0, 2.0, 0.65)
 
@@ -243,3 +243,9 @@ class TestSlowManifoldTable:
         assert float(first[0]) == rows[0].x
         assert float(first[1]) == rows[0].y_slow
         assert first[4] in ("true", "false")
+
+    def test_csv_peak_memory_below_three_times_the_text(self, vdp):
+        # the rows' strings and the joined text, and no third copy
+        text, peak = traced_peak(format_manifold_csv, slow_manifold_table(vdp, -2.0, 2.0, 4001))
+        assert len(text) > 250_000 and text.endswith("false\n")
+        assert peak < 3 * len(text)

@@ -21,7 +21,7 @@ from flowcurv import dynamics
 from flowcurv.dynamics import TRAJECTORY_CSV_HEADER, format_trajectory_csv
 
 from conftest import (horner_rhs, propagate, reference_dp_step, sweep_states,
-                      system_from_config)
+                      system_from_config, traced_peak)
 
 
 def bits(values):
@@ -268,10 +268,6 @@ class TestFindLimitCycle:
         with pytest.raises(ValueError):
             find_limit_cycle(vdp, -1.0, 1e-8)
 
-    def test_zero_max_iter_rejected(self, vdp):
-        with pytest.raises(ValueError, match="max_iter"):
-            find_limit_cycle(vdp, 1.0, 1e-8, max_iter=0)
-
     def test_eps_below_floor_rejected(self, vdp):
         with pytest.raises(ValueError, match=f"eps below {dynamics.EPS_FLOOR}"):
             find_limit_cycle(vdp._replace(eps=1e-9), 1.0, 1e-8)
@@ -381,7 +377,8 @@ class TestSinglePassCycleSearch:
 
     def test_unconverged_orbit_is_the_last_pass(self, vdp, monkeypatch):
         calls = _counting_crossings(monkeypatch)
-        cyc = find_limit_cycle(vdp, 1.0, 1e-9, max_iter=1)
+        monkeypatch.setattr(dynamics, "MAX_PASSES", 1)
+        cyc = find_limit_cycle(vdp, 1.0, 1e-9)
         assert not cyc.converged
         assert calls[0] == cyc.iterations == 1
         assert cyc.orbit.samples[0].y == cyc.iterates[-2] == 1.0
@@ -644,6 +641,13 @@ class TestExtractVicinity:
 
 
 class TestTrajectoryCsv:
+    def test_peak_memory_below_three_times_the_text(self, vdp):
+        # the rows' strings and the joined text, and no third copy
+        traj = integrate(vdp, State(0.0, 0.1, 0.1), 20.0, 1e-9)
+        text, peak = traced_peak(format_trajectory_csv, vdp, traj)
+        assert len(text) > 450_000 and text.endswith("\n")
+        assert peak < 3 * len(text)
+
     def test_header_and_columns(self, vdp):
         traj = integrate(vdp, State(0.0, 0.1, 0.1), 0.2, 1e-9)
         text = format_trajectory_csv(vdp, traj)

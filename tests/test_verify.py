@@ -4,7 +4,8 @@ import math
 import pytest
 
 from flowcurv import LimitCycle, convergence_study, find_limit_cycle, make_system
-from flowcurv.verify import CHECK_IDS, N_PROBE, _descent_ys, _slope, minorsky_report, sample_margins
+from flowcurv.verify import (CHECK_IDS, N_PROBE, _descent_ys, _slope, _step_interpolant,
+                             minorsky_report, sample_margins)
 
 from conftest import halton, system_from_config
 
@@ -86,13 +87,12 @@ class TestMinorskyReport:
             minorsky_report(vdp, broken, 1.0)
 
 
-def rescan_descent_y_at(traj, x_probe):
+def rescan_descent_y_at(sys_, traj, x_probe):
     """y on the slow descent at x_probe by a scan from the orbit's start per probe."""
     samples = traj.samples
     for s0, s1 in zip(samples[:-1], samples[1:]):
         if s1.x < s0.x and s1.x <= x_probe <= s0.x:
-            w = (x_probe - s1.x) / (s0.x - s1.x)
-            return s1.y + w * (s0.y - s1.y)
+            return _step_interpolant(sys_, *s0, *s1)(x_probe)
     return None
 
 
@@ -100,26 +100,53 @@ class TestDescentInterpolation:
     @pytest.mark.parametrize("eps", [0.1, 0.02, 0.005])
     @pytest.mark.parametrize("name, lo, hi", [("vdp", 1.6, 1.9), ("llibre_mereu", 1.3, 1.38)])
     def test_one_walk_equals_per_probe_scans(self, name, lo, hi, eps):
-        cycle = find_limit_cycle(system_from_config(name, eps=eps), 1.0, 1e-10)
+        sys_ = system_from_config(name, eps=eps)
+        cycle = find_limit_cycle(sys_, 1.0, 1e-10)
         probes = [lo + (hi - lo) * i / (N_PROBE - 1) for i in range(N_PROBE)]
-        got = _descent_ys(cycle.orbit, probes)
-        want = [rescan_descent_y_at(cycle.orbit, px) for px in probes]
+        got = _descent_ys(sys_, cycle.orbit, probes)
+        want = [rescan_descent_y_at(sys_, cycle.orbit, px) for px in probes]
         assert None not in got
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
-    def test_first_descending_step_wins_and_misses_stay_none(self):
+    def test_first_descending_step_wins_and_misses_stay_none(self, vdp):
         from array import array
 
         from flowcurv.dynamics import Trajectory
 
         # Two descents over x in [0, 2]; a probe on a sample takes the
-        # earlier step's endpoint; 3.0 lies on no descending step.
+        # earlier step's endpoint; 3.0 lies on no descending step.  Steps of
+        # 1e-9 keep the field's slopes from moving the cubic off the chord
+        # by more than 1e-6.
         xs = array("d", [2.0, 1.0, 0.0, 2.0, 0.0])
         ys = array("d", [0.0, 1.0, 2.0, 5.0, 9.0])
-        traj = Trajectory._of_arrays(array("d", range(len(xs))), xs, ys, 4, 0, 1e-9)
+        ts = array("d", [i * 1e-9 for i in range(len(xs))])
+        traj = Trajectory._of_arrays(ts, xs, ys, 4, 0, 1e-9)
         probes = [0.5, 1.0, 1.5, 3.0]
-        assert _descent_ys(traj, probes) == [1.5, 1.0, 0.5, None]
-        assert [rescan_descent_y_at(traj, px) for px in probes] == [1.5, 1.0, 0.5, None]
+        got = _descent_ys(vdp, traj, probes)
+        assert got == [rescan_descent_y_at(vdp, traj, px) for px in probes]
+        assert got[1] == 1.0 and got[3] is None
+        assert got[:3] == pytest.approx([1.5, 1.0, 0.5], abs=1e-6)
+
+    @pytest.mark.parametrize("name, x_probe", [("vdp", 1.75), ("llibre_mereu", 1.34)])
+    def test_step_interpolant_matches_scipy_hermite_spline(self, name, x_probe):
+        # scipy's CubicHermiteSpline through the step's ends and field
+        # slopes, solved for x = x_probe by Brent's method
+        interpolate = pytest.importorskip("scipy.interpolate")
+        optimize = pytest.importorskip("scipy.optimize")
+        sys_ = system_from_config(name, eps=0.1)
+        orbit = find_limit_cycle(sys_, 1.0, 1e-10).orbit
+        s = orbit.samples
+        k = next(i for i in range(len(s) - 1) if s[i + 1].x <= x_probe <= s[i].x
+                 and s[i + 1].x < s[i].x)
+        ends = s[k], s[k + 1]
+        slopes = [[(e.y - sys_.F(e.x)) / sys_.eps, -sys_.g(e.x)] for e in ends]
+        spline = interpolate.CubicHermiteSpline([e.t for e in ends],
+                                                [[e.x, e.y] for e in ends], slopes)
+        t_probe = optimize.brentq(lambda t: spline(t)[0] - x_probe, ends[0].t, ends[1].t,
+                                  xtol=1e-15, rtol=1e-15)
+        got = _step_interpolant(sys_, *ends[0], *ends[1])(x_probe)
+        assert ends[1].t - ends[0].t > 1e-3  # a step long enough for the cubic to count
+        assert got == pytest.approx(spline(t_probe)[1], rel=0, abs=1e-13)
 
 
 class TestConvergenceStudy:
@@ -150,6 +177,20 @@ class TestConvergenceStudy:
         assert 1.8 <= study.fitted_order <= 2.2
         assert study.fitted_order_critical == pytest.approx(1.0, abs=0.1)
         assert all(1.3 <= d / e**2 <= 1.45 for d, e in zip(study.distances, study.eps_values))
+
+    @pytest.mark.parametrize("name, window", [("vdp", (1.6, 1.9)), ("llibre_mereu", (1.3, 1.38))])
+    def test_distance_approaches_the_series_limit(self, name, window):
+        # branch - SIM = -eps**2 g**2 f'/f**4 + O(eps**3), so the distance over
+        # eps**2 rises to max |g**2 f'/f**4| over the probes; a chord through
+        # each step added an O(eps**2) bias and overshot it on llibre_mereu
+        base = system_from_config(name)
+        lo, hi = window
+        probes = [lo + (hi - lo) * i / (N_PROBE - 1) for i in range(N_PROBE)]
+        limit = max(abs(g * g * fp / f**4) for _, f, fp, g, *_ in map(base.values, probes))
+        study = convergence_study(base, [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001], window)
+        ratios = [d / e**2 for d, e in zip(study.distances, study.eps_values)]
+        assert all(b > a for a, b in zip(ratios[:-1], ratios[1:]))
+        assert ratios[-1] == pytest.approx(limit, rel=0.01)
 
     def test_order_fit_matches_numpy_polyfit(self):
         np = pytest.importorskip("numpy")
