@@ -19,13 +19,18 @@ F and g evaluation a Horner expression without its zero terms; the PI
 controller, the blow-up tests and the column appends run in the same
 frame, so a step calls nothing but sqrt and the appends.  It is generated once
 per zero pattern of the F and g coefficients and per mode (stop at
-t_end, or at a section crossing), and bound to the system's
-coefficients.  A section crossing is located on the crossing step's
+t_end, at an upward or at a downward section crossing), and bound to the
+system's coefficients.  A section crossing is located on the crossing step's
 4th-order dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6),
-whose coefficients come from the stage slopes already in the frame.
-The cycle search integrates each return-map period once:
-the orbit it reports is its converged pass, which starts at the previous
-iterate and ends within the convergence tolerance of the section value.
+whose coefficients come from the stage slopes already in the frame; a
+section pass is also bounded in attempted steps, _PASS_STEP_BUDGET.
+The cycle search integrates each return-map pass once: the orbit it
+reports is its converged pass, which starts at the previous iterate and
+ends within the convergence tolerance of the section value.  When F and
+g are odd, as the paper's class has them, the flow commutes with
+(x, y) -> (-x, -y) and the cycle is symmetric, so a pass runs only from
+the upward x = 0 crossing to the downward one, half a period, and the
+reported orbit is that half followed by its mirror image.
 Trajectories, cycles and vicinity segments are immutable NamedTuple
 records, like every record in the package.  A trajectory keeps its
 samples as three read-only float64 columns, t, x and y (24 bytes a
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from array import array
 from typing import NamedTuple
 
@@ -72,14 +78,26 @@ _BETA = 0.04
 _H_MIN = 1e-14
 _STEP_CAP_FACTOR = 0.2
 _BLOWUP_LIMIT = 1e150
-# A step-size underflow after the state has grown this many times beyond
-# max(1, |x0|, |y0|) is reported as a blow-up, not as stiffness.
-_BLOWUP_GROWTH = 1e4
+# A step-size underflow where the state's size max(1, |x|, |y|) grows faster
+# than this relative rate is reported as a blow-up, not as stiffness.  Near
+# a finite-time blow-up the controller keeps rate * h near tol**(1/5), at
+# least 0.0025 for tol >= 1e-13, so the rate exceeds 2.5e11 once h falls
+# below _H_MIN.  In a stall the state grows slowly or shrinks, a stiff mode
+# relaxing: F = 1e14 x from (1, 1) shrinks at rate 2e15.
+_BLOWUP_RATE = 1e10
 # A section crossing is located to this resolution in time.
 _CROSSING_T_TOL = 1e-12
 
 # Return-map passes find_limit_cycle makes before it reports non-convergence.
 MAX_PASSES = 50
+
+# Attempted steps (accepted plus rejected) one return-map pass may take.  The
+# largest legitimate pass measured is the first, from y = 1, at EPS_FLOOR
+# and tol 1e-13: 90,719 steps for a full period of vdp and 76,522 of
+# llibre_mereu, 49,359 and 43,342 for a half period.  A pass that never
+# nears the cycle, such as vdp's from y = 1e9, stiffens without bound: it
+# ends here, after about 5 s, instead of at the horizon in t.
+_PASS_STEP_BUDGET = 1_000_000
 
 # Default vicinity floor: this far beyond the positive zero of F.
 VICINITY_MARGIN = 0.1
@@ -170,7 +188,7 @@ def _weighted(row: "tuple[float, ...]", c: str) -> str:
 
 @functools.cache
 def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]",
-                    section: bool):
+                    crossing: int):
     """Compile the march-kernel factory for F and g with these zero patterns.
 
     A pattern tells, per coefficient descending by degree, whether it is
@@ -179,12 +197,15 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
     x_append, y_append): the whole error-controlled loop of _march in one
     frame.  It steps from (t, x, y) with slope (k1x, k1y) and step cap
     h_max, hands every accepted state to the appends, and returns the
-    accepted and rejected step counts.  With section=False, stop is t_end;
-    with section=True, stop is the horizon, and the loop ends on the
-    upward x = 0 crossing, located on the crossing step's dense output,
-    whose coefficients it forms from the stage slopes in hand.  Every
-    stage evaluates F and g as horner does, so a step is bit-identical to
-    one through Polynomial.__call__.
+    accepted and rejected step counts.  With crossing=0, stop is t_end.
+    Otherwise stop is the horizon, and the loop ends on the x = 0 crossing
+    upward with y > 0 (crossing=1) or downward with y < 0 (crossing=-1),
+    located on the crossing step's dense output, whose coefficients it
+    forms from the stage slopes in hand; a downward crossing is the upward
+    one of the negated step, so _crossing serves both.  A section pass
+    also raises after _PASS_STEP_BUDGET attempted steps.  Every stage
+    evaluates F and g as horner does, so a step is bit-identical to one
+    through Polynomial.__call__.
     """
     F, g = coefficient_names(F_pattern, "F"), coefficient_names(g_pattern, "g")
     stages = []
@@ -198,14 +219,14 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
     fail = "t=t, x=x, y=y, h=h, accepted=accepted, rejected=rejected"
     lines = [
         "def march(t, x, y, k1x, k1y, h_max, tol, stop, t_append, x_append, y_append):",
-        "    t0, x0, y0 = t, x, y",
+        *(["    t0 = t"] if crossing else []),
         "    hp = h_max",
         "    err_prev = 1.0",
         "    accepted = rejected = bad = 0",
         "    while True:",
         "        h = hp",
     ]
-    if not section:
+    if not crossing:
         lines += [
             "        capped = t + h >= stop",
             "        if capped:",
@@ -219,7 +240,7 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
         ]
     lines += [
         f"        if h < {_H_MIN!r}:",
-        "            raise _underflow(bad, x0, y0, t, x, y, h, accepted, rejected)",
+        "            raise _underflow(bad, t, x, y, k1x, k1y, h, accepted, rejected)",
         *(f"        {line}" for line in stages),
         # v - v == 0.0 holds exactly for finite v.  Below, abs and the
         # clamps are conditionals, not calls, and the constants literals:
@@ -245,7 +266,7 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
         "            continue",
         "        bad = 0",
         "        accepted += 1",
-        "        tn = " + ("t + h" if section else "stop if capped else t + h"),
+        "        tn = " + ("t + h" if crossing else "stop if capped else t + h"),
         f"        if xn > {_BLOWUP_LIMIT!r} or xn < {-_BLOWUP_LIMIT!r}"
         f" or yn > {_BLOWUP_LIMIT!r} or yn < {-_BLOWUP_LIMIT!r}:",
         "            raise IntegrationError('blow-up', t=tn, x=xn, y=yn, h=h,"
@@ -255,14 +276,18 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
         "        hp = h * (0.2 if fac <= 0.2 else 5.0 if fac >= 5.0 else fac)",
         f"        hp = {_H_MIN!r} if hp < {_H_MIN!r} else h_max if hp > h_max else hp",
     ]
-    if section:
+    if crossing:
+        # The downward crossing is the upward one of the negated step.
+        neg = "" if crossing > 0 else "-"
+        step = ", ".join(f"{neg}{v}" for v in ("x", "y", "k1x", "k1y", "xn", "yn", "k7x", "k7y"))
         lines += [
-            "        if x < 0.0 <= xn and 0.5 * (y + yn) > 0.0:",
-            f"            tc, xc, yc = _crossing(t, h, x, y, k1x, k1y, xn, yn, k7x, k7y,"
-            f" {_weighted(_DP_D, 'x')}, {_weighted(_DP_D, 'y')})",
+            "        if x < 0.0 <= xn and 0.5 * (y + yn) > 0.0:" if crossing > 0 else
+            "        if x > 0.0 >= xn and 0.5 * (y + yn) < 0.0:",
+            f"            tc, xc, yc = _crossing(t, h, {step},"
+            f" {neg}({_weighted(_DP_D, 'x')}), {neg}({_weighted(_DP_D, 'y')}))",
             "            t_append(tc)",
-            "            x_append(xc)",
-            "            y_append(yc)",
+            f"            x_append({neg}xc)",
+            f"            y_append({neg}yc)",
             "            return accepted, rejected",
         ]
     lines += [
@@ -275,10 +300,13 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
         "        x_append(x)",
         "        y_append(y)",
     ]
-    if section:
+    if crossing:
         lines += [
             "        if t - t0 > stop:",
             "            raise IntegrationError('no return to the section within the safety horizon',",
+            "                                   t=t, x=x, y=y, h=hp, accepted=accepted, rejected=rejected)",
+            f"        if accepted + rejected > {_PASS_STEP_BUDGET}:",
+            f"            raise IntegrationError('no return to the section within {_PASS_STEP_BUDGET} steps',",
             "                                   t=t, x=x, y=y, h=hp, accepted=accepted, rejected=rejected)",
         ]
     else:
@@ -289,15 +317,24 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
     return compile_factory(
         [c for c in F + g if c] + ["eps"],
         [f"    {line}" for line in lines] + ["    return march"],
-        f"dp5 march F{len(F_pattern)} g{len(g_pattern)} {'section' if section else 't_end'}",
+        f"dp5 march F{len(F_pattern)} g{len(g_pattern)} {('t_end', 'up', 'down')[crossing]}",
         {"sqrt": math.sqrt, "IntegrationError": IntegrationError,
          "_underflow": _underflow, "_crossing": _crossing})
 
 
-def _underflow(bad, x0, y0, t, x, y, h, accepted, rejected) -> IntegrationError:
-    """The error for a step size below _H_MIN: a blow-up or a stall."""
-    grown = max(abs(x), abs(y)) > _BLOWUP_GROWTH * max(1.0, abs(x0), abs(y0))
-    return IntegrationError("blow-up" if bad or grown else "integration stalled (stiffness)",
+def _underflow(bad, t, x, y, k1x, k1y, h, accepted, rejected) -> IntegrationError:
+    """The error for a step size below _H_MIN: a blow-up or a stall.
+
+    A blow-up when an attempt was not finite, or when the state's size grows
+    at its last accepted sample, with slope (k1x, k1y), faster than
+    _BLOWUP_RATE relative to max(1, size).
+    """
+    if abs(x) >= abs(y):
+        size, growth = abs(x), (k1x if x >= 0.0 else -k1x)
+    else:
+        size, growth = abs(y), (k1y if y >= 0.0 else -k1y)
+    runaway = growth > _BLOWUP_RATE * max(1.0, size)
+    return IntegrationError("blow-up" if bad or runaway else "integration stalled (stiffness)",
                             t=t, x=x, y=y, h=h, accepted=accepted, rejected=rejected)
 
 
@@ -331,22 +368,24 @@ def _crossing(t, h, x, y, k1x, k1y, xn, yn, k7x, k7y, dx, dy) -> "tuple[float, f
     return t + hi * h, _dense(cx, hi), _dense(cy, hi)
 
 
-def _kernel(sys: LienardSystem, section: bool):
+def _kernel(sys: LienardSystem, crossing: int):
     """This system's march kernel (see _kernel_factory)."""
     F, g = sys.F.desc, sys.g.desc
-    factory = _kernel_factory(tuple(map(bool, F)), tuple(map(bool, g)), section)
+    factory = _kernel_factory(tuple(map(bool, F)), tuple(map(bool, g)), crossing)
     return factory(*filter(None, F), *filter(None, g), sys.eps)
 
 
-def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None) -> Trajectory:
+def _march(sys: LienardSystem, s0: State, tol: float, crossing: int,
+           t_end: float | None = None) -> Trajectory:
     """The error-controlled stepping loop shared by integrate and the cycle search.
 
     Every accepted state is a sample, appended to the t, x and y columns.
-    With t_end, step to t_end (the last step lands on it exactly).
-    Without, step until x crosses 0 upward with y > 0; the crossing, not
-    the end of its step, is the last sample, and a pass longer than
-    10 * (1 + 1/eps) raises.  The loop itself is one call of the system's
-    march kernel.
+    With crossing=0, step to t_end (the last step lands on it exactly).
+    Otherwise step until x crosses 0 upward with y > 0 (crossing=1) or
+    downward with y < 0 (crossing=-1); the crossing, not the end of its
+    step, is the last sample, and a pass longer than 10 * (1 + 1/eps) or
+    than _PASS_STEP_BUDGET attempted steps raises.  The loop itself is one
+    call of the system's march kernel.
     """
     if sys.eps < EPS_FLOOR:
         raise ValueError(f"eps below {EPS_FLOOR} is outside the integrator's comfort zone")
@@ -354,14 +393,29 @@ def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None
         raise ValueError("tol must lie in [1e-13, 1e-3]")
     if not all(math.isfinite(v) for v in s0):
         raise ValueError("initial state must be finite")
-    section = t_end is None
     eps = sys.eps
     t, x, y = s0
     ts, xs, ys = array("d", (t,)), array("d", (x,)), array("d", (y,))
-    accepted, rejected = _kernel(sys, section)(
+    accepted, rejected = _kernel(sys, crossing)(
         t, x, y, (y - sys.F(x)) / eps, -sys.g(x), _STEP_CAP_FACTOR * eps, tol,
-        10.0 * (1.0 + 1.0 / eps) if section else t_end, ts.append, xs.append, ys.append)
+        10.0 * (1.0 + 1.0 / eps) if crossing else t_end, ts.append, xs.append, ys.append)
     return Trajectory._of_arrays(ts, xs, ys, accepted, rejected, tol)
+
+
+def _mirrored(half: Trajectory) -> Trajectory:
+    """The closed orbit of an odd system from its first half.
+
+    half runs from (0, 0, y0) to (T_h, x_h, y_h) near (T_h, 0, -y0); every
+    sample after its first, mirrored to (T_h + t, -x, -y), follows it, so
+    the orbit ends at (2 T_h, -x_h, -y_h) with twice the half's step counts.
+    """
+    th = half.t[-1]
+    ts, xs, ys = half.t.obj[:], half.x.obj[:], half.y.obj[:]
+    ts.extend(map(th.__add__, half.t[1:]))
+    xs.extend(map(operator.neg, half.x[1:]))
+    ys.extend(map(operator.neg, half.y[1:]))
+    return Trajectory._of_arrays(ts, xs, ys, 2 * half.accepted_steps,
+                                 2 * half.rejected_steps, half.tol_used)
 
 
 def integrate(sys: LienardSystem, s0: State, t_end: float, tol: float) -> Trajectory:
@@ -373,36 +427,49 @@ def integrate(sys: LienardSystem, s0: State, t_end: float, tol: float) -> Trajec
     """
     if not t_end > s0.t:
         raise ValueError("t_end must exceed the initial time")
-    return _march(sys, s0, tol, t_end)
+    return _march(sys, s0, tol, 0, t_end)
 
 
 def find_limit_cycle(
     sys: LienardSystem, y_guess: float, tol: float, integ_tol: float = 1e-10
 ) -> LimitCycle:
-    """Iterate the Poincare return map on the section {x = 0, xdot > 0}.
+    """Iterate a Poincare return map on the section {x = 0, xdot > 0}.
 
     Tangents are horizontal on the y-axis, so the crossing is transversal
-    and well conditioned.  Every pass records its samples; the pass with
-    |y_{k+1} - y_k| <= tol, or the last one after MAX_PASSES, is the
-    orbit.  It starts at (0, y_k), the previous iterate, and ends on the
-    section at t = period with y = section_value = y_{k+1}, so it closes to
-    within tol.  Non-convergence returns converged=False with that last
-    pass; a missing return raises IntegrationError, and eps < EPS_FLOOR
-    raises ValueError.
+    and well conditioned.  When F and g are odd (F(0) = 0 included), the
+    flow commutes with (x, y) -> (-x, -y), and the map iterated is the
+    half-period map: a pass runs from (0, y_k) to the next downward
+    crossing (0, -y_{k+1}).  Its fixed point is the cycle's, which is
+    symmetric because the mirror of a cycle is a cycle (Perko, Differential
+    Equations and Dynamical Systems, 3.8, makes it unique).  Any other
+    system iterates the full-period map: a pass runs from (0, y_k) to the
+    next upward crossing (0, y_{k+1}).  The pass with |y_{k+1} - y_k| <= tol,
+    or the last one after MAX_PASSES, gives the orbit: the full pass, or
+    the half pass followed by its mirror (see _mirrored).  The orbit starts
+    at (0, y_k), the previous iterate, and ends on the section at
+    t = period with y = section_value = y_{k+1}, so it closes to within
+    tol.  Non-convergence returns converged=False with that last pass; a
+    missing return raises IntegrationError, and eps < EPS_FLOOR raises
+    ValueError.
     """
     if not y_guess > 0:
         raise ValueError("y_guess must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
 
+    half = not any(sys.F.num[0::2]) and not any(sys.g.num[0::2])
+    # A half pass ends at (0, -y_{k+1}), a full one at (0, y_{k+1}).
+    crossing = -1 if half else 1
     iterates = [float(y_guess)]
     converged = False
     for _ in range(MAX_PASSES):
-        orbit = _march(sys, State(0.0, 0.0, iterates[-1]), integ_tol)
-        iterates.append(orbit.y[-1])
+        orbit = _march(sys, State(0.0, 0.0, iterates[-1]), integ_tol, crossing)
+        iterates.append(crossing * orbit.y[-1])
         if abs(iterates[-1] - iterates[-2]) <= tol:
             converged = True
             break
+    if half:
+        orbit = _mirrored(orbit)
 
     return LimitCycle(
         period=orbit.t[-1],

@@ -55,6 +55,15 @@ class TestSimulate:
         assert run.returncode == 3
         assert run.stderr == "numerical failure: blow-up\n"
 
+    def test_finite_time_blow_up_exits_3(self, tmp_path, capsys):
+        # F = -x^3 from x0 = 1e5 runs away within 2.5e-12: a blow-up, not a stall.
+        cfg = tmp_path / "runaway.json"
+        cfg.write_text(json.dumps({"name": "runaway", "F": [0, 0, 0, -1.0],
+                                   "g": [0, 1.0], "eps": 0.05}))
+        rc = main(["simulate", "--config", str(cfg), "--x0", "1e5", "--t-end", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err == "numerical failure: blow-up\n"
+
 
 class TestManifold:
     def test_table_rows(self, tmp_path):
@@ -93,6 +102,14 @@ class TestVerify:
                    if cid != "PHIDOT_POS")
         assert doc["overall"] is False
         assert rc == 1
+
+    def test_far_guess_ends_at_the_step_budget(self, capsys):
+        # From y = 1e9 the first pass stiffens without bound; the step
+        # budget ends it with exit 3 instead of running until killed.
+        rc = main(["verify", "--config", VDP, "--y-guess", "1e9"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: no return to the section within 1000000 steps\n")
 
     def test_failed_assumptions_reported_with_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "evensquare.json"

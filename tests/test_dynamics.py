@@ -193,37 +193,43 @@ class TestStepKernel:
         a, b = system_from_config("vdp"), system_from_config("vdp", eps=0.1)
         c = make_system([0.0, 2.0, 0.0, -1.0], [0.0, 3.0], 0.05)
         d = make_system([0.5, 2.0, 0.0, -1.0], [0.0, 3.0], 0.05)  # F(0) != 0
-        ka, kb, kc, kd = (dynamics._kernel(s, True) for s in (a, b, c, d))
+        ka, kb, kc, kd = (dynamics._kernel(s, 1) for s in (a, b, c, d))
         assert ka.__code__ is kb.__code__ is kc.__code__
         assert kd.__code__ is not ka.__code__
-        assert dynamics._kernel(a, False).__code__ is not ka.__code__
+        codes = {dynamics._kernel(a, crossing).__code__ for crossing in (0, 1, -1)}
+        assert len(codes) == 3
         ends = {integrate(s, State(0.0, 0.3, 0.2), 0.5, 1e-9).x[-1] for s in (a, b, c, d)}
         assert len(ends) == 4
 
-    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu", "asym"])
     def test_dense_crossing_is_fifth_order_local(self, name):
-        sys_ = system_from_config(name)
-        x0, y0 = -0.05, 0.8
-        k1 = ((y0 - sys_.F(x0)) / sys_.eps, -sys_.g(x0))
-        # Reference crossing: bisection on 40 fixed substeps per probe.
-        lo, hi = 0.0, 0.005
-        while hi - lo > 1e-15:
-            mid = 0.5 * (lo + hi)
-            if propagate(sys_, x0, y0, mid, n_sub=40)[0] < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        y_ref = propagate(sys_, x0, y0, hi, n_sub=40)[1]
-        march = dynamics._kernel(sys_, True)
-        errs = []
-        for h in (0.02, 0.01, 0.005):
-            # h is the step cap, so the first step has length h; it crosses x = 0.
-            ts, xs, ys = [0.0], [x0], [y0]
-            counts = march(0.0, x0, y0, *k1, h, FIRST_STEP_TOL, 1.0, ts.append, xs.append, ys.append)
-            assert counts == (1, 0) and len(ts) == 2
-            errs.append(max(abs(ts[-1] - hi), abs(ys[-1] - y_ref)))
-        assert math.log2(errs[0] / errs[1]) >= 4.5
-        assert math.log2(errs[1] / errs[2]) >= 4.5
+        # The upward crossing (direction 1) from (-0.05, 0.8), the downward
+        # one (direction -1) from (0.05, -0.8).
+        sys_ = pin_system(name, 0.05)
+        for direction in (1, -1):
+            x0, y0 = -0.05 * direction, 0.8 * direction
+            k1 = ((y0 - sys_.F(x0)) / sys_.eps, -sys_.g(x0))
+            # Reference crossing: bisection on 40 fixed substeps per probe.
+            lo, hi = 0.0, 0.005
+            while hi - lo > 1e-15:
+                mid = 0.5 * (lo + hi)
+                if direction * propagate(sys_, x0, y0, mid, n_sub=40)[0] < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            y_ref = propagate(sys_, x0, y0, hi, n_sub=40)[1]
+            march = dynamics._kernel(sys_, direction)
+            errs = []
+            for h in (0.02, 0.01, 0.005):
+                # h is the step cap, so the first step has length h; it crosses x = 0.
+                ts, xs, ys = [0.0], [x0], [y0]
+                counts = march(0.0, x0, y0, *k1, h, FIRST_STEP_TOL, 1.0,
+                               ts.append, xs.append, ys.append)
+                assert counts == (1, 0) and len(ts) == 2
+                assert direction * xs[-1] >= 0.0
+                errs.append(max(abs(ts[-1] - hi), abs(ys[-1] - y_ref)))
+            assert math.log2(errs[0] / errs[1]) >= 4.5
+            assert math.log2(errs[1] / errs[2]) >= 4.5
 
 
 class TestFindLimitCycle:
@@ -284,14 +290,29 @@ def sample_digest(traj) -> str:
 
 # Degree-9 F with a cubic g, for the sample pin.
 PIN_DEG9 = ([0, -1, 0, 0.2, 0, 0.1, 0, 0.05, 0, 0.01], [0, 1, 0, 0.3])
-# sample_digest of find_limit_cycle(sys, 1.0, 1e-9, integ_tol=1e-9).orbit
+# F = x^3/3 + 0.1 x^2 - x is not odd: its cycle comes from the full-period map.
+PIN_ASYM = ([0, -1, 0.1, 1 / 3], [0, 1])
+
+
+def pin_system(name, eps):
+    """A pinned system: PIN_DEG9, PIN_ASYM or a bundled config, at this eps."""
+    pins = {"deg9": PIN_DEG9, "asym": PIN_ASYM}
+    return make_system(*pins[name], eps) if name in pins else system_from_config(name, eps=eps)
+
+
+# sample_digest of find_limit_cycle(sys, 1.0, 1e-9, integ_tol=1e-9).orbit.  The
+# odd systems' orbits are half-period passes and their mirrors.  The asym
+# digests predate the half-period map: an asymmetric system's orbit must not
+# change with it.
 CYCLE_PINS = {
-    ("vdp", 0.1): "9171f5d37f8613eedfd7180ecb1fd0d72ab97a32ab1dc2ed556598d1a6c29e7d",
-    ("vdp", 0.005): "fbe2db0969af34d6ab4a717b41f28ec0e1741c862496b64e757880b55f51910d",
-    ("llibre_mereu", 0.1): "c326c3e48364af7cde5f3cfe064366d7bf11034c943f1b6c6f7711b3376f2dcd",
-    ("llibre_mereu", 0.005): "0bc4a7967c16ec5a82e47c723c2bf02a797bc2c781d90959437f868477ed6f66",
-    ("deg9", 0.1): "791df354f3d1fc1fc81ad496bf5e2dd607f1b077886fc3f0c3027293abc2b868",
-    ("deg9", 0.005): "02dc94b2c83346c64900100511ed13c190e56b130aa905048f2bf4f2590d8f28",
+    ("vdp", 0.1): "9beba51aa0ff944dfa447ff911cb1e9ae78de76783d6cfdb352737561653699e",
+    ("vdp", 0.005): "0aa54798e7678bfc84bcb0c993b35519d2539d682d906a622854e8860883373c",
+    ("llibre_mereu", 0.1): "36e2aa103554ef1f09c594b008dfca92b73d069e7d4cc3595783d92c262a22db",
+    ("llibre_mereu", 0.005): "6bfc9b47b77205e2aa6cea24687e093258fa0446284a417b8d1630558aa53b68",
+    ("deg9", 0.1): "23ab5b8d9dd771a3d772d2914464410e4fe8db006a4918460f2b552ad74aa4ec",
+    ("deg9", 0.005): "65634263777aee4208f0c02b9c18ecbafd949314f1f546f87fd957784b3dec77",
+    ("asym", 0.1): "fe27e1f2352245054f21f0809d0574485c28759d9daee8e07bbfd60c9079c651",
+    ("asym", 0.005): "4b9a37523ea91d759dbe6b5403edfe737db952364e79d6b15c81289a6901af95",
 }
 # sample_digest of integrate(sys at eps 0.05, State(0.0, 0.1, 0.1), 20.0, 1e-9)
 INTEGRATE_PINS = {
@@ -307,8 +328,7 @@ class TestSamplePin:
 
     @pytest.mark.parametrize("name, eps", list(CYCLE_PINS))
     def test_cycle_samples(self, name, eps):
-        sys_ = make_system(*PIN_DEG9, eps) if name == "deg9" else system_from_config(name, eps=eps)
-        cyc = find_limit_cycle(sys_, 1.0, 1e-9, integ_tol=1e-9)
+        cyc = find_limit_cycle(pin_system(name, eps), 1.0, 1e-9, integ_tol=1e-9)
         assert sample_digest(cyc.orbit) == CYCLE_PINS[name, eps]
 
     @pytest.mark.parametrize("name", list(INTEGRATE_PINS))
@@ -386,22 +406,81 @@ class TestSinglePassCycleSearch:
         assert cyc.period == cyc.orbit.samples[-1].t
 
 
-def bisection_crossing(sys_, prev, span):
+def full_map_cycle(sys_, y, tol):
+    """(period, section value) of the full-period map's fixed point, iterated from y."""
+    ys = [y]
+    while True:
+        traj = dynamics._march(sys_, State(0.0, 0.0, ys[-1]), tol, 1)
+        ys.append(traj.y[-1])
+        if abs(ys[-1] - ys[-2]) <= tol:
+            return traj.t[-1], ys[-1]
+
+
+class TestHalfPeriodMap:
+    """F and g odd: each pass is a half period, and the mirror supplies the rest."""
+
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu", "deg9"])
+    @pytest.mark.parametrize("eps", [0.1, 0.005])
+    def test_agrees_with_full_map(self, name, eps):
+        sys_, tol = pin_system(name, eps), 1e-9
+        cyc = find_limit_cycle(sys_, 1.0, tol, integ_tol=tol)
+        period, section_value = full_map_cycle(sys_, 1.0, tol)
+        assert cyc.converged
+        assert abs(cyc.period - period) <= 10 * tol
+        assert abs(cyc.section_value - section_value) <= 10 * tol
+
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu", "deg9"])
+    def test_second_half_mirrors_the_first(self, name):
+        cyc = find_limit_cycle(pin_system(name, 0.02), 1.0, 1e-9)
+        orbit = cyc.orbit
+        n = orbit.accepted_steps // 2
+        assert orbit.accepted_steps == 2 * n and orbit.rejected_steps % 2 == 0
+        assert len(orbit.t) == 2 * n + 1
+        t_half = orbit.t[n]
+        assert bits(orbit.t[n + 1:]) == bits(t_half + t for t in orbit.t[1:n + 1])
+        assert bits(orbit.x[n + 1:]) == bits(-x for x in orbit.x[1:n + 1])
+        assert bits(orbit.y[n + 1:]) == bits(-y for y in orbit.y[1:n + 1])
+        assert cyc.period == 2 * t_half
+        # The half ends on the downward crossing, near the start's mirror.
+        assert orbit.x[n - 1] > 0.0 >= orbit.x[n]
+        assert -orbit.y[n] == cyc.section_value == orbit.y[-1]
+
+    @pytest.mark.parametrize("F, g, crossing", [
+        ([0, -1, 0, 1 / 3], [0, 1], -1),        # vdp: odd F and g
+        (PIN_ASYM[0], PIN_ASYM[1], 1),           # an x^2 term in F
+        ([0.01, -1, 0, 1 / 3], [0, 1], 1),      # F(0) != 0
+        ([0, -1, 0, 1 / 3], [0, 1, 0.1], 1),    # an x^2 term in g
+    ])
+    def test_map_follows_the_parity(self, F, g, crossing, monkeypatch):
+        seen = []
+        orig = dynamics._march
+
+        def recorded(*args, **kwargs):
+            seen.append(args[3])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_march", recorded)
+        find_limit_cycle(make_system(F, g, 0.1), 1.0, 1e-8)
+        assert seen and set(seen) == {crossing}
+
+
+def bisection_crossing(sys_, prev, span, direction):
     """The crossing as bisection in time located it before dense output.
 
-    Each probe time re-propagates one fixed DP step from prev; the x >= 0
-    side is kept, to 1e-12 in time.
+    Each probe time re-propagates one fixed DP step from prev; the side
+    where direction * x >= 0 (x >= 0 upward, x <= 0 downward) is kept, to
+    1e-12 in time.
     """
     rhs = horner_rhs(sys_)
 
     def at(tau):
         return reference_dp_step(rhs, prev.x, prev.y, tau, *rhs(prev.x, prev.y))[:2]
 
-    assert at(span)[0] >= 0.0
+    assert direction * at(span)[0] >= 0.0
     lo, hi = 0.0, span
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if at(mid)[0] < 0.0:
+        if direction * at(mid)[0] < 0.0:
             lo = mid
         else:
             hi = mid
@@ -414,8 +493,8 @@ def _recording_passes(monkeypatch) -> list:
     passes, calls = [], [0]
     orig_kernel, orig_march = dynamics._kernel, dynamics._march
 
-    def counting_kernel(sys_, section):
-        march = orig_kernel(sys_, section)
+    def counting_kernel(sys_, crossing):
+        march = orig_kernel(sys_, crossing)
 
         def counted(*args):
             calls[0] += 1
@@ -441,18 +520,21 @@ CERTIFY_CASES = [(name, eps, tol) for name in ("vdp", "llibre_mereu")
 
 
 class TestDenseCrossing:
-    @pytest.mark.parametrize("name, eps, tol", CERTIFY_CASES)
+    @pytest.mark.parametrize("name, eps, tol",
+                             CERTIFY_CASES + [("asym", 0.1, 1e-9), ("asym", 0.005, 1e-9)])
     def test_agrees_with_bisection_crossing(self, name, eps, tol, monkeypatch):
         passes = _recording_passes(monkeypatch)
-        sys_ = system_from_config(name, eps=eps)
+        sys_ = pin_system(name, eps)
         cyc = find_limit_cycle(sys_, 1.0, tol, integ_tol=tol)
         assert cyc.converged and len(passes) == cyc.iterations
+        # The odd systems' passes end on the downward crossing, asym's on the upward one.
+        direction = 1 if name == "asym" else -1
         for traj, _ in passes:
             prev, cross = traj.samples[-2], traj.samples[-1]
-            old = bisection_crossing(sys_, prev, 2.0 * (cross.t - prev.t))
+            old = bisection_crossing(sys_, prev, 2.0 * (cross.t - prev.t), direction)
             assert abs(cross.t - old.t) <= 1e-9
             assert abs(cross.y - old.y) <= 1e-9
-            assert prev.x < 0.0 and abs(cross.x) <= 1e-8
+            assert direction * prev.x < 0.0 and abs(cross.x) <= 1e-8
 
     @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
     def test_kernel_calls_per_pass(self, name, monkeypatch):
@@ -544,6 +626,35 @@ class TestIntegrationErrorState:
         assert 0.0 < e.t < 0.01
         assert 0.0 < e.h < 1e-14
         assert e.accepted > 0 and e.rejected > 0
+
+    def test_finite_time_blow_up_from_a_large_state(self):
+        # From x0 = 1e5, F = -x^3 runs away in about eps/(2 x0^2) = 2.5e-12;
+        # the state grows only about fourfold before the step underflows.
+        runaway = make_system([0, 0, 0, -1.0], [0, 1], 0.05)
+        with pytest.raises(IntegrationError, match="blow-up") as info:
+            integrate(runaway, State(0.0, 1e5, 0.1), 1.0, 1e-9)
+        e = info.value
+        assert 1e5 < e.x < 1e4 * 1e5
+        assert 0.0 < e.t < 1e-11
+        assert 0.0 < e.h < 1e-14
+        assert e.accepted > 0
+
+    def test_step_budget_bounds_a_pass(self, monkeypatch):
+        # vdp from y = 1e9 climbs to x ~ 1442 and stiffens: the horizon in t
+        # is never reached, the step budget is.
+        monkeypatch.setattr(dynamics, "_PASS_STEP_BUDGET", 3000)
+        dynamics._kernel_factory.cache_clear()  # the budget is a literal of the kernel
+        try:
+            with pytest.raises(IntegrationError, match="no return to the section within 3000 steps") as info:
+                find_limit_cycle(system_from_config("vdp"), 1e9, 1e-9)
+        finally:
+            monkeypatch.undo()
+            dynamics._kernel_factory.cache_clear()
+        e = info.value
+        assert e.accepted + e.rejected == 3001
+        assert 0.0 < e.t < 10.0 * (1.0 + 1.0 / 0.05)
+        assert e.x > 1000.0 and e.y > 1e8
+        assert 0.0 < e.h < 1e-6
 
     @pytest.mark.parametrize("g, x0", [([0, 1.0], 1000.0), ([0, 0, 0, 0, 0, 1.0], 1e5)])
     def test_error_norm_overflow_is_a_blow_up(self, g, x0):
