@@ -22,8 +22,10 @@ per zero pattern of the F and g coefficients and per mode (stop at
 t_end, at an upward or at a downward section crossing), and bound to the
 system's coefficients.  A section crossing is located on the crossing step's
 4th-order dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6),
-whose coefficients come from the stage slopes already in the frame; a
-section pass is also bounded in attempted steps, _PASS_STEP_BUDGET.
+whose coefficients come from the stage slopes already in the frame.
+Every pass is bounded in attempted steps: a section pass by
+_PASS_STEP_BUDGET, a pass to t_end by that many more than the step cap
+needs to span the interval.
 The cycle search integrates each return-map pass once: the orbit it
 reports is its converged pass, which starts at the previous iterate and
 ends within the convergence tolerance of the section value.  When F and
@@ -91,12 +93,13 @@ _CROSSING_T_TOL = 1e-12
 # Return-map passes find_limit_cycle makes before it reports non-convergence.
 MAX_PASSES = 50
 
-# Attempted steps (accepted plus rejected) one return-map pass may take.  The
+# Attempted steps (accepted plus rejected) one return-map pass may take, and
+# one integration to t_end beyond the fewest that its step cap allows.  The
 # largest legitimate pass measured is the first, from y = 1, at EPS_FLOOR
 # and tol 1e-13: 90,719 steps for a full period of vdp and 76,522 of
-# llibre_mereu, 49,359 and 43,342 for a half period.  A pass that never
+# llibre_mereu, 49,359 and 43,342 for a half period.  A run that never
 # nears the cycle, such as vdp's from y = 1e9, stiffens without bound: it
-# ends here, after about 5 s, instead of at the horizon in t.
+# ends here, after about 5 s, instead of at the horizon or at t_end.
 _PASS_STEP_BUDGET = 1_000_000
 
 # Default vicinity floor: this far beyond the positive zero of F.
@@ -193,17 +196,17 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
 
     A pattern tells, per coefficient descending by degree, whether it is
     nonzero.  factory(nonzero F coefficients..., nonzero g coefficients...,
-    eps) returns march(t, x, y, k1x, k1y, h_max, tol, stop, t_append,
-    x_append, y_append): the whole error-controlled loop of _march in one
-    frame.  It steps from (t, x, y) with slope (k1x, k1y) and step cap
-    h_max, hands every accepted state to the appends, and returns the
-    accepted and rejected step counts.  With crossing=0, stop is t_end.
+    eps) returns march(t, x, y, k1x, k1y, h_max, tol, stop, budget,
+    t_append, x_append, y_append): the whole error-controlled loop of
+    _march in one frame.  It steps from (t, x, y) with slope (k1x, k1y)
+    and step cap h_max, hands every accepted state to the appends, and
+    returns the accepted and rejected step counts.  With crossing=0, stop is t_end.
     Otherwise stop is the horizon, and the loop ends on the x = 0 crossing
     upward with y > 0 (crossing=1) or downward with y < 0 (crossing=-1),
     located on the crossing step's dense output, whose coefficients it
     forms from the stage slopes in hand; a downward crossing is the upward
-    one of the negated step, so _crossing serves both.  A section pass
-    also raises after _PASS_STEP_BUDGET attempted steps.  Every stage
+    one of the negated step, so _crossing serves both.  Either mode
+    raises once more than budget steps have been attempted.  Every stage
     evaluates F and g as horner does, so a step is bit-identical to one
     through Polynomial.__call__.
     """
@@ -218,7 +221,7 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
     stages += [f"ex = {_weighted(_DP_E, 'x')}", f"ey = {_weighted(_DP_E, 'y')}"]
     fail = "t=t, x=x, y=y, h=h, accepted=accepted, rejected=rejected"
     lines = [
-        "def march(t, x, y, k1x, k1y, h_max, tol, stop, t_append, x_append, y_append):",
+        "def march(t, x, y, k1x, k1y, h_max, tol, stop, budget, t_append, x_append, y_append):",
         *(["    t0 = t"] if crossing else []),
         "    hp = h_max",
         "    err_prev = 1.0",
@@ -305,15 +308,18 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
             "        if t - t0 > stop:",
             "            raise IntegrationError('no return to the section within the safety horizon',",
             "                                   t=t, x=x, y=y, h=hp, accepted=accepted, rejected=rejected)",
-            f"        if accepted + rejected > {_PASS_STEP_BUDGET}:",
-            f"            raise IntegrationError('no return to the section within {_PASS_STEP_BUDGET} steps',",
-            "                                   t=t, x=x, y=y, h=hp, accepted=accepted, rejected=rejected)",
         ]
     else:
         lines += [
             "        if not t < stop:",
             "            return accepted, rejected",
         ]
+    goal = "return to the section" if crossing else "arrival at t_end"
+    lines += [
+        "        if accepted + rejected > budget:",
+        f"            raise IntegrationError(f'no {goal} within {{budget}} steps',",
+        "                                   t=t, x=x, y=y, h=hp, accepted=accepted, rejected=rejected)",
+    ]
     return compile_factory(
         [c for c in F + g if c] + ["eps"],
         [f"    {line}" for line in lines] + ["    return march"],
@@ -383,9 +389,11 @@ def _march(sys: LienardSystem, s0: State, tol: float, crossing: int,
     With crossing=0, step to t_end (the last step lands on it exactly).
     Otherwise step until x crosses 0 upward with y > 0 (crossing=1) or
     downward with y < 0 (crossing=-1); the crossing, not the end of its
-    step, is the last sample, and a pass longer than 10 * (1 + 1/eps) or
-    than _PASS_STEP_BUDGET attempted steps raises.  The loop itself is one
-    call of the system's march kernel.
+    step, is the last sample, and a pass longer than 10 * (1 + 1/eps)
+    raises.  Either pass raises once its attempted steps exceed the budget:
+    _PASS_STEP_BUDGET, plus, to t_end, the ceil((t_end - t0) / h_max)
+    steps the cap needs, so every run the cap allows can finish.  The loop
+    itself is one call of the system's march kernel.
     """
     if sys.eps < EPS_FLOOR:
         raise ValueError(f"eps below {EPS_FLOOR} is outside the integrator's comfort zone")
@@ -395,10 +403,15 @@ def _march(sys: LienardSystem, s0: State, tol: float, crossing: int,
         raise ValueError("initial state must be finite")
     eps = sys.eps
     t, x, y = s0
+    h_max = _STEP_CAP_FACTOR * eps
+    if crossing:
+        stop, budget = 10.0 * (1.0 + 1.0 / eps), _PASS_STEP_BUDGET
+    else:
+        stop, budget = t_end, _PASS_STEP_BUDGET + math.ceil((t_end - t) / h_max)
     ts, xs, ys = array("d", (t,)), array("d", (x,)), array("d", (y,))
     accepted, rejected = _kernel(sys, crossing)(
-        t, x, y, (y - sys.F(x)) / eps, -sys.g(x), _STEP_CAP_FACTOR * eps, tol,
-        10.0 * (1.0 + 1.0 / eps) if crossing else t_end, ts.append, xs.append, ys.append)
+        t, x, y, (y - sys.F(x)) / eps, -sys.g(x), h_max, tol, stop, budget,
+        ts.append, xs.append, ys.append)
     return Trajectory._of_arrays(ts, xs, ys, accepted, rejected, tol)
 
 
@@ -422,11 +435,12 @@ def integrate(sys: LienardSystem, s0: State, t_end: float, tol: float) -> Trajec
     """Integrate the flow from s0 to t_end with local error <= tol per step.
 
     Emits a sample at every accepted step (the last lands on t_end
-    exactly).  Raises IntegrationError on step-size underflow or
-    non-finite states, and ValueError when eps < EPS_FLOOR.
+    exactly).  Raises IntegrationError on step-size underflow, non-finite
+    states or an exhausted step budget (see _march), and ValueError when
+    eps < EPS_FLOOR or t_end is not finite.
     """
-    if not t_end > s0.t:
-        raise ValueError("t_end must exceed the initial time")
+    if not (t_end > s0.t and math.isfinite(t_end)):
+        raise ValueError("t_end must be finite and exceed the initial time")
     return _march(sys, s0, tol, 0, t_end)
 
 

@@ -12,9 +12,8 @@ p is an integer polynomial with p's roots.  Its repeated roots are removed
 with an integer pseudo-remainder gcd against p', the Sturm chain of the
 square-free part counts distinct roots between dyadic points, bisection
 isolates each root in a bracket of its own, and every sign is an integer
-Horner sum.  Roots are then refined by float bisection, trusting a float
-sign only above its Horner error bound, down to adjacent floats: each root
-comes back as the float nearest to it.
+Horner sum.  Roots are then refined by bisection down to adjacent floats,
+each sign still exact: each root comes back as the float nearest to it.
 """
 
 from __future__ import annotations
@@ -252,22 +251,6 @@ def _sign_at(c: list[int], x) -> int:
     return (r > 0) - (r < 0)
 
 
-def _float_sign(cf: list[float], x: float) -> int | None:
-    """Sign of cf at x, or None where Horner's rounding error could flip it.
-
-    The bound covers rounding each coefficient to float and the 2*degree
-    roundings of Horner, with a factor of two to spare.
-    """
-    r = b = 0.0
-    ax = abs(x)
-    for c in cf:
-        r = r * x + c
-        b = b * ax + abs(c)
-    if abs(r) > (2 * len(cf) + 2) * 2.220446049250313e-16 * b + 1e-300:
-        return 1 if r > 0.0 else -1
-    return None
-
-
 def _side_sign(c: list[int], x, side: int) -> int:
     """Sign of c just right (side 1) or just left (side -1) of x.
 
@@ -391,7 +374,7 @@ def _isolate(p: Polynomial, lo: float, hi: float) -> _Isolation:
     return _Isolation(c, q, brackets, s_lo == 0, s_hi == 0)
 
 
-def _nearest_root(q: list[int], qf: list[float] | None, a, b, sb: int) -> float:
+def _nearest_root(q: list[int], a, b, sb: int) -> float:
     """The float nearest the one root of q in (a, b), ties to the lower.
 
     q has sign sb just left of b.
@@ -400,7 +383,7 @@ def _nearest_root(q: list[int], qf: list[float] | None, a, b, sb: int) -> float:
         m = _midpoint(a, b)
         if not isinstance(m, float):
             break  # a and b are adjacent floats
-        s = (qf and _float_sign(qf, m)) or _sign_at(q, m)
+        s = _sign_at(q, m)
         if s == 0:
             return m
         if s == sb:
@@ -433,11 +416,7 @@ def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
         raise ValueError("zero polynomial has no isolated roots")
     lo, hi = _interval(lo, hi)
     iso = _isolate(p, lo, hi)
-    try:
-        qf = [float(v) for v in iso.q]
-    except OverflowError:
-        qf = None  # every sign is decided exactly
-    inner = [_nearest_root(iso.q, qf, a, b, sb) for a, b, sb in iso.brackets]
+    inner = [_nearest_root(iso.q, a, b, sb) for a, b, sb in iso.brackets]
     return [lo] * iso.at_lo + inner + [hi] * iso.at_hi
 
 

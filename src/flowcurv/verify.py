@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .curvature import lie_residual, slow_branches
-from .dynamics import EPS_FLOOR, IntegrationError, LimitCycle, extract_vicinity, find_limit_cycle
+from .dynamics import IntegrationError, LimitCycle, extract_vicinity, find_limit_cycle
 from .energy import relation_rate
 from .system import LienardSystem, State, jet
 
@@ -249,8 +249,6 @@ def convergence_study(
         raise ValueError("need >= 2 epsilons to fit order")
     if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if any(e < EPS_FLOOR for e in eps_list):
-        raise ValueError(f"eps below {EPS_FLOOR} is outside the integrator's comfort zone")
     lo, hi = x_probe
     if not lo < hi:
         raise ValueError("x_probe must be an ordered interval")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -310,6 +311,47 @@ class TestConfigTypes:
         cfg.write_text(json.dumps(doc))  # writes Infinity/NaN, which json reads back
         assert main([command, "--config", str(cfg)]) == 2
         assert f"config error: field '{field}'" in capsys.readouterr().err
+
+
+class TestRanges:
+    # Each range is refused by the library function that reads the value,
+    # and main reports its ValueError as a config error.  The message names
+    # the parameter by its config field or by the library's name for it.
+    @pytest.mark.parametrize("command, fields, named", [
+        ("simulate", {"eps": 0}, "eps|epsilon"),
+        ("simulate", {"tol": 1e-2}, "tol"),
+        ("verify", {"tol": 0}, "tol"),
+        ("simulate", {"t_end": 0}, "t_end"),
+        ("verify", {"band": 0}, "band"),
+        ("manifold", {"x_lo": 2.0, "x_hi": 1.2}, "x_lo"),
+        ("manifold", {"n": 1}, "n"),
+        ("verify", {"y_guess": 0}, "y_guess"),
+        ("study", {"y_guess": -1}, "y_guess"),
+        ("verify", {"x_max": 0}, "x_max"),
+        ("classify", {"x_max": -1}, "x_max"),
+        ("study", {"eps_list": [0.05, 0.1]}, "eps_list"),
+        ("study", {"probe_lo": 1.9, "probe_hi": 1.6}, "probe_lo|x_probe"),
+        ("study", {"eps_list": [0.1, 0.05, 1e-5]}, r"eps below 0\.0001"),
+    ])
+    def test_out_of_range_exits_2(self, command, fields, named, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "vdp.json").read_text())
+        doc.update(fields)
+        cfg = tmp_path / "ranged.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert re.search(rf"\b({named})\b", err), err
+        assert "Traceback" not in err
+
+    def test_unread_field_is_not_range_checked(self, tmp_path, capsys):
+        # classify reads x_max alone: a band of 0 in its config is ignored
+        doc = json.loads((CONFIGS / "vdp.json").read_text())
+        doc["band"] = 0
+        cfg = tmp_path / "band0.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["classify", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["case"] == "CASE1_H_NONNEG"
 
 
 def test_import_loads_no_numpy():

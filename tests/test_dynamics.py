@@ -224,7 +224,7 @@ class TestStepKernel:
                 # h is the step cap, so the first step has length h; it crosses x = 0.
                 ts, xs, ys = [0.0], [x0], [y0]
                 counts = march(0.0, x0, y0, *k1, h, FIRST_STEP_TOL, 1.0,
-                               ts.append, xs.append, ys.append)
+                               dynamics._PASS_STEP_BUDGET, ts.append, xs.append, ys.append)
                 assert counts == (1, 0) and len(ts) == 2
                 assert direction * xs[-1] >= 0.0
                 errs.append(max(abs(ts[-1] - hi), abs(ys[-1] - y_ref)))
@@ -643,18 +643,32 @@ class TestIntegrationErrorState:
         # vdp from y = 1e9 climbs to x ~ 1442 and stiffens: the horizon in t
         # is never reached, the step budget is.
         monkeypatch.setattr(dynamics, "_PASS_STEP_BUDGET", 3000)
-        dynamics._kernel_factory.cache_clear()  # the budget is a literal of the kernel
-        try:
-            with pytest.raises(IntegrationError, match="no return to the section within 3000 steps") as info:
-                find_limit_cycle(system_from_config("vdp"), 1e9, 1e-9)
-        finally:
-            monkeypatch.undo()
-            dynamics._kernel_factory.cache_clear()
+        with pytest.raises(IntegrationError, match="no return to the section within 3000 steps") as info:
+            find_limit_cycle(system_from_config("vdp"), 1e9, 1e-9)
         e = info.value
         assert e.accepted + e.rejected == 3001
         assert 0.0 < e.t < 10.0 * (1.0 + 1.0 / 0.05)
         assert e.x > 1000.0 and e.y > 1e8
         assert 0.0 < e.h < 1e-6
+
+    def test_step_budget_bounds_an_integration(self, monkeypatch):
+        # The same climb from y0 = 1e9 never reaches t_end = 100: the budget
+        # is the base plus the 100 / (0.2 * 0.05) = 10,000 steps the cap needs.
+        monkeypatch.setattr(dynamics, "_PASS_STEP_BUDGET", 3000)
+        with pytest.raises(IntegrationError, match="no arrival at t_end within 13000 steps") as info:
+            integrate(system_from_config("vdp"), State(0.0, 0.1, 1e9), 100.0, 1e-9)
+        e = info.value
+        assert e.accepted + e.rejected == 13001
+        assert 0.0 < e.t < 1.0
+        assert e.x > 1000.0 and e.y > 1e8
+        assert 0.0 < e.h < 1e-6
+
+    def test_step_budget_admits_every_capped_run(self, monkeypatch):
+        # With no base budget left, a run the cap paces at exactly h_max
+        # (F = g = 0, so y stays put and x moves linearly) still ends.
+        monkeypatch.setattr(dynamics, "_PASS_STEP_BUDGET", 0)
+        traj = integrate(make_system([0.0], [0.0], 0.05), State(0.0, 0.0, 1.0), 100.0, 1e-9)
+        assert traj.t[-1] == 100.0 and traj.accepted_steps >= 10_000
 
     @pytest.mark.parametrize("g, x0", [([0, 1.0], 1000.0), ([0, 0, 0, 0, 0, 1.0], 1e5)])
     def test_error_norm_overflow_is_a_blow_up(self, g, x0):
