@@ -194,16 +194,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _assumptions_dict(rep) -> dict:
-    def one(c):
-        return {"holds": c.holds, "witness": c.witness, "detail": c.detail}
-
     return {
-        "I": one(rep.assumption_I),
-        "II": one(rep.assumption_II),
-        "III": one(rep.assumption_III),
-        "IV": one(rep.assumption_IV),
+        "I": rep.assumption_I._asdict(),
+        "II": rep.assumption_II._asdict(),
+        "III": rep.assumption_III._asdict(),
+        "IV": rep.assumption_IV._asdict(),
         "positive_zero_a": rep.positive_zero_a,
-        "gprime_nonneg": one(rep.gprime_nonneg),
+        "gprime_nonneg": rep.gprime_nonneg._asdict(),
     }
 
 
@@ -266,14 +263,7 @@ def cmd_study(cfg: RunConfig, out: str | None) -> int:
     study = convergence_study(
         sys_, cfg.eps_list, (cfg.probe_lo, cfg.probe_hi), y_guess=cfg.y_guess,
     )
-    doc = {
-        "eps_values": list(study.eps_values),
-        "distances": list(study.distances),
-        "fitted_order": study.fitted_order,
-        "distances_critical": list(study.distances_critical),
-        "fitted_order_critical": study.fitted_order_critical,
-    }
-    _emit(json.dumps(doc) + "\n", out)
+    _emit(json.dumps(study._asdict()) + "\n", out)
     return 0
 
 

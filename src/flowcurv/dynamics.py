@@ -14,10 +14,11 @@ eps 0.05, PHIDOT_POS fails at all 705 of 705 vicinity samples instead of
 
 Each system gets one march kernel: the whole stepping loop of `_march`
 in one generated function, which `integrate` and the cycle search both
-call once per pass.  Its six DP5(4) stages are straight-line code, every
-F and g evaluation a Horner expression without its zero terms; the PI
-controller, the blow-up tests and the column appends run in the same
-frame, so a step calls nothing but sqrt and the appends.  It is generated once
+call once per pass.  Its entry slope and six DP5(4) stages are
+straight-line code, every F and g evaluation a Horner expression without
+its zero terms; the PI controller, the blow-up tests and the column
+appends run in the same frame, so a step calls nothing but sqrt and the
+appends.  It is generated once
 per zero pattern of the F and g coefficients and per mode (stop at
 t_end, at an upward or at a downward section crossing), and bound to the
 system's coefficients.  A section crossing is located on the crossing step's
@@ -196,19 +197,19 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
 
     A pattern tells, per coefficient descending by degree, whether it is
     nonzero.  factory(nonzero F coefficients..., nonzero g coefficients...,
-    eps) returns march(t, x, y, k1x, k1y, h_max, tol, stop, budget,
-    t_append, x_append, y_append): the whole error-controlled loop of
-    _march in one frame.  It steps from (t, x, y) with slope (k1x, k1y)
-    and step cap h_max, hands every accepted state to the appends, and
-    returns the accepted and rejected step counts.  With crossing=0, stop is t_end.
+    eps) returns march(t, x, y, h_max, tol, stop, budget, t_append,
+    x_append, y_append): the whole error-controlled loop of _march in one
+    frame.  It steps from (t, x, y) with step cap h_max, hands every
+    accepted state to the appends, and returns the accepted and rejected
+    step counts.  With crossing=0, stop is t_end.
     Otherwise stop is the horizon, and the loop ends on the x = 0 crossing
     upward with y > 0 (crossing=1) or downward with y < 0 (crossing=-1),
     located on the crossing step's dense output, whose coefficients it
     forms from the stage slopes in hand; a downward crossing is the upward
     one of the negated step, so _crossing serves both.  Either mode
-    raises once more than budget steps have been attempted.  Every stage
-    evaluates F and g as horner does, so a step is bit-identical to one
-    through Polynomial.__call__.
+    raises once more than budget steps have been attempted.  The entry
+    slope and every stage evaluate F and g as horner does, so a step is
+    bit-identical to one through Polynomial.__call__.
     """
     F, g = coefficient_names(F_pattern, "F"), coefficient_names(g_pattern, "g")
     stages = []
@@ -221,7 +222,9 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
     stages += [f"ex = {_weighted(_DP_E, 'x')}", f"ey = {_weighted(_DP_E, 'y')}"]
     fail = "t=t, x=x, y=y, h=h, accepted=accepted, rejected=rejected"
     lines = [
-        "def march(t, x, y, k1x, k1y, h_max, tol, stop, budget, t_append, x_append, y_append):",
+        "def march(t, x, y, h_max, tol, stop, budget, t_append, x_append, y_append):",
+        f"    k1x = (y - {horner_source(F, 'x')}) / eps",
+        f"    k1y = -{horner_source(g, 'x')}",
         *(["    t0 = t"] if crossing else []),
         "    hp = h_max",
         "    err_prev = 1.0",
@@ -410,8 +413,7 @@ def _march(sys: LienardSystem, s0: State, tol: float, crossing: int,
         stop, budget = t_end, _PASS_STEP_BUDGET + math.ceil((t_end - t) / h_max)
     ts, xs, ys = array("d", (t,)), array("d", (x,)), array("d", (y,))
     accepted, rejected = _kernel(sys, crossing)(
-        t, x, y, (y - sys.F(x)) / eps, -sys.g(x), h_max, tol, stop, budget,
-        ts.append, xs.append, ys.append)
+        t, x, y, h_max, tol, stop, budget, ts.append, xs.append, ys.append)
     return Trajectory._of_arrays(ts, xs, ys, accepted, rejected, tol)
 
 
@@ -508,14 +510,17 @@ def extract_vicinity(
     the zero a of F in (0, max x of traj], which the cycle crosses),
     xdot < 0, the point is not fold-excluded, and |y - y_ref(x)| <= c*eps,
     where y_ref is the slow branch or, where the branch quadratic has no
-    real root, the critical manifold it degenerates toward.  Raises
-    IntegrationError when no sample qualifies, or when the default finds
-    several zeros, or none while F >= 0 at max x.
+    real root, the critical manifold it degenerates toward.  A caller's
+    x_min beyond max x of traj is an input error and raises ValueError.
+    Raises IntegrationError when no sample qualifies, or when the default
+    finds several zeros, or none while F >= 0 at max x.
     """
     if not c > 0:
-        raise ValueError("band multiplier c must be positive")
+        raise ValueError("band must be positive")
+    top = max(traj.x)
+    if x_min is not None and x_min > top:
+        raise ValueError(f"x_min={x_min} lies beyond the orbit, whose largest x is {top:.6g}")
     if x_min is None:
-        top = max(traj.x)
         zeros = positive_zeros_of_F(sys, top) if top > 0.0 else []
         if len(zeros) > 1 or (not zeros and top > 0.0 and sys.F(top) >= 0.0):
             raise IntegrationError("cannot locate the positive zero of F")

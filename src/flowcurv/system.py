@@ -21,8 +21,7 @@ the trajectory CSV writer calls ``jet_at`` on its float columns.
 
 Every record in the package is a ``typing.NamedTuple``: immutable, with
 its fields in a fixed order, compared and printed by them.
-``LienardSystem`` extends the idiom with a validating ``__new__``;
-``verify.CheckResult``, the one accumulator, is a small slotted class.
+``LienardSystem`` extends the idiom with a validating ``__new__``.
 """
 
 from __future__ import annotations
@@ -97,9 +96,9 @@ class LienardSystem(_LienardFields):
 
     def __new__(cls, eps, F, g, G):
         if not (isinstance(eps, (int, float)) and eps > 0):
-            raise ValueError("epsilon must be positive")
+            raise ValueError("eps must be positive")
         if isinstance(eps, bool) or not eps <= float_info.max:
-            raise ValueError(f"epsilon must be a finite number, not {eps!r}")
+            raise ValueError(f"eps must be a finite number, not {eps!r}")
         if G.derivative() != g:
             raise ValueError("G must be an antiderivative of g")
         self = super().__new__(cls, float(eps), F, g, G)

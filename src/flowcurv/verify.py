@@ -11,9 +11,8 @@ convergence_study measures how fast the limit cycle's slow descent
 approaches (a) the curvature zero-set branch and (b) the critical
 manifold as eps shrinks, and fits log-log slopes.
 
-The reports are immutable NamedTuple records, like every record in the
-package; CheckResult, which evaluate_checks fills sample by sample, is
-the one mutable accumulator, a small slotted class.
+The nine checks are one table, _CHECKS; the reports are immutable
+NamedTuple records, like every record in the package.
 """
 
 from __future__ import annotations
@@ -28,18 +27,6 @@ from .dynamics import IntegrationError, LimitCycle, extract_vicinity, find_limit
 from .energy import relation_rate
 from .system import LienardSystem, State, jet
 
-CHECK_IDS = (
-    "XDOT_NEG",
-    "YDOT_NEG",
-    "XDDOT_NEG",
-    "YDDOT_POS",
-    "PHI_NONNEG",
-    "PHIDOT_POS",
-    "DEDT_NEG",
-    "EQ56_BOUND",
-    "LIE_RESIDUAL",
-)
-
 LIE_RESIDUAL_TOL = 1e-8
 
 # Equally spaced probe abscissas per eps in convergence_study.
@@ -52,22 +39,30 @@ STUDY_TOL = 1e-10
 _HERMITE_NEWTON_STEPS = 3
 
 
-class CheckResult:
-    """One check's running pass/fail counts and smallest margin."""
+# The nine checks in report order: id -> (signed margin at the jet j of a
+# system with this eps, positive where the check holds; whether a zero
+# margin passes).
+_CHECKS = {
+    "XDOT_NEG": (lambda eps, j: -j.xdot, False),
+    "YDOT_NEG": (lambda eps, j: -j.ydot, False),
+    "XDDOT_NEG": (lambda eps, j: -j.xddot, False),
+    "YDDOT_POS": (lambda eps, j: j.yddot, False),
+    "PHI_NONNEG": (lambda eps, j: j.phi, True),
+    "PHIDOT_POS": (lambda eps, j: j.phi_dot, False),
+    "DEDT_NEG": (lambda eps, j: -j.dEdt, False),
+    "EQ56_BOUND": (lambda eps, j: -relation_rate(j), False),
+    "LIE_RESIDUAL": (lambda eps, j: LIE_RESIDUAL_TOL
+                     - abs(lie_residual(eps, j)) / max(1.0, abs(j.phi_dot)), False),
+}
+CHECK_IDS = tuple(_CHECKS)
 
-    __slots__ = ("pass_count", "fail_count", "min_margin")
 
-    def __init__(self):
-        self.pass_count = self.fail_count = 0
-        self.min_margin = math.inf
+class CheckResult(NamedTuple):
+    """One check's pass and fail counts and its smallest margin over the samples."""
 
-    def record(self, margin: float, ok: bool) -> None:
-        if ok:
-            self.pass_count += 1
-        else:
-            self.fail_count += 1
-        if margin < self.min_margin:
-            self.min_margin = margin
+    pass_count: int
+    fail_count: int
+    min_margin: float
 
 
 class MinorskyReport(NamedTuple):
@@ -104,28 +99,24 @@ class MinorskyReport(NamedTuple):
 def sample_margins(sys: LienardSystem, s: State) -> dict[str, float]:
     """Signed margins (positive = satisfied) of the nine checks at one state."""
     j = jet(sys, s)
-    lie_rel = abs(lie_residual(sys.eps, j)) / max(1.0, abs(j.phi_dot))
-    return {
-        "XDOT_NEG": -j.xdot,
-        "YDOT_NEG": -j.ydot,
-        "XDDOT_NEG": -j.xddot,
-        "YDDOT_POS": j.yddot,
-        "PHI_NONNEG": j.phi,
-        "PHIDOT_POS": j.phi_dot,
-        "DEDT_NEG": -j.dEdt,
-        "EQ56_BOUND": -relation_rate(j),
-        "LIE_RESIDUAL": LIE_RESIDUAL_TOL - lie_rel,
-    }
+    return {cid: margin(sys.eps, j) for cid, (margin, _) in _CHECKS.items()}
 
 
 def evaluate_checks(sys: LienardSystem, samples: "tuple[State, ...]") -> dict[str, CheckResult]:
-    """Run all nine checks at every sample; PHI_NONNEG passes non-strictly."""
-    results = {cid: CheckResult() for cid in CHECK_IDS}
-    for s in samples:
-        margins = sample_margins(sys, s)
-        for cid in CHECK_IDS:
-            m = margins[cid]
-            results[cid].record(m, ok=m >= 0.0 if cid == "PHI_NONNEG" else m > 0.0)
+    """Run all nine checks at every sample, one jet per sample.
+
+    A margin passes when positive, or when zero for a check whose zero
+    passes (PHI_NONNEG).  A NaN margin fails and is never the minimum, which
+    is inf when there are no samples.
+    """
+    eps = sys.eps
+    jets = [jet(sys, s) for s in samples]
+    results = {}
+    for cid, (margin, zero_passes) in _CHECKS.items():
+        ms = [margin(eps, j) for j in jets]
+        passed = sum(m >= 0.0 if zero_passes else m > 0.0 for m in ms)
+        # min keeps its first item until a later one compares less: NaN never does
+        results[cid] = CheckResult(passed, len(ms) - passed, min([math.inf, *ms]))
     return results
 
 
@@ -246,12 +237,12 @@ def convergence_study(
     converged cycle, no slow branch at a probe) raises IntegrationError.
     """
     if len(eps_list) < 2:
-        raise ValueError("need >= 2 epsilons to fit order")
+        raise ValueError("eps_list needs >= 2 values to fit an order")
     if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     lo, hi = x_probe
     if not lo < hi:
-        raise ValueError("x_probe must be an ordered interval")
+        raise ValueError("probe_lo must be below probe_hi")
 
     probes = [lo + (hi - lo) * i / (N_PROBE - 1) for i in range(N_PROBE)]
     dists: list[float] = []

@@ -96,6 +96,10 @@ class TestVerify:
         assert doc["system"] == "vdp"
         assert doc["assumptions"]["I"]["holds"] is True
         assert doc["assumptions"]["IV"]["holds"] is True
+        assert list(doc["assumptions"]) == ["I", "II", "III", "IV", "positive_zero_a",
+                                            "gprime_nonneg"]
+        for key in ("I", "II", "III", "IV", "gprime_nonneg"):
+            assert list(doc["assumptions"][key]) == ["holds", "witness", "detail"]
         # the settling layer keeps the curvature-rate check from passing
         # everywhere, so the run reports overall false
         assert doc["checks"]["PHIDOT_POS"]["fail"] > 0
@@ -142,6 +146,16 @@ class TestVerify:
         rc_hand = main(["verify", "--config", str(cfg), "--x-max", "20",
                         "--x-min", repr(a + 0.1)])
         assert rc_hand == 1 and json.loads(capsys.readouterr().out) == doc
+
+    def test_x_min_beyond_the_cycle_exits_2(self, capsys):
+        # vdp's cycle at eps 0.05 reaches x = 2.0223: no sample lies beyond
+        # x_min = 2.5, and integrating longer cannot change that
+        rc = main(["verify", "--config", VDP, "--x-min", "2.5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: x_min=2.5 lies beyond the orbit, "
+                       "whose largest x is 2.0223\n")
+        assert main(["verify", "--config", VDP, "--x-min", "2.02"]) == 1
 
 
 class TestEpsFloor:
@@ -204,6 +218,8 @@ class TestStudy:
                    "--probe-lo", "1.6", "--probe-hi", "1.9"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["eps_values", "distances", "fitted_order", "distances_critical",
+                             "fitted_order_critical"]
         assert doc["fitted_order"] >= 1.5
         assert abs(doc["fitted_order_critical"] - 1.0) <= 0.3
         assert len(doc["eps_values"]) == 3
@@ -316,9 +332,9 @@ class TestConfigTypes:
 class TestRanges:
     # Each range is refused by the library function that reads the value,
     # and main reports its ValueError as a config error.  The message names
-    # the parameter by its config field or by the library's name for it.
+    # the parameter by its config field.
     @pytest.mark.parametrize("command, fields, named", [
-        ("simulate", {"eps": 0}, "eps|epsilon"),
+        ("simulate", {"eps": 0}, "eps"),
         ("simulate", {"tol": 1e-2}, "tol"),
         ("verify", {"tol": 0}, "tol"),
         ("simulate", {"t_end": 0}, "t_end"),
@@ -330,7 +346,7 @@ class TestRanges:
         ("verify", {"x_max": 0}, "x_max"),
         ("classify", {"x_max": -1}, "x_max"),
         ("study", {"eps_list": [0.05, 0.1]}, "eps_list"),
-        ("study", {"probe_lo": 1.9, "probe_hi": 1.6}, "probe_lo|x_probe"),
+        ("study", {"probe_lo": 1.9, "probe_hi": 1.6}, "probe_lo"),
         ("study", {"eps_list": [0.1, 0.05, 1e-5]}, r"eps below 0\.0001"),
     ])
     def test_out_of_range_exits_2(self, command, fields, named, tmp_path, capsys):

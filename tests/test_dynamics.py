@@ -8,6 +8,7 @@ import pytest
 
 from flowcurv import (
     IntegrationError,
+    Polynomial,
     check_assumptions,
     State,
     extract_vicinity,
@@ -208,7 +209,6 @@ class TestStepKernel:
         sys_ = pin_system(name, 0.05)
         for direction in (1, -1):
             x0, y0 = -0.05 * direction, 0.8 * direction
-            k1 = ((y0 - sys_.F(x0)) / sys_.eps, -sys_.g(x0))
             # Reference crossing: bisection on 40 fixed substeps per probe.
             lo, hi = 0.0, 0.005
             while hi - lo > 1e-15:
@@ -223,7 +223,7 @@ class TestStepKernel:
             for h in (0.02, 0.01, 0.005):
                 # h is the step cap, so the first step has length h; it crosses x = 0.
                 ts, xs, ys = [0.0], [x0], [y0]
-                counts = march(0.0, x0, y0, *k1, h, FIRST_STEP_TOL, 1.0,
+                counts = march(0.0, x0, y0, h, FIRST_STEP_TOL, 1.0,
                                dynamics._PASS_STEP_BUDGET, ts.append, xs.append, ys.append)
                 assert counts == (1, 0) and len(ts) == 2
                 assert direction * xs[-1] >= 0.0
@@ -335,6 +335,23 @@ class TestSamplePin:
     def test_integrate_samples(self, name):
         traj = integrate(system_from_config(name, eps=0.05), State(0.0, 0.1, 0.1), 20.0, 1e-9)
         assert sample_digest(traj) == INTEGRATE_PINS[name]
+
+    def test_integration_evaluates_no_polynomial(self, monkeypatch):
+        # The march kernel computes every slope of a pass, its first included,
+        # in generated Horner code: Polynomial.__call__ is off the path.
+        cycles = {key: pin_system(*key) for key in CYCLE_PINS if key[1] == 0.1}
+        runs = {name: system_from_config(name, eps=0.05) for name in INTEGRATE_PINS}
+
+        def forbidden(self, x):
+            raise AssertionError("Polynomial.__call__ on the integration path")
+
+        monkeypatch.setattr(Polynomial, "__call__", forbidden)
+        for key, sys_ in cycles.items():
+            cyc = find_limit_cycle(sys_, 1.0, 1e-9, integ_tol=1e-9)
+            assert sample_digest(cyc.orbit) == CYCLE_PINS[key]
+        for name, sys_ in runs.items():
+            traj = integrate(sys_, State(0.0, 0.1, 0.1), 20.0, 1e-9)
+            assert sample_digest(traj) == INTEGRATE_PINS[name]
 
 
 class TestTrajectoryColumns:
@@ -757,6 +774,20 @@ class TestExtractVicinity:
         assert report["n_points"] == 2231 and fails == {"PHIDOT_POS": 29}
         floor = check_assumptions(sys_, 20.0).positive_zero_a + 0.1
         assert minorsky_report(sys_, cyc, x_min=floor).to_json_dict() == report
+
+    def test_x_min_beyond_the_orbit_is_an_input_error(self, vdp):
+        cyc = find_limit_cycle(vdp, 1.0, 1e-9)
+        top = max(cyc.orbit.x)
+        with pytest.raises(ValueError, match=r"x_min=2\.5 .* largest x is 2\.0223"):
+            extract_vicinity(cyc.orbit, vdp, 1.0, x_min=2.5)
+        # at the orbit's largest x itself, the band is searched as usual
+        with pytest.raises(IntegrationError, match="slow vicinity"):
+            extract_vicinity(cyc.orbit, vdp, 1.0, x_min=top)
+
+    def test_band_too_narrow_stays_a_numerical_failure(self, vdp):
+        cyc = find_limit_cycle(vdp, 1.0, 1e-9)
+        with pytest.raises(IntegrationError, match="slow vicinity"):
+            extract_vicinity(cyc.orbit, vdp, 1e-300)
 
     def test_no_single_positive_zero_raises(self):
         no_zero = make_system([0.0, 1.0], [0.0, 1.0], 0.05)  # F = x

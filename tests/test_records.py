@@ -1,7 +1,6 @@
-"""The package's records: immutable NamedTuples with pinned fields, one accumulator."""
+"""The package's records: immutable NamedTuples with pinned fields."""
 
 import json
-import math
 
 import pytest
 
@@ -9,7 +8,7 @@ import flowcurv
 from flowcurv import (State, check_assumptions, classify_case, extract_vicinity,
                       find_limit_cycle, integrate, minorsky_report)
 from flowcurv.cli import ConfigError, RunConfig
-from flowcurv.verify import CheckResult, ConvergenceStudy
+from flowcurv.verify import ConvergenceStudy
 
 from conftest import load_config
 
@@ -32,6 +31,7 @@ FIELDS = {
                    "iterations", "iterates"),
     "VicinitySegment": ("samples", "x_range", "band_width"),
     "CaseClassification": ("case_label", "H_poly", "Gppp_sign", "c1_witness"),
+    "CheckResult": ("pass_count", "fail_count", "min_margin"),
     "MinorskyReport": ("system_name", "eps", "band_multiplier", "n_points", "checks",
                        "overall"),
     "ConvergenceStudy": ("eps_values", "distances", "fitted_order", "distances_critical",
@@ -43,6 +43,7 @@ FIELDS = {
 def records(vdp):
     cycle = find_limit_cycle(vdp, 2.0, 1e-8, integ_tol=1e-9)
     assumptions = check_assumptions(vdp)
+    report = minorsky_report(vdp, cycle, 1.0, system_name="vdp")
     return {
         "LienardSystem": vdp,
         "AssumptionCheck": assumptions.assumption_I,
@@ -51,7 +52,8 @@ def records(vdp):
         "LimitCycle": cycle,
         "VicinitySegment": extract_vicinity(cycle.orbit, vdp, 1.0),
         "CaseClassification": classify_case(vdp),
-        "MinorskyReport": minorsky_report(vdp, cycle, 1.0, system_name="vdp"),
+        "CheckResult": report.checks["XDOT_NEG"],
+        "MinorskyReport": report,
         "ConvergenceStudy": ConvergenceStudy((0.1, 0.05), (4e-3, 1e-3), 2.0,
                                              (0.1, 0.05), 1.0),
     }
@@ -82,17 +84,8 @@ def test_system_evaluator_is_read_only_and_replace_revalidates(vdp):
     assert faster.eps == 0.1 and faster.F == vdp.F
     assert faster.values is not vdp.values
     assert faster.values(2.0) == vdp.values(2.0)
-    with pytest.raises(ValueError, match="epsilon must be positive"):
+    with pytest.raises(ValueError, match="eps must be positive"):
         vdp._replace(eps=0.0)
-
-
-def test_check_result_accumulates():
-    r = CheckResult()
-    assert (r.pass_count, r.fail_count, r.min_margin) == (0, 0, math.inf)
-    r.record(0.5, ok=True)
-    r.record(-0.25, ok=False)
-    r.record(1e-12, ok=True)
-    assert (r.pass_count, r.fail_count, r.min_margin) == (2, 1, -0.25)
 
 
 class TestRunConfig:

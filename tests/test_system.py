@@ -23,14 +23,14 @@ class TestMakeSystem:
         assert llibre_mereu.G.coeffs == pytest.approx((0.0, 0.0, 0.5, 0.0, 1 / 12))
 
     def test_nonpositive_eps_rejected(self):
-        with pytest.raises(ValueError, match="epsilon must be positive"):
+        with pytest.raises(ValueError, match="eps must be positive"):
             make_system([0, -1, 0, 1 / 3], [0, 1], 0.0)
 
     @pytest.mark.parametrize("eps", [True, math.inf, 10**400], ids=["bool", "inf", "huge_int"])
     def test_bool_and_infinite_eps_rejected(self, eps):
         # True would pass as eps = 1.0, inf would fail later as a "blow-up",
         # and an int beyond float range would overflow converting to float
-        with pytest.raises(ValueError, match="epsilon must be a finite number"):
+        with pytest.raises(ValueError, match="eps must be a finite number"):
             make_system([0, -1, 0, 1 / 3], [0, 1], eps)
 
     def test_constructor_derives_the_family(self, llibre_mereu):

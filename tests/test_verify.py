@@ -3,9 +3,13 @@ import math
 
 import pytest
 
-from flowcurv import LimitCycle, convergence_study, find_limit_cycle, make_system
-from flowcurv.verify import (CHECK_IDS, N_PROBE, _descent_ys, _slope, _step_interpolant,
-                             minorsky_report, sample_margins)
+from flowcurv import (LimitCycle, convergence_study, extract_vicinity, find_limit_cycle,
+                      make_system)
+from flowcurv import verify
+from flowcurv.system import Jet
+from flowcurv.verify import (CHECK_IDS, N_PROBE, CheckResult, _descent_ys, _slope,
+                             _step_interpolant, evaluate_checks, minorsky_report,
+                             sample_margins)
 
 from conftest import halton, system_from_config
 
@@ -87,6 +91,36 @@ class TestMinorskyReport:
             minorsky_report(vdp, broken, 1.0)
 
 
+class TestEvaluateChecks:
+    def test_zero_and_nan_margins(self, vdp, monkeypatch):
+        # Each sample stands for its own jet.  At the all-zero jet every
+        # margin but LIE_RESIDUAL's (1e-8) is a signed zero, and only
+        # PHI_NONNEG passes at zero; at the all-NaN jet every margin is NaN,
+        # a failure that never becomes the minimum.
+        monkeypatch.setattr(verify, "jet", lambda sys_, s: s)
+        zero, nan = Jet(*[0.0] * len(Jet._fields)), Jet(*[math.nan] * len(Jet._fields))
+        results = evaluate_checks(vdp, (nan, zero))
+        assert list(results) == list(CHECK_IDS)
+        for cid, r in results.items():
+            passes_at_zero = cid in ("PHI_NONNEG", "LIE_RESIDUAL")
+            assert r[:2] == ((1, 1) if passes_at_zero else (0, 2)), cid
+            assert r.min_margin == (verify.LIE_RESIDUAL_TOL if cid == "LIE_RESIDUAL" else 0.0)
+        assert evaluate_checks(vdp, (nan,))["PHI_NONNEG"] == CheckResult(0, 1, math.inf)
+
+    def test_no_samples(self, vdp):
+        results = evaluate_checks(vdp, ())
+        assert list(results) == list(CHECK_IDS)
+        assert set(results.values()) == {CheckResult(0, 0, math.inf)}
+
+    def test_counts_and_minimum_follow_the_sample_margins(self, vdp, vdp_cycle):
+        seg = extract_vicinity(vdp_cycle.orbit, vdp, 1.0)
+        margins = [sample_margins(vdp, s) for s in seg.samples]
+        for cid, r in evaluate_checks(vdp, seg.samples).items():
+            ms = [m[cid] for m in margins]
+            passed = sum(m >= 0.0 if cid == "PHI_NONNEG" else m > 0.0 for m in ms)
+            assert r == (passed, len(ms) - passed, min(ms)), cid
+
+
 def rescan_descent_y_at(sys_, traj, x_probe):
     """y on the slow descent at x_probe by a scan from the orbit's start per probe."""
     samples = traj.samples
@@ -160,7 +194,7 @@ class TestConvergenceStudy:
         )
 
     def test_single_eps_rejected(self, vdp):
-        with pytest.raises(ValueError, match="need >= 2 epsilons"):
+        with pytest.raises(ValueError, match="eps_list needs >= 2 values"):
             convergence_study(vdp, [0.1], (1.6, 1.9))
 
     def test_non_decreasing_list_rejected(self, vdp):
