@@ -18,22 +18,26 @@ call once per pass.  Its entry slope and six DP5(4) stages are
 straight-line code, every F and g evaluation a Horner expression without
 its zero terms; the PI controller, the blow-up tests and the column
 appends run in the same frame, so a step calls nothing but sqrt and the
-appends.  It is generated once
-per zero pattern of the F and g coefficients and per mode (stop at
-t_end, at an upward or at a downward section crossing), and bound to the
-system's coefficients.  A section crossing is located on the crossing step's
-4th-order dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6),
-whose coefficients come from the stage slopes already in the frame.
-Every pass is bounded in attempted steps: a section pass by
-_PASS_STEP_BUDGET, a pass to t_end by that many more than the step cap
-needs to span the interval.
+appends.  It is generated once per zero pattern of the F and g
+coefficients and bound to the system's coefficients.  Every pass steps
+towards a t_end; a section pass stops instead at the first upward x = 0
+crossing, located on the crossing step's 4th-order dense output
+(Hairer, Norsett & Wanner, Solving ODEs I, II.6), whose coefficients come
+from the stage slopes already in the frame, and its t_end is the safety
+horizon, where it raises.  Every pass is bounded in attempted steps: a
+section pass by _PASS_STEP_BUDGET, a pass to t_end by that many more
+than the step cap needs to span the interval.
 The cycle search integrates each return-map pass once: the orbit it
 reports is its converged pass, which starts at the previous iterate and
 ends within the convergence tolerance of the section value.  When F and
 g are odd, as the paper's class has them, the flow commutes with
-(x, y) -> (-x, -y) and the cycle is symmetric, so a pass runs only from
-the upward x = 0 crossing to the downward one, half a period, and the
-reported orbit is that half followed by its mirror image.
+(x, y) -> (-x, -y) and the cycle is symmetric, so a pass covers half a
+period: the downward half from (0, y_k) is the mirror image of the
+upward pass from (0, -y_k), which lands on (0, y_{k+1}).  Generated
+Horner code of an odd polynomial is bitwise odd (rounding to nearest is
+sign-symmetric), and so are the stage sums, the error norm and the
+controller, so the mirror is exact.  The reported orbit is the mirror of
+that pass followed by the pass itself.
 Trajectories, cycles and vicinity segments are immutable NamedTuple
 records, like every record in the package.  A trajectory keeps its
 samples as three read-only float64 columns, t, x and y (24 bytes a
@@ -191,25 +195,23 @@ def _weighted(row: "tuple[float, ...]", c: str) -> str:
 
 
 @functools.cache
-def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]",
-                    crossing: int):
+def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"):
     """Compile the march-kernel factory for F and g with these zero patterns.
 
     A pattern tells, per coefficient descending by degree, whether it is
     nonzero.  factory(nonzero F coefficients..., nonzero g coefficients...,
-    eps) returns march(t, x, y, h_max, tol, stop, budget, t_append,
-    x_append, y_append): the whole error-controlled loop of _march in one
-    frame.  It steps from (t, x, y) with step cap h_max, hands every
-    accepted state to the appends, and returns the accepted and rejected
-    step counts.  With crossing=0, stop is t_end.
-    Otherwise stop is the horizon, and the loop ends on the x = 0 crossing
-    upward with y > 0 (crossing=1) or downward with y < 0 (crossing=-1),
-    located on the crossing step's dense output, whose coefficients it
-    forms from the stage slopes in hand; a downward crossing is the upward
-    one of the negated step, so _crossing serves both.  Either mode
-    raises once more than budget steps have been attempted.  The entry
-    slope and every stage evaluate F and g as horner does, so a step is
-    bit-identical to one through Polynomial.__call__.
+    eps) returns march(t, x, y, h_max, tol, t_end, section, budget,
+    t_append, x_append, y_append): the whole error-controlled loop of
+    _march in one frame.  It steps from (t, x, y) towards t_end with step
+    cap h_max, hands every accepted state to the appends, and returns the
+    accepted and rejected step counts.  The last step lands on t_end
+    exactly.  A section pass (section true) ends instead on the first
+    x = 0 crossing upward with y > 0, located on the crossing step's dense
+    output, whose coefficients it forms from the stage slopes in hand; if
+    it reaches t_end first, it raises.  Either pass raises once more than
+    budget steps have been attempted.  The entry slope and every stage
+    evaluate F and g as horner does, so a step is bit-identical to one
+    through Polynomial.__call__.
     """
     F, g = coefficient_names(F_pattern, "F"), coefficient_names(g_pattern, "g")
     stages = []
@@ -222,29 +224,24 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
     stages += [f"ex = {_weighted(_DP_E, 'x')}", f"ey = {_weighted(_DP_E, 'y')}"]
     fail = "t=t, x=x, y=y, h=h, accepted=accepted, rejected=rejected"
     lines = [
-        "def march(t, x, y, h_max, tol, stop, budget, t_append, x_append, y_append):",
+        "def march(t, x, y, h_max, tol, t_end, section, budget, t_append, x_append, y_append):",
         f"    k1x = (y - {horner_source(F, 'x')}) / eps",
         f"    k1y = -{horner_source(g, 'x')}",
-        *(["    t0 = t"] if crossing else []),
         "    hp = h_max",
         "    err_prev = 1.0",
         "    accepted = rejected = bad = 0",
         "    while True:",
         "        h = hp",
-    ]
-    if not crossing:
-        lines += [
-            "        capped = t + h >= stop",
-            "        if capped:",
-            "            h = stop - t",
-            f"            if h < {_H_MIN!r}:",
-            "                # Remaining span is below timestep resolution: snap.",
-            "                t_append(stop)",
-            "                x_append(x)",
-            "                y_append(y)",
-            "                return accepted, rejected",
-        ]
-    lines += [
+        "        capped = t + h >= t_end",
+        "        if capped:",
+        "            h = t_end - t",
+        f"            if h < {_H_MIN!r}:",
+        "                # Remaining span is below timestep resolution: snap.",
+        "                t = t_end",
+        "                t_append(t)",
+        "                x_append(x)",
+        "                y_append(y)",
+        "                break",
         f"        if h < {_H_MIN!r}:",
         "            raise _underflow(bad, t, x, y, k1x, k1y, h, accepted, rejected)",
         *(f"        {line}" for line in stages),
@@ -272,7 +269,7 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
         "            continue",
         "        bad = 0",
         "        accepted += 1",
-        "        tn = " + ("t + h" if crossing else "stop if capped else t + h"),
+        "        tn = t_end if capped else t + h",
         f"        if xn > {_BLOWUP_LIMIT!r} or xn < {-_BLOWUP_LIMIT!r}"
         f" or yn > {_BLOWUP_LIMIT!r} or yn < {-_BLOWUP_LIMIT!r}:",
         "            raise IntegrationError('blow-up', t=tn, x=xn, y=yn, h=h,"
@@ -281,22 +278,13 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
         "        err_prev = e",
         "        hp = h * (0.2 if fac <= 0.2 else 5.0 if fac >= 5.0 else fac)",
         f"        hp = {_H_MIN!r} if hp < {_H_MIN!r} else h_max if hp > h_max else hp",
-    ]
-    if crossing:
-        # The downward crossing is the upward one of the negated step.
-        neg = "" if crossing > 0 else "-"
-        step = ", ".join(f"{neg}{v}" for v in ("x", "y", "k1x", "k1y", "xn", "yn", "k7x", "k7y"))
-        lines += [
-            "        if x < 0.0 <= xn and 0.5 * (y + yn) > 0.0:" if crossing > 0 else
-            "        if x > 0.0 >= xn and 0.5 * (y + yn) < 0.0:",
-            f"            tc, xc, yc = _crossing(t, h, {step},"
-            f" {neg}({_weighted(_DP_D, 'x')}), {neg}({_weighted(_DP_D, 'y')}))",
-            "            t_append(tc)",
-            f"            x_append({neg}xc)",
-            f"            y_append({neg}yc)",
-            "            return accepted, rejected",
-        ]
-    lines += [
+        "        if section and x < 0.0 <= xn and 0.5 * (y + yn) > 0.0:",
+        "            tc, xc, yc = _crossing(t, h, x, y, k1x, k1y, xn, yn, k7x, k7y,"
+        f" {_weighted(_DP_D, 'x')}, {_weighted(_DP_D, 'y')})",
+        "            t_append(tc)",
+        "            x_append(xc)",
+        "            y_append(yc)",
+        "            return accepted, rejected",
         "        t = tn",
         "        x = xn",
         "        y = yn",
@@ -305,28 +293,21 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
         "        t_append(t)",
         "        x_append(x)",
         "        y_append(y)",
-    ]
-    if crossing:
-        lines += [
-            "        if t - t0 > stop:",
-            "            raise IntegrationError('no return to the section within the safety horizon',",
-            "                                   t=t, x=x, y=y, h=hp, accepted=accepted, rejected=rejected)",
-        ]
-    else:
-        lines += [
-            "        if not t < stop:",
-            "            return accepted, rejected",
-        ]
-    goal = "return to the section" if crossing else "arrival at t_end"
-    lines += [
+        "        if not t < t_end:",
+        "            break",
         "        if accepted + rejected > budget:",
-        f"            raise IntegrationError(f'no {goal} within {{budget}} steps',",
+        "            goal = 'return to the section' if section else 'arrival at t_end'",
+        "            raise IntegrationError(f'no {goal} within {budget} steps',",
         "                                   t=t, x=x, y=y, h=hp, accepted=accepted, rejected=rejected)",
+        "    if section:",
+        "        raise IntegrationError('no return to the section within the safety horizon',",
+        "                               t=t, x=x, y=y, h=hp, accepted=accepted, rejected=rejected)",
+        "    return accepted, rejected",
     ]
     return compile_factory(
         [c for c in F + g if c] + ["eps"],
         [f"    {line}" for line in lines] + ["    return march"],
-        f"dp5 march F{len(F_pattern)} g{len(g_pattern)} {('t_end', 'up', 'down')[crossing]}",
+        f"dp5 march F{len(F_pattern)} g{len(g_pattern)}",
         {"sqrt": math.sqrt, "IntegrationError": IntegrationError,
          "_underflow": _underflow, "_crossing": _crossing})
 
@@ -377,26 +358,26 @@ def _crossing(t, h, x, y, k1x, k1y, xn, yn, k7x, k7y, dx, dy) -> "tuple[float, f
     return t + hi * h, _dense(cx, hi), _dense(cy, hi)
 
 
-def _kernel(sys: LienardSystem, crossing: int):
+def _kernel(sys: LienardSystem):
     """This system's march kernel (see _kernel_factory)."""
     F, g = sys.F.desc, sys.g.desc
-    factory = _kernel_factory(tuple(map(bool, F)), tuple(map(bool, g)), crossing)
+    factory = _kernel_factory(tuple(map(bool, F)), tuple(map(bool, g)))
     return factory(*filter(None, F), *filter(None, g), sys.eps)
 
 
-def _march(sys: LienardSystem, s0: State, tol: float, crossing: int,
-           t_end: float | None = None) -> Trajectory:
+def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None) -> Trajectory:
     """The error-controlled stepping loop shared by integrate and the cycle search.
 
     Every accepted state is a sample, appended to the t, x and y columns.
-    With crossing=0, step to t_end (the last step lands on it exactly).
-    Otherwise step until x crosses 0 upward with y > 0 (crossing=1) or
-    downward with y < 0 (crossing=-1); the crossing, not the end of its
-    step, is the last sample, and a pass longer than 10 * (1 + 1/eps)
-    raises.  Either pass raises once its attempted steps exceed the budget:
-    _PASS_STEP_BUDGET, plus, to t_end, the ceil((t_end - t0) / h_max)
-    steps the cap needs, so every run the cap allows can finish.  The loop
-    itself is one call of the system's march kernel.
+    Given t_end, step to it (the last step lands on it exactly).  Without
+    one, make a section pass: step until x crosses 0 upward with y > 0;
+    the crossing, not the end of its step, is the last sample.  A section
+    pass steps towards the safety horizon t0 + 10 * (1 + 1/eps) and raises
+    there, with the state at the horizon.  Either pass raises once its
+    attempted steps exceed the budget: _PASS_STEP_BUDGET, plus, to t_end,
+    the ceil((t_end - t0) / h_max) steps the cap needs, so every run the
+    cap allows can finish.  The loop itself is one call of the system's
+    march kernel.
     """
     if sys.eps < EPS_FLOOR:
         raise ValueError(f"eps below {EPS_FLOOR} is outside the integrator's comfort zone")
@@ -407,28 +388,33 @@ def _march(sys: LienardSystem, s0: State, tol: float, crossing: int,
     eps = sys.eps
     t, x, y = s0
     h_max = _STEP_CAP_FACTOR * eps
-    if crossing:
-        stop, budget = 10.0 * (1.0 + 1.0 / eps), _PASS_STEP_BUDGET
+    section = t_end is None
+    if section:
+        t_end, budget = t + 10.0 * (1.0 + 1.0 / eps), _PASS_STEP_BUDGET
     else:
-        stop, budget = t_end, _PASS_STEP_BUDGET + math.ceil((t_end - t) / h_max)
+        budget = _PASS_STEP_BUDGET + math.ceil((t_end - t) / h_max)
     ts, xs, ys = array("d", (t,)), array("d", (x,)), array("d", (y,))
-    accepted, rejected = _kernel(sys, crossing)(
-        t, x, y, h_max, tol, stop, budget, ts.append, xs.append, ys.append)
+    accepted, rejected = _kernel(sys)(
+        t, x, y, h_max, tol, t_end, section, budget, ts.append, xs.append, ys.append)
     return Trajectory._of_arrays(ts, xs, ys, accepted, rejected, tol)
 
 
 def _mirrored(half: Trajectory) -> Trajectory:
-    """The closed orbit of an odd system from its first half.
+    """The closed orbit of an odd system from a half pass.
 
-    half runs from (0, 0, y0) to (T_h, x_h, y_h) near (T_h, 0, -y0); every
-    sample after its first, mirrored to (T_h + t, -x, -y), follows it, so
-    the orbit ends at (2 T_h, -x_h, -y_h) with twice the half's step counts.
+    half runs upward from (0, +0.0, -y0) to (T_h, x_h, y_h) near
+    (T_h, 0, y0).  Its mirror image (t, -x, -y), which starts at
+    (0, +0.0, y0), comes first; every sample of half after its first,
+    shifted to (T_h + t, x, y), follows, so the orbit ends at
+    (2 T_h, x_h, y_h) with twice the half's step counts.
     """
     th = half.t[-1]
-    ts, xs, ys = half.t.obj[:], half.x.obj[:], half.y.obj[:]
+    ts = half.t.obj[:]
     ts.extend(map(th.__add__, half.t[1:]))
-    xs.extend(map(operator.neg, half.x[1:]))
-    ys.extend(map(operator.neg, half.y[1:]))
+    xs, ys = array("d", map(operator.neg, half.x)), array("d", map(operator.neg, half.y))
+    xs[0] = 0.0
+    xs.extend(half.x[1:])
+    ys.extend(half.y[1:])
     return Trajectory._of_arrays(ts, xs, ys, 2 * half.accepted_steps,
                                  2 * half.rejected_steps, half.tol_used)
 
@@ -443,7 +429,7 @@ def integrate(sys: LienardSystem, s0: State, t_end: float, tol: float) -> Trajec
     """
     if not (t_end > s0.t and math.isfinite(t_end)):
         raise ValueError("t_end must be finite and exceed the initial time")
-    return _march(sys, s0, tol, 0, t_end)
+    return _march(sys, s0, tol, t_end)
 
 
 def find_limit_cycle(
@@ -452,21 +438,23 @@ def find_limit_cycle(
     """Iterate a Poincare return map on the section {x = 0, xdot > 0}.
 
     Tangents are horizontal on the y-axis, so the crossing is transversal
-    and well conditioned.  When F and g are odd (F(0) = 0 included), the
+    and well conditioned.  Every pass is a section pass of _march, to the
+    next upward crossing.  When F and g are odd (F(0) = 0 included), the
     flow commutes with (x, y) -> (-x, -y), and the map iterated is the
-    half-period map: a pass runs from (0, y_k) to the next downward
-    crossing (0, -y_{k+1}).  Its fixed point is the cycle's, which is
-    symmetric because the mirror of a cycle is a cycle (Perko, Differential
+    half-period map: a pass runs from the mirrored start (0, -y_k) up to
+    (0, y_{k+1}), the mirror image of the half period from (0, y_k) down
+    to (0, -y_{k+1}).  Its fixed point is the cycle's, which is symmetric
+    because the mirror of a cycle is a cycle (Perko, Differential
     Equations and Dynamical Systems, 3.8, makes it unique).  Any other
     system iterates the full-period map: a pass runs from (0, y_k) to the
     next upward crossing (0, y_{k+1}).  The pass with |y_{k+1} - y_k| <= tol,
     or the last one after MAX_PASSES, gives the orbit: the full pass, or
-    the half pass followed by its mirror (see _mirrored).  The orbit starts
-    at (0, y_k), the previous iterate, and ends on the section at
-    t = period with y = section_value = y_{k+1}, so it closes to within
+    the mirror of the half pass followed by the pass (see _mirrored).  The
+    orbit starts at (0, y_k), the previous iterate, and ends on the section
+    at t = period with y = section_value = y_{k+1}, so it closes to within
     tol.  Non-convergence returns converged=False with that last pass; a
-    missing return raises IntegrationError, and eps < EPS_FLOOR raises
-    ValueError.
+    missing return raises IntegrationError, whose (x, y) a half pass
+    mirrors back, and eps < EPS_FLOOR raises ValueError.
     """
     if not y_guess > 0:
         raise ValueError("y_guess must be positive")
@@ -474,13 +462,17 @@ def find_limit_cycle(
         raise ValueError("tol must be positive")
 
     half = not any(sys.F.num[0::2]) and not any(sys.g.num[0::2])
-    # A half pass ends at (0, -y_{k+1}), a full one at (0, y_{k+1}).
-    crossing = -1 if half else 1
     iterates = [float(y_guess)]
     converged = False
     for _ in range(MAX_PASSES):
-        orbit = _march(sys, State(0.0, 0.0, iterates[-1]), integ_tol, crossing)
-        iterates.append(crossing * orbit.y[-1])
+        try:
+            orbit = _march(sys, State(0.0, 0.0, -iterates[-1] if half else iterates[-1]),
+                           integ_tol)
+        except IntegrationError as e:
+            if half:
+                e.x, e.y = -e.x, -e.y
+            raise
+        iterates.append(orbit.y[-1])
         if abs(iterates[-1] - iterates[-2]) <= tol:
             converged = True
             break
@@ -506,19 +498,21 @@ def extract_vicinity(
 ) -> VicinitySegment:
     """Maximal contiguous run of samples in the slow-branch band.
 
-    A sample qualifies when x >= x_min (default: VICINITY_MARGIN beyond
-    the zero a of F in (0, max x of traj], which the cycle crosses),
-    xdot < 0, the point is not fold-excluded, and |y - y_ref(x)| <= c*eps,
-    where y_ref is the slow branch or, where the branch quadratic has no
-    real root, the critical manifold it degenerates toward.  A caller's
-    x_min beyond max x of traj is an input error and raises ValueError.
-    Raises IntegrationError when no sample qualifies, or when the default
-    finds several zeros, or none while F >= 0 at max x.
+    A sample qualifies when it lies in the descending window, x >= x_min
+    (default: VICINITY_MARGIN beyond the zero a of F in (0, max x of traj],
+    which the cycle crosses) with xdot < 0 and the point not
+    fold-excluded, and |y - y_ref(x)| <= c*eps, where y_ref is the slow
+    branch or, where the branch quadratic has no real root, the critical
+    manifold it degenerates toward.  A caller's x_min that is not at most
+    max x of traj (NaN included) is an input error and raises ValueError.
+    Raises IntegrationError when no sample qualifies (naming c*eps and the
+    nearest window sample's distance when some sample is in the window),
+    or when the default finds several zeros, or none while F >= 0 at max x.
     """
     if not c > 0:
         raise ValueError("band must be positive")
     top = max(traj.x)
-    if x_min is not None and x_min > top:
+    if x_min is not None and not x_min <= top:
         raise ValueError(f"x_min={x_min} lies beyond the orbit, whose largest x is {top:.6g}")
     if x_min is None:
         zeros = positive_zeros_of_F(sys, top) if top > 0.0 else []
@@ -528,29 +522,36 @@ def extract_vicinity(
     eps, values = sys.eps, sys.values
     band = c * eps
 
-    def qualifies(x: float, y: float) -> bool:
+    def offset(x: float, y: float) -> float:
+        """|y - y_ref(x)| in the descending window, inf outside it."""
         if x < x_min:
-            return False
+            return math.inf
         Fx = values(x)[0]
         if (y - Fx) / eps >= 0.0:
-            return False
+            return math.inf
         br = slow_branches(sys, x)
         if br.fold_excluded:
-            return False
-        y_ref = br.y_slow if br.y_slow is not None else Fx
-        return abs(y - y_ref) <= band
+            return math.inf
+        return abs(y - (br.y_slow if br.y_slow is not None else Fx))
 
     # Runs are index ranges [lo, i); the first of the longest wins.
     best_lo = best_hi = lo = 0
+    nearest = math.inf
     for i, (x, y) in enumerate(zip(traj.x, traj.y)):
-        if not qualifies(x, y):
+        d = offset(x, y)
+        nearest = d if d < nearest else nearest
+        if not d <= band:
             if i - lo > best_hi - best_lo:
                 best_lo, best_hi = lo, i
             lo = i + 1
     if len(traj.x) - lo > best_hi - best_lo:
         best_lo, best_hi = lo, len(traj.x)
     if best_lo == best_hi:
-        raise IntegrationError("trajectory does not visit the slow vicinity (integrate longer)")
+        if nearest == math.inf:
+            raise IntegrationError("trajectory does not visit the slow vicinity (integrate longer)")
+        raise IntegrationError(
+            f"trajectory does not visit the slow vicinity: no descending sample lies within"
+            f" band*eps = {band:.3g} of the slow branch (the nearest lies {nearest:.3g} from it)")
     run = slice(best_lo, best_hi)
     xs = traj.x[run]
     return VicinitySegment(samples=tuple(map(State, traj.t[run], xs, traj.y[run])),

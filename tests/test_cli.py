@@ -157,6 +157,16 @@ class TestVerify:
                        "whose largest x is 2.0223\n")
         assert main(["verify", "--config", VDP, "--x-min", "2.02"]) == 1
 
+    def test_band_too_narrow_names_the_band(self, capsys):
+        # The converged cycle's nearest descending sample lies 6e-4 from the
+        # slow branch: integrating longer cannot bring it within 1e-9 * eps
+        rc = main(["verify", "--config", VDP, "--band", "1e-9"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: trajectory does not visit the slow vicinity")
+        assert "band*eps = 5e-11" in err and "nearest lies 0.0006" in err
+        assert "integrate longer" not in err
+
 
 class TestEpsFloor:
     # Below the floor an integration would keep about 1/eps samples and run

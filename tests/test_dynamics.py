@@ -5,6 +5,8 @@ import pickle
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcurv import (
     IntegrationError,
@@ -133,6 +135,17 @@ def mirrored(sys_):
     return make_system([-c for c in sys_.F.coeffs], sys_.g, sys_.eps)
 
 
+def point_mirrored(sys_):
+    """sys_ seen through (x, y) -> (-x, -y): F(x) becomes -F(-x), g(x) becomes -g(-x).
+
+    An odd F and g map to themselves.
+    """
+    def flip(p):
+        return [c if i % 2 else -c for i, c in enumerate(p.coeffs)]
+
+    return make_system(flip(sys_.F), flip(sys_.g), sys_.eps)
+
+
 def first_step(sys_, x, y, h):
     """integrate's first step of length |h| from (x, y): (step counts, x1, y1).
 
@@ -190,22 +203,43 @@ class TestStepKernel:
                 taken += 1
         assert taken >= 90
 
-    def test_code_is_shared_by_zero_pattern(self):
+    def test_code_is_shared_by_zero_pattern(self, monkeypatch):
         a, b = system_from_config("vdp"), system_from_config("vdp", eps=0.1)
         c = make_system([0.0, 2.0, 0.0, -1.0], [0.0, 3.0], 0.05)
         d = make_system([0.5, 2.0, 0.0, -1.0], [0.0, 3.0], 0.05)  # F(0) != 0
-        ka, kb, kc, kd = (dynamics._kernel(s, 1) for s in (a, b, c, d))
+        ka, kb, kc, kd = (dynamics._kernel(s) for s in (a, b, c, d))
         assert ka.__code__ is kb.__code__ is kc.__code__
         assert kd.__code__ is not ka.__code__
-        codes = {dynamics._kernel(a, crossing).__code__ for crossing in (0, 1, -1)}
-        assert len(codes) == 3
+        # Both pass kinds, to t_end and to the section, run that one code.
+        codes, orig = [], dynamics._kernel
+
+        def recorded(sys_):
+            march = orig(sys_)
+            codes.append(march.__code__)
+            return march
+
+        monkeypatch.setattr(dynamics, "_kernel", recorded)
+        integrate(a, State(0.0, 0.3, 0.2), 0.5, 1e-9)
+        find_limit_cycle(a, 1.0, 1e-8)
+        assert len(codes) >= 3 and set(codes) == {ka.__code__}
         ends = {integrate(s, State(0.0, 0.3, 0.2), 0.5, 1e-9).x[-1] for s in (a, b, c, d)}
         assert len(ends) == 4
 
+    def test_one_compile_serves_both_pass_kinds(self):
+        # A zero pattern no other test uses: F = x^11/1000 + x^5/5 - x, g = x^7/1000 + x.
+        sys_ = make_system([0, -1, 0, 0, 0, 0.2] + [0] * 5 + [1e-3],
+                           [0, 1, 0, 0, 0, 0, 0, 1e-3], 0.1)
+        misses = dynamics._kernel_factory.cache_info().misses
+        integrate(sys_, State(0.0, 0.3, 0.2), 1.0, 1e-9)
+        assert find_limit_cycle(sys_, 1.0, 1e-8).converged
+        assert dynamics._kernel_factory.cache_info().misses == misses + 1
+
     @pytest.mark.parametrize("name", ["vdp", "llibre_mereu", "asym"])
     def test_dense_crossing_is_fifth_order_local(self, name):
-        # The upward crossing (direction 1) from (-0.05, 0.8), the downward
-        # one (direction -1) from (0.05, -0.8).
+        # The upward crossing (direction 1) from (-0.05, 0.8), and the
+        # downward one (direction -1) from (0.05, -0.8): the kernel finds the
+        # latter as the upward crossing of the point-mirrored system from
+        # (-0.05, 0.8), mirrored back.
         sys_ = pin_system(name, 0.05)
         for direction in (1, -1):
             x0, y0 = -0.05 * direction, 0.8 * direction
@@ -218,16 +252,16 @@ class TestStepKernel:
                 else:
                     hi = mid
             y_ref = propagate(sys_, x0, y0, hi, n_sub=40)[1]
-            march = dynamics._kernel(sys_, direction)
+            march = dynamics._kernel(sys_ if direction > 0 else point_mirrored(sys_))
             errs = []
             for h in (0.02, 0.01, 0.005):
                 # h is the step cap, so the first step has length h; it crosses x = 0.
-                ts, xs, ys = [0.0], [x0], [y0]
-                counts = march(0.0, x0, y0, h, FIRST_STEP_TOL, 1.0,
+                ts, xs, ys = [0.0], [-0.05], [0.8]
+                counts = march(0.0, -0.05, 0.8, h, FIRST_STEP_TOL, 1.0, True,
                                dynamics._PASS_STEP_BUDGET, ts.append, xs.append, ys.append)
                 assert counts == (1, 0) and len(ts) == 2
-                assert direction * xs[-1] >= 0.0
-                errs.append(max(abs(ts[-1] - hi), abs(ys[-1] - y_ref)))
+                assert xs[-1] >= 0.0
+                errs.append(max(abs(ts[-1] - hi), abs(direction * ys[-1] - y_ref)))
             assert math.log2(errs[0] / errs[1]) >= 4.5
             assert math.log2(errs[1] / errs[2]) >= 4.5
 
@@ -427,7 +461,7 @@ def full_map_cycle(sys_, y, tol):
     """(period, section value) of the full-period map's fixed point, iterated from y."""
     ys = [y]
     while True:
-        traj = dynamics._march(sys_, State(0.0, 0.0, ys[-1]), tol, 1)
+        traj = dynamics._march(sys_, State(0.0, 0.0, ys[-1]), tol)
         ys.append(traj.y[-1])
         if abs(ys[-1] - ys[-2]) <= tol:
             return traj.t[-1], ys[-1]
@@ -462,42 +496,60 @@ class TestHalfPeriodMap:
         assert orbit.x[n - 1] > 0.0 >= orbit.x[n]
         assert -orbit.y[n] == cyc.section_value == orbit.y[-1]
 
-    @pytest.mark.parametrize("F, g, crossing", [
+    @pytest.mark.parametrize("F, g, sign", [
         ([0, -1, 0, 1 / 3], [0, 1], -1),        # vdp: odd F and g
         (PIN_ASYM[0], PIN_ASYM[1], 1),           # an x^2 term in F
         ([0.01, -1, 0, 1 / 3], [0, 1], 1),      # F(0) != 0
         ([0, -1, 0, 1 / 3], [0, 1, 0.1], 1),    # an x^2 term in g
     ])
-    def test_map_follows_the_parity(self, F, g, crossing, monkeypatch):
+    def test_map_follows_the_parity(self, F, g, sign, monkeypatch):
+        # A half pass starts at the mirrored iterate (0, -y_k), a full one at (0, y_k).
         seen = []
         orig = dynamics._march
 
         def recorded(*args, **kwargs):
-            seen.append(args[3])
+            seen.append(math.copysign(1.0, args[1].y))
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_march", recorded)
         find_limit_cycle(make_system(F, g, 0.1), 1.0, 1e-8)
-        assert seen and set(seen) == {crossing}
+        assert seen and set(seen) == {sign}
 
 
-def bisection_crossing(sys_, prev, span, direction):
-    """The crossing as bisection in time located it before dense output.
+odd_coeffs = st.lists(st.one_of(st.just(0.0), st.floats(min_value=-10, max_value=10)),
+                      min_size=1, max_size=5).map(
+    lambda cs: [v for c in cs for v in (0.0, c)])  # degree <= 9, even terms zero
+
+
+@given(odd_coeffs, odd_coeffs, st.floats(min_value=-10, max_value=10))
+@settings(max_examples=300)
+def test_generated_horner_of_odd_polynomials_is_bitwise_odd(F, g, x):
+    # The half pass rests on this: round-to-nearest is sign-symmetric, so the
+    # Horner code of an odd F and g, which the march kernel shares with the
+    # evaluator, gives the negated value at -x bit for bit.
+    values = make_system(F, g, 0.1).values
+    at_x, at_minus_x = values(x), values(-x)
+    for i in (0, 3):  # F and g
+        if at_x[i] != 0.0:
+            assert at_minus_x[i].hex() == (-at_x[i]).hex()
+
+
+def bisection_crossing(sys_, prev, span):
+    """The upward crossing as bisection in time located it before dense output.
 
     Each probe time re-propagates one fixed DP step from prev; the side
-    where direction * x >= 0 (x >= 0 upward, x <= 0 downward) is kept, to
-    1e-12 in time.
+    where x >= 0 is kept, to 1e-12 in time.
     """
     rhs = horner_rhs(sys_)
 
     def at(tau):
         return reference_dp_step(rhs, prev.x, prev.y, tau, *rhs(prev.x, prev.y))[:2]
 
-    assert direction * at(span)[0] >= 0.0
+    assert at(span)[0] >= 0.0
     lo, hi = 0.0, span
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if direction * at(mid)[0] < 0.0:
+        if at(mid)[0] < 0.0:
             lo = mid
         else:
             hi = mid
@@ -510,8 +562,8 @@ def _recording_passes(monkeypatch) -> list:
     passes, calls = [], [0]
     orig_kernel, orig_march = dynamics._kernel, dynamics._march
 
-    def counting_kernel(sys_, crossing):
-        march = orig_kernel(sys_, crossing)
+    def counting_kernel(sys_):
+        march = orig_kernel(sys_)
 
         def counted(*args):
             calls[0] += 1
@@ -544,14 +596,14 @@ class TestDenseCrossing:
         sys_ = pin_system(name, eps)
         cyc = find_limit_cycle(sys_, 1.0, tol, integ_tol=tol)
         assert cyc.converged and len(passes) == cyc.iterations
-        # The odd systems' passes end on the downward crossing, asym's on the upward one.
-        direction = 1 if name == "asym" else -1
+        # Every pass ends on an upward crossing: the odd systems' half passes
+        # run from the mirrored start, asym's full passes from the iterate.
         for traj, _ in passes:
             prev, cross = traj.samples[-2], traj.samples[-1]
-            old = bisection_crossing(sys_, prev, 2.0 * (cross.t - prev.t), direction)
+            old = bisection_crossing(sys_, prev, 2.0 * (cross.t - prev.t))
             assert abs(cross.t - old.t) <= 1e-9
             assert abs(cross.y - old.y) <= 1e-9
-            assert direction * prev.x < 0.0 and abs(cross.x) <= 1e-8
+            assert prev.x < 0.0 and abs(cross.x) <= 1e-8
 
     @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
     def test_kernel_calls_per_pass(self, name, monkeypatch):
@@ -705,7 +757,7 @@ class TestIntegrationErrorState:
         with pytest.raises(IntegrationError, match="no return") as info:
             find_limit_cycle(sys_, 1.0, 1e-8)
         e = info.value
-        assert e.t > 10.0 * (1.0 + 1.0 / 0.2)
+        assert e.t == 10.0 * (1.0 + 1.0 / 0.2)  # the state at the horizon
         assert e.x > 1e20 and e.y > 1e20
         assert 0.0 < e.h <= 0.2 * 0.2
         assert e.accepted > 1000 and e.rejected >= 0
@@ -788,6 +840,31 @@ class TestExtractVicinity:
         cyc = find_limit_cycle(vdp, 1.0, 1e-9)
         with pytest.raises(IntegrationError, match="slow vicinity"):
             extract_vicinity(cyc.orbit, vdp, 1e-300)
+
+    def test_band_too_narrow_names_the_band(self, vdp):
+        # 74 samples of the converged cycle are in the descending window;
+        # the nearest lies 6.0e-4 from the slow branch.
+        cyc = find_limit_cycle(vdp, 1.0, 1e-9)
+        with pytest.raises(IntegrationError, match="slow vicinity") as info:
+            extract_vicinity(cyc.orbit, vdp, 1e-9)
+        msg = str(info.value)
+        assert "band*eps = 5e-11" in msg and "nearest lies 0.0006" in msg
+        assert "integrate longer" not in msg
+        assert info.value.t is None
+        # a run that never reaches the descending window is told to integrate longer
+        short = integrate(vdp, State(0.0, 0.1, 0.1), 0.05, 1e-9)
+        with pytest.raises(IntegrationError, match=r"slow vicinity \(integrate longer\)"):
+            extract_vicinity(short, vdp, 1.0)
+
+    @pytest.mark.parametrize("x_min", [math.nan, math.inf])
+    def test_x_min_not_below_the_orbit_is_an_input_error(self, vdp, x_min):
+        # NaN fails every comparison: it must not drop the window floor
+        cyc = find_limit_cycle(vdp, 1.0, 1e-9)
+        with pytest.raises(ValueError, match=f"x_min={x_min} "):
+            extract_vicinity(cyc.orbit, vdp, 1.0, x_min=x_min)
+        # -inf is a floor below every sample, as the caller asks
+        wide = extract_vicinity(cyc.orbit, vdp, 1.0, x_min=-math.inf)
+        assert len(wide.samples) > len(extract_vicinity(cyc.orbit, vdp, 1.0).samples)
 
     def test_no_single_positive_zero_raises(self):
         no_zero = make_system([0.0, 1.0], [0.0, 1.0], 0.05)  # F = x
