@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .curvature import format_manifold_csv, slow_manifold_table
 from .dynamics import IntegrationError, find_limit_cycle, format_trajectory_csv, integrate
 from .energy import classify_case
-from .system import State, check_assumptions, make_system
+from .system import LienardSystem, State, check_assumptions, make_system
 from .verify import MinorskyReport, convergence_study, minorsky_report
 
 
@@ -204,8 +204,7 @@ def _assumptions_dict(rep) -> dict:
     }
 
 
-def cmd_simulate(cfg: RunConfig, out: str | None) -> int:
-    sys_ = make_system(cfg.F, cfg.g, cfg.eps)
+def cmd_simulate(sys_: LienardSystem, cfg: RunConfig, out: str | None) -> int:
     traj = integrate(sys_, State(0.0, cfg.x0, cfg.y0), cfg.t_end, cfg.tol)
     csv = format_trajectory_csv(sys_, traj)
     summary = json.dumps({
@@ -222,15 +221,13 @@ def cmd_simulate(cfg: RunConfig, out: str | None) -> int:
     return 0
 
 
-def cmd_manifold(cfg: RunConfig, out: str | None) -> int:
-    sys_ = make_system(cfg.F, cfg.g, cfg.eps)
+def cmd_manifold(sys_: LienardSystem, cfg: RunConfig, out: str | None) -> int:
     rows = slow_manifold_table(sys_, cfg.x_lo, cfg.x_hi, cfg.n)
     _emit(format_manifold_csv(rows), out)
     return 0
 
 
-def cmd_verify(cfg: RunConfig, out: str | None) -> int:
-    sys_ = make_system(cfg.F, cfg.g, cfg.eps)
+def cmd_verify(sys_: LienardSystem, cfg: RunConfig, out: str | None) -> int:
     assumptions = check_assumptions(sys_, cfg.x_max)
     if assumptions.all_hold:
         cycle = find_limit_cycle(sys_, cfg.y_guess, cfg.tol, integ_tol=cfg.tol)
@@ -245,8 +242,7 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
     return 0 if report.overall else 1
 
 
-def cmd_classify(cfg: RunConfig, out: str | None) -> int:
-    sys_ = make_system(cfg.F, cfg.g, cfg.eps)
+def cmd_classify(sys_: LienardSystem, cfg: RunConfig, out: str | None) -> int:
     cls = classify_case(sys_, cfg.x_max)
     doc = {
         "case": cls.case_label,
@@ -258,8 +254,7 @@ def cmd_classify(cfg: RunConfig, out: str | None) -> int:
     return 0
 
 
-def cmd_study(cfg: RunConfig, out: str | None) -> int:
-    sys_ = make_system(cfg.F, cfg.g, cfg.eps)
+def cmd_study(sys_: LienardSystem, cfg: RunConfig, out: str | None) -> int:
     study = convergence_study(
         sys_, cfg.eps_list, (cfg.probe_lo, cfg.probe_hi), y_guess=cfg.y_guess,
     )
@@ -286,14 +281,14 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError included
         _sys.stderr.write(f"config error: {exc}\n")
         return 2
     if args.dump_config:
         _sys.stdout.write(cfg.to_json() + "\n")
         return 0
     try:
-        return _COMMANDS[args.command][0](cfg, args.out)
+        return _COMMANDS[args.command][0](make_system(cfg.F, cfg.g, cfg.eps), cfg, args.out)
     except IntegrationError as exc:
         _sys.stderr.write(f"numerical failure: {exc}\n")
         return 3

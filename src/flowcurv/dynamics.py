@@ -55,7 +55,7 @@ from array import array
 from typing import NamedTuple
 
 from .curvature import slow_branches
-from .poly import coefficient_names, compile_factory, horner_source
+from .poly import coefficient_names, compile_factory, horner_source, signs_on
 from .system import LienardSystem, State, jet_at, positive_zeros_of_F
 
 # Dormand-Prince 5(4) tableau (autonomous field, so no stage times).  Row i
@@ -507,7 +507,8 @@ def extract_vicinity(
     max x of traj (NaN included) is an input error and raises ValueError.
     Raises IntegrationError when no sample qualifies (naming c*eps and the
     nearest window sample's distance when some sample is in the window),
-    or when the default finds several zeros, or none while F >= 0 at max x.
+    or when the default finds several zeros, or none while F is not
+    negative on (0, max x], a sign decided exactly (poly.signs_on).
     """
     if not c > 0:
         raise ValueError("band must be positive")
@@ -516,7 +517,7 @@ def extract_vicinity(
         raise ValueError(f"x_min={x_min} lies beyond the orbit, whose largest x is {top:.6g}")
     if x_min is None:
         zeros = positive_zeros_of_F(sys, top) if top > 0.0 else []
-        if len(zeros) > 1 or (not zeros and top > 0.0 and sys.F(top) >= 0.0):
+        if len(zeros) > 1 or (not zeros and top > 0.0 and -1 not in signs_on(sys.F, 0.0, top)):
             raise IntegrationError("cannot locate the positive zero of F")
         x_min = zeros[0] + VICINITY_MARGIN if zeros else math.inf  # a lies beyond the orbit
     eps, values = sys.eps, sys.values

@@ -20,7 +20,7 @@ from .poly import Polynomial, extreme_values, signs_on
 from .system import Jet, LienardSystem, State, jet
 
 CaseLabel = Literal["CASE1_H_NONNEG", "CASE2_H_NONPOS", "MIXED"]
-SignLabel = Literal["NONNEG", "NONPOS", "MIXED", "ZERO"]
+SignLabel = Literal["NONNEG", "NONPOS", "MIXED"]
 
 
 class CaseClassification(NamedTuple):
@@ -33,20 +33,8 @@ class CaseClassification(NamedTuple):
 
 
 def H_polynomial(sys: LienardSystem) -> Polynomial:
-    """The case function H = G'**2 - 2*G*G'' as an exact polynomial."""
-    Gp = sys.G.derivative()
-    Gpp = Gp.derivative()
-    return Gp * Gp - 2.0 * (sys.G * Gpp)
-
-
-def _sign_on_open_interval(p: Polynomial, lo: float, hi: float) -> SignLabel:
-    """Certified sign of p on (lo, hi], decided exactly (poly.signs_on)."""
-    if p.is_zero:
-        return "ZERO"
-    signs = signs_on(p, lo, hi)
-    if len(signs) == 2:
-        return "MIXED"
-    return "NONNEG" if 1 in signs else "NONPOS"
+    """The case function H = G'**2 - 2*G*G'' = g**2 - 2*G*g' as an exact polynomial."""
+    return sys.g * sys.g - 2.0 * (sys.G * sys.gp)
 
 
 def _c1_witness(sys: LienardSystem, x_max: float, case: CaseLabel) -> float | None:
@@ -66,22 +54,21 @@ def _c1_witness(sys: LienardSystem, x_max: float, case: CaseLabel) -> float | No
 
 
 def classify_case(sys: LienardSystem, x_max: float = 10.0) -> CaseClassification:
-    """Sign-certify H on (0, x_max] and report the matching linear bound on g."""
+    """Sign-certify H and G''' on (0, x_max]; report the matching linear bound on g.
+
+    Both signs read the exact sign sets of poly.signs_on.  An identically
+    zero H is case 1.  An identically zero G''' satisfies both bounds and
+    reads NONPOS, the side that keeps dH/dt <= 0, as in the sub-linear case.
+    """
     if not x_max > 0:
         raise ValueError("x_max must be positive")
     Hp = H_polynomial(sys)
-    h_sign = _sign_on_open_interval(Hp, 0.0, x_max)
-    if h_sign in ("NONNEG", "ZERO"):
-        label: CaseLabel = "CASE1_H_NONNEG"
-    elif h_sign == "NONPOS":
-        label = "CASE2_H_NONPOS"
-    else:
-        label = "MIXED"
-    g3_sign = _sign_on_open_interval(sys.gpp, 0.0, x_max)
-    if g3_sign == "ZERO":
-        # G''' identically zero satisfies both bounds; report the side that
-        # keeps dH/dt <= 0, matching the sub-linear case.
-        g3_sign = "NONPOS"
+    h_signs = signs_on(Hp, 0.0, x_max)
+    label: CaseLabel = ("MIXED" if {-1, 1} <= h_signs
+                        else "CASE2_H_NONPOS" if -1 in h_signs else "CASE1_H_NONNEG")
+    g3_signs = signs_on(sys.gpp, 0.0, x_max)
+    g3_sign: SignLabel = ("MIXED" if {-1, 1} <= g3_signs
+                          else "NONNEG" if 1 in g3_signs else "NONPOS")
     return CaseClassification(
         case_label=label,
         H_poly=Hp,

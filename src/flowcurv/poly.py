@@ -14,6 +14,8 @@ square-free part counts distinct roots between dyadic points, bisection
 isolates each root in a bracket of its own, and every sign is an integer
 Horner sum.  Roots are then refined by bisection down to adjacent floats,
 each sign still exact: each root comes back as the float nearest to it.
+``signs_on`` is the one sign primitive: it gives the set of signs p takes
+on a window, zero included, and every certified sign on a window reads it.
 """
 
 from __future__ import annotations
@@ -421,11 +423,13 @@ def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
 
 
 def signs_on(p: Polynomial, lo: float, hi: float) -> set[int]:
-    """The signs (-1, 1) that p takes on (lo, hi], decided exactly; empty for p == 0.
+    """Every sign (-1, 0, 1) that p takes on (lo, hi], decided exactly; empty for p == 0.
 
-    p has one sign on each open piece between consecutive roots.  The
-    pieces at lo and hi are read from the first derivative that does not
-    vanish there, the others at a bracket end, which is never a root.
+    0 is in the set when p has a root in (lo, hi], so p > 0 there exactly
+    when the set is {1}.  p has one sign on each open piece between
+    consecutive roots.  The pieces at lo and hi are read from the first
+    derivative that does not vanish there, the others at a bracket end,
+    which is never a root.
     """
     lo, hi = _interval(lo, hi)
     if p.is_zero:
@@ -433,16 +437,8 @@ def signs_on(p: Polynomial, lo: float, hi: float) -> set[int]:
     iso = _isolate(p, lo, hi)
     c = iso.p
     return ({_side_sign(c, lo, 1), _side_sign(c, hi, -1)}
-            | {_sign_at(c, b) for _, b, _ in iso.brackets[:-1]})
-
-
-def positive_on(p: Polynomial, lo: float, hi: float) -> bool:
-    """Whether p > 0 at every point of (lo, hi], decided exactly."""
-    lo, hi = _interval(lo, hi)
-    if p.is_zero:
-        return False
-    c, _, chain = _chain(p)
-    return _sign_at(c, hi) > 0 and _variations(chain, lo)[0] == _variations(chain, hi)[0]
+            | {_sign_at(c, b) for _, b, _ in iso.brackets[:-1]}
+            | ({0} if iso.brackets or iso.at_hi else set()))
 
 
 def extreme_values(p: Polynomial, lo: float, hi: float) -> list[float]:

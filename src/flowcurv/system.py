@@ -31,7 +31,7 @@ from sys import float_info
 from typing import NamedTuple
 
 from .poly import (Polynomial, coefficient_names, compile_factory, extreme_values,
-                   horner_source, positive_on, real_roots, signs_on)
+                   horner_source, real_roots, signs_on)
 
 
 class State(NamedTuple):
@@ -232,7 +232,7 @@ def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionRepo
     """Check the classical limit-cycle assumptions on [-x_max, x_max].
 
     Parity and growth are decided exactly from the coefficients, and the
-    pointwise sign conditions by exact root counts and signs (see poly).
+    sign conditions by the exact sign sets of poly.signs_on.
     Failures are reported, never raised.
     """
     if not x_max > 0:
@@ -244,14 +244,14 @@ def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionRepo
     f_even = not any(f.num[1::2])
     if not f_even:
         problems.append("f has a non-zero odd-degree coefficient (not even)")
-    g_odd = not any(g.num[0::2])
-    if not (g_odd and not g.is_zero):
-        problems.append("g has a non-zero even-degree coefficient (not odd)"
-                        if not g.is_zero else "g is identically zero")
-    if g_odd and not g.is_zero and not positive_on(g, 0.0, x_max):
+    if g.is_zero:
+        problems.append("g is identically zero")
+    elif any(g.num[0::2]):
+        problems.append("g has a non-zero even-degree coefficient (not odd)")
+    elif signs_on(g, 0.0, x_max) != {1}:
         problems.append("x*g(x) <= 0 somewhere in (0, x_max]")
     f0 = f(0.0)
-    if not f0 < 0.0:
+    if not (f.num and f.num[0] < 0):  # the exact sign of f(0)
         problems.append(f"f(0) = {f0} is not negative")
     rep_I = AssumptionCheck(
         holds=not problems,
@@ -261,7 +261,7 @@ def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionRepo
 
     # II: polynomials are continuous and Lipschitz on any bounded window;
     # the Lipschitz constant of g on [-x_max, x_max] is informational.
-    lip = max(map(abs, extreme_values(sys.gp, -x_max, x_max))) if not sys.gp.is_zero else 0.0
+    lip = max(map(abs, extreme_values(sys.gp, -x_max, x_max)))
     rep_II = AssumptionCheck(
         holds=True,
         witness=lip,
@@ -302,7 +302,7 @@ def check_assumptions(sys: LienardSystem, x_max: float = 10.0) -> AssumptionRepo
     # Separate flag: g' >= 0 on [0, x_max] (required by the sign propositions
     # but listed outside the four assumptions), decided exactly; the float
     # minimum is the witness.
-    gp_min = min(extreme_values(sys.gp, 0.0, x_max)) if not sys.gp.is_zero else 0.0
+    gp_min = min(extreme_values(sys.gp, 0.0, x_max))
     rep_gp = AssumptionCheck(
         holds=-1 not in signs_on(sys.gp, 0.0, x_max),
         witness=gp_min,

@@ -3,6 +3,7 @@ import hashlib
 import math
 import pickle
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from flowcurv import (
     minorsky_report,
 )
 from flowcurv import dynamics
-from flowcurv.dynamics import TRAJECTORY_CSV_HEADER, format_trajectory_csv
+from flowcurv.dynamics import TRAJECTORY_CSV_HEADER, Trajectory, format_trajectory_csv
 
 from conftest import (horner_rhs, propagate, reference_dp_step, sweep_states,
                       system_from_config, traced_peak)
@@ -871,6 +872,20 @@ class TestExtractVicinity:
         traj = integrate(no_zero, State(0.0, 0.1, 0.1), 0.5, 1e-9)
         with pytest.raises(IntegrationError, match="positive zero of F"):
             extract_vicinity(traj, no_zero, 1.0)
+
+    def test_zero_of_F_beyond_the_orbit_is_decided_exactly(self):
+        # F = (x-1)^7 - 2^-40, expanded, has its one zero at 1.019047088346945,
+        # 2.2e-11 beyond the orbit's largest x.  F < 0 up to there, but its
+        # float Horner value there is rounding noise of the wrong sign.
+        c = [math.comb(7, k) * (-1) ** (7 - k) for k in range(8)]
+        c[0] -= 2.0 ** -40
+        sys_ = make_system(c, [0, 1], 0.05)
+        top = 1.019047088324945
+        assert sys_.F(top) > 0.0
+        traj = Trajectory._of_arrays(array("d", [0.0, 1.0]), array("d", [0.0, top]),
+                                     array("d", [0.0, 0.0]), 1, 0, 1e-9)
+        with pytest.raises(IntegrationError, match=r"slow vicinity \(integrate longer\)"):
+            extract_vicinity(traj, sys_, 1.0)
 
 
 class TestTrajectoryCsv:

@@ -122,6 +122,17 @@ class TestClassifyCase:
         assert classify_case(sys_, x_max=10.0).case_label == "MIXED"
         assert classify_case(sys_, x_max=5.0).case_label == "CASE1_H_NONNEG"
 
+    @pytest.mark.parametrize("system, sign", [
+        ("vdp", "NONPOS"),  # g'' is identically zero: the side that keeps dH/dt <= 0
+        ("llibre_mereu", "NONNEG"),  # g'' = 2x
+        ([0, 1, 0, -1 / 10], "NONPOS"),  # g'' = -3x/5
+        ([0, 1, 0, -1, 0, 1 / 10], "MIXED"),  # g'' = 2x^3 - 6x changes sign at sqrt(3)
+    ], ids=["vdp", "llibre_mereu", "cubic", "quintic"])
+    def test_every_gppp_sign(self, system, sign, request):
+        sys_ = (request.getfixturevalue(system) if isinstance(system, str)
+                else make_system([0, -1, 0, 1 / 3], system, 0.05))
+        assert classify_case(sys_, x_max=10.0).Gppp_sign == sign
+
 
 class TestCurvatureEnergyRelation:
     def test_reference_point(self, vdp):

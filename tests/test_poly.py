@@ -4,9 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowcurv.energy import _sign_on_open_interval
 from flowcurv.poly import (Polynomial, coefficient_names, compile_factory, horner_source,
-                           positive_on, real_roots, signs_on)
+                           real_roots, signs_on)
 
 F_VDP = Polynomial([0, -1, 0, 1 / 3])
 F_LM = Polynomial([0, -1, 0, 1 / 3, 0, 1 / 5])
@@ -231,22 +230,21 @@ class TestExactDecisions:
         assert real_roots(p, 1.0, 2.0) == [1.0, 2.0]
         assert real_roots(p, 0.0, 2.0) == [1.0, 2.0]
         assert real_roots(p, 1.0, 3.0) == [1.0, 2.0]
-        assert signs_on(p, 1.0, 2.0) == {1}
+        assert signs_on(p, 1.0, 2.0) == {0, 1}  # the root at lo is outside (lo, hi]
+        assert signs_on(p, 1.0, 1.5) == {1}
 
     def test_root_at_lo_of_a_half_open_window(self):
         H = Polynomial([0, 0, 0, 0, -0.5, 0, -1 / 18])  # llibre_mereu's H, H(0) = 0
         assert real_roots(H, 0.0, 10.0) == [0.0]
         assert signs_on(H, 0.0, 10.0) == {-1}
-        assert _sign_on_open_interval(H, 0.0, 10.0) == "NONPOS"
-        assert positive_on(-H, 0.0, 10.0)
-        assert not positive_on(-H, -1.0, 10.0)
+        assert signs_on(-H, 0.0, 10.0) == {1}
+        assert signs_on(-H, -1.0, 10.0) == {0, 1}
 
     def test_touching_root_breaks_positivity_but_not_the_sign(self):
         p = Polynomial([4, -4, 1])  # (x-2)^2
-        assert not positive_on(p, 0.0, 3.0)
-        assert positive_on(p, 2.0, 3.0)
-        assert signs_on(p, 0.0, 3.0) == {1}
-        assert signs_on(p * Polynomial([-2, 1]), 0.0, 3.0) == {-1, 1}
+        assert signs_on(p, 0.0, 3.0) == {0, 1}
+        assert signs_on(p, 2.0, 3.0) == {1}
+        assert signs_on(p * Polynomial([-2, 1]), 0.0, 3.0) == {-1, 0, 1}
 
     def test_roots_closer_than_an_ulp_are_counted(self):
         # Mignotte: x^8 - 2*(2^26*x - 1)^2 has two roots near 2^-26 about
@@ -255,7 +253,7 @@ class TestExactDecisions:
         p = Polynomial([-2.0, 2.0 ** 28, -2.0 ** 53, 0, 0, 0, 0, 0, 1.0])
         got = real_roots(p, 0.0, 1.0)
         assert got == [2.0 ** -26, 2.0 ** -26]
-        assert signs_on(p, 0.0, 1.0) == {-1, 1}
+        assert signs_on(p, 0.0, 1.0) == {-1, 0, 1}
         assert signs_on(p, 0.0, 2.0 ** -27) == {-1}
 
     def test_ill_conditioned_simple_root_to_the_ulp(self):
@@ -276,7 +274,7 @@ class TestExactDecisions:
     @pytest.mark.parametrize("decide", [
         lambda p: real_roots(p, 0.0, 1.0),
         lambda p: signs_on(p, 0.0, 1.0),
-        lambda p: positive_on(p, 0.0, 1.0),
+        lambda p: signs_on(p, 0.0, 1.0) == {1},
     ])
     def test_non_finite_coefficient_raises(self, decide):
         # g = 1e160 x squares to an infinite coefficient in H

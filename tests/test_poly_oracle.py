@@ -1,4 +1,4 @@
-"""real_roots and the sign label against sympy's exact root isolation."""
+"""real_roots and signs_on against sympy's exact root isolation."""
 
 import json
 import math
@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowcurv.energy import H_polynomial, _sign_on_open_interval
-from flowcurv.poly import Polynomial, real_roots
+from flowcurv.energy import H_polynomial
+from flowcurv.poly import Polynomial, real_roots, signs_on
 from flowcurv.system import make_system
 
 from conftest import CONFIGS
@@ -23,16 +23,16 @@ def _exact(p: Polynomial) -> sympy.Poly:
 
 
 def sympy_oracle(p: Polynomial, lo: float, hi: float,
-                 eps=sympy.Rational(1, 2 ** 120)) -> tuple[list[float], str]:
-    """p's distinct roots in [lo, hi] as nearest floats, and its sign label on (lo, hi].
+                 eps=sympy.Rational(1, 2 ** 120)) -> tuple[list[float], set[int]]:
+    """p's distinct roots in [lo, hi] as nearest floats, and its signs on (lo, hi].
 
     From sympy's exact isolating intervals, refined to width eps; the
-    label comes from exact signs at one rational point between each pair
-    of consecutive roots.
+    signs are the exact signs at one rational point between each pair of
+    consecutive roots, and 0 when a root lies in (lo, hi].
     """
     q = _exact(p)
     lo_q, hi_q = sympy.Rational(*lo.as_integer_ratio()), sympy.Rational(*hi.as_integer_ratio())
-    roots, inner = [], []
+    roots, inner, zero = [], [], set()
     for (a, b), _ in q.intervals(eps=eps):
         if b < lo_q or a > hi_q:
             continue
@@ -40,13 +40,14 @@ def sympy_oracle(p: Polynomial, lo: float, hi: float,
             raise AssertionError("an isolating interval straddles lo or hi")
         mid = (a + b) / 2
         roots.append(float(Fraction(int(mid.p), int(mid.q))))
+        if not a == b == lo_q:
+            zero = {0}
         if lo_q < a and b < hi_q:
             inner.append((a, b))
     cuts = [lo_q] + [v for iv in sorted(inner) for v in iv] + [hi_q]
     signs = {sympy.sign(q.eval((cuts[i] + cuts[i + 1]) / 2)) for i in range(0, len(cuts), 2)}
     assert 0 not in signs
-    label = "MIXED" if len(signs) == 2 else ("NONNEG" if 1 in signs else "NONPOS")
-    return sorted(roots), label
+    return sorted(roots), {int(v) for v in signs} | zero
 
 
 # (k, m, j): the factor (x - k/2**m)**j.  Numerators up to 16 over 2**3, a
@@ -75,10 +76,10 @@ class TestSympyOracle:
         assert _exact(p) == sympy.Poly(expr, x)  # the float product is exact
         lo, hi = window[0] / 8, window[1] / 8
         got = real_roots(p, lo, hi)
-        roots, label = sympy_oracle(p, lo, hi)
+        roots, signs = sympy_oracle(p, lo, hi)
         assert len(got) == _exact(p).count_roots(lo, hi)
         assert got == roots  # dyadic roots are floats: exact equality
-        assert _sign_on_open_interval(p, lo, hi) == label
+        assert signs_on(p, lo, hi) == signs
 
     @given(st.lists(st.floats(-10, 10).filter(lambda v: v == 0.0 or abs(v) > 1e-6),
                     min_size=2, max_size=7).filter(lambda c: c[-1] != 0.0),
@@ -88,11 +89,11 @@ class TestSympyOracle:
         p = Polynomial(coeffs)
         lo, hi = window[0] / 8, window[1] / 8
         got = real_roots(p, lo, hi)
-        roots, label = sympy_oracle(p, lo, hi)
+        roots, signs = sympy_oracle(p, lo, hi)
         assert len(got) == _exact(p).count_roots(lo, hi) == len(roots)
         for g, w in zip(got, roots):
             assert abs(g - w) <= math.ulp(w)
-        assert _sign_on_open_interval(p, lo, hi) == label
+        assert signs_on(p, lo, hi) == signs
 
 
 class TestExactDecisionsAgainstSympy:
