@@ -11,9 +11,10 @@ to zero at fixed x gives a quadratic in u = y - F(x):
 
 The smaller-|u| root is the slow branch (it reduces to the critical
 manifold as eps -> 0); the other root is a spurious companion branch at
-distance ~ f*g/g'.  The branch solver reads F, f, g and g' from one call
-of the system's compiled evaluator (``sys.values``), and the branch table
-is a list of plain NamedTuple rows.
+distance ~ f*g/g'.  No tolerance decides a case: a fold is where f(x)
+evaluates to 0, the linear limit where g'(x) does.  The branch solver
+reads F, f, g and g' from one call of the system's compiled evaluator
+(``sys.values``), and the branch table is a list of plain NamedTuple rows.
 """
 
 from __future__ import annotations
@@ -22,14 +23,6 @@ import math
 from typing import NamedTuple
 
 from .system import Jet, LienardSystem
-
-# |f(x)| below FOLD_TOL_SCALE * max(1, |g(x)|) marks a fold: the slow/fast
-# branch split degenerates there, so the branch solver excludes the point
-# instead of extrapolating.
-FOLD_TOL_SCALE = 1e-6
-
-# |g'(x)| at or below this switches the branch quadratic to its linear limit.
-DEGENERATE_GP = 1e-13
 
 
 def lie_residual(eps: float, j: Jet) -> float:
@@ -50,10 +43,11 @@ def lie_residual(eps: float, j: Jet) -> float:
 class ManifoldBranch(NamedTuple):
     """Roots of the curvature quadratic in u = y - F(x) at one abscissa.
 
-    When both branches exist, |u_slow| <= |u_fast|.  At a fold (see
-    FOLD_TOL_SCALE) the split degenerates: fold_excluded is True and no
-    branch is reported.  A negative discriminant also yields no branches
-    but is not a fold.
+    When both branches exist, |u_slow| <= |u_fast|.  At a fold, where
+    f(x) evaluates to 0, real roots would tie in size, so neither is slow:
+    fold_excluded is True and no branch is reported.  A negative discriminant also yields no branches
+    but is not a fold.  Where g'(x) evaluates to 0 the quadratic is
+    linear and u_fast is None.
     """
 
     x: float
@@ -68,26 +62,23 @@ def slow_branches(sys: LienardSystem, x: float) -> ManifoldBranch:
 
     The quadratic is solved in the cancellation-safe form
     q = -(b + sign(b) sqrt(disc))/2, roots q/a and c/q, which keeps the
-    small (slow) root accurate at small eps.
+    small (slow) root accurate at small eps.  With a = g'(x) = 0, q = -b
+    and c/q is the linear root -eps*g/f.
     """
     eps = sys.eps
     Fx, fx, _, gx, gpx, _, _ = sys.values(x)
-
-    if abs(fx) < FOLD_TOL_SCALE * max(1.0, abs(gx)):
+    if fx == 0.0:
         return ManifoldBranch(x, None, None, None, True)
-
-    if abs(gpx) <= DEGENERATE_GP:
-        u = -eps * gx / fx
-        return ManifoldBranch(x, u, None, Fx + u, False)
-
     b = fx * gx
     c = eps * gx * gx
     disc = b * b - 4.0 * gpx * c
     if disc < 0.0:
         return ManifoldBranch(x, None, None, None, False)
     q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
-    r1 = q / gpx
     r2 = c / q if q != 0.0 else 0.0
+    if gpx == 0.0:
+        return ManifoldBranch(x, r2, None, Fx + r2, False)
+    r1 = q / gpx
     u_slow, u_fast = (r1, r2) if abs(r1) <= abs(r2) else (r2, r1)
     return ManifoldBranch(x, u_slow, u_fast, Fx + u_slow, False)
 
@@ -95,13 +86,22 @@ def slow_branches(sys: LienardSystem, x: float) -> ManifoldBranch:
 def slow_manifold_table(
     sys: LienardSystem, x_lo: float, x_hi: float, n: int
 ) -> list[ManifoldBranch]:
-    """n equally spaced slow_branches samples over [x_lo, x_hi]."""
+    """n equally spaced slow_branches samples over [x_lo, x_hi].
+
+    A row holding inf or nan (float overflow) raises ValueError naming x.
+    """
     if not x_lo < x_hi:
         raise ValueError("slow_manifold_table requires x_lo < x_hi")
     if n < 2:
         raise ValueError("slow_manifold_table requires n >= 2")
     step = (x_hi - x_lo) / (n - 1)
-    return [slow_branches(sys, x_lo + i * step) for i in range(n)]
+    rows = [slow_branches(sys, x_lo + i * step) for i in range(n)]
+    for x, _, u_fast, y_slow, _ in rows:
+        # One test a row: 0.0 * v is 0.0 for a finite v and nan otherwise,
+        # and y_slow = F(x) + u_slow carries an overflow of either.
+        if not math.isfinite(x + 0.0 * (y_slow or 0.0) + 0.0 * (u_fast or 0.0)):
+            raise ValueError(f"the slow-branch row at x={x!r} overflows float range")
+    return rows
 
 
 MANIFOLD_CSV_HEADER = "x,y_slow,u_slow,u_fast,fold_excluded"

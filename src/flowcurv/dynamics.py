@@ -500,10 +500,10 @@ def extract_vicinity(
 
     A sample qualifies when it lies in the descending window, x >= x_min
     (default: VICINITY_MARGIN beyond the zero a of F in (0, max x of traj],
-    which the cycle crosses) with xdot < 0 and the point not
-    fold-excluded, and |y - y_ref(x)| <= c*eps, where y_ref is the slow
-    branch or, where the branch quadratic has no real root, the critical
-    manifold it degenerates toward.  A caller's x_min that is not at most
+    which the cycle crosses) with xdot < 0, and |y - y_ref(x)| <= c*eps,
+    where y_ref is the slow branch or, where it has none (no real root of
+    the branch quadratic, a fold included), the critical manifold it
+    degenerates toward.  A caller's x_min that is not at most
     max x of traj (NaN included) is an input error and raises ValueError.
     Raises IntegrationError when no sample qualifies (naming c*eps and the
     nearest window sample's distance when some sample is in the window),
@@ -530,10 +530,8 @@ def extract_vicinity(
         Fx = values(x)[0]
         if (y - Fx) / eps >= 0.0:
             return math.inf
-        br = slow_branches(sys, x)
-        if br.fold_excluded:
-            return math.inf
-        return abs(y - (br.y_slow if br.y_slow is not None else Fx))
+        y_slow = slow_branches(sys, x).y_slow
+        return abs(y - (Fx if y_slow is None else y_slow))
 
     # Runs are index ranges [lo, i); the first of the longest wins.
     best_lo = best_hi = lo = 0

@@ -45,14 +45,14 @@ def horner_source(desc: "Sequence[str | None]", x: str) -> str:
     None stands for a zero coefficient.  The text multiplies and adds in
     ``horner``'s order, so for finite x it evaluates bit for bit like
     ``horner`` on the named values: horner's first step, ``0.0 * x + c``,
-    returns the leading coefficient c, which a Polynomial keeps nonzero.
+    returns the leading coefficient c, or 0.0 when an exact one underflows.
     An interior zero term is left out, since adding 0.0 changes at most
     the sign of a zero; the next nonzero term, or the last term, which is
     kept (as ``+ 0.0`` when zero), gives that zero the sign horner's does.
     """
     if not desc:
         return "0.0"
-    src, last = desc[0], len(desc) - 1
+    src, last = desc[0] or "0.0", len(desc) - 1
     for i in range(1, len(desc)):
         if desc[i] is None and i < last:
             src = f"{src} * {x}"

@@ -86,6 +86,17 @@ class TestManifold:
     def test_n_of_one_exits_2(self):
         assert main(["manifold", "--config", VDP, "--n", "1"]) == 2
 
+    @pytest.mark.parametrize("x_lo, x_hi, n", [("1e100", "1e101", "3"), ("1e30", "2e30", "2")])
+    def test_overflowing_rows_exit_2(self, x_lo, x_hi, n, capsys):
+        # llibre_mereu's F(1e100) overflows to nan in every cell; at 1e30,
+        # (f*g)^2 overflows and u_fast would read -inf
+        rc = main(["manifold", "--config", str(CONFIGS / "llibre_mereu.json"),
+                   "--x-lo", x_lo, "--x-hi", x_hi, "--n", n])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: the slow-branch row at x={float(x_lo)!r} overflows float range\n"
+
 
 class TestVerify:
     def test_vdp_report_structure_and_exit(self, capsys):
@@ -296,7 +307,7 @@ class TestDumpConfig:
         assert main(["classify", "--config", str(cfg)]) == 2
 
     def test_fold_tol_is_an_unknown_field(self, tmp_path, capsys):
-        # the fold threshold is the library constant FOLD_TOL_SCALE
+        # a fold is where f(x) evaluates to 0: there is no threshold to set
         doc = json.loads((CONFIGS / "vdp.json").read_text())
         doc["fold_tol"] = 1e-6
         cfg = tmp_path / "fold.json"

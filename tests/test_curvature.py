@@ -167,8 +167,17 @@ class TestSlowBranches:
         assert br.fold_excluded
         assert br.u_slow is None and br.u_fast is None and br.y_slow is None
 
+    def test_fold_is_where_f_evaluates_to_zero(self):
+        # f = 2e-8 at x = 1 + 1e-8 is small but not 0, and g' = -2 < 0, so
+        # the quadratic has both roots, u = +-|g|*sqrt(eps/2) = +-3.16e-9
+        sys_ = make_system([0, -1, 0, 1 / 3], [0, 1, 0, -1], 0.05)
+        br = slow_branches(sys_, 1 + 1e-8)
+        assert not br.fold_excluded
+        assert sorted((br.u_slow, br.u_fast)) == pytest.approx([-3.1623e-9, 3.1623e-9], rel=1e-4)
+        assert br.y_slow == sys_.F(br.x) + br.u_slow
+
     def test_negative_discriminant_is_not_fold(self, vdp):
-        br = slow_branches(vdp, 1.1)  # f small but above fold_tol; disc < 0
+        br = slow_branches(vdp, 1.1)  # f small but not 0; disc < 0
         assert not br.fold_excluded
         assert br.u_slow is None
 
@@ -183,6 +192,13 @@ class TestSlowBranches:
         br = slow_branches(sys_, 2.0)
         assert br.u_fast is None
         assert br.u_slow == pytest.approx(-0.05 * sys_.g(2.0) / sys_.f(2.0), rel=1e-12)
+
+    def test_tiny_gprime_keeps_the_fast_branch(self):
+        # g' = 1e-14 is not 0: the quadratic is u^2 + 6u + 4e-14*eps = 0
+        sys_ = make_system([0, -1, 0, 1 / 3], [0, 1e-14], 0.05)
+        br = slow_branches(sys_, 2.0)
+        assert br.u_fast == pytest.approx(-6.0, rel=1e-12)
+        assert br.u_slow == pytest.approx(-0.05 * 2e-14 / 3.0, rel=1e-12)
 
     def test_slow_branch_smaller_than_fast(self, both_systems):
         for sys_ in both_systems:

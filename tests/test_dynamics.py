@@ -867,6 +867,17 @@ class TestExtractVicinity:
         wide = extract_vicinity(cyc.orbit, vdp, 1.0, x_min=-math.inf)
         assert len(wide.samples) > len(extract_vicinity(cyc.orbit, vdp, 1.0).samples)
 
+    def test_fold_sample_keeps_the_run(self, vdp):
+        # Descending samples 0.01 below F around the fold at x = 1, where
+        # there is no slow branch: each is measured from the critical
+        # manifold, the fold sample (f(1.0) = 0) too, so the run is whole.
+        xs = [1.2, 1.1, 1.0, 0.9, 0.8]
+        traj = Trajectory._of_arrays(array("d", range(5)), array("d", xs),
+                                     array("d", [vdp.F(x) - 0.01 for x in xs]), 4, 0, 1e-9)
+        assert vdp.f(1.0) == 0.0
+        seg = extract_vicinity(traj, vdp, 1.0, x_min=0.5)
+        assert [s.x for s in seg.samples] == xs
+
     def test_no_single_positive_zero_raises(self):
         no_zero = make_system([0.0, 1.0], [0.0, 1.0], 0.05)  # F = x
         traj = integrate(no_zero, State(0.0, 0.1, 0.1), 0.5, 1e-9)

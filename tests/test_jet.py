@@ -152,12 +152,14 @@ def evaluator_systems():
                           [0.0, 1.3, 0.0, -0.2, 0.05], 0.05)
     g = Polynomial([0.0, 1.0, 0.0, 1 / 3])
     shifted = make_system([0.0, -1.0, 0.0, 1 / 3], g, 0.05, G=g.antiderivative(2.5))
+    # G's exact leading coefficient, 5e-324/6, rounds to the float 0.0
+    underflow = make_system([0.0] * 7 + [1.0], [0.0] * 5 + [5e-324], 0.05)
     return {"vdp": system_from_config("vdp"),
             "llibre_mereu": system_from_config("llibre_mereu"),
-            "degree9": degree9, "shifted_G": shifted}
+            "degree9": degree9, "shifted_G": shifted, "underflowing_G": underflow}
 
 
-@pytest.mark.parametrize("name", ["vdp", "llibre_mereu", "degree9", "shifted_G"])
+@pytest.mark.parametrize("name", ["vdp", "llibre_mereu", "degree9", "shifted_G", "underflowing_G"])
 def test_evaluator_is_bitwise_polynomial_call(name):
     sys_ = evaluator_systems()[name]
     polys = (sys_.F, sys_.f, sys_.fp, sys_.g, sys_.gp, sys_.gpp, sys_.G)
@@ -199,12 +201,12 @@ def reference_trajectory_csv(sys_, traj):
     return "\n".join(lines) + "\n"
 
 
-def reference_branch_row(sys_, x, fold_tol_scale=1e-6):
+def reference_branch_row(sys_, x):
     """The branch solver's cells at x, from Polynomial.__call__ (None is empty)."""
     eps, fx, gx, gpx, Fx = sys_.eps, sys_.f(x), sys_.g(x), sys_.gp(x), sys_.F(x)
-    if abs(fx) < fold_tol_scale * max(1.0, abs(gx)):
+    if fx == 0.0:
         return (x, None, None, None, True)
-    if abs(gpx) <= 1e-13:
+    if gpx == 0.0:
         u = -eps * gx / fx
         return (x, Fx + u, u, None, False)
     b, c = fx * gx, eps * gx * gx
