@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .curvature import format_manifold_csv, slow_manifold_table
 from .dynamics import IntegrationError, find_limit_cycle, format_trajectory_csv, integrate
 from .energy import classify_case
-from .system import LienardSystem, State, check_assumptions, make_system
+from .system import AssumptionCheck, LienardSystem, State, check_assumptions, make_system
 from .verify import MinorskyReport, convergence_study, minorsky_report
 
 
@@ -193,17 +193,6 @@ def _emit(text: str, out: str | None) -> None:
         _atomic_write(out, text)
 
 
-def _assumptions_dict(rep) -> dict:
-    return {
-        "I": rep.assumption_I._asdict(),
-        "II": rep.assumption_II._asdict(),
-        "III": rep.assumption_III._asdict(),
-        "IV": rep.assumption_IV._asdict(),
-        "positive_zero_a": rep.positive_zero_a,
-        "gprime_nonneg": rep.gprime_nonneg._asdict(),
-    }
-
-
 def cmd_simulate(sys_: LienardSystem, cfg: RunConfig, out: str | None) -> int:
     traj = integrate(sys_, State(0.0, cfg.x0, cfg.y0), cfg.t_end, cfg.tol)
     csv = format_trajectory_csv(sys_, traj)
@@ -237,7 +226,9 @@ def cmd_verify(sys_: LienardSystem, cfg: RunConfig, out: str | None) -> int:
     else:
         report = MinorskyReport(cfg.name, cfg.eps, cfg.band, 0, {}, False)
     doc = report.to_json_dict()
-    doc["assumptions"] = _assumptions_dict(assumptions)
+    doc["assumptions"] = {key.removeprefix("assumption_"):
+                          v._asdict() if isinstance(v, AssumptionCheck) else v
+                          for key, v in assumptions._asdict().items()}
     _emit(json.dumps(doc) + "\n", out)
     return 0 if report.overall else 1
 

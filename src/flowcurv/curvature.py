@@ -9,12 +9,15 @@ to zero at fixed x gives a quadratic in u = y - F(x):
 
     g'(x) u**2 + f(x) g(x) u + eps g(x)**2 = 0.
 
-The smaller-|u| root is the slow branch (it reduces to the critical
-manifold as eps -> 0); the other root is a spurious companion branch at
-distance ~ f*g/g'.  No tolerance decides a case: a fold is where f(x)
-evaluates to 0, the linear limit where g'(x) does.  The branch solver
-reads F, f, g and g' from one call of the system's compiled evaluator
-(``sys.values``), and the branch table is a list of plain NamedTuple rows.
+g divides out: u = g(x) w with g' w**2 + f w + eps = 0, whose
+discriminant f**2 - 4 eps g' decides whether a branch exists.  The
+smaller-|u| root is the slow branch, u ~ -eps g/f (it reduces to the
+critical manifold as eps -> 0); the other root is a spurious companion
+branch at distance ~ f*g/g'.  No tolerance decides a case: a fold is
+where f(x) evaluates to 0, the linear limit where g'(x) does.  The branch
+solver reads F, f, g and g' from one call of the system's compiled
+evaluator (``sys.values``), and the branch table is a list of plain
+NamedTuple rows.
 """
 
 from __future__ import annotations
@@ -45,9 +48,10 @@ class ManifoldBranch(NamedTuple):
 
     When both branches exist, |u_slow| <= |u_fast|.  At a fold, where
     f(x) evaluates to 0, real roots would tie in size, so neither is slow:
-    fold_excluded is True and no branch is reported.  A negative discriminant also yields no branches
-    but is not a fold.  Where g'(x) evaluates to 0 the quadratic is
-    linear and u_fast is None.
+    fold_excluded is True and no branch is reported.  A negative
+    discriminant f**2 - 4 eps g' also yields no branches but is not a
+    fold; where g(x) evaluates to 0 both roots are 0.  Where g'(x)
+    evaluates to 0 the quadratic is linear and u_fast is None.
     """
 
     x: float
@@ -60,26 +64,26 @@ class ManifoldBranch(NamedTuple):
 def slow_branches(sys: LienardSystem, x: float) -> ManifoldBranch:
     """Solve g'(x) u**2 + f(x)g(x) u + eps g(x)**2 = 0 for the branches.
 
-    The quadratic is solved in the cancellation-safe form
-    q = -(b + sign(b) sqrt(disc))/2, roots q/a and c/q, which keeps the
-    small (slow) root accurate at small eps.  With a = g'(x) = 0, q = -b
-    and c/q is the linear root -eps*g/f.
+    With u = g w it is g' w**2 + f w + eps = 0, solved in the
+    cancellation-safe form q = -(f + sign(f) sqrt(disc))/2 with disc =
+    f**2 - 4 eps g': u_slow = g (eps/q) and u_fast = g (q/g').  With
+    g' = 0, q = -f and eps/q is the linear root -eps/f.  Where g is 0,
+    u = g w is 0 for every w: both roots are 0 whatever the sign of disc,
+    so disc < 0 means no branch only where g is not 0, and q reads |disc|.
     """
     eps = sys.eps
     Fx, fx, _, gx, gpx, _, _ = sys.values(x)
     if fx == 0.0:
         return ManifoldBranch(x, None, None, None, True)
-    b = fx * gx
-    c = eps * gx * gx
-    disc = b * b - 4.0 * gpx * c
-    if disc < 0.0:
+    disc = fx * fx - 4.0 * eps * gpx
+    if disc < 0.0 and gx != 0.0:
         return ManifoldBranch(x, None, None, None, False)
-    q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
-    r2 = c / q if q != 0.0 else 0.0
+    q = -(fx + math.copysign(math.sqrt(abs(disc)), fx)) / 2.0
+    r_slow = gx * (eps / q)
     if gpx == 0.0:
-        return ManifoldBranch(x, r2, None, Fx + r2, False)
-    r1 = q / gpx
-    u_slow, u_fast = (r1, r2) if abs(r1) <= abs(r2) else (r2, r1)
+        return ManifoldBranch(x, r_slow, None, Fx + r_slow, False)
+    r_fast = gx * (q / gpx)
+    u_slow, u_fast = (r_slow, r_fast) if abs(r_slow) <= abs(r_fast) else (r_fast, r_slow)
     return ManifoldBranch(x, u_slow, u_fast, Fx + u_slow, False)
 
 
@@ -88,13 +92,17 @@ def slow_manifold_table(
 ) -> list[ManifoldBranch]:
     """n equally spaced slow_branches samples over [x_lo, x_hi].
 
-    A row holding inf or nan (float overflow) raises ValueError naming x.
+    A range whose step overflows float range raises ValueError naming
+    x_lo and x_hi; a row holding inf or nan (float overflow) raises
+    ValueError naming x.
     """
     if not x_lo < x_hi:
         raise ValueError("slow_manifold_table requires x_lo < x_hi")
     if n < 2:
         raise ValueError("slow_manifold_table requires n >= 2")
     step = (x_hi - x_lo) / (n - 1)
+    if not math.isfinite(step):
+        raise ValueError(f"the x range [{x_lo!r}, {x_hi!r}] is wider than float range")
     rows = [slow_branches(sys, x_lo + i * step) for i in range(n)]
     for x, _, u_fast, y_slow, _ in rows:
         # One test a row: 0.0 * v is 0.0 for a finite v and nan otherwise,

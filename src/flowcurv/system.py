@@ -42,23 +42,20 @@ class State(NamedTuple):
     y: float
 
 
-# The seven polynomials the evaluator computes, in the order it returns them.
-_SEVEN = ("F", "f", "fp", "g", "gp", "gpp", "G")
-
-
 @functools.cache
 def _evaluator_factory(patterns: "tuple[tuple[bool, ...], ...]"):
     """Compile the evaluator factory for polynomials with these zero patterns.
 
     patterns[i][k] tells whether coefficient k (descending by degree) of
-    polynomial i of F, f, fp, g, gp, gpp, G is nonzero.
+    polynomial i of F, f, fp, g, gp, gpp, G (Jet's first seven fields) is
+    nonzero.
     factory(nonzero F coefficients..., f ..., ..., G ...), each list
     descending by degree, returns values(x), which returns
     (F, f, fp, g, gp, gpp, G) at x.  Each value is a straight-line Horner
     expression (poly.horner_source), so it is bit-identical to
     Polynomial.__call__ at every finite x.
     """
-    names = [coefficient_names(pattern, p) for p, pattern in zip(_SEVEN, patterns)]
+    names = [coefficient_names(pattern, p) for p, pattern in zip(Jet._fields[:7], patterns)]
     return compile_factory(
         [c for cs in names for c in cs if c],
         ["    def values(x):",

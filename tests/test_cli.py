@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from flowcurv import dynamics, make_system
 from flowcurv.cli import RunConfig, build_parser, main
 
 from conftest import CONFIGS, REPO
@@ -28,6 +29,16 @@ class TestSimulate:
         summary = json.loads(capsys.readouterr().out)
         assert summary["accepted_steps"] > 100
         assert summary["final_state"]["t"] == 20.0
+
+    def test_csv_to_stdout_and_summary_to_stderr(self, capsys):
+        rc = main(["simulate", "--config", VDP, "--t-end", "1"])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        lines = out.split("\n")
+        assert lines[0] == "t,x,y,xdot,ydot,phi,E,dEdt" and lines[-1] == ""
+        summary = json.loads(err)
+        assert summary["final_state"]["t"] == 1.0
+        assert len(lines) == summary["accepted_steps"] + 3  # header, start sample, final ""
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -86,16 +97,39 @@ class TestManifold:
     def test_n_of_one_exits_2(self):
         assert main(["manifold", "--config", VDP, "--n", "1"]) == 2
 
-    @pytest.mark.parametrize("x_lo, x_hi, n", [("1e100", "1e101", "3"), ("1e30", "2e30", "2")])
+    @pytest.mark.parametrize("x_lo, x_hi, n", [("1e100", "1e101", "3")])
     def test_overflowing_rows_exit_2(self, x_lo, x_hi, n, capsys):
-        # llibre_mereu's F(1e100) overflows to nan in every cell; at 1e30,
-        # (f*g)^2 overflows and u_fast would read -inf
-        rc = main(["manifold", "--config", str(CONFIGS / "llibre_mereu.json"),
-                   "--x-lo", x_lo, "--x-hi", x_hi, "--n", n])
+        # llibre_mereu's F(1e100) overflows to nan in every cell
+        rc = main(["manifold", "--config", LM, "--x-lo", x_lo, "--x-hi", x_hi, "--n", n])
         assert rc == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"config error: the slow-branch row at x={float(x_lo)!r} overflows float range\n"
+
+    def test_row_where_f_times_g_squared_overflows_is_finite(self, capsys):
+        # at x = 1e30 on llibre_mereu (f*g)**2 ~ 1e419 overflows, while
+        # w = u/g solves g'w**2 + f*w + eps = 0 with finite f, g and g'
+        assert main(["manifold", "--config", LM, "--x-lo", "1e30", "--x-hi", "2e30",
+                     "--n", "2"]) == 0
+        row = capsys.readouterr().out.split("\n")[1].split(",")
+        assert row[0] == "1e+30" and row[4] == "false"
+        x, y_slow, u_slow, u_fast = map(float, row[:4])
+        assert all(map(math.isfinite, (y_slow, u_slow, u_fast)))
+        sys_ = make_system(*(json.loads((CONFIGS / "llibre_mereu.json").read_text())[k]
+                             for k in ("F", "g", "eps")))
+        f, g, gp, eps = sys_.f(x), sys_.g(x), sys_.gp(x), sys_.eps
+        for u in (u_slow, u_fast):
+            w = u / g
+            terms = (gp * w * w, f * w, eps)
+            assert abs(sum(terms)) <= 1e-12 * sum(map(abs, terms))
+
+    def test_range_wider_than_float_range_exits_2(self, capsys):
+        # the step (x_hi - x_lo)/(n - 1) overflows: the range is named, not a row at x=nan
+        rc = main(["manifold", "--config", VDP, "--x-lo=-1e308", "--x-hi", "1e308", "--n", "3"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: the x range [-1e+308, 1e+308] is wider than float range\n"
 
 
 class TestVerify:
@@ -126,6 +160,13 @@ class TestVerify:
         assert rc == 3
         assert capsys.readouterr().err == (
             "numerical failure: no return to the section within 1000000 steps\n")
+
+    def test_unconverged_search_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(dynamics, "MAX_PASSES", 1)
+        assert main(["verify", "--config", VDP]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: limit cycle search did not converge\n"
 
     def test_failed_assumptions_reported_with_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "evensquare.json"
@@ -245,6 +286,16 @@ class TestStudy:
         assert abs(doc["fitted_order_critical"] - 1.0) <= 0.3
         assert len(doc["eps_values"]) == 3
 
+    def test_probes_below_the_branch_fold_exit_3(self, capsys):
+        # vdp's branch exists where f**2 >= 4*eps*g', beyond the fold
+        # x_b = sqrt(1 + 2*sqrt(eps)) = 1.2777 at eps 0.1: the probes from
+        # 1.1 lie on the descent but have no slow branch
+        rc = main(["study", "--config", VDP, "--eps-list", "0.1,0.05",
+                   "--probe-lo", "1.1", "--probe-hi", "1.25"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: no slow branch at x=1.1 for eps=0.1\n")
+
     def test_single_eps_exits_2(self):
         assert main(["study", "--config", VDP, "--eps-list", "0.1"]) == 2
 
@@ -340,6 +391,7 @@ class TestConfigTypes:
         ("classify", "eps", True),
         ("classify", "F", [0, -1.0, 0, False]),
         ("classify", "g", [0, 1.0, math.inf]),
+        ("classify", "name", 5),
     ])
     def test_wrong_type_exits_2(self, command, field, value, tmp_path, capsys):
         doc = json.loads((CONFIGS / "vdp.json").read_text())
@@ -348,6 +400,20 @@ class TestConfigTypes:
         cfg.write_text(json.dumps(doc))  # writes Infinity/NaN, which json reads back
         assert main([command, "--config", str(cfg)]) == 2
         assert f"config error: field '{field}'" in capsys.readouterr().err
+
+    def test_non_numeric_eps_list_flag_exits_2(self, capsys):
+        assert main(["study", "--config", VDP, "--eps-list", "0.1,abc"]) == 2
+        assert capsys.readouterr().err.startswith("config error: field 'eps_list' must be numbers: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"name": "vdp",', "config file is not valid JSON: "),
+        ("[0.05]", "config must be a JSON object"),
+    ])
+    def test_unreadable_config_exits_2(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        assert main(["classify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 class TestRanges:

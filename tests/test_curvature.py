@@ -181,6 +181,19 @@ class TestSlowBranches:
         assert not br.fold_excluded
         assert br.u_slow is None
 
+    @pytest.mark.parametrize("x", [1e-170, 1e-160])
+    def test_roots_near_a_zero_of_g(self, vdp, x):
+        # f = -1 and g' = 1 to double precision, so u = x*w with
+        # w**2 - w + eps = 0: w = (1 -+ sqrt(1 - 4*eps))/2 = 0.0528, 0.9472
+        br = slow_branches(vdp, x)
+        assert br.u_slow / x == pytest.approx(0.052786404500042, rel=1e-12)
+        assert br.u_fast / x == pytest.approx(0.947213595499958, rel=1e-12)
+
+    def test_zero_of_g_gives_both_roots_zero(self):
+        # at x = 0, g'u**2 = 0 whatever the sign of f**2 - 4*eps*g' (here 1 - 1.2)
+        br = slow_branches(make_system([0, -1, 0, 1 / 3], [0, 1], 0.3), 0.0)
+        assert (br.u_slow, br.u_fast, br.fold_excluded) == (0.0, 0.0, False)
+
     def test_eps_to_zero_recovers_critical_manifold(self):
         for eps in (1e-3, 1e-5, 1e-8):
             sys_ = make_system([0, -1, 0, 1 / 3], [0, 1], eps)

@@ -202,19 +202,21 @@ def reference_trajectory_csv(sys_, traj):
 
 
 def reference_branch_row(sys_, x):
-    """The branch solver's cells at x, from Polynomial.__call__ (None is empty)."""
+    """The branch solver's cells at x, from Polynomial.__call__ (None is empty).
+
+    u = g*w with g'w**2 + f*w + eps = 0, solved as q = -(f + sign(f)*sqrt(disc))/2.
+    """
     eps, fx, gx, gpx, Fx = sys_.eps, sys_.f(x), sys_.g(x), sys_.gp(x), sys_.F(x)
     if fx == 0.0:
         return (x, None, None, None, True)
-    if gpx == 0.0:
-        u = -eps * gx / fx
-        return (x, Fx + u, u, None, False)
-    b, c = fx * gx, eps * gx * gx
-    disc = b * b - 4.0 * gpx * c
-    if disc < 0.0:
+    disc = fx * fx - 4.0 * eps * gpx
+    if disc < 0.0 and gx != 0.0:
         return (x, None, None, None, False)
-    q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
-    r1, r2 = q / gpx, (c / q if q != 0.0 else 0.0)
+    if gpx == 0.0:
+        u = gx * (-eps / fx)
+        return (x, Fx + u, u, None, False)
+    q = -(fx + math.copysign(math.sqrt(abs(disc)), fx)) / 2.0
+    r1, r2 = gx * (eps / q), gx * (q / gpx)
     u_slow, u_fast = (r1, r2) if abs(r1) <= abs(r2) else (r2, r1)
     return (x, Fx + u_slow, u_slow, u_fast, False)
 
