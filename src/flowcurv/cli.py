@@ -22,7 +22,7 @@ import sys as _sys
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .curvature import format_manifold_csv, slow_manifold_table
+from .curvature import format_manifold_csv
 from .dynamics import IntegrationError, find_limit_cycle, format_trajectory_csv, integrate
 from .energy import classify_case
 from .system import AssumptionCheck, LienardSystem, State, check_assumptions, make_system
@@ -211,8 +211,7 @@ def cmd_simulate(sys_: LienardSystem, cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_manifold(sys_: LienardSystem, cfg: RunConfig, out: str | None) -> int:
-    rows = slow_manifold_table(sys_, cfg.x_lo, cfg.x_hi, cfg.n)
-    _emit(format_manifold_csv(rows), out)
+    _emit(format_manifold_csv(sys_, cfg.x_lo, cfg.x_hi, cfg.n), out)
     return 0
 
 

@@ -14,18 +14,27 @@ discriminant f**2 - 4 eps g' decides whether a branch exists.  The
 smaller-|u| root is the slow branch, u ~ -eps g/f (it reduces to the
 critical manifold as eps -> 0); the other root is a spurious companion
 branch at distance ~ f*g/g'.  No tolerance decides a case: a fold is
-where f(x) evaluates to 0, the linear limit where g'(x) does.  The branch
-solver reads F, f, g and g' from one call of the system's compiled
-evaluator (``sys.values``), and the branch table is a list of plain
-NamedTuple rows.
+where f(x) evaluates to 0, the linear limit where g'(x) does.
+
+The solver's steps are one template, _BRANCH_TEMPLATE, written once, and
+both solvers are compiled from it.  ``slow_branches`` is compiled when
+this module loads; it reads F, f, g and g' from one call of the
+system's compiled evaluator (``sys.values``) and returns a NamedTuple
+row.  The manifold CSV writer, ``format_manifold_csv``, is compiled on
+first use once per zero pattern of the system's polynomials: one loop
+over the grid with inline Horner code for F, f, g and g', which refuses
+an overflowing row where it meets it and appends each line without a
+per-row call, record or second pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
-from .system import Jet, LienardSystem
+from .poly import compile_factory
+from .system import POLYNOMIALS, Jet, LienardSystem, bind, compile_writer
 
 
 def lie_residual(eps: float, j: Jet) -> float:
@@ -61,30 +70,75 @@ class ManifoldBranch(NamedTuple):
     fold_excluded: bool
 
 
-def slow_branches(sys: LienardSystem, x: float) -> ManifoldBranch:
-    """Solve g'(x) u**2 + f(x)g(x) u + eps g(x)**2 = 0 for the branches.
+# The branch solver's steps over eps, x and the values F, f, g, gp at x.  A
+# `return` line gives the row's u_slow, u_fast, y_slow and fold_excluded,
+# None for a missing value; each solver compiled from the template puts its
+# own statements there.  With u = g w the quadratic is
+# g' w**2 + f w + eps = 0, solved in the cancellation-safe form
+# q = -(f + sign(f) sqrt(disc))/2 with disc = f**2 - 4 eps g':
+# u_slow = g (eps/q) and u_fast = g (q/g').  With g' = 0, q = -f and
+# eps/q is the linear root -eps/f.  Where g is 0, u = g w is 0 for every
+# w: both roots are 0 whatever the sign of disc, so disc < 0 means no
+# branch only where g is not 0, and q reads |disc|.
+_BRANCH_TEMPLATE = """\
+if f == 0.0:
+    return None, None, None, True
+disc = f * f - 4.0 * eps * gp
+if disc < 0.0 and g != 0.0:
+    return None, None, None, False
+q = -(f + copysign(sqrt(abs(disc)), f)) / 2.0
+u_slow = g * (eps / q)
+if gp != 0.0:
+    u_fast = g * (q / gp)
+    if not abs(u_slow) <= abs(u_fast):
+        u_slow, u_fast = u_fast, u_slow
+y_slow = F + u_slow
+if gp == 0.0:
+    return u_slow, None, y_slow, False
+return u_slow, u_fast, y_slow, False"""
+_BRANCH_ENV = {"sqrt": math.sqrt, "copysign": math.copysign}
 
-    With u = g w it is g' w**2 + f w + eps = 0, solved in the
-    cancellation-safe form q = -(f + sign(f) sqrt(disc))/2 with disc =
-    f**2 - 4 eps g': u_slow = g (eps/q) and u_fast = g (q/g').  With
-    g' = 0, q = -f and eps/q is the linear root -eps/f.  Where g is 0,
-    u = g w is 0 for every w: both roots are 0 whatever the sign of disc,
-    so disc < 0 means no branch only where g is not 0, and q reads |disc|.
+
+def _branch_code(row) -> "list[str]":
+    """_BRANCH_TEMPLATE's lines, each `return a, b, c, d` line replaced by row(a, b, c, d)'s."""
+    lines = []
+    for line in _BRANCH_TEMPLATE.splitlines():
+        code = line.lstrip()
+        if code.startswith("return "):
+            lines += [line[:len(line) - len(code)] + out for out in row(*code[7:].split(", "))]
+        else:
+            lines.append(line)
+    return lines
+
+
+slow_branches = compile_factory([], [
+    "    def slow_branches(sys, x):",
+    "        eps = sys.eps",
+    f"        {', '.join(POLYNOMIALS)} = sys.values(x)",
+    *(f"        {line}" for line in _branch_code(
+        lambda *cells: [f"return ManifoldBranch(x, {', '.join(cells)})"])),
+    "    return slow_branches"], "slow_branches",
+    {**_BRANCH_ENV, "ManifoldBranch": ManifoldBranch, "__name__": __name__})()
+slow_branches.__doc__ = """The ManifoldBranch of g'(x) u**2 + f(x)g(x) u + eps g(x)**2 = 0 at x.
+
+    One sys.values call, then _BRANCH_TEMPLATE's steps.
     """
-    eps = sys.eps
-    Fx, fx, _, gx, gpx, _, _ = sys.values(x)
-    if fx == 0.0:
-        return ManifoldBranch(x, None, None, None, True)
-    disc = fx * fx - 4.0 * eps * gpx
-    if disc < 0.0 and gx != 0.0:
-        return ManifoldBranch(x, None, None, None, False)
-    q = -(fx + math.copysign(math.sqrt(abs(disc)), fx)) / 2.0
-    r_slow = gx * (eps / q)
-    if gpx == 0.0:
-        return ManifoldBranch(x, r_slow, None, Fx + r_slow, False)
-    r_fast = gx * (q / gpx)
-    u_slow, u_fast = (r_slow, r_fast) if abs(r_slow) <= abs(r_fast) else (r_fast, r_slow)
-    return ManifoldBranch(x, u_slow, u_fast, Fx + u_slow, False)
+
+
+def _grid_step(x_lo: float, x_hi: float, n: int) -> float:
+    """The step of n equally spaced abscissas over [x_lo, x_hi], or ValueError."""
+    if not x_lo < x_hi:
+        raise ValueError("slow_manifold_table requires x_lo < x_hi")
+    if n < 2:
+        raise ValueError("slow_manifold_table requires n >= 2")
+    step = (x_hi - x_lo) / (n - 1)
+    if not math.isfinite(step):
+        raise ValueError(f"the x range [{x_lo!r}, {x_hi!r}] is wider than float range")
+    return step
+
+
+def _overflow(x: float) -> ValueError:
+    return ValueError(f"the slow-branch row at x={x!r} overflows float range")
 
 
 def slow_manifold_table(
@@ -96,34 +150,57 @@ def slow_manifold_table(
     x_lo and x_hi; a row holding inf or nan (float overflow) raises
     ValueError naming x.
     """
-    if not x_lo < x_hi:
-        raise ValueError("slow_manifold_table requires x_lo < x_hi")
-    if n < 2:
-        raise ValueError("slow_manifold_table requires n >= 2")
-    step = (x_hi - x_lo) / (n - 1)
-    if not math.isfinite(step):
-        raise ValueError(f"the x range [{x_lo!r}, {x_hi!r}] is wider than float range")
+    step = _grid_step(x_lo, x_hi, n)
     rows = [slow_branches(sys, x_lo + i * step) for i in range(n)]
     for x, _, u_fast, y_slow, _ in rows:
         # One test a row: 0.0 * v is 0.0 for a finite v and nan otherwise,
         # and y_slow = F(x) + u_slow carries an overflow of either.
         if not math.isfinite(x + 0.0 * (y_slow or 0.0) + 0.0 * (u_fast or 0.0)):
-            raise ValueError(f"the slow-branch row at x={x!r} overflows float range")
+            raise _overflow(x)
     return rows
 
 
 MANIFOLD_CSV_HEADER = "x,y_slow,u_slow,u_fast,fold_excluded"
 
 
-def format_manifold_csv(rows: "list[ManifoldBranch]") -> str:
-    """CSV for a branch table; floats use round-trip (repr) formatting, None is empty."""
-    lines = [MANIFOLD_CSV_HEADER]
-    for x, u_slow, u_fast, y_slow, fold_excluded in rows:
-        lines.append(
-            f"{x!r},{'' if y_slow is None else repr(y_slow)},"
-            f"{'' if u_slow is None else repr(u_slow)},"
-            f"{'' if u_fast is None else repr(u_fast)},"
-            f"{'true' if fold_excluded else 'false'}"
-        )
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+def _csv_row(u_slow: str, u_fast: str, y_slow: str, fold: str) -> "list[str]":
+    """The manifold writer's statements for one row of the template.
+
+    The row's test is slow_manifold_table's, without a call: x plus 0.0
+    times each value is finite exactly when all are, and v - v == 0.0
+    holds exactly for a finite v.  Cells are repr of their floats, empty
+    for None.
+    """
+    cells = ["" if v == "None" else f"{{{v}!r}}" for v in ("x", y_slow, u_slow, u_fast)]
+    cells.append("true" if fold == "True" else "false")
+    total = " + ".join(["x", *(f"0.0 * {v}" for v in (y_slow, u_fast) if v != "None")])
+    return [f"v = {total}",
+            "if not v - v == 0.0:",
+            "    raise _overflow(x)",
+            f'append(f"{",".join(cells)}")',
+            "continue"]
+
+
+@functools.cache
+def _manifold_writer_factory(patterns: "tuple[tuple[bool, ...], ...]"):
+    """Compile the manifold CSV writer for polynomials with these zero patterns.
+
+    The factory (see system.bind) returns write(x_lo, step, n), whose row
+    i is slow_branches at x_lo + i*step, bit for bit, from
+    _BRANCH_TEMPLATE's steps in one loop (system.compile_writer); a row
+    holding inf or nan raises ValueError naming x.
+    """
+    return compile_writer(patterns, "x_lo, step, n",
+                          ["for i in range(n):", "    x = x_lo + i * step"],
+                          _branch_code(_csv_row), MANIFOLD_CSV_HEADER, "manifold csv",
+                          {**_BRANCH_ENV, "_overflow": _overflow})
+
+
+def format_manifold_csv(sys: LienardSystem, x_lo: float, x_hi: float, n: int) -> str:
+    """The slow_manifold_table(sys, x_lo, x_hi, n) rows as CSV text.
+
+    Floats use round-trip (repr) formatting, None is an empty cell.  A
+    bad range or an overflowing row raises the ValueError
+    slow_manifold_table raises, with its message.
+    """
+    return bind(sys, _manifold_writer_factory)(x_lo, _grid_step(x_lo, x_hi, n), n)

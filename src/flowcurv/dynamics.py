@@ -44,6 +44,12 @@ samples as three read-only float64 columns, t, x and y (24 bytes a
 sample, where a State tuple of three floats costs about 144): the step
 count grows like 1/eps, and the loop appends plain floats to the
 columns.  Trajectory.samples builds State tuples on demand.
+The trajectory CSV writer, format_trajectory_csv, is compiled on first
+use once per zero pattern of the system's polynomials
+(system.compile_writer): one loop whose row computes the jet columns
+from the lines of system.JET_FORMULAS they need, with inline Horner code
+for F, f, g, g' and G, so a row calls no Python function and builds no
+jet.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ from typing import NamedTuple
 
 from .curvature import slow_branches
 from .poly import coefficient_names, compile_factory, horner_source, signs_on
-from .system import LienardSystem, State, jet_at, positive_zeros_of_F
+from .system import (LienardSystem, State, bind, compile_writer, jet_code,
+                     positive_zeros_of_F)
 
 # Dormand-Prince 5(4) tableau (autonomous field, so no stage times).  Row i
 # of _DP_A forms stage i + 2 from the slopes k1 ... k(i + 1); its last row is
@@ -560,14 +567,26 @@ def extract_vicinity(
 TRAJECTORY_CSV_HEADER = "t,x,y,xdot,ydot,phi,E,dEdt"
 
 
+@functools.cache
+def _trajectory_writer_factory(patterns: "tuple[tuple[bool, ...], ...]"):
+    """Compile the trajectory CSV writer for polynomials with these zero patterns.
+
+    The factory (see system.bind) returns write(ts, xs, ys), whose row i
+    is the sample (ts[i], xs[i], ys[i]) and its jet columns, computed by
+    the lines of system.JET_FORMULAS those columns need (system.jet_code)
+    in one loop (system.compile_writer); every cell is repr of its float.
+    """
+    columns = TRAJECTORY_CSV_HEADER.split(",")
+    cells = ",".join(f"{{{c}!r}}" for c in columns)
+    return compile_writer(patterns, "ts, xs, ys", ["for t, x, y in zip(ts, xs, ys):"],
+                          [*jet_code(columns[3:]), f'append(f"{cells}")'],
+                          TRAJECTORY_CSV_HEADER, "trajectory csv")
+
+
 def format_trajectory_csv(sys: LienardSystem, traj: Trajectory) -> str:
-    """CSV export with derivative and diagnostic columns computed per sample."""
-    lines = [TRAJECTORY_CSV_HEADER]
-    for t, x, y in zip(traj.t, traj.x, traj.y):
-        j = jet_at(sys, x, y)
-        lines.append(
-            f"{t!r},{x!r},{y!r},{j.xdot!r},{j.ydot!r},"
-            f"{j.phi!r},{j.E!r},{j.dEdt!r}"
-        )
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+    """CSV export with derivative and diagnostic columns computed per sample.
+
+    The rows are bit for bit those of system.jet_at at each sample,
+    written by the system's compiled writer (_trajectory_writer_factory).
+    """
+    return bind(sys, _trajectory_writer_factory)(traj.t, traj.x, traj.y)

@@ -12,12 +12,18 @@ without zero terms, generated once per zero pattern of the seven
 polynomials' coefficients and bound to the system's coefficients.
 Every value is bit-identical to ``Polynomial.__call__``.
 
-``jet_at`` is the one point evaluator.  It calls ``values`` once at a
-point (x, y), and every closed form downstream (velocity, curvature, energy,
-the paper's identities, the sign checks and the CSV columns) is a field
-of the jet or an expression in its fields.  The slow-branch solver reads
-the same evaluator at a bare abscissa.  ``jet`` reads a ``State``;
-the trajectory CSV writer calls ``jet_at`` on its float columns.
+The jet's derived quantities (velocity, acceleration, third
+derivatives, curvature, energy, H and their rates) are one ordered table
+of expressions, JET_FORMULAS, each written once.  Code is generated from
+it, never written beside it: ``jet_at``, the one point evaluator, is
+compiled from the whole table when this module loads and calls
+``values`` once at a point (x, y); every closed form downstream (the
+paper's identities, the sign checks) is a field of the jet or an
+expression in its fields.  ``jet`` reads a ``State``.  ``jet_code``
+picks the lines a subset of the fields needs, and ``compile_writer``
+compiles a CSV writer around them: one loop per zero pattern, with
+inline Horner code for only the polynomials its rows read.  The
+trajectory writer in ``dynamics`` is built this way.
 
 Every record in the package is a ``typing.NamedTuple``: immutable, with
 its fields in a fixed order, compared and printed by them.
@@ -27,6 +33,7 @@ its fields in a fixed order, compared and printed by them.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from sys import float_info
 from typing import NamedTuple
 
@@ -42,26 +49,77 @@ class State(NamedTuple):
     y: float
 
 
+# The seven polynomials of a system, in the order values(x) returns them and
+# the jet holds them; generated code names each one's value at x this way.
+POLYNOMIALS = ("F", "f", "fp", "g", "gp", "gpp", "G")
+
+
+def _coefficients(patterns: "tuple[tuple[bool, ...], ...]") -> "list[list[str | None]]":
+    """Each polynomial's coefficient names (poly.coefficient_names), prefixed with its name."""
+    return [coefficient_names(pattern, p) for p, pattern in zip(POLYNOMIALS, patterns)]
+
+
+def _compile_bound(patterns: "tuple[tuple[bool, ...], ...]", body: "list[str]", label: str,
+                   env: "dict | None" = None):
+    """compile_factory taking the seven polynomials' nonzero coefficients and eps (see bind)."""
+    return compile_factory([c for cs in _coefficients(patterns) for c in cs if c] + ["eps"],
+                           body, f"{label} {'-'.join(map(str, map(len, patterns)))}", env)
+
+
+def bind(sys: "LienardSystem", factory_for):
+    """What factory_for compiles for the zero patterns of sys's polynomials, bound to sys.
+
+    patterns[i][k] tells whether coefficient k (descending by degree) of
+    polynomial i of POLYNOMIALS is nonzero.  factory_for(patterns)
+    returns a factory; it is called with the nonzero coefficients of the
+    seven polynomials, each polynomial's descending by degree, and eps.
+    """
+    descs = [getattr(sys, p).desc for p in POLYNOMIALS]
+    factory = factory_for(tuple(tuple(map(bool, d)) for d in descs))
+    return factory(*(c for d in descs for c in d if c), sys.eps)
+
+
 @functools.cache
 def _evaluator_factory(patterns: "tuple[tuple[bool, ...], ...]"):
     """Compile the evaluator factory for polynomials with these zero patterns.
 
-    patterns[i][k] tells whether coefficient k (descending by degree) of
-    polynomial i of F, f, fp, g, gp, gpp, G (Jet's first seven fields) is
-    nonzero.
-    factory(nonzero F coefficients..., f ..., ..., G ...), each list
-    descending by degree, returns values(x), which returns
+    The factory (see bind) returns values(x), which returns
     (F, f, fp, g, gp, gpp, G) at x.  Each value is a straight-line Horner
     expression (poly.horner_source), so it is bit-identical to
     Polynomial.__call__ at every finite x.
     """
-    names = [coefficient_names(pattern, p) for p, pattern in zip(Jet._fields[:7], patterns)]
-    return compile_factory(
-        [c for cs in names for c in cs if c],
-        ["    def values(x):",
-         f"        return {', '.join(horner_source(cs, 'x') for cs in names)}",
-         "    return values"],
-        f"evaluator {'-'.join(map(str, map(len, patterns)))}")
+    return _compile_bound(patterns, [
+        "    def values(x):",
+        f"        return {', '.join(horner_source(cs, 'x') for cs in _coefficients(patterns))}",
+        "    return values"], "evaluator")
+
+
+def compile_writer(patterns: "tuple[tuple[bool, ...], ...]", signature: str, loop: "list[str]",
+                   row: "list[str]", header: str, label: str, env: "dict | None" = None):
+    """Compile a CSV writer factory for polynomials with these zero patterns.
+
+    The factory (see bind) returns write(<signature>), which returns the
+    header line, one line per pass of the loop and a final newline, as
+    one text.  loop is the for statement and any lines after it that
+    bind x; row is the rest of the loop body, which reads the polynomials'
+    values at x by name and hands each line to ``append``.  Every value a
+    row reads is a straight-line Horner expression placed before it, so a
+    pass calls no Python function and builds no record; env holds the
+    other names the row reads.
+    """
+    read = compile("\n".join(["for _ in ():", *(f"    {line}" for line in row)]),
+                   f"<{label} row>", "exec").co_names
+    values = [f"    {p} = {horner_source(cs, 'x')}"
+              for p, cs in zip(POLYNOMIALS, _coefficients(patterns)) if p in read]
+    return _compile_bound(patterns, [
+        f"    def write({signature}):",
+        "        lines = [HEADER]",
+        "        append = lines.append",
+        *(f"        {line}" for line in loop + values),
+        *(f"            {line}" for line in row),
+        "        append('')  # the final newline, without a second copy of the text",
+        "        return '\\n'.join(lines)",
+        "    return write"], label, {**(env or {}), "HEADER": header})
 
 
 class _LienardFields(NamedTuple):
@@ -100,11 +158,8 @@ class LienardSystem(_LienardFields):
             raise ValueError("G must be an antiderivative of g")
         self = super().__new__(cls, float(eps), F, g, G)
         f, gp = F.derivative(), g.derivative()
-        fp, gpp = f.derivative(), gp.derivative()
-        polys = (F, f, fp, g, gp, gpp, G)
-        factory = _evaluator_factory(tuple(tuple(map(bool, p.desc)) for p in polys))
-        vars(self).update(f=f, fp=fp, gp=gp, gpp=gpp,
-                          values=factory(*(c for p in polys for c in p.desc if c)))
+        vars(self).update(f=f, fp=f.derivative(), gp=gp, gpp=gp.derivative())
+        vars(self)["values"] = bind(self, _evaluator_factory)
         return self
 
     @classmethod
@@ -135,33 +190,46 @@ def make_system(
     return LienardSystem(eps, F, g, g.antiderivative(0.0) if G is None else G)
 
 
-class Jet(NamedTuple):
-    """The seven polynomial values at x and every closed form built on them.
+# The jet's derived quantities in evaluation order, each expression written
+# once: it reads eps, y, the seven polynomial values at x (named as in
+# POLYNOMIALS) and the quantities above it.  The third derivatives apply the
+# Jacobian J = [[-f/eps, 1/eps], [-g', 0]] to the acceleration and add
+# dJ/dt = [[-f'*xdot/eps, 0], [-g''*xdot, 0]] applied to the velocity,
+# expanded entrywise.
+JET_FORMULAS = (
+    ("xdot", "(y - F) / eps"),
+    ("ydot", "-g"),
+    ("xddot", "(ydot - f * xdot) / eps"),
+    ("yddot", "-gp * xdot"),
+    ("xdddot", "(-f / eps) * xddot + (1.0 / eps) * yddot + (-fp * xdot / eps) * xdot"),
+    ("ydddot", "-gp * xddot + (-gpp * xdot) * xdot"),
+    ("phi", "xddot * ydot + gp * xdot * xdot"),
+    ("phi_dot", "xdddot * ydot - ydddot * xdot"),
+    ("E", "eps * xdot * xdot / 2.0 + G"),
+    ("dEdt", "-f * xdot * xdot"),
+    ("H", "g * g - 2.0 * G * gp"),
+    ("dHdt", "-2.0 * G * gpp * xdot"),
+)
+
+Jet = NamedTuple("Jet", [(name, float)
+                         for name in (*POLYNOMIALS, *(name for name, _ in JET_FORMULAS))])
+Jet.__doc__ = """The seven polynomial values at x and every closed form built on them.
 
     phi = det(Xddot, Xdot) is the curvature function, E = eps*xdot**2/2 + G
     the energy, H = g**2 - 2*G*g' the case function; the *dot/*dt fields
-    are time derivatives along the flow.
+    are time derivatives along the flow.  The fields after the seven
+    values are JET_FORMULAS's, in its order.
     """
 
-    F: float
-    f: float
-    fp: float
-    g: float
-    gp: float
-    gpp: float
-    G: float
-    xdot: float
-    ydot: float
-    xddot: float
-    yddot: float
-    xdddot: float
-    ydddot: float
-    phi: float
-    phi_dot: float
-    E: float
-    dEdt: float
-    H: float
-    dHdt: float
+
+def jet_code(fields: "Iterable[str]") -> "list[str]":
+    """The JET_FORMULAS assignments the named jet fields need, in table order."""
+    need, lines = set(fields), []
+    for name, expr in reversed(JET_FORMULAS):
+        if name in need:
+            need.update(compile(expr, "<jet>", "eval").co_names)
+            lines.append(f"{name} = {expr}")
+    return lines[::-1]
 
 
 def jet(sys: LienardSystem, s: State) -> Jet:
@@ -169,31 +237,14 @@ def jet(sys: LienardSystem, s: State) -> Jet:
     return jet_at(sys, s.x, s.y)
 
 
-def jet_at(sys: LienardSystem, x: float, y: float) -> Jet:
-    """Evaluate F, f, f', g, g', g'' and G at x in one evaluator call; derive the jet at (x, y).
-
-    Third derivatives apply the Jacobian J = [[-f/eps, 1/eps], [-g', 0]]
-    to the acceleration and add dJ/dt = [[-f'*xdot/eps, 0], [-g''*xdot, 0]]
-    applied to the velocity, expanded entrywise.
-    """
-    eps = sys.eps
-    Fx, fx, fpx, gx, gpx, gppx, Gx = sys.values(x)
-    xdot = (y - Fx) / eps
-    ydot = -gx
-    xddot = (ydot - fx * xdot) / eps
-    yddot = -gpx * xdot
-    xdddot = (-fx / eps) * xddot + (1.0 / eps) * yddot + (-fpx * xdot / eps) * xdot
-    ydddot = -gpx * xddot + (-gppx * xdot) * xdot
-    return Jet(
-        Fx, fx, fpx, gx, gpx, gppx, Gx,
-        xdot, ydot, xddot, yddot, xdddot, ydddot,
-        xddot * ydot + gpx * xdot * xdot,  # phi
-        xdddot * ydot - ydddot * xdot,  # phi_dot
-        eps * xdot * xdot / 2.0 + Gx,  # E
-        -fx * xdot * xdot,  # dEdt
-        gx * gx - 2.0 * Gx * gpx,  # H
-        -2.0 * Gx * gppx * xdot,  # dHdt
-    )
+jet_at = compile_factory([], [
+    "    def jet_at(sys, x, y):",
+    "        eps = sys.eps",
+    f"        {', '.join(POLYNOMIALS)} = sys.values(x)",
+    *(f"        {name} = {expr}" for name, expr in JET_FORMULAS),
+    f"        return Jet({', '.join(Jet._fields)})",
+    "    return jet_at"], "jet_at", {"Jet": Jet, "__name__": __name__})()
+jet_at.__doc__ = """The jet at (x, y): one sys.values call, then JET_FORMULAS in order."""
 
 
 class AssumptionCheck(NamedTuple):

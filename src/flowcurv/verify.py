@@ -232,9 +232,11 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """Fit the order of the branch approximation over a decreasing eps list.
 
-    A probe window that the orbit's descent does not cover at some eps is
-    an input error and raises ValueError; a numerical failure (no
-    converged cycle, no slow branch at a probe) raises IntegrationError.
+    Each probe's slow branch is found once, before any cycle search, and
+    a probe without one (below a fold, say) is an input error: it raises
+    ValueError naming x and eps, as does a probe window that the orbit's
+    descent does not cover at some eps.  A cycle search that fails or
+    does not converge raises IntegrationError.
     """
     if len(eps_list) < 2:
         raise ValueError("eps_list needs >= 2 values to fit an order")
@@ -245,25 +247,28 @@ def convergence_study(
         raise ValueError("probe_lo must be below probe_hi")
 
     probes = [lo + (hi - lo) * i / (N_PROBE - 1) for i in range(N_PROBE)]
+    systems = [sys._replace(eps=eps) for eps in eps_list]
+    branches = [[slow_branches(sys_e, px) for px in probes] for sys_e in systems]
+    for sys_e, brs in zip(systems, branches):
+        for br in brs:
+            if br.y_slow is None:
+                raise ValueError(f"probe x={br.x} has no slow branch at eps={sys_e.eps}")
     dists: list[float] = []
     dists_crit: list[float] = []
-    for eps in eps_list:
-        sys_e = sys._replace(eps=eps)
+    for sys_e, brs in zip(systems, branches):
+        eps = sys_e.eps
         cycle = find_limit_cycle(sys_e, y_guess, STUDY_TOL, integ_tol=STUDY_TOL)
         if not cycle.converged:
             raise IntegrationError(f"limit cycle did not converge at eps={eps}")
         worst = worst_crit = 0.0
-        for px, y_traj in zip(probes, _descent_ys(sys_e, cycle.orbit, probes)):
+        for br, y_traj in zip(brs, _descent_ys(sys_e, cycle.orbit, probes)):
             if y_traj is None:
                 d_lo, d_hi = _descent_x_range(cycle.orbit)
                 raise ValueError(
                     f"probe window probe_lo={lo}, probe_hi={hi} is not inside the "
                     f"orbit's descent, x in [{d_lo:.6g}, {d_hi:.6g}], at eps={eps}")
-            br = slow_branches(sys_e, px)
-            if br.y_slow is None:
-                raise IntegrationError(f"no slow branch at x={px} for eps={eps}")
             worst = max(worst, abs(y_traj - br.y_slow))
-            worst_crit = max(worst_crit, abs(y_traj - sys_e.values(px)[0]))
+            worst_crit = max(worst_crit, abs(y_traj - sys_e.values(br.x)[0]))
         dists.append(worst)
         dists_crit.append(worst_crit)
 

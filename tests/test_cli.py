@@ -286,15 +286,16 @@ class TestStudy:
         assert abs(doc["fitted_order_critical"] - 1.0) <= 0.3
         assert len(doc["eps_values"]) == 3
 
-    def test_probes_below_the_branch_fold_exit_3(self, capsys):
+    def test_probes_below_the_branch_fold_exit_2(self, capsys):
         # vdp's branch exists where f**2 >= 4*eps*g', beyond the fold
         # x_b = sqrt(1 + 2*sqrt(eps)) = 1.2777 at eps 0.1: the probes from
-        # 1.1 lie on the descent but have no slow branch
+        # 1.1 lie on the descent but have no slow branch, which the input
+        # alone decides
         rc = main(["study", "--config", VDP, "--eps-list", "0.1,0.05",
                    "--probe-lo", "1.1", "--probe-hi", "1.25"])
-        assert rc == 3
+        assert rc == 2
         assert capsys.readouterr().err == (
-            "numerical failure: no slow branch at x=1.1 for eps=0.1\n")
+            "config error: probe x=1.1 has no slow branch at eps=0.1\n")
 
     def test_single_eps_exits_2(self):
         assert main(["study", "--config", VDP, "--eps-list", "0.1"]) == 2
@@ -473,18 +474,23 @@ def test_import_loads_no_numpy():
 
 def test_cold_verify_compiles_one_kernel_and_one_evaluator():
     # Each generated function costs an exec compile on every CLI start: a
-    # fresh verify compiles the march kernel and the evaluator once each.
+    # fresh verify compiles the march kernel and the evaluator once each,
+    # and neither verify nor classify compiles a CSV writer, which is
+    # compiled on first use.
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     code = ("import contextlib, io\n"
-            "from flowcurv import cli, dynamics, system\n"
+            "from flowcurv import cli, curvature, dynamics, system\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = cli.main(['verify', '--config', 'configs/llibre_mereu.json'])\n"
-            "print(rc, dynamics._kernel_factory.cache_info().misses,\n"
-            "      system._evaluator_factory.cache_info().misses)")
+            "    rc_classify = cli.main(['classify', '--config', 'configs/llibre_mereu.json'])\n"
+            "print(rc, rc_classify, dynamics._kernel_factory.cache_info().misses,\n"
+            "      system._evaluator_factory.cache_info().misses,\n"
+            "      dynamics._trajectory_writer_factory.cache_info().currsize,\n"
+            "      curvature._manifold_writer_factory.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=REPO, capture_output=True,
                          text=True, check=True).stdout
     # verify exits 1 here: the settling layer fails PHIDOT_POS (see 05a)
-    assert out.split() == ["1", "1", "1"]
+    assert out.split() == ["1", "0", "1", "1", "0", "0"]
 
 
 HELP = {

@@ -265,7 +265,7 @@ class TestSlowManifoldTable:
 
     def test_csv_round_trip(self, vdp):
         rows = slow_manifold_table(vdp, 1.25, 2.0, 4)
-        text = format_manifold_csv(rows)
+        text = format_manifold_csv(vdp, 1.25, 2.0, 4)
         lines = text.strip().split("\n")
         assert lines[0] == MANIFOLD_CSV_HEADER
         first = lines[1].split(",")
@@ -275,6 +275,6 @@ class TestSlowManifoldTable:
 
     def test_csv_peak_memory_below_three_times_the_text(self, vdp):
         # the rows' strings and the joined text, and no third copy
-        text, peak = traced_peak(format_manifold_csv, slow_manifold_table(vdp, -2.0, 2.0, 4001))
+        text, peak = traced_peak(format_manifold_csv, vdp, -2.0, 2.0, 4001)
         assert len(text) > 250_000 and text.endswith("false\n")
         assert peak < 3 * len(text)

@@ -6,10 +6,15 @@ from array import array
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowcurv import State, integrate, jet, make_system
-from flowcurv.curvature import format_manifold_csv, slow_branches, slow_manifold_table
-from flowcurv.dynamics import Trajectory, extract_vicinity, format_trajectory_csv
+from flowcurv.curvature import (MANIFOLD_CSV_HEADER, format_manifold_csv, slow_branches,
+                                slow_manifold_table)
+from flowcurv.dynamics import (TRAJECTORY_CSV_HEADER, Trajectory, extract_vicinity,
+                               format_trajectory_csv)
+from flowcurv.system import jet_at
 from flowcurv.poly import Polynomial
 from flowcurv.verify import sample_margins
 
@@ -112,6 +117,8 @@ def test_check_sample_evaluates_seven_polynomials(monkeypatch):
     assert values_calls == [1.5]
 
 
+# The CSV writers compile the Horner code of the polynomials their rows read
+# into their loops: neither calls Polynomial.__call__ or the evaluator.
 def test_csv_row_evaluates_seven_polynomials(monkeypatch):
     sys_ = system_from_config("llibre_mereu")
     samples = tuple(State(0.1 * i, 1.5 - 0.01 * i, -0.2) for i in range(10))
@@ -120,8 +127,10 @@ def test_csv_row_evaluates_seven_polynomials(monkeypatch):
     values_calls = count_evaluator_calls(sys_)
     text = format_trajectory_csv(sys_, traj)
     assert len(text.strip().split("\n")) == 11
+    text = format_manifold_csv(sys_, -2.0, 2.0, 41)
+    assert len(text.strip().split("\n")) == 42
     assert len(calls) == 0
-    assert values_calls == [s.x for s in samples]
+    assert values_calls == []
 
 
 def test_branch_table_row_is_one_evaluator_call(monkeypatch):
@@ -255,7 +264,7 @@ def test_trajectory_csv_matches_polynomial_reference(name):
 @pytest.mark.parametrize("name", ["vdp", "llibre_mereu", "degree9", "shifted_G"])
 def test_manifold_csv_matches_polynomial_reference(name):
     sys_ = evaluator_systems()[name]
-    text = format_manifold_csv(slow_manifold_table(sys_, -2.0, 2.0, 801))
+    text = format_manifold_csv(sys_, -2.0, 2.0, 801)
     assert first_difference(text, reference_manifold_csv(sys_, -2.0, 2.0, 801)) is None
     if name == "vdp":
         # vdp's table holds every row kind: folds at x = +-1, rows where the
@@ -271,3 +280,121 @@ def test_branch_rows_are_plain_tuples(vdp):
     assert isinstance(br, tuple) and br._fields == (
         "x", "u_slow", "u_fast", "y_slow", "fold_excluded")
     assert br == (br.x, br.u_slow, br.u_fast, br.y_slow, False)
+
+
+# --- the compiled writers against the per-point path ------------------------
+
+def trajectory_of(ts, xs, ys):
+    return Trajectory._of_arrays(array("d", ts), array("d", xs), array("d", ys), 0, 0, 1e-9)
+
+
+def jet_at_csv(sys_, traj):
+    """The trajectory CSV from one jet_at call per sample."""
+    lines = [TRAJECTORY_CSV_HEADER]
+    for t, x, y in zip(traj.t, traj.x, traj.y):
+        j = jet_at(sys_, x, y)
+        lines.append(",".join(map(repr, (t, x, y, j.xdot, j.ydot, j.phi, j.E, j.dEdt))))
+    return "\n".join(lines) + "\n"
+
+
+def slow_branches_csv(sys_, x_lo, x_hi, n):
+    """The manifold CSV from one slow_branches call per row (slow_manifold_table)."""
+    lines = [MANIFOLD_CSV_HEADER]
+    for x, u_slow, u_fast, y_slow, fold in slow_manifold_table(sys_, x_lo, x_hi, n):
+        cells = ["" if v is None else repr(v) for v in (x, y_slow, u_slow, u_fast)]
+        lines.append(",".join(cells + ["true" if fold else "false"]))
+    return "\n".join(lines) + "\n"
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+COEFFICIENTS = st.one_of(st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -2.0, 1 / 3, 3.0]),
+                         st.floats(-10.0, 10.0))
+
+
+@st.composite
+def polynomials(draw, odd):
+    """Coefficients ascending, degree up to 9; odd ones keep only odd powers."""
+    cs = draw(st.lists(COEFFICIENTS, min_size=1, max_size=10))
+    return [0.0 if odd and k % 2 == 0 else c for k, c in enumerate(cs)]
+
+
+@st.composite
+def systems(draw):
+    """(F, g, eps): odd or not, interior zeros, and sometimes a leading g
+    coefficient of 5e-324, whose G coefficient rounds to 0.0 (underflowing_G)."""
+    odd = draw(st.booleans())
+    F, g = draw(polynomials(odd)), draw(polynomials(odd))
+    if draw(st.booleans()):
+        g = g[:8] + [0.0] * (odd and len(g[:8]) % 2 == 0) + [5e-324]
+    return F, g, draw(st.sampled_from([1e-3, 0.05, 0.3, 2.0]))
+
+
+@st.composite
+def grids(draw):
+    """(x_lo, x_hi, n): half of them dyadic and symmetric, so x = 0 and +-1 are rows."""
+    if draw(st.booleans()):
+        half = draw(st.sampled_from([1.0, 2.0, 4.0]))
+        return -half, half, 2 ** draw(st.integers(1, 7)) + 1
+    lo, hi = sorted(draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2, unique=True)))
+    return lo, hi, draw(st.integers(2, 200))
+
+
+SAMPLES = st.lists(st.tuples(st.floats(0.0, 100.0),
+                             st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                                       st.floats(-4.0, 4.0)),
+                             st.floats(-4.0, 4.0)), min_size=1, max_size=40)
+
+# Systems whose grids hold every row kind the writer has: folds (vdp at
+# x = +-1, F = x**3 at x = 0), rows with no real root, g' = 0 rows (the
+# linear limit: g constant, or g = x**3 at x = 0), an underflowing G
+# coefficient, and rows that overflow float range.
+WRITER_EXAMPLES = [
+    (([0.0, -1.0, 0.0, 1 / 3], [0.0, 1.0], 0.05), (-2.0, 2.0, 65)),
+    (([0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.5], 0.05), (-1.0, 1.0, 9)),
+    (([0.0, -1.0, 0.0, 1 / 3], [0.0, 0.0, 0.0, 1.0], 0.3), (-1.0, 1.0, 9)),
+    (([0.0, -1.0, 0.0, 1 / 3], [1.0], 0.05), (-2.0, 2.0, 17)),
+    (([0.0] * 7 + [1.0], [0.0] * 5 + [5e-324], 0.05), (-2.0, 2.0, 33)),
+    (([0.0, -1.0, 0.0, 1 / 3, 0.0, 0.2], [0.0, 1.0, 0.0, 1 / 3], 0.05), (1e100, 1e101, 3)),
+]
+
+
+def row_kinds(text):
+    rows = text.split("\n")[1:-1]
+    return {"fold": any(r.endswith(",true") for r in rows),
+            "no root": any(r.endswith(",,,,false") for r in rows),
+            "linear": any(r.endswith(",,false") and not r.endswith(",,,,false") for r in rows),
+            "both": any(",," not in r for r in rows)}
+
+
+def test_writer_examples_hold_every_row_kind():
+    *texts, overflow = [outcome(slow_branches_csv, make_system(*sys_args), *grid)
+                        for sys_args, grid in WRITER_EXAMPLES]
+    for kind in ("fold", "no root", "linear", "both"):
+        assert any(row_kinds(text)[kind] for text in texts), kind
+    assert "0.0,0.0,0.0,,false" in texts[2].split("\n")  # g' = 0 at x = 0 only
+    assert make_system(*WRITER_EXAMPLES[4][0]).G.desc[0] == 0.0  # G's lead underflows
+    assert overflow == "ValueError: the slow-branch row at x=1e+100 overflows float range"
+
+
+def writer_example(f):
+    for sys_args, grid in WRITER_EXAMPLES:
+        f = example(sys_args, grid, [(0.0, grid[0], 0.5), (1.0, grid[1], -0.5)])(f)
+    return f
+
+
+@writer_example
+@given(systems(), grids(), SAMPLES)
+@settings(max_examples=150, deadline=None)
+def test_compiled_writers_match_the_per_point_path(sys_args, grid, samples):
+    sys_ = make_system(*sys_args)
+    traj = trajectory_of(*zip(*samples))
+    assert first_difference(format_trajectory_csv(sys_, traj), jet_at_csv(sys_, traj)) is None
+    got, want = outcome(format_manifold_csv, sys_, *grid), outcome(slow_branches_csv, sys_, *grid)
+    assert first_difference(got, want) is None
