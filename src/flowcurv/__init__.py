@@ -1,7 +1,7 @@
 """Flow-curvature slow manifolds, energy, and sign checks for planar
 two-timescale Lienard systems eps*xdot = y - F(x), ydot = -g(x)."""
 
-from .curvature import lie_residual, slow_branches, slow_manifold_table
+from .curvature import lie_residual, slow_branches
 from .dynamics import (
     IntegrationError,
     LimitCycle,
@@ -43,5 +43,4 @@ __all__ = [
     "minorsky_report",
     "relation_rate_residual",
     "slow_branches",
-    "slow_manifold_table",
 ]

@@ -20,8 +20,8 @@ The solver's steps are one template, _BRANCH_TEMPLATE, written once, and
 both solvers are compiled from it.  ``slow_branches`` is compiled when
 this module loads; it reads F, f, g and g' from one call of the
 system's compiled evaluator (``sys.values``) and returns a NamedTuple
-row.  The manifold CSV writer, ``format_manifold_csv``, is compiled on
-first use once per zero pattern of the system's polynomials: one loop
+row.  The one slow-manifold table, ``format_manifold_csv``, is compiled
+on first use once per zero pattern of the system's polynomials: one loop
 over the grid with inline Horner code for F, f, g and g', which refuses
 an overflowing row where it meets it and appends each line without a
 per-row call, record or second pass.
@@ -75,21 +75,22 @@ class ManifoldBranch(NamedTuple):
 # None for a missing value; each solver compiled from the template puts its
 # own statements there.  With u = g w the quadratic is
 # g' w**2 + f w + eps = 0, solved in the cancellation-safe form
-# q = -(f + sign(f) sqrt(disc))/2 with disc = f**2 - 4 eps g':
-# u_slow = g (eps/q) and u_fast = g (q/g').  With g' = 0, q = -f and
-# eps/q is the linear root -eps/f.  Where g is 0, u = g w is 0 for every
-# w: both roots are 0 whatever the sign of disc, so disc < 0 means no
-# branch only where g is not 0, and q reads |disc|.
+# s = f + sign(f) sqrt(disc) with disc = f**2 - 4 eps g':
+# u_slow = g (-2 eps/s) and u_fast = g (-s/2/g').  With g' = 0, s = 2f
+# and -2 eps/s is the linear root -eps/f.  s is not 0 where f is not, and
+# s/2, which rounds to 0 at a subnormal s, is never a divisor.  Where g is
+# 0, u = g w is 0 for every w: both roots are 0 whatever the sign of disc,
+# so disc < 0 means no branch only where g is not 0, and s reads |disc|.
 _BRANCH_TEMPLATE = """\
 if f == 0.0:
     return None, None, None, True
 disc = f * f - 4.0 * eps * gp
 if disc < 0.0 and g != 0.0:
     return None, None, None, False
-q = -(f + copysign(sqrt(abs(disc)), f)) / 2.0
-u_slow = g * (eps / q)
+s = f + copysign(sqrt(abs(disc)), f)
+u_slow = g * (-2.0 * eps / s)
 if gp != 0.0:
-    u_fast = g * (q / gp)
+    u_fast = g * (-s / 2.0 / gp)
     if not abs(u_slow) <= abs(u_fast):
         u_slow, u_fast = u_fast, u_slow
 y_slow = F + u_slow
@@ -128,9 +129,9 @@ slow_branches.__doc__ = """The ManifoldBranch of g'(x) u**2 + f(x)g(x) u + eps g
 def _grid_step(x_lo: float, x_hi: float, n: int) -> float:
     """The step of n equally spaced abscissas over [x_lo, x_hi], or ValueError."""
     if not x_lo < x_hi:
-        raise ValueError("slow_manifold_table requires x_lo < x_hi")
+        raise ValueError(f"x_lo={x_lo!r} must be less than x_hi={x_hi!r}")
     if n < 2:
-        raise ValueError("slow_manifold_table requires n >= 2")
+        raise ValueError(f"n={n!r} must be at least 2")
     step = (x_hi - x_lo) / (n - 1)
     if not math.isfinite(step):
         raise ValueError(f"the x range [{x_lo!r}, {x_hi!r}] is wider than float range")
@@ -141,33 +142,15 @@ def _overflow(x: float) -> ValueError:
     return ValueError(f"the slow-branch row at x={x!r} overflows float range")
 
 
-def slow_manifold_table(
-    sys: LienardSystem, x_lo: float, x_hi: float, n: int
-) -> list[ManifoldBranch]:
-    """n equally spaced slow_branches samples over [x_lo, x_hi].
-
-    A range whose step overflows float range raises ValueError naming
-    x_lo and x_hi; a row holding inf or nan (float overflow) raises
-    ValueError naming x.
-    """
-    step = _grid_step(x_lo, x_hi, n)
-    rows = [slow_branches(sys, x_lo + i * step) for i in range(n)]
-    for x, _, u_fast, y_slow, _ in rows:
-        # One test a row: 0.0 * v is 0.0 for a finite v and nan otherwise,
-        # and y_slow = F(x) + u_slow carries an overflow of either.
-        if not math.isfinite(x + 0.0 * (y_slow or 0.0) + 0.0 * (u_fast or 0.0)):
-            raise _overflow(x)
-    return rows
-
-
 MANIFOLD_CSV_HEADER = "x,y_slow,u_slow,u_fast,fold_excluded"
 
 
 def _csv_row(u_slow: str, u_fast: str, y_slow: str, fold: str) -> "list[str]":
     """The manifold writer's statements for one row of the template.
 
-    The row's test is slow_manifold_table's, without a call: x plus 0.0
-    times each value is finite exactly when all are, and v - v == 0.0
+    A row holding inf or nan raises, tested without a call: y_slow =
+    F(x) + u_slow carries an overflow of either, so x plus 0.0 times
+    y_slow and u_fast is finite exactly when the row is, and v - v == 0.0
     holds exactly for a finite v.  Cells are repr of their floats, empty
     for None.
     """
@@ -197,10 +180,11 @@ def _manifold_writer_factory(patterns: "tuple[tuple[bool, ...], ...]"):
 
 
 def format_manifold_csv(sys: LienardSystem, x_lo: float, x_hi: float, n: int) -> str:
-    """The slow_manifold_table(sys, x_lo, x_hi, n) rows as CSV text.
+    """slow_branches at n equally spaced x over [x_lo, x_hi], as CSV text.
 
     Floats use round-trip (repr) formatting, None is an empty cell.  A
-    bad range or an overflowing row raises the ValueError
-    slow_manifold_table raises, with its message.
+    bad range raises ValueError naming x_lo, x_hi or n, a step that
+    overflows float range one naming the range, and a row holding inf or
+    nan one naming x.
     """
     return bind(sys, _manifold_writer_factory)(x_lo, _grid_step(x_lo, x_hi, n), n)

@@ -18,13 +18,13 @@ call once per pass.  Its entry slope and six DP5(4) stages are
 straight-line code, every F and g evaluation a Horner expression without
 its zero terms; the PI controller, the blow-up tests and the column
 appends run in the same frame, so a step calls nothing but sqrt and the
-appends.  It is generated once per zero pattern of the F and g
-coefficients and bound to the system's coefficients.  Every pass steps
-towards a t_end; a section pass stops instead at the first upward x = 0
-crossing, located on the crossing step's 4th-order dense output
-(Hairer, Norsett & Wanner, Solving ODEs I, II.6), whose coefficients come
-from the stage slopes already in the frame, and its t_end is the safety
-horizon, where it raises.  Every pass is bounded in attempted steps: a
+appends.  Like the evaluator and the CSV writers, it is generated once
+per zero pattern of the seven polynomials and bound to the system by
+system.bind.  Every pass steps towards a t_end; a section pass stops
+instead at the first upward x = 0 crossing, located on the crossing
+step's 4th-order dense output (Hairer, Norsett & Wanner, Solving ODEs I,
+II.6), whose coefficients come from the stage slopes already in the
+frame, and its t_end is the safety horizon, where it raises.  Every pass is bounded in attempted steps: a
 section pass by _PASS_STEP_BUDGET, a pass to t_end by that many more
 than the step cap needs to span the interval.
 The cycle search integrates each return-map pass once: the orbit it
@@ -61,9 +61,9 @@ from array import array
 from typing import NamedTuple
 
 from .curvature import slow_branches
-from .poly import coefficient_names, compile_factory, horner_source, signs_on
-from .system import (LienardSystem, State, bind, compile_writer, jet_code,
-                     positive_zeros_of_F)
+from .poly import horner_source, signs_on
+from .system import (POLYNOMIALS, LienardSystem, State, _coefficients, _compile_bound, bind,
+                     compile_writer, jet_code, positive_zeros_of_F)
 
 # Dormand-Prince 5(4) tableau (autonomous field, so no stage times).  Row i
 # of _DP_A forms stage i + 2 from the slopes k1 ... k(i + 1); its last row is
@@ -202,25 +202,25 @@ def _weighted(row: "tuple[float, ...]", c: str) -> str:
 
 
 @functools.cache
-def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"):
-    """Compile the march-kernel factory for F and g with these zero patterns.
+def _kernel_factory(patterns: "tuple[tuple[bool, ...], ...]"):
+    """Compile the march-kernel factory for polynomials with these zero patterns.
 
-    A pattern tells, per coefficient descending by degree, whether it is
-    nonzero.  factory(nonzero F coefficients..., nonzero g coefficients...,
-    eps) returns march(t, x, y, h_max, tol, t_end, section, budget,
-    t_append, x_append, y_append): the whole error-controlled loop of
-    _march in one frame.  It steps from (t, x, y) towards t_end with step
-    cap h_max, hands every accepted state to the appends, and returns the
-    accepted and rejected step counts.  The last step lands on t_end
-    exactly.  A section pass (section true) ends instead on the first
-    x = 0 crossing upward with y > 0, located on the crossing step's dense
-    output, whose coefficients it forms from the stage slopes in hand; if
-    it reaches t_end first, it raises.  Either pass raises once more than
+    The factory (see system.bind) returns march(t, x, y, h_max, tol,
+    t_end, section, budget, t_append, x_append, y_append): the whole
+    error-controlled loop of _march in one frame.  It steps from
+    (t, x, y) towards t_end with step cap h_max, hands every accepted
+    state to the appends, and returns the accepted and rejected step
+    counts.  The last step lands on t_end exactly.  A section pass
+    (section true) ends instead on the first x = 0 crossing upward with
+    y > 0, located on the crossing step's dense output, whose
+    coefficients it forms from the stage slopes in hand; if it reaches
+    t_end first, it raises.  Either pass raises once more than
     budget steps have been attempted.  The entry slope and every stage
     evaluate F and g as horner does, so a step is bit-identical to one
     through Polynomial.__call__.
     """
-    F, g = coefficient_names(F_pattern, "F"), coefficient_names(g_pattern, "g")
+    names = dict(zip(POLYNOMIALS, _coefficients(patterns)))
+    F, g = names["F"], names["g"]
     stages = []
     for i, row in enumerate(_DP_A, 2):
         xs, ys = ("xn", "yn") if i == 7 else (f"x{i}", f"y{i}")
@@ -311,10 +311,8 @@ def _kernel_factory(F_pattern: "tuple[bool, ...]", g_pattern: "tuple[bool, ...]"
         "                               t=t, x=x, y=y, h=hp, accepted=accepted, rejected=rejected)",
         "    return accepted, rejected",
     ]
-    return compile_factory(
-        [c for c in F + g if c] + ["eps"],
-        [f"    {line}" for line in lines] + ["    return march"],
-        f"dp5 march F{len(F_pattern)} g{len(g_pattern)}",
+    return _compile_bound(
+        patterns, [f"    {line}" for line in lines] + ["    return march"], "dp5 march",
         {"sqrt": math.sqrt, "IntegrationError": IntegrationError,
          "_underflow": _underflow, "_crossing": _crossing})
 
@@ -365,13 +363,6 @@ def _crossing(t, h, x, y, k1x, k1y, xn, yn, k7x, k7y, dx, dy) -> "tuple[float, f
     return t + hi * h, _dense(cx, hi), _dense(cy, hi)
 
 
-def _kernel(sys: LienardSystem):
-    """This system's march kernel (see _kernel_factory)."""
-    F, g = sys.F.desc, sys.g.desc
-    factory = _kernel_factory(tuple(map(bool, F)), tuple(map(bool, g)))
-    return factory(*filter(None, F), *filter(None, g), sys.eps)
-
-
 def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None) -> Trajectory:
     """The error-controlled stepping loop shared by integrate and the cycle search.
 
@@ -384,7 +375,7 @@ def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None
     attempted steps exceed the budget: _PASS_STEP_BUDGET, plus, to t_end,
     the ceil((t_end - t0) / h_max) steps the cap needs, so every run the
     cap allows can finish.  The loop itself is one call of the system's
-    march kernel.
+    march kernel (_kernel_factory, bound by system.bind).
     """
     if sys.eps < EPS_FLOOR:
         raise ValueError(f"eps below {EPS_FLOOR} is outside the integrator's comfort zone")
@@ -401,7 +392,7 @@ def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None
     else:
         budget = _PASS_STEP_BUDGET + math.ceil((t_end - t) / h_max)
     ts, xs, ys = array("d", (t,)), array("d", (x,)), array("d", (y,))
-    accepted, rejected = _kernel(sys)(
+    accepted, rejected = bind(sys, _kernel_factory)(
         t, x, y, h_max, tol, t_end, section, budget, ts.append, xs.append, ys.append)
     return Trajectory._of_arrays(ts, xs, ys, accepted, rejected, tol)
 

@@ -97,6 +97,26 @@ class TestManifold:
     def test_n_of_one_exits_2(self):
         assert main(["manifold", "--config", VDP, "--n", "1"]) == 2
 
+    def test_range_refusals_name_the_config_fields(self, capsys):
+        assert main(["manifold", "--config", VDP, "--x-lo", "2", "--x-hi", "1"]) == 2
+        assert capsys.readouterr().err == "config error: x_lo=2.0 must be less than x_hi=1.0\n"
+        assert main(["manifold", "--config", VDP, "--n", "1"]) == 2
+        assert capsys.readouterr().err == "config error: n=1 must be at least 2\n"
+
+    def test_subnormal_f_row_exits_2(self, tmp_path):
+        # f = 5e-324 everywhere: the branch quadratic's s = f + sign(f)*sqrt|disc|
+        # is 5e-324, whose half rounds to 0; the linear root -2*eps/s is -inf
+        cfg = tmp_path / "subnormal_f.json"
+        cfg.write_text(json.dumps({"name": "subnormal_f", "F": [0, 5e-324], "g": [1.0],
+                                   "eps": 0.05}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowcurv", "manifold", "--config", str(cfg),
+             "--x-lo", "-1", "--x-hi", "1", "--n", "3"],
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")), capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "config error: the slow-branch row at x=-1.0 overflows float range\n"
+
     @pytest.mark.parametrize("x_lo, x_hi, n", [("1e100", "1e101", "3")])
     def test_overflowing_rows_exit_2(self, x_lo, x_hi, n, capsys):
         # llibre_mereu's F(1e100) overflows to nan in every cell

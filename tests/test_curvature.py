@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcurv import State, jet, lie_residual, make_system, slow_branches, slow_manifold_table
+from flowcurv import State, jet, lie_residual, make_system, slow_branches
 from flowcurv.curvature import MANIFOLD_CSV_HEADER, format_manifold_csv
 
 from conftest import jacobian, jacobian_rate, propagate, sweep_states, traced_peak
@@ -215,13 +215,13 @@ class TestSlowBranches:
 
     def test_slow_branch_smaller_than_fast(self, both_systems):
         for sys_ in both_systems:
-            for br in slow_manifold_table(sys_, 1.4, 2.4, 60):
+            for br in (slow_branches(sys_, x) for x in np.linspace(1.4, 2.4, 60).tolist()):
                 if br.u_slow is not None and br.u_fast is not None:
                     assert abs(br.u_slow) <= abs(br.u_fast)
 
     def test_branch_zeroes_phi(self, both_systems):
         for sys_ in both_systems:
-            for br in slow_manifold_table(sys_, 1.4, 2.4, 60):
+            for br in (slow_branches(sys_, x) for x in np.linspace(1.4, 2.4, 60).tolist()):
                 if br.y_slow is None:
                     continue
                 val = sys_.eps**2 * jet(sys_, State(0.0, br.x, br.y_slow)).phi
@@ -237,12 +237,19 @@ class TestSlowBranches:
         assert 3.5 <= ratio <= 4.5
 
 
+def table_rows(sys_, x_lo, x_hi, n):
+    """The cells of format_manifold_csv's rows, after its header."""
+    lines = format_manifold_csv(sys_, x_lo, x_hi, n).split("\n")
+    assert lines[0] == MANIFOLD_CSV_HEADER and lines[-1] == ""
+    return [line.split(",") for line in lines[1:-1]]
+
+
 class TestSlowManifoldTable:
     def test_rows_and_signs(self, vdp):
-        rows = slow_manifold_table(vdp, 1.25, 2.0, 5)
+        rows = table_rows(vdp, 1.25, 2.0, 5)
         assert len(rows) == 5
-        assert all(not r.fold_excluded for r in rows)
-        assert all(r.u_slow is not None and r.u_slow < 0 for r in rows)
+        assert all(r[4] == "false" for r in rows)
+        assert all(r[2] != "" and float(r[2]) < 0 for r in rows)
 
     def test_discriminant_boundary_at_small_f(self, vdp):
         # At eps = 0.05 real branches need f(x)^2 >= 4*eps*g'; x = 1.2 sits
@@ -252,19 +259,19 @@ class TestSlowManifoldTable:
         assert slow_branches(vdp, 1.21).u_slow is not None
 
     def test_fold_rows_flagged(self, vdp):
-        rows = slow_manifold_table(vdp, 0.5, 1.5, 3)  # hits x = 1.0 exactly
-        assert any(r.fold_excluded for r in rows)
+        rows = table_rows(vdp, 0.5, 1.5, 3)  # hits x = 1.0 exactly
+        assert rows[1] == ["1.0", "", "", "", "true"]
 
     def test_two_points_are_endpoints(self, vdp):
-        rows = slow_manifold_table(vdp, 1.2, 2.0, 2)
-        assert [r.x for r in rows] == [1.2, 2.0]
+        rows = table_rows(vdp, 1.2, 2.0, 2)
+        assert [float(r[0]) for r in rows] == [1.2, 2.0]
 
     def test_n_below_two_rejected(self, vdp):
-        with pytest.raises(ValueError):
-            slow_manifold_table(vdp, 1.2, 2.0, 1)
+        with pytest.raises(ValueError, match="^n=1 must be at least 2$"):
+            format_manifold_csv(vdp, 1.2, 2.0, 1)
 
     def test_csv_round_trip(self, vdp):
-        rows = slow_manifold_table(vdp, 1.25, 2.0, 4)
+        rows = [slow_branches(vdp, x) for x in (1.25, 1.5, 1.75, 2.0)]
         text = format_manifold_csv(vdp, 1.25, 2.0, 4)
         lines = text.strip().split("\n")
         assert lines[0] == MANIFOLD_CSV_HEADER

@@ -23,6 +23,7 @@ from flowcurv import (
 )
 from flowcurv import dynamics
 from flowcurv.dynamics import TRAJECTORY_CSV_HEADER, Trajectory, format_trajectory_csv
+from flowcurv.system import bind
 
 from conftest import (horner_rhs, propagate, reference_dp_step, sweep_states,
                       system_from_config, traced_peak)
@@ -147,6 +148,22 @@ def point_mirrored(sys_):
     return make_system(flip(sys_.F), flip(sys_.g), sys_.eps)
 
 
+def kernel(sys_):
+    """sys_'s march kernel, bound as _march binds it."""
+    return bind(sys_, dynamics._kernel_factory)
+
+
+def wrap_kernels(monkeypatch, wrap):
+    """Make _march run wrap(march) in place of each march kernel it binds."""
+    orig = dynamics._kernel_factory
+
+    def factory_for(patterns):
+        factory = orig(patterns)
+        return lambda *coefficients: wrap(factory(*coefficients))
+
+    monkeypatch.setattr(dynamics, "_kernel_factory", factory_for)
+
+
 def first_step(sys_, x, y, h):
     """integrate's first step of length |h| from (x, y): (step counts, x1, y1).
 
@@ -208,18 +225,17 @@ class TestStepKernel:
         a, b = system_from_config("vdp"), system_from_config("vdp", eps=0.1)
         c = make_system([0.0, 2.0, 0.0, -1.0], [0.0, 3.0], 0.05)
         d = make_system([0.5, 2.0, 0.0, -1.0], [0.0, 3.0], 0.05)  # F(0) != 0
-        ka, kb, kc, kd = (dynamics._kernel(s) for s in (a, b, c, d))
+        ka, kb, kc, kd = map(kernel, (a, b, c, d))
         assert ka.__code__ is kb.__code__ is kc.__code__
         assert kd.__code__ is not ka.__code__
         # Both pass kinds, to t_end and to the section, run that one code.
-        codes, orig = [], dynamics._kernel
+        codes = []
 
-        def recorded(sys_):
-            march = orig(sys_)
+        def recorded(march):
             codes.append(march.__code__)
             return march
 
-        monkeypatch.setattr(dynamics, "_kernel", recorded)
+        wrap_kernels(monkeypatch, recorded)
         integrate(a, State(0.0, 0.3, 0.2), 0.5, 1e-9)
         find_limit_cycle(a, 1.0, 1e-8)
         assert len(codes) >= 3 and set(codes) == {ka.__code__}
@@ -253,7 +269,7 @@ class TestStepKernel:
                 else:
                     hi = mid
             y_ref = propagate(sys_, x0, y0, hi, n_sub=40)[1]
-            march = dynamics._kernel(sys_ if direction > 0 else point_mirrored(sys_))
+            march = kernel(sys_ if direction > 0 else point_mirrored(sys_))
             errs = []
             for h in (0.02, 0.01, 0.005):
                 # h is the step cap, so the first step has length h; it crosses x = 0.
@@ -561,11 +577,9 @@ def bisection_crossing(sys_, prev, span):
 def _recording_passes(monkeypatch) -> list:
     """Record every _march call's trajectory and the march-kernel calls it made."""
     passes, calls = [], [0]
-    orig_kernel, orig_march = dynamics._kernel, dynamics._march
+    orig_march = dynamics._march
 
-    def counting_kernel(sys_):
-        march = orig_kernel(sys_)
-
+    def counting_kernel(march):
         def counted(*args):
             calls[0] += 1
             return march(*args)
@@ -578,7 +592,7 @@ def _recording_passes(monkeypatch) -> list:
         passes.append((traj, calls[0] - before))
         return traj
 
-    monkeypatch.setattr(dynamics, "_kernel", counting_kernel)
+    wrap_kernels(monkeypatch, counting_kernel)
     monkeypatch.setattr(dynamics, "_march", recorded)
     return passes
 

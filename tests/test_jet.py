@@ -10,8 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcurv import State, integrate, jet, make_system
-from flowcurv.curvature import (MANIFOLD_CSV_HEADER, format_manifold_csv, slow_branches,
-                                slow_manifold_table)
+from flowcurv.curvature import MANIFOLD_CSV_HEADER, format_manifold_csv, slow_branches
 from flowcurv.dynamics import (TRAJECTORY_CSV_HEADER, Trajectory, extract_vicinity,
                                format_trajectory_csv)
 from flowcurv.system import jet_at
@@ -137,9 +136,11 @@ def test_branch_table_row_is_one_evaluator_call(monkeypatch):
     sys_ = system_from_config("vdp")
     calls = count_evaluations(monkeypatch)
     values_calls = count_evaluator_calls(sys_)
-    rows = slow_manifold_table(sys_, -2.0, 2.0, 41)
+    xs = [-2.0 + 0.1 * i for i in range(41)]
+    for x in xs:
+        slow_branches(sys_, x)
     assert len(calls) == 0
-    assert values_calls == [r.x for r in rows]
+    assert values_calls == xs
 
 
 def test_vicinity_evaluates_no_polynomial(monkeypatch):
@@ -213,7 +214,8 @@ def reference_trajectory_csv(sys_, traj):
 def reference_branch_row(sys_, x):
     """The branch solver's cells at x, from Polynomial.__call__ (None is empty).
 
-    u = g*w with g'w**2 + f*w + eps = 0, solved as q = -(f + sign(f)*sqrt(disc))/2.
+    u = g*w with g'w**2 + f*w + eps = 0, solved with s = f + sign(f)*sqrt(disc):
+    w = -2*eps/s and -s/2/g'.
     """
     eps, fx, gx, gpx, Fx = sys_.eps, sys_.f(x), sys_.g(x), sys_.gp(x), sys_.F(x)
     if fx == 0.0:
@@ -224,8 +226,8 @@ def reference_branch_row(sys_, x):
     if gpx == 0.0:
         u = gx * (-eps / fx)
         return (x, Fx + u, u, None, False)
-    q = -(fx + math.copysign(math.sqrt(abs(disc)), fx)) / 2.0
-    r1, r2 = gx * (eps / q), gx * (q / gpx)
+    s = fx + math.copysign(math.sqrt(abs(disc)), fx)
+    r1, r2 = gx * (-2.0 * eps / s), gx * (-s / 2.0 / gpx)
     u_slow, u_fast = (r1, r2) if abs(r1) <= abs(r2) else (r2, r1)
     return (x, Fx + u_slow, u_slow, u_fast, False)
 
@@ -298,9 +300,16 @@ def jet_at_csv(sys_, traj):
 
 
 def slow_branches_csv(sys_, x_lo, x_hi, n):
-    """The manifold CSV from one slow_branches call per row (slow_manifold_table)."""
+    """The manifold CSV from one slow_branches call per row.
+
+    The first row holding inf or nan raises the writer's ValueError.
+    """
+    step = (x_hi - x_lo) / (n - 1)
     lines = [MANIFOLD_CSV_HEADER]
-    for x, u_slow, u_fast, y_slow, fold in slow_manifold_table(sys_, x_lo, x_hi, n):
+    for i in range(n):
+        x, u_slow, u_fast, y_slow, fold = slow_branches(sys_, x_lo + i * step)
+        if not all(math.isfinite(v) for v in (x, y_slow, u_slow, u_fast) if v is not None):
+            raise ValueError(f"the slow-branch row at x={x!r} overflows float range")
         cells = ["" if v is None else repr(v) for v in (x, y_slow, u_slow, u_fast)]
         lines.append(",".join(cells + ["true" if fold else "false"]))
     return "\n".join(lines) + "\n"
@@ -363,6 +372,12 @@ WRITER_EXAMPLES = [
     (([0.0] * 7 + [1.0], [0.0] * 5 + [5e-324], 0.05), (-2.0, 2.0, 33)),
     (([0.0, -1.0, 0.0, 1 / 3, 0.0, 0.2], [0.0, 1.0, 0.0, 1 / 3], 0.05), (1e100, 1e101, 3)),
 ]
+# f is the smallest subnormal, 5e-324, and f*f and 4*eps*g' underflow to 0:
+# s = f + sign(f)*sqrt|disc| is 5e-324, whose half rounds to 0, so a root
+# that divided by s/2 would raise ZeroDivisionError.  Each grid's first row
+# overflows instead (g = 1: u_slow = -2*eps/s = -inf; g = 0: 0*inf = nan).
+SUBNORMAL_F_EXAMPLES = [(([0.0, 5e-324], g, 1e-3), (-1.0, 1.0, 3))
+                        for g in ([1.0], [0.0], [0.0, 5e-324])]
 
 
 def row_kinds(text):
@@ -381,10 +396,14 @@ def test_writer_examples_hold_every_row_kind():
     assert "0.0,0.0,0.0,,false" in texts[2].split("\n")  # g' = 0 at x = 0 only
     assert make_system(*WRITER_EXAMPLES[4][0]).G.desc[0] == 0.0  # G's lead underflows
     assert overflow == "ValueError: the slow-branch row at x=1e+100 overflows float range"
+    for sys_args, grid in SUBNORMAL_F_EXAMPLES:
+        assert make_system(*sys_args).f.desc == (5e-324,)
+        assert outcome(slow_branches_csv, make_system(*sys_args), *grid) == (
+            "ValueError: the slow-branch row at x=-1.0 overflows float range")
 
 
 def writer_example(f):
-    for sys_args, grid in WRITER_EXAMPLES:
+    for sys_args, grid in WRITER_EXAMPLES + SUBNORMAL_F_EXAMPLES:
         f = example(sys_args, grid, [(0.0, grid[0], 0.5), (1.0, grid[1], -0.5)])(f)
     return f
 

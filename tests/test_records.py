@@ -18,7 +18,7 @@ ALL = {
     "appendix_residual", "check_assumptions", "classify_case", "convergence_study",
     "curvature_energy_residual", "extract_vicinity", "find_limit_cycle", "integrate", "jet",
     "lie_residual", "make_system", "minorsky_report", "relation_rate_residual",
-    "slow_branches", "slow_manifold_table",
+    "slow_branches",
 }
 
 FIELDS = {
