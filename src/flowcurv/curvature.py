@@ -21,20 +21,19 @@ both solvers are compiled from it.  ``slow_branches`` is compiled when
 this module loads; it reads F, f, g and g' from one call of the
 system's compiled evaluator (``sys.values``) and returns a NamedTuple
 row.  The one slow-manifold table, ``format_manifold_csv``, is compiled
-on first use once per zero pattern of the system's polynomials: one loop
-over the grid with inline Horner code for F, f, g and g', which refuses
-an overflowing row where it meets it and appends each line without a
-per-row call, record or second pass.
+on first use once per zero pattern of F, f, g and g', the polynomials it
+reads (system.compile_writer): one loop over the grid with inline Horner
+code for those four, which refuses an overflowing row where it meets it
+and appends each line without a per-row call, record or second pass.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
 from .poly import compile_factory
-from .system import POLYNOMIALS, Jet, LienardSystem, bind, compile_writer
+from .system import POLYNOMIALS, Jet, LienardSystem, compile_writer
 
 
 def lie_residual(eps: float, j: Jet) -> float:
@@ -79,20 +78,25 @@ class ManifoldBranch(NamedTuple):
 # u_slow = g (-2 eps/s) and u_fast = g (-s/2/g').  With g' = 0, s = 2f
 # and -2 eps/s is the linear root -eps/f.  s is not 0 where f is not, and
 # s/2, which rounds to 0 at a subnormal s, is never a divisor.  Where g is
-# 0, u = g w is 0 for every w: both roots are 0 whatever the sign of disc,
-# so disc < 0 means no branch only where g is not 0, and s reads |disc|.
+# 0, both roots u = g w are zeros whatever the sign of disc, signed as g
+# times w: w_slow has the sign of -f, w_fast that of -f g'.  Signs alone
+# form them, since a w that overflows would make g w the nan 0 * inf.
 _BRANCH_TEMPLATE = """\
 if f == 0.0:
     return None, None, None, True
-disc = f * f - 4.0 * eps * gp
-if disc < 0.0 and g != 0.0:
-    return None, None, None, False
-s = f + copysign(sqrt(abs(disc)), f)
-u_slow = g * (-2.0 * eps / s)
-if gp != 0.0:
-    u_fast = g * (-s / 2.0 / gp)
-    if not abs(u_slow) <= abs(u_fast):
-        u_slow, u_fast = u_fast, u_slow
+if g == 0.0:
+    u_slow = g * copysign(1.0, -f)
+    u_fast = u_slow * copysign(1.0, gp)
+else:
+    disc = f * f - 4.0 * eps * gp
+    if disc < 0.0:
+        return None, None, None, False
+    s = f + copysign(sqrt(disc), f)
+    u_slow = g * (-2.0 * eps / s)
+    if gp != 0.0:
+        u_fast = g * (-s / 2.0 / gp)
+        if not abs(u_slow) <= abs(u_fast):
+            u_slow, u_fast = u_fast, u_slow
 y_slow = F + u_slow
 if gp == 0.0:
     return u_slow, None, y_slow, False
@@ -164,27 +168,19 @@ def _csv_row(u_slow: str, u_fast: str, y_slow: str, fold: str) -> "list[str]":
             "continue"]
 
 
-@functools.cache
-def _manifold_writer_factory(patterns: "tuple[tuple[bool, ...], ...]"):
-    """Compile the manifold CSV writer for polynomials with these zero patterns.
-
-    The factory (see system.bind) returns write(x_lo, step, n), whose row
-    i is slow_branches at x_lo + i*step, bit for bit, from
-    _BRANCH_TEMPLATE's steps in one loop (system.compile_writer); a row
-    holding inf or nan raises ValueError naming x.
-    """
-    return compile_writer(patterns, "x_lo, step, n",
-                          ["for i in range(n):", "    x = x_lo + i * step"],
-                          _branch_code(_csv_row), MANIFOLD_CSV_HEADER, "manifold csv",
-                          {**_BRANCH_ENV, "_overflow": _overflow})
+_manifold_writer = compile_writer(
+    "x_lo, step, n", ["for i in range(n):", "    x = x_lo + i * step"],
+    lambda: _branch_code(_csv_row), MANIFOLD_CSV_HEADER, "manifold csv",
+    {**_BRANCH_ENV, "_overflow": _overflow})
 
 
 def format_manifold_csv(sys: LienardSystem, x_lo: float, x_hi: float, n: int) -> str:
     """slow_branches at n equally spaced x over [x_lo, x_hi], as CSV text.
 
-    Floats use round-trip (repr) formatting, None is an empty cell.  A
-    bad range raises ValueError naming x_lo, x_hi or n, a step that
-    overflows float range one naming the range, and a row holding inf or
-    nan one naming x.
+    The rows are bit for bit slow_branches's, from _BRANCH_TEMPLATE's
+    steps in the system's compiled writer.  Floats use round-trip (repr)
+    formatting, None is an empty cell.  A bad range raises ValueError
+    naming x_lo, x_hi or n, a step that overflows float range one naming
+    the range, and a row holding inf or nan one naming x.
     """
-    return bind(sys, _manifold_writer_factory)(x_lo, _grid_step(x_lo, x_hi, n), n)
+    return _manifold_writer(sys)(x_lo, _grid_step(x_lo, x_hi, n), n)

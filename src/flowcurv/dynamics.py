@@ -18,15 +18,16 @@ call once per pass.  Its entry slope and six DP5(4) stages are
 straight-line code, every F and g evaluation a Horner expression without
 its zero terms; the PI controller, the blow-up tests and the column
 appends run in the same frame, so a step calls nothing but sqrt and the
-appends.  Like the evaluator and the CSV writers, it is generated once
-per zero pattern of the seven polynomials and bound to the system by
-system.bind.  Every pass steps towards a t_end; a section pass stops
+appends.  Like the evaluator and the CSV writers, it is built by
+system.specialized, once per zero pattern of F and g, the polynomials
+it reads.  Every pass steps towards a t_end; a section pass stops
 instead at the first upward x = 0 crossing, located on the crossing
 step's 4th-order dense output (Hairer, Norsett & Wanner, Solving ODEs I,
 II.6), whose coefficients come from the stage slopes already in the
-frame, and its t_end is the safety horizon, where it raises.  Every pass is bounded in attempted steps: a
-section pass by _PASS_STEP_BUDGET, a pass to t_end by that many more
-than the step cap needs to span the interval.
+frame, and its t_end is the safety horizon, where it raises.  Every pass
+is bounded in attempted steps: a section pass by _PASS_STEP_BUDGET, a
+pass to t_end by that many more than the step cap needs to span the
+interval.
 The cycle search integrates each return-map pass once: the orbit it
 reports is its converged pass, which starts at the previous iterate and
 ends within the convergence tolerance of the section value.  When F and
@@ -45,25 +46,24 @@ sample, where a State tuple of three floats costs about 144): the step
 count grows like 1/eps, and the loop appends plain floats to the
 columns.  Trajectory.samples builds State tuples on demand.
 The trajectory CSV writer, format_trajectory_csv, is compiled on first
-use once per zero pattern of the system's polynomials
-(system.compile_writer): one loop whose row computes the jet columns
-from the lines of system.JET_FORMULAS they need, with inline Horner code
-for F, f, g, g' and G, so a row calls no Python function and builds no
-jet.
+use once per zero pattern of F, f, g, g' and G, the polynomials its row
+reads (system.compile_writer): one loop whose row computes the jet
+columns from the lines of system.JET_FORMULAS they need, with inline
+Horner code for those five, so a row calls no Python function and builds
+no jet.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from array import array
 from typing import NamedTuple
 
 from .curvature import slow_branches
-from .poly import horner_source, signs_on
-from .system import (POLYNOMIALS, LienardSystem, State, _coefficients, _compile_bound, bind,
-                     compile_writer, jet_code, positive_zeros_of_F)
+from .poly import signs_on
+from .system import (LienardSystem, State, compile_writer, jet_code, positive_zeros_of_F,
+                     specialized)
 
 # Dormand-Prince 5(4) tableau (autonomous field, so no stage times).  Row i
 # of _DP_A forms stage i + 2 from the slopes k1 ... k(i + 1); its last row is
@@ -201,39 +201,35 @@ def _weighted(row: "tuple[float, ...]", c: str) -> str:
     return f"h * ({terms})"
 
 
-@functools.cache
-def _kernel_factory(patterns: "tuple[tuple[bool, ...], ...]"):
-    """Compile the march-kernel factory for polynomials with these zero patterns.
+def _kernel_lines() -> "list[str]":
+    """The march kernel's factory body (see system.specialized).
 
-    The factory (see system.bind) returns march(t, x, y, h_max, tol,
-    t_end, section, budget, t_append, x_append, y_append): the whole
-    error-controlled loop of _march in one frame.  It steps from
-    (t, x, y) towards t_end with step cap h_max, hands every accepted
-    state to the appends, and returns the accepted and rejected step
-    counts.  The last step lands on t_end exactly.  A section pass
-    (section true) ends instead on the first x = 0 crossing upward with
-    y > 0, located on the crossing step's dense output, whose
-    coefficients it forms from the stage slopes in hand; if it reaches
-    t_end first, it raises.  Either pass raises once more than
+    The kernel is march(t, x, y, h_max, tol, t_end, section, budget,
+    t_append, x_append, y_append): the whole error-controlled loop of
+    _march in one frame.  It steps from (t, x, y) towards t_end with step
+    cap h_max, hands every accepted state to the appends, and returns the
+    accepted and rejected step counts.  The last step lands on t_end
+    exactly.  A section pass (section true) ends instead on the first
+    x = 0 crossing upward with y > 0, located on the crossing step's dense
+    output, whose coefficients it forms from the stage slopes in hand; if
+    it reaches t_end first, it raises.  Either pass raises once more than
     budget steps have been attempted.  The entry slope and every stage
-    evaluate F and g as horner does, so a step is bit-identical to one
+    read F and g only, as F(x) and g(x), so a step is bit-identical to one
     through Polynomial.__call__.
     """
-    names = dict(zip(POLYNOMIALS, _coefficients(patterns)))
-    F, g = names["F"], names["g"]
     stages = []
     for i, row in enumerate(_DP_A, 2):
         xs, ys = ("xn", "yn") if i == 7 else (f"x{i}", f"y{i}")
         stages += [f"{xs} = x + {_weighted(row, 'x')}",
                    f"{ys} = y + {_weighted(row, 'y')}",
-                   f"k{i}x = ({ys} - {horner_source(F, xs)}) / eps",
-                   f"k{i}y = -{horner_source(g, xs)}"]
+                   f"k{i}x = ({ys} - F({xs})) / eps",
+                   f"k{i}y = -g({xs})"]
     stages += [f"ex = {_weighted(_DP_E, 'x')}", f"ey = {_weighted(_DP_E, 'y')}"]
     fail = "t=t, x=x, y=y, h=h, accepted=accepted, rejected=rejected"
     lines = [
         "def march(t, x, y, h_max, tol, t_end, section, budget, t_append, x_append, y_append):",
-        f"    k1x = (y - {horner_source(F, 'x')}) / eps",
-        f"    k1y = -{horner_source(g, 'x')}",
+        "    k1x = (y - F(x)) / eps",
+        "    k1y = -g(x)",
         "    hp = h_max",
         "    err_prev = 1.0",
         "    accepted = rejected = bad = 0",
@@ -311,10 +307,7 @@ def _kernel_factory(patterns: "tuple[tuple[bool, ...], ...]"):
         "                               t=t, x=x, y=y, h=hp, accepted=accepted, rejected=rejected)",
         "    return accepted, rejected",
     ]
-    return _compile_bound(
-        patterns, [f"    {line}" for line in lines] + ["    return march"], "dp5 march",
-        {"sqrt": math.sqrt, "IntegrationError": IntegrationError,
-         "_underflow": _underflow, "_crossing": _crossing})
+    return [f"    {line}" for line in lines] + ["    return march"]
 
 
 def _underflow(bad, t, x, y, k1x, k1y, h, accepted, rejected) -> IntegrationError:
@@ -363,6 +356,11 @@ def _crossing(t, h, x, y, k1x, k1y, xn, yn, k7x, k7y, dx, dy) -> "tuple[float, f
     return t + hi * h, _dense(cx, hi), _dense(cy, hi)
 
 
+_kernel = specialized(_kernel_lines, "dp5 march", {
+    "sqrt": math.sqrt, "IntegrationError": IntegrationError,
+    "_underflow": _underflow, "_crossing": _crossing})
+
+
 def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None) -> Trajectory:
     """The error-controlled stepping loop shared by integrate and the cycle search.
 
@@ -375,7 +373,7 @@ def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None
     attempted steps exceed the budget: _PASS_STEP_BUDGET, plus, to t_end,
     the ceil((t_end - t0) / h_max) steps the cap needs, so every run the
     cap allows can finish.  The loop itself is one call of the system's
-    march kernel (_kernel_factory, bound by system.bind).
+    march kernel (_kernel_lines, bound by system.specialized).
     """
     if sys.eps < EPS_FLOOR:
         raise ValueError(f"eps below {EPS_FLOOR} is outside the integrator's comfort zone")
@@ -392,7 +390,7 @@ def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None
     else:
         budget = _PASS_STEP_BUDGET + math.ceil((t_end - t) / h_max)
     ts, xs, ys = array("d", (t,)), array("d", (x,)), array("d", (y,))
-    accepted, rejected = bind(sys, _kernel_factory)(
+    accepted, rejected = _kernel(sys)(
         t, x, y, h_max, tol, t_end, section, budget, ts.append, xs.append, ys.append)
     return Trajectory._of_arrays(ts, xs, ys, accepted, rejected, tol)
 
@@ -558,26 +556,21 @@ def extract_vicinity(
 TRAJECTORY_CSV_HEADER = "t,x,y,xdot,ydot,phi,E,dEdt"
 
 
-@functools.cache
-def _trajectory_writer_factory(patterns: "tuple[tuple[bool, ...], ...]"):
-    """Compile the trajectory CSV writer for polynomials with these zero patterns.
-
-    The factory (see system.bind) returns write(ts, xs, ys), whose row i
-    is the sample (ts[i], xs[i], ys[i]) and its jet columns, computed by
-    the lines of system.JET_FORMULAS those columns need (system.jet_code)
-    in one loop (system.compile_writer); every cell is repr of its float.
-    """
+def _trajectory_row() -> "list[str]":
+    """The trajectory writer's row: the sample and its jet columns (system.jet_code), as reprs."""
     columns = TRAJECTORY_CSV_HEADER.split(",")
     cells = ",".join(f"{{{c}!r}}" for c in columns)
-    return compile_writer(patterns, "ts, xs, ys", ["for t, x, y in zip(ts, xs, ys):"],
-                          [*jet_code(columns[3:]), f'append(f"{cells}")'],
-                          TRAJECTORY_CSV_HEADER, "trajectory csv")
+    return [*jet_code(columns[3:]), f'append(f"{cells}")']
+
+
+_trajectory_writer = compile_writer("ts, xs, ys", ["for t, x, y in zip(ts, xs, ys):"],
+                                    _trajectory_row, TRAJECTORY_CSV_HEADER, "trajectory csv")
 
 
 def format_trajectory_csv(sys: LienardSystem, traj: Trajectory) -> str:
     """CSV export with derivative and diagnostic columns computed per sample.
 
     The rows are bit for bit those of system.jet_at at each sample,
-    written by the system's compiled writer (_trajectory_writer_factory).
+    written by the system's compiled writer (system.compile_writer).
     """
-    return bind(sys, _trajectory_writer_factory)(traj.t, traj.x, traj.y)
+    return _trajectory_writer(sys)(traj.t, traj.x, traj.y)

@@ -6,11 +6,16 @@ The model is the planar two-timescale system
 
 with polynomial F and g.  A system holds eps, F, g and G (an
 antiderivative of g).  When it is built it derives f = F', f', g' and
-g'' once, and compiles one evaluator of all seven: ``sys.values(x)``
-returns (F, f, f', g, g', g'', G) at x from straight-line Horner code
-without zero terms, generated once per zero pattern of the seven
-polynomials' coefficients and bound to the system's coefficients.
-Every value is bit-identical to ``Polynomial.__call__``.
+g'' once, and binds one evaluator of all seven: ``sys.values(x)``
+returns (F, f, f', g, g', g'', G) at x, bit-identical to
+``Polynomial.__call__``.
+
+Generated code writes a polynomial's value at v as the call P(v), and
+``specialized`` alone turns such code into a system's: it expands each
+call into Horner code without zero terms, compiles the code on first use
+once per zero pattern of the polynomials it calls, and binds it to the
+system's coefficients.  The evaluator, the march kernel in ``dynamics``
+and both CSV writers are built this way.
 
 The jet's derived quantities (velocity, acceleration, third
 derivatives, curvature, energy, H and their rates) are one ordered table
@@ -21,9 +26,7 @@ compiled from the whole table when this module loads and calls
 paper's identities, the sign checks) is a field of the jet or an
 expression in its fields.  ``jet`` reads a ``State``.  ``jet_code``
 picks the lines a subset of the fields needs, and ``compile_writer``
-compiles a CSV writer around them: one loop per zero pattern, with
-inline Horner code for only the polynomials its rows read.  The
-trajectory writer in ``dynamics`` is built this way.
+builds a CSV writer around them, such as the one in ``dynamics``.
 
 Every record in the package is a ``typing.NamedTuple``: immutable, with
 its fields in a fixed order, compared and printed by them.
@@ -33,6 +36,7 @@ its fields in a fixed order, compared and printed by them.
 from __future__ import annotations
 
 import functools
+import re
 from collections.abc import Iterable
 from sys import float_info
 from typing import NamedTuple
@@ -50,76 +54,82 @@ class State(NamedTuple):
 
 
 # The seven polynomials of a system, in the order values(x) returns them and
-# the jet holds them; generated code names each one's value at x this way.
+# the jet holds them; the jet and CSV rows name each one's value at x this way.
 POLYNOMIALS = ("F", "f", "fp", "g", "gp", "gpp", "G")
 
-
-def _coefficients(patterns: "tuple[tuple[bool, ...], ...]") -> "list[list[str | None]]":
-    """Each polynomial's coefficient names (poly.coefficient_names), prefixed with its name."""
-    return [coefficient_names(pattern, p) for p, pattern in zip(POLYNOMIALS, patterns)]
+# A call P(v), P one of POLYNOMIALS and v a name; re compiles it on first use.
+_CALL = rf"\b({'|'.join(POLYNOMIALS)})\((\w+)\)"
 
 
-def _compile_bound(patterns: "tuple[tuple[bool, ...], ...]", body: "list[str]", label: str,
+def specialized(make_lines, label: str, env: "dict | None" = None):
+    """bind(sys): the function that make_lines() builds, for sys.
+
+    make_lines() returns the body of a factory (poly.compile_factory)
+    returning the function, in which P(v) is P's value at v (see _CALL).
+    On first use each call is expanded into poly.horner_source over P's
+    nonzero coefficients, which, with eps, become the factory's
+    parameters, so every value is bit-identical to Polynomial.__call__.
+    The body compiles once per zero pattern (which coefficients are
+    nonzero) of the polynomials it calls; bind.cache_info counts compiles.
+    """
+    @functools.cache
+    def source() -> "tuple[str, list[str]]":
+        text = "\n".join(make_lines())
+        called = {m[1] for m in re.finditer(_CALL, text)}
+        return text, [p for p in POLYNOMIALS if p in called]
+
+    @functools.cache
+    def factory(patterns: "tuple[tuple[bool, ...], ...]"):
+        text, called = source()
+        names = {p: coefficient_names(pattern, p) for p, pattern in zip(called, patterns)}
+        return compile_factory(
+            [c for cs in names.values() for c in cs if c] + ["eps"],
+            [re.sub(_CALL, lambda m: horner_source(names[m[1]], m[2]), text)],
+            f"{label} {'-'.join(str(len(pattern)) for pattern in patterns)}", env)
+
+    def bind(sys: "LienardSystem"):
+        descs = [getattr(sys, p).desc for p in source()[1]]
+        return factory(tuple(tuple(map(bool, d)) for d in descs))(
+            *(c for d in descs for c in d if c), sys.eps)
+
+    bind.cache_info = factory.cache_info
+    return bind
+
+
+_evaluator = specialized(lambda: [
+    "    def values(x):",
+    f"        return {', '.join(f'{p}(x)' for p in POLYNOMIALS)}",
+    "    return values"], "evaluator")
+
+
+def compile_writer(signature: str, loop: "list[str]", row, header: str, label: str,
                    env: "dict | None" = None):
-    """compile_factory taking the seven polynomials' nonzero coefficients and eps (see bind)."""
-    return compile_factory([c for cs in _coefficients(patterns) for c in cs if c] + ["eps"],
-                           body, f"{label} {'-'.join(map(str, map(len, patterns)))}", env)
+    """bind(sys) for a CSV writer (see specialized).
 
-
-def bind(sys: "LienardSystem", factory_for):
-    """What factory_for compiles for the zero patterns of sys's polynomials, bound to sys.
-
-    patterns[i][k] tells whether coefficient k (descending by degree) of
-    polynomial i of POLYNOMIALS is nonzero.  factory_for(patterns)
-    returns a factory; it is called with the nonzero coefficients of the
-    seven polynomials, each polynomial's descending by degree, and eps.
+    The writer, write(<signature>), returns the header line, one line per
+    pass of the loop and a final newline, as one text.  loop is the for
+    statement and any lines after it that bind x; row() returns the rest
+    of the loop body, which reads the polynomials' values at x by name and
+    hands each line to ``append``.  Each value it reads is computed inline
+    before it, so a pass calls no Python function and builds no record;
+    env holds the other names the row reads.
     """
-    descs = [getattr(sys, p).desc for p in POLYNOMIALS]
-    factory = factory_for(tuple(tuple(map(bool, d)) for d in descs))
-    return factory(*(c for d in descs for c in d if c), sys.eps)
+    def lines() -> "list[str]":
+        body = row()
+        read = compile("\n".join(["for _ in ():", *(f"    {line}" for line in body)]),
+                       f"<{label} row>", "exec").co_names
+        return [
+            f"    def write({signature}):",
+            "        lines = [HEADER]",
+            "        append = lines.append",
+            *(f"        {line}" for line in loop),
+            *(f"            {p} = {p}(x)" for p in POLYNOMIALS if p in read),
+            *(f"            {line}" for line in body),
+            "        append('')  # the final newline, without a second copy of the text",
+            "        return '\\n'.join(lines)",
+            "    return write"]
 
-
-@functools.cache
-def _evaluator_factory(patterns: "tuple[tuple[bool, ...], ...]"):
-    """Compile the evaluator factory for polynomials with these zero patterns.
-
-    The factory (see bind) returns values(x), which returns
-    (F, f, fp, g, gp, gpp, G) at x.  Each value is a straight-line Horner
-    expression (poly.horner_source), so it is bit-identical to
-    Polynomial.__call__ at every finite x.
-    """
-    return _compile_bound(patterns, [
-        "    def values(x):",
-        f"        return {', '.join(horner_source(cs, 'x') for cs in _coefficients(patterns))}",
-        "    return values"], "evaluator")
-
-
-def compile_writer(patterns: "tuple[tuple[bool, ...], ...]", signature: str, loop: "list[str]",
-                   row: "list[str]", header: str, label: str, env: "dict | None" = None):
-    """Compile a CSV writer factory for polynomials with these zero patterns.
-
-    The factory (see bind) returns write(<signature>), which returns the
-    header line, one line per pass of the loop and a final newline, as
-    one text.  loop is the for statement and any lines after it that
-    bind x; row is the rest of the loop body, which reads the polynomials'
-    values at x by name and hands each line to ``append``.  Every value a
-    row reads is a straight-line Horner expression placed before it, so a
-    pass calls no Python function and builds no record; env holds the
-    other names the row reads.
-    """
-    read = compile("\n".join(["for _ in ():", *(f"    {line}" for line in row)]),
-                   f"<{label} row>", "exec").co_names
-    values = [f"    {p} = {horner_source(cs, 'x')}"
-              for p, cs in zip(POLYNOMIALS, _coefficients(patterns)) if p in read]
-    return _compile_bound(patterns, [
-        f"    def write({signature}):",
-        "        lines = [HEADER]",
-        "        append = lines.append",
-        *(f"        {line}" for line in loop + values),
-        *(f"            {line}" for line in row),
-        "        append('')  # the final newline, without a second copy of the text",
-        "        return '\\n'.join(lines)",
-        "    return write"], label, {**(env or {}), "HEADER": header})
+    return specialized(lines, label, {**(env or {}), "HEADER": header})
 
 
 class _LienardFields(NamedTuple):
@@ -139,7 +149,7 @@ class LienardSystem(_LienardFields):
     quadratic-potential families with nonzero offset are modelled.
     Construction then derives f = F', fp = f', gp = g' and gpp = g'' once
     and binds ``values``, the compiled evaluator of the seven polynomials
-    (see _evaluator_factory).  These five are attributes, not fields, so
+    (see specialized).  These five are attributes, not fields, so
     equality and repr see only the four fields.  Instances are immutable,
     and ``_replace`` builds through the same validation.
     """
@@ -159,7 +169,7 @@ class LienardSystem(_LienardFields):
         self = super().__new__(cls, float(eps), F, g, G)
         f, gp = F.derivative(), g.derivative()
         vars(self).update(f=f, fp=f.derivative(), gp=gp, gpp=gp.derivative())
-        vars(self)["values"] = bind(self, _evaluator_factory)
+        vars(self)["values"] = _evaluator(self)
         return self
 
     @classmethod

@@ -117,6 +117,18 @@ class TestManifold:
         assert proc.stdout == ""
         assert proc.stderr == "config error: the slow-branch row at x=-1.0 overflows float range\n"
 
+    def test_subnormal_f_rows_with_zero_g_print_zero_roots(self, tmp_path, capsys):
+        # the same s, but g = 0: every root is g*w = 0 though w = -2*eps/s is -inf
+        cfg = tmp_path / "subnormal_f.json"
+        cfg.write_text(json.dumps({"name": "subnormal_f", "F": [0, 5e-324], "g": [0.0],
+                                   "eps": 0.05}))
+        assert main(["manifold", "--config", str(cfg), "--x-lo", "-1", "--x-hi", "1",
+                     "--n", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.split("\n")[1:] == ["-1.0,-5e-324,-0.0,,false", "0.0,0.0,-0.0,,false",
+                                        "1.0,5e-324,-0.0,,false", ""]
+
     @pytest.mark.parametrize("x_lo, x_hi, n", [("1e100", "1e101", "3")])
     def test_overflowing_rows_exit_2(self, x_lo, x_hi, n, capsys):
         # llibre_mereu's F(1e100) overflows to nan in every cell
@@ -503,10 +515,10 @@ def test_cold_verify_compiles_one_kernel_and_one_evaluator():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = cli.main(['verify', '--config', 'configs/llibre_mereu.json'])\n"
             "    rc_classify = cli.main(['classify', '--config', 'configs/llibre_mereu.json'])\n"
-            "print(rc, rc_classify, dynamics._kernel_factory.cache_info().misses,\n"
-            "      system._evaluator_factory.cache_info().misses,\n"
-            "      dynamics._trajectory_writer_factory.cache_info().currsize,\n"
-            "      curvature._manifold_writer_factory.cache_info().currsize)")
+            "print(rc, rc_classify, dynamics._kernel.cache_info().misses,\n"
+            "      system._evaluator.cache_info().misses,\n"
+            "      dynamics._trajectory_writer.cache_info().currsize,\n"
+            "      curvature._manifold_writer.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=REPO, capture_output=True,
                          text=True, check=True).stdout
     # verify exits 1 here: the settling layer fails PHIDOT_POS (see 05a)

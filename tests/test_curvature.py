@@ -194,6 +194,17 @@ class TestSlowBranches:
         br = slow_branches(make_system([0, -1, 0, 1 / 3], [0, 1], 0.3), 0.0)
         assert (br.u_slow, br.u_fast, br.fold_excluded) == (0.0, 0.0, False)
 
+    def test_zero_of_g_gives_zero_roots_where_w_overflows(self):
+        # f = 5e-324 makes s subnormal, so w_slow = -2*eps/s is -inf (and
+        # w_fast = -s/2/g' is -0.0 for g' = 5e-324); u = g*w is still a zero,
+        # signed as g times w: -0.0 for g = +0.0, where 0.0 * -inf is nan
+        br = slow_branches(make_system([0, 5e-324], [0.0], 0.05), -1.0)
+        assert br == (-1.0, -0.0, None, -5e-324, False)
+        assert math.copysign(1.0, br.u_slow) == -1.0
+        br = slow_branches(make_system([0, 5e-324], [0, 5e-324], 0.05), 0.0)
+        assert br == (0.0, -0.0, -0.0, 0.0, False)
+        assert math.copysign(1.0, br.u_slow) == math.copysign(1.0, br.u_fast) == -1.0
+
     def test_eps_to_zero_recovers_critical_manifold(self):
         for eps in (1e-3, 1e-5, 1e-8):
             sys_ = make_system([0, -1, 0, 1 / 3], [0, 1], eps)

@@ -21,9 +21,9 @@ from flowcurv import (
     make_system,
     minorsky_report,
 )
-from flowcurv import dynamics
+from flowcurv import curvature, dynamics
+from flowcurv.curvature import format_manifold_csv
 from flowcurv.dynamics import TRAJECTORY_CSV_HEADER, Trajectory, format_trajectory_csv
-from flowcurv.system import bind
 
 from conftest import (horner_rhs, propagate, reference_dp_step, sweep_states,
                       system_from_config, traced_peak)
@@ -150,18 +150,13 @@ def point_mirrored(sys_):
 
 def kernel(sys_):
     """sys_'s march kernel, bound as _march binds it."""
-    return bind(sys_, dynamics._kernel_factory)
+    return dynamics._kernel(sys_)
 
 
 def wrap_kernels(monkeypatch, wrap):
     """Make _march run wrap(march) in place of each march kernel it binds."""
-    orig = dynamics._kernel_factory
-
-    def factory_for(patterns):
-        factory = orig(patterns)
-        return lambda *coefficients: wrap(factory(*coefficients))
-
-    monkeypatch.setattr(dynamics, "_kernel_factory", factory_for)
+    orig = dynamics._kernel
+    monkeypatch.setattr(dynamics, "_kernel", lambda sys_: wrap(orig(sys_)))
 
 
 def first_step(sys_, x, y, h):
@@ -241,15 +236,23 @@ class TestStepKernel:
         assert len(codes) >= 3 and set(codes) == {ka.__code__}
         ends = {integrate(s, State(0.0, 0.3, 0.2), 0.5, 1e-9).x[-1] for s in (a, b, c, d)}
         assert len(ends) == 4
+        # The kernel reads F and g only, and the manifold writer F, f, g and
+        # g': a shifted potential G shares a's code, and no writer compiles.
+        e = make_system(a.F, a.g, a.eps, G=a.g.antiderivative(2.5))
+        assert e.G != a.G and kernel(e).__code__ is ka.__code__
+        format_manifold_csv(a, -2.0, 2.0, 5)
+        writers = curvature._manifold_writer.cache_info().misses
+        assert format_manifold_csv(e, -2.0, 2.0, 5) == format_manifold_csv(a, -2.0, 2.0, 5)
+        assert curvature._manifold_writer.cache_info().misses == writers
 
     def test_one_compile_serves_both_pass_kinds(self):
         # A zero pattern no other test uses: F = x^11/1000 + x^5/5 - x, g = x^7/1000 + x.
         sys_ = make_system([0, -1, 0, 0, 0, 0.2] + [0] * 5 + [1e-3],
                            [0, 1, 0, 0, 0, 0, 0, 1e-3], 0.1)
-        misses = dynamics._kernel_factory.cache_info().misses
+        misses = dynamics._kernel.cache_info().misses
         integrate(sys_, State(0.0, 0.3, 0.2), 1.0, 1e-9)
         assert find_limit_cycle(sys_, 1.0, 1e-8).converged
-        assert dynamics._kernel_factory.cache_info().misses == misses + 1
+        assert dynamics._kernel.cache_info().misses == misses + 1
 
     @pytest.mark.parametrize("name", ["vdp", "llibre_mereu", "asym"])
     def test_dense_crossing_is_fifth_order_local(self, name):

@@ -374,8 +374,9 @@ WRITER_EXAMPLES = [
 ]
 # f is the smallest subnormal, 5e-324, and f*f and 4*eps*g' underflow to 0:
 # s = f + sign(f)*sqrt|disc| is 5e-324, whose half rounds to 0, so a root
-# that divided by s/2 would raise ZeroDivisionError.  Each grid's first row
-# overflows instead (g = 1: u_slow = -2*eps/s = -inf; g = 0: 0*inf = nan).
+# that divided by s/2 would raise ZeroDivisionError.  w = -2*eps/s is -inf
+# instead: where g is not 0 the first row overflows (g = 1: u_slow = -inf;
+# g = 5e-324*x at x = -1: inf), and where g is 0 every root is 0 = g*w.
 SUBNORMAL_F_EXAMPLES = [(([0.0, 5e-324], g, 1e-3), (-1.0, 1.0, 3))
                         for g in ([1.0], [0.0], [0.0, 5e-324])]
 
@@ -398,8 +399,13 @@ def test_writer_examples_hold_every_row_kind():
     assert overflow == "ValueError: the slow-branch row at x=1e+100 overflows float range"
     for sys_args, grid in SUBNORMAL_F_EXAMPLES:
         assert make_system(*sys_args).f.desc == (5e-324,)
-        assert outcome(slow_branches_csv, make_system(*sys_args), *grid) == (
-            "ValueError: the slow-branch row at x=-1.0 overflows float range")
+    refused, zero_g, refused_too = [outcome(slow_branches_csv, make_system(*sys_args), *grid)
+                                    for sys_args, grid in SUBNORMAL_F_EXAMPLES]
+    assert refused == refused_too == (
+        "ValueError: the slow-branch row at x=-1.0 overflows float range")
+    # g = 0, so g' = 0 too: u_slow is -0.0 (g = +0.0 times w < 0), u_fast is empty
+    assert zero_g.split("\n") == [MANIFOLD_CSV_HEADER, "-1.0,-5e-324,-0.0,,false",
+                                   "0.0,0.0,-0.0,,false", "1.0,5e-324,-0.0,,false", ""]
 
 
 def writer_example(f):
