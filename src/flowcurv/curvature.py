@@ -16,15 +16,16 @@ critical manifold as eps -> 0); the other root is a spurious companion
 branch at distance ~ f*g/g'.  No tolerance decides a case: a fold is
 where f(x) evaluates to 0, the linear limit where g'(x) does.
 
-The solver's steps are one template, _BRANCH_TEMPLATE, written once, and
-both solvers are compiled from it.  ``slow_branches`` is compiled when
-this module loads; it reads F, f, g and g' from one call of the
-system's compiled evaluator (``sys.values``) and returns a NamedTuple
-row.  The one slow-manifold table, ``format_manifold_csv``, is compiled
-on first use once per zero pattern of F, f, g and g', the polynomials it
-reads (system.compile_writer): one loop over the grid with inline Horner
-code for those four, which refuses an overflowing row where it meets it
-and appends each line without a per-row call, record or second pass.
+The solver's steps are one straight body, _BRANCH_TEMPLATE, written
+once and used as written: it assigns the row's values, and each solver
+compiled from it adds only what it does with them.  ``slow_branches``
+is compiled when this module loads; it reads F, f, g and g' from one
+call of the system's compiled evaluator (``sys.values``) and returns a
+NamedTuple row.  The one slow-manifold table, ``format_manifold_csv``,
+is compiled on first use once per zero pattern of F, f, g and g', the
+polynomials it reads (system.compile_writer): one loop over the grid
+with inline Horner code for those four, the body, one overflow test and
+one appended line, without a per-row call, record or second pass.
 """
 
 from __future__ import annotations
@@ -69,59 +70,53 @@ class ManifoldBranch(NamedTuple):
     fold_excluded: bool
 
 
-# The branch solver's steps over eps, x and the values F, f, g, gp at x.  A
-# `return` line gives the row's u_slow, u_fast, y_slow and fold_excluded,
-# None for a missing value; each solver compiled from the template puts its
-# own statements there.  With u = g w the quadratic is
+# The branch solver's steps over eps, x and the values F, f, g, gp at x: a
+# straight body that assigns the row's u_slow, u_fast, y_slow and fold, None
+# for a missing value; slow_branches returns them as a record and the
+# manifold writer appends them as a CSV line.  With u = g w the quadratic is
 # g' w**2 + f w + eps = 0, solved in the cancellation-safe form
 # s = f + sign(f) sqrt(disc) with disc = f**2 - 4 eps g':
 # u_slow = g (-2 eps/s) and u_fast = g (-s/2/g').  With g' = 0, s = 2f
 # and -2 eps/s is the linear root -eps/f.  s is not 0 where f is not, and
-# s/2, which rounds to 0 at a subnormal s, is never a divisor.  Where g is
-# 0, both roots u = g w are zeros whatever the sign of disc, signed as g
-# times w: w_slow has the sign of -f, w_fast that of -f g'.  Signs alone
-# form them, since a w that overflows would make g w the nan 0 * inf.
+# s/2, which rounds to 0 at a subnormal s, is never a divisor.  Where f * f
+# overflows (|f| >= 2**512), disc is formed over f**2, dividing g' by f
+# before any product, and its root is scaled back by |f|.  A nan disc takes
+# the root path, so its row is refused.  Where g is 0, both roots u = g w
+# are zeros whatever the sign of disc, signed as g times w: w_slow has the
+# sign of -f, w_fast that of -f g'.  Signs alone form them, since a w that
+# overflows would make g w the nan 0 * inf.
 _BRANCH_TEMPLATE = """\
-if f == 0.0:
-    return None, None, None, True
-if g == 0.0:
+u_slow = u_fast = y_slow = None
+fold = f == 0.0
+if fold:
+    pass
+elif g == 0.0:
     u_slow = g * copysign(1.0, -f)
-    u_fast = u_slow * copysign(1.0, gp)
-else:
-    disc = f * f - 4.0 * eps * gp
-    if disc < 0.0:
-        return None, None, None, False
-    s = f + copysign(sqrt(disc), f)
-    u_slow = g * (-2.0 * eps / s)
     if gp != 0.0:
-        u_fast = g * (-s / 2.0 / gp)
-        if not abs(u_slow) <= abs(u_fast):
-            u_slow, u_fast = u_fast, u_slow
-y_slow = F + u_slow
-if gp == 0.0:
-    return u_slow, None, y_slow, False
-return u_slow, u_fast, y_slow, False"""
+        u_fast = u_slow * copysign(1.0, gp)
+else:
+    if abs(f) < 2.0 ** 512:
+        scale, disc = 1.0, f * f - 4.0 * eps * gp
+    else:
+        scale, disc = abs(f), 1.0 - gp / f * 4.0 * eps / f
+    if not disc < 0.0:
+        s = f + copysign(scale * sqrt(disc), f)
+        u_slow = g * (-2.0 * eps / s)
+        if gp != 0.0:
+            u_fast = g * (-s / 2.0 / gp)
+            if not abs(u_slow) <= abs(u_fast):
+                u_slow, u_fast = u_fast, u_slow
+if u_slow is not None:
+    y_slow = F + u_slow"""
 _BRANCH_ENV = {"sqrt": math.sqrt, "copysign": math.copysign}
-
-
-def _branch_code(row) -> "list[str]":
-    """_BRANCH_TEMPLATE's lines, each `return a, b, c, d` line replaced by row(a, b, c, d)'s."""
-    lines = []
-    for line in _BRANCH_TEMPLATE.splitlines():
-        code = line.lstrip()
-        if code.startswith("return "):
-            lines += [line[:len(line) - len(code)] + out for out in row(*code[7:].split(", "))]
-        else:
-            lines.append(line)
-    return lines
 
 
 slow_branches = compile_factory([], [
     "    def slow_branches(sys, x):",
     "        eps = sys.eps",
     f"        {', '.join(POLYNOMIALS)} = sys.values(x)",
-    *(f"        {line}" for line in _branch_code(
-        lambda *cells: [f"return ManifoldBranch(x, {', '.join(cells)})"])),
+    *(f"        {line}" for line in _BRANCH_TEMPLATE.splitlines()),
+    "        return ManifoldBranch(x, u_slow, u_fast, y_slow, fold)",
     "    return slow_branches"], "slow_branches",
     {**_BRANCH_ENV, "ManifoldBranch": ManifoldBranch, "__name__": __name__})()
 slow_branches.__doc__ = """The ManifoldBranch of g'(x) u**2 + f(x)g(x) u + eps g(x)**2 = 0 at x.
@@ -149,28 +144,21 @@ def _overflow(x: float) -> ValueError:
 MANIFOLD_CSV_HEADER = "x,y_slow,u_slow,u_fast,fold_excluded"
 
 
-def _csv_row(u_slow: str, u_fast: str, y_slow: str, fold: str) -> "list[str]":
-    """The manifold writer's statements for one row of the template.
-
-    A row holding inf or nan raises, tested without a call: y_slow =
-    F(x) + u_slow carries an overflow of either, so x plus 0.0 times
-    y_slow and u_fast is finite exactly when the row is, and v - v == 0.0
-    holds exactly for a finite v.  Cells are repr of their floats, empty
-    for None.
-    """
-    cells = ["" if v == "None" else f"{{{v}!r}}" for v in ("x", y_slow, u_slow, u_fast)]
-    cells.append("true" if fold == "True" else "false")
-    total = " + ".join(["x", *(f"0.0 * {v}" for v in (y_slow, u_fast) if v != "None")])
-    return [f"v = {total}",
-            "if not v - v == 0.0:",
-            "    raise _overflow(x)",
-            f'append(f"{",".join(cells)}")',
-            "continue"]
-
+# The manifold writer's row after _BRANCH_TEMPLATE.  A row holding inf or
+# nan raises, tested without a call: y_slow = F(x) + u_slow carries an
+# overflow of either, and 0.0 times a value equals 0.0 exactly when the
+# value is finite (`or 0.0` stands in for None).  Cells are repr of their
+# floats, empty for None.
+_CSV_ROW = [
+    "if not (y_slow or 0.0) * 0.0 == (u_fast or 0.0) * 0.0:",
+    "    raise _overflow(x)",
+    "append(f\"{x!r},{'' if y_slow is None else f'{y_slow!r}'},"
+    "{'' if u_slow is None else f'{u_slow!r}'},{'' if u_fast is None else f'{u_fast!r}'},"
+    "{'true' if fold else 'false'}\")"]
 
 _manifold_writer = compile_writer(
     "x_lo, step, n", ["for i in range(n):", "    x = x_lo + i * step"],
-    lambda: _branch_code(_csv_row), MANIFOLD_CSV_HEADER, "manifold csv",
+    lambda: [*_BRANCH_TEMPLATE.splitlines(), *_CSV_ROW], MANIFOLD_CSV_HEADER, "manifold csv",
     {**_BRANCH_ENV, "_overflow": _overflow})
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Literal, NamedTuple
 
 from .poly import Polynomial, extreme_values, signs_on
-from .system import Jet, LienardSystem, State, jet
+from .system import JET_FORMULAS, Jet, LienardSystem, State, jet
 
 CaseLabel = Literal["CASE1_H_NONNEG", "CASE2_H_NONPOS", "MIXED"]
 SignLabel = Literal["NONNEG", "NONPOS", "MIXED"]
@@ -32,9 +32,16 @@ class CaseClassification(NamedTuple):
     c1_witness: float | None
 
 
+_H = compile(dict(JET_FORMULAS)["H"], "<H>", "eval")
+
+
 def H_polynomial(sys: LienardSystem) -> Polynomial:
-    """The case function H = G'**2 - 2*G*G'' = g**2 - 2*G*g' as an exact polynomial."""
-    return sys.g * sys.g - 2.0 * (sys.G * sys.gp)
+    """The case function H = G'**2 - 2*G*G'' = g**2 - 2*G*g' as an exact polynomial.
+
+    The jet table's H, evaluated on the system's polynomials instead of
+    their values at a point; Polynomial arithmetic is exact.
+    """
+    return eval(_H, {name: getattr(sys, name) for name in _H.co_names})
 
 
 def _c1_witness(sys: LienardSystem, x_max: float, case: CaseLabel) -> float | None:

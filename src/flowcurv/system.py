@@ -24,7 +24,8 @@ it, never written beside it: ``jet_at``, the one point evaluator, is
 compiled from the whole table when this module loads and calls
 ``values`` once at a point (x, y); every closed form downstream (the
 paper's identities, the sign checks) is a field of the jet or an
-expression in its fields.  ``jet`` reads a ``State``.  ``jet_code``
+expression in its fields, and ``energy.H_polynomial`` evaluates the
+table's H on the exact polynomials.  ``jet`` reads a ``State``.  ``jet_code``
 picks the lines a subset of the fields needs, and ``compile_writer``
 builds a CSV writer around them, such as the one in ``dynamics``.
 
@@ -66,25 +67,27 @@ def specialized(make_lines, label: str, env: "dict | None" = None):
 
     make_lines() returns the body of a factory (poly.compile_factory)
     returning the function, in which P(v) is P's value at v (see _CALL).
-    On first use each call is expanded into poly.horner_source over P's
-    nonzero coefficients, which, with eps, become the factory's
-    parameters, so every value is bit-identical to Polynomial.__call__.
-    The body compiles once per zero pattern (which coefficients are
-    nonzero) of the polynomials it calls; bind.cache_info counts compiles.
+    On first use one re.split cuts the body at its calls; each compile
+    joins the pieces with poly.horner_source over P's nonzero
+    coefficients, which, with eps, become the factory's parameters, so
+    every value is bit-identical to Polynomial.__call__.  The body
+    compiles once per zero pattern (which coefficients are nonzero) of the
+    polynomials it calls; bind.cache_info counts compiles.
     """
     @functools.cache
-    def source() -> "tuple[str, list[str]]":
-        text = "\n".join(make_lines())
-        called = {m[1] for m in re.finditer(_CALL, text)}
-        return text, [p for p in POLYNOMIALS if p in called]
+    def source() -> "tuple[list[str], list[str]]":
+        # code, P, v, code, P, v, ..., code: each call's name and argument
+        parts = re.split(_CALL, "\n".join(make_lines()))
+        return parts, [p for p in POLYNOMIALS if p in parts[1::3]]
 
     @functools.cache
     def factory(patterns: "tuple[tuple[bool, ...], ...]"):
-        text, called = source()
+        parts, called = source()
         names = {p: coefficient_names(pattern, p) for p, pattern in zip(called, patterns)}
         return compile_factory(
             [c for cs in names.values() for c in cs if c] + ["eps"],
-            [re.sub(_CALL, lambda m: horner_source(names[m[1]], m[2]), text)],
+            [parts[0] + "".join(horner_source(names[p], v) + code for p, v, code
+                                in zip(parts[1::3], parts[2::3], parts[3::3]))],
             f"{label} {'-'.join(str(len(pattern)) for pattern in patterns)}", env)
 
     def bind(sys: "LienardSystem"):

@@ -1,4 +1,6 @@
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,6 +150,37 @@ class TestLieIdentity:
         assert lhs == pytest.approx(rhs, abs=1e-10 * scale)
 
 
+# (config, x) where f(x)*f(x) overflows but the exact branch values are
+# finite: u_fast is -3.3e199 on llibre_mereu at 1e40, -1e300 on vdp at 1e100
+F_SQUARED_OVERFLOWS = [("llibre_mereu", 1e40), ("llibre_mereu", 2e40), ("vdp", 1e100),
+                       ("vdp", -1e101)]
+
+
+def exact_branch(sys_, x):
+    """(y_slow, u_slow, u_fast) at x from the exact polynomials, as Decimals.
+
+    With u = g w, g' w**2 + f w + eps = 0; the slow root is the one of
+    smaller |u|.  The polynomial values are exact (Fraction); 1000 digits
+    carry the textbook formula's cancellation, f**2 / (eps g') <= 1e405.
+    """
+    def exact(p):
+        return sum(Fraction(c, p.den) * Fraction(x) ** k for k, c in enumerate(p.num))
+
+    with decimal.localcontext(decimal.Context(prec=1000, Emax=10**6, Emin=-10**6)):
+        F, f, g, gp = (decimal.Decimal(v.numerator) / v.denominator
+                       for v in map(exact, (sys_.F, sys_.f, sys_.g, sys_.gp)))
+        eps = decimal.Decimal(sys_.eps)
+        root = (f * f - 4 * eps * gp).sqrt()
+        u = sorted((g * (-f + root) / (2 * gp), g * (-f - root) / (2 * gp)), key=abs)
+        return F + u[0], u[0], u[1]
+
+
+def assert_close_to_exact_roots(sys_, x, got):
+    for v, want in zip(got, exact_branch(sys_, x)):
+        assert math.isfinite(v), (x, v, want)
+        assert abs(decimal.Decimal(v) - want) <= abs(want) * decimal.Decimal("1e-12"), (x, v, want)
+
+
 class TestSlowBranches:
     def test_vdp_reference(self, vdp):
         br = slow_branches(vdp, 2.0)
@@ -204,6 +237,15 @@ class TestSlowBranches:
         br = slow_branches(make_system([0, 5e-324], [0, 5e-324], 0.05), 0.0)
         assert br == (0.0, -0.0, -0.0, 0.0, False)
         assert math.copysign(1.0, br.u_slow) == math.copysign(1.0, br.u_fast) == -1.0
+
+    @pytest.mark.parametrize("name, x", F_SQUARED_OVERFLOWS)
+    def test_roots_where_f_squared_overflows(self, name, x, request):
+        # |f(x)| >= 2**512, so f*f overflows, while every exact value is finite
+        sys_ = request.getfixturevalue(name)
+        assert math.isinf(sys_.f(x) * sys_.f(x))
+        br = slow_branches(sys_, x)
+        assert br.x == x and not br.fold_excluded
+        assert_close_to_exact_roots(sys_, x, (br.y_slow, br.u_slow, br.u_fast))
 
     def test_eps_to_zero_recovers_critical_manifold(self):
         for eps in (1e-3, 1e-5, 1e-8):
@@ -272,6 +314,16 @@ class TestSlowManifoldTable:
     def test_fold_rows_flagged(self, vdp):
         rows = table_rows(vdp, 0.5, 1.5, 3)  # hits x = 1.0 exactly
         assert rows[1] == ["1.0", "", "", "", "true"]
+
+    @pytest.mark.parametrize("name, x_lo, x_hi, n", [("llibre_mereu", 1e40, 2e40, 2),
+                                                       ("vdp", 1e100, 1e101, 3)])
+    def test_rows_where_f_squared_overflows(self, name, x_lo, x_hi, n, request):
+        # the writer's rows are finite there and hold the exact roots
+        sys_ = request.getfixturevalue(name)
+        rows = table_rows(sys_, x_lo, x_hi, n)
+        assert len(rows) == n and all(r[4] == "false" for r in rows)
+        for r in rows:
+            assert_close_to_exact_roots(sys_, float(r[0]), tuple(map(float, r[1:4])))
 
     def test_two_points_are_endpoints(self, vdp):
         rows = table_rows(vdp, 1.2, 2.0, 2)

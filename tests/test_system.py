@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcurv import LienardSystem, Polynomial, State, check_assumptions, jet, make_system
+from flowcurv.system import specialized
 
 from conftest import jacobian, jacobian_rate, propagate, system_from_config
 
@@ -209,3 +210,26 @@ class TestCriticalManifold:
         assert vdp.F(2.0) == pytest.approx(2 / 3, rel=1e-10)
         assert vdp.F(0.0) == 0.0
         assert llibre_mereu.F(1.0) == pytest.approx(-7 / 15, rel=1e-10)
+
+
+class TestSpecialized:
+    # The binder expands a call P(v) where P stands alone as a word; a name
+    # that merely ends in a polynomial's name is the body's own and is kept.
+    BODY = [
+        "    def fn(x, v, xF, dg):",
+        "        return (gpp(x) + gp(x) + g(x), -F(x), 2.0*f(v), (gpp(v)), [fp(x)][0],",
+        "                {0: G(v)}[0], xF(x), dg(v))",
+        "    return fn"]
+
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
+    def test_calls_expand_bitwise_and_other_names_stay(self, name):
+        # an unexpanded polynomial call would raise NameError: the body's
+        # namespace holds no polynomial
+        s = system_from_config(name)
+        fn = specialized(lambda: self.BODY, "adversarial")(s)
+        for x, v in [(0.7, -1.3), (2.5, 1e-3), (-3.0, 40.0)]:
+            got = fn(x, v, lambda t: ("xF", t), lambda t: ("dg", t))
+            want = (s.gpp(x) + s.gp(x) + s.g(x), -s.F(x), 2.0 * s.f(v), s.gpp(v), s.fp(x),
+                    s.G(v), ("xF", x), ("dg", v))
+            assert [a.hex() for a in got[:6]] == [b.hex() for b in want[:6]]
+            assert got[6:] == want[6:]
