@@ -78,13 +78,16 @@ class ManifoldBranch(NamedTuple):
 # s = f + sign(f) sqrt(disc) with disc = f**2 - 4 eps g':
 # u_slow = g (-2 eps/s) and u_fast = g (-s/2/g').  With g' = 0, s = 2f
 # and -2 eps/s is the linear root -eps/f.  s is not 0 where f is not, and
-# s/2, which rounds to 0 at a subnormal s, is never a divisor.  Where f * f
-# overflows (|f| >= 2**512), disc is formed over f**2, dividing g' by f
-# before any product, and its root is scaled back by |f|.  A nan disc takes
-# the root path, so its row is refused.  Where g is 0, both roots u = g w
-# are zeros whatever the sign of disc, signed as g times w: w_slow has the
-# sign of -f, w_fast that of -f g'.  Signs alone form them, since a w that
-# overflows would make g w the nan 0 * inf.
+# s/2, which rounds to 0 at a subnormal s, is never a divisor.  Where disc
+# is +inf or nan (f * f or -4 eps g' overflows), it is formed again over
+# scale**2, dividing g' by scale before any product, and its root is
+# scaled back by scale: |f| where f * f overflows (|f| >= 2**512), else
+# the larger of |f| and 2 sqrt(eps |g'|).  A disc of -inf is negative as
+# it stands.  A nan disc takes the root path, so its row is refused.
+# Where g is 0, both roots u = g w are zeros whatever the sign of disc,
+# signed as g times w: w_slow has the sign of -f, w_fast that of -f g'.
+# Signs alone form them, since a w that overflows would make g w the nan
+# 0 * inf.
 _BRANCH_TEMPLATE = """\
 u_slow = u_fast = y_slow = None
 fold = f == 0.0
@@ -95,10 +98,12 @@ elif g == 0.0:
     if gp != 0.0:
         u_fast = u_slow * copysign(1.0, gp)
 else:
-    if abs(f) < 2.0 ** 512:
-        scale, disc = 1.0, f * f - 4.0 * eps * gp
-    else:
-        scale, disc = abs(f), 1.0 - gp / f * 4.0 * eps / f
+    scale, disc = 1.0, f * f - 4.0 * eps * gp
+    if not disc < inf:
+        scale = abs(f)
+        if scale < 2.0 ** 512:
+            scale = max(scale, 2.0 * sqrt(eps) * sqrt(abs(gp)))
+        disc = (f / scale) ** 2 - gp / scale * 4.0 * eps / scale
     if not disc < 0.0:
         s = f + copysign(scale * sqrt(disc), f)
         u_slow = g * (-2.0 * eps / s)
@@ -108,7 +113,7 @@ else:
                 u_slow, u_fast = u_fast, u_slow
 if u_slow is not None:
     y_slow = F + u_slow"""
-_BRANCH_ENV = {"sqrt": math.sqrt, "copysign": math.copysign}
+_BRANCH_ENV = {"sqrt": math.sqrt, "copysign": math.copysign, "inf": math.inf}
 
 
 slow_branches = compile_factory([], [

@@ -12,8 +12,10 @@ p is an integer polynomial with p's roots.  Its repeated roots are removed
 with an integer pseudo-remainder gcd against p', the Sturm chain of the
 square-free part counts distinct roots between dyadic points, bisection
 isolates each root in a bracket of its own, and every sign is an integer
-Horner sum.  Roots are then refined by bisection down to adjacent floats,
-each sign still exact: each root comes back as the float nearest to it.
+Horner sum.  Every point of that work is an exact dyadic pair, so no
+midpoint rounds or overflows.  Each root's bracket is then bisected, each
+sign still exact, until its ends round to one float or to two adjacent
+ones: each root comes back as the float nearest to it.
 ``signs_on`` is the one sign primitive: it gives the set of signs p takes
 on a window, zero included, and every certified sign on a window reads it.
 """
@@ -203,49 +205,32 @@ def _coerce(v) -> "Polynomial":
 # --- Exact root isolation ---------------------------------------------------
 #
 # An integer polynomial is a list of ints, descending by degree.  A point is
-# a float, or an exact dyadic pair (n, e) standing for n / 2**e; pairs occur
-# only strictly between two adjacent floats.
+# an exact dyadic pair (n, e) standing for n / 2**e, with e >= 0.
 
 
-def _dyadic(x) -> tuple[int, int]:
-    """(n, e) with x == n / 2**e and e >= 0."""
-    if isinstance(x, tuple):
-        return x
+def _dyadic(x: float) -> tuple[int, int]:
+    """The point (n, e) with x == n / 2**e."""
     n, d = x.as_integer_ratio()
     return n, d.bit_length() - 1
 
 
-def _cmp(a, b) -> int:
-    (na, ea), (nb, eb) = _dyadic(a), _dyadic(b)
+def _cmp(a: tuple[int, int], b: tuple[int, int]) -> int:
+    (na, ea), (nb, eb) = a, b
     e = max(ea, eb)
     d = (na << (e - ea)) - (nb << (e - eb))
     return (d > 0) - (d < 0)
 
 
-def _midpoint(a, b):
-    """A point strictly between a < b: a float where one exists, else the exact midpoint."""
-    if isinstance(a, float) and isinstance(b, float):
-        m = 0.5 * (a + b)
-        if a < m < b:
-            return m
-        m = math.nextafter(a, b)
-        if m < b:
-            return m
-    (na, ea), (nb, eb) = _dyadic(a), _dyadic(b)
+def _midpoint(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The exact midpoint of the points a and b."""
+    (na, ea), (nb, eb) = a, b
     e = max(ea, eb)
     return (na << (e - ea)) + (nb << (e - eb)), e + 1
 
 
-def _float_below(x: tuple[int, int]) -> float:
-    """The largest float not above the dyadic pair x."""
-    n, e = x
-    f = n / (1 << e)  # int true division rounds correctly
-    return math.nextafter(f, -math.inf) if _cmp(f, x) > 0 else f
-
-
-def _sign_at(c: list[int], x) -> int:
+def _sign_at(c: list[int], x: tuple[int, int]) -> int:
     """Exact sign of the integer polynomial c at the point x (homogeneous Horner)."""
-    n, e = _dyadic(x)
+    n, e = x
     r = sh = 0
     for k in c:
         r = r * n + (k << sh)
@@ -253,8 +238,8 @@ def _sign_at(c: list[int], x) -> int:
     return (r > 0) - (r < 0)
 
 
-def _side_sign(c: list[int], x, side: int) -> int:
-    """Sign of c just right (side 1) or just left (side -1) of x.
+def _side_sign(c: list[int], x: tuple[int, int], side: int) -> int:
+    """Sign of c just right (side 1) or just left (side -1) of the point x.
 
     The first derivative that does not vanish at x decides; c must not be
     the zero polynomial.
@@ -306,9 +291,8 @@ def _sturm(c: list[int]) -> list[list[int]]:
         chain.append(_primitive([-v for v in r]))
 
 
-def _variations(chain: list[list[int]], x) -> tuple[int, int]:
+def _variations(chain: list[list[int]], x: tuple[int, int]) -> tuple[int, int]:
     """Sign changes along the chain at x (zeros skipped), and the sign of its head there."""
-    x = _dyadic(x)
     signs = [_sign_at(c, x) for c in chain]
     nonzero = [s for s in signs if s]
     return sum(s != t for s, t in zip(nonzero, nonzero[1:])), signs[0]
@@ -354,6 +338,7 @@ class _Isolation(NamedTuple):
 
 def _isolate(p: Polynomial, lo: float, hi: float) -> _Isolation:
     c, q, chain = _chain(p)
+    lo, hi = _dyadic(lo), _dyadic(hi)
     va, s_lo = _variations(chain, lo)
     vb, s_hi = _variations(chain, hi)
     sb = s_hi
@@ -376,31 +361,35 @@ def _isolate(p: Polynomial, lo: float, hi: float) -> _Isolation:
     return _Isolation(c, q, brackets, s_lo == 0, s_hi == 0)
 
 
-def _nearest_root(q: list[int], a, b, sb: int) -> float:
-    """The float nearest the one root of q in (a, b), ties to the lower.
+def _nearest_root(q: list[int], a: tuple[int, int], b: tuple[int, int], sb: int) -> float:
+    """The float nearest the one root r of q in (a, b), ties to the lower.
 
-    q has sign sb just left of b.
+    q has sign sb just left of b.  Bisection keeps r in (a, b], with sign
+    sb on (r, b), until a and b round to one float, which is r's, or to
+    two adjacent floats, where the sign at their midpoint decides.  A
+    midpoint that is r ends the bisection: a moves below r by less than
+    half of any gap between floats, so a rounds to r's nearest float, or
+    to the lower one where r is a tie.
     """
-    while isinstance(a, float) and isinstance(b, float):
+    while True:
+        below, above = a[0] / (1 << a[1]), b[0] / (1 << b[1])  # int division rounds correctly
+        if below == above:
+            return below
+        if above == math.nextafter(below, math.inf):
+            mid = _midpoint(_dyadic(below), _dyadic(above))
+            if _cmp(mid, a) <= 0:
+                return above
+            if _cmp(mid, b) >= 0:
+                return below
+            return below if _sign_at(q, mid) in (0, sb) else above
         m = _midpoint(a, b)
-        if not isinstance(m, float):
-            break  # a and b are adjacent floats
         s = _sign_at(q, m)
-        if s == 0:
-            return m
-        if s == sb:
+        if s == 0:  # r = m; a = m - 2**-(e + 1076), nearer than half the least float gap
+            a, b = ((m[0] << 1076) - 1, m[1] + 1076), m
+        elif s == sb:
             b = m
         else:
             a = m
-    # The root lies strictly between two adjacent floats; their midpoint decides.
-    below = a if isinstance(a, float) else _float_below(a)
-    above = math.nextafter(below, math.inf)
-    mid = _midpoint(below, above)
-    if _cmp(mid, a) <= 0:
-        return above
-    if _cmp(mid, b) >= 0:
-        return below
-    return below if _sign_at(q, mid) in (0, sb) else above
 
 
 def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
@@ -436,7 +425,7 @@ def signs_on(p: Polynomial, lo: float, hi: float) -> set[int]:
         return set()
     iso = _isolate(p, lo, hi)
     c = iso.p
-    return ({_side_sign(c, lo, 1), _side_sign(c, hi, -1)}
+    return ({_side_sign(c, _dyadic(lo), 1), _side_sign(c, _dyadic(hi), -1)}
             | {_sign_at(c, b) for _, b, _ in iso.brackets[:-1]}
             | ({0} if iso.brackets or iso.at_hi else set()))
 

@@ -154,6 +154,9 @@ class TestLieIdentity:
 # finite: u_fast is -3.3e199 on llibre_mereu at 1e40, -1e300 on vdp at 1e100
 F_SQUARED_OVERFLOWS = [("llibre_mereu", 1e40), ("llibre_mereu", 2e40), ("vdp", 1e100),
                        ("vdp", -1e101)]
+# 4 eps g' overflows (g' = -1e300, eps = 1e10) while f * f does not: the
+# exact roots are u = -+1e155 at x = 1
+EPS_GPRIME_OVERFLOWS = [[0, 1e100], [0, 1]]
 
 
 def exact_branch(sys_, x):
@@ -247,6 +250,14 @@ class TestSlowBranches:
         assert br.x == x and not br.fold_excluded
         assert_close_to_exact_roots(sys_, x, (br.y_slow, br.u_slow, br.u_fast))
 
+    @pytest.mark.parametrize("F", EPS_GPRIME_OVERFLOWS)
+    def test_roots_where_eps_gprime_overflows(self, F):
+        sys_ = make_system(F, [0, -1e300], 1e10)
+        assert math.isinf(4.0 * sys_.eps * sys_.gp(1.0))
+        br = slow_branches(sys_, 1.0)
+        assert br.x == 1.0 and not br.fold_excluded
+        assert_close_to_exact_roots(sys_, 1.0, (br.y_slow, br.u_slow, br.u_fast))
+
     def test_eps_to_zero_recovers_critical_manifold(self):
         for eps in (1e-3, 1e-5, 1e-8):
             sys_ = make_system([0, -1, 0, 1 / 3], [0, 1], eps)
@@ -322,6 +333,14 @@ class TestSlowManifoldTable:
         sys_ = request.getfixturevalue(name)
         rows = table_rows(sys_, x_lo, x_hi, n)
         assert len(rows) == n and all(r[4] == "false" for r in rows)
+        for r in rows:
+            assert_close_to_exact_roots(sys_, float(r[0]), tuple(map(float, r[1:4])))
+
+    @pytest.mark.parametrize("F", EPS_GPRIME_OVERFLOWS)
+    def test_rows_where_eps_gprime_overflows(self, F):
+        sys_ = make_system(F, [0, -1e300], 1e10)
+        rows = table_rows(sys_, 1.0, 2.0, 2)
+        assert [float(r[0]) for r in rows] == [1.0, 2.0] and all(r[4] == "false" for r in rows)
         for r in rows:
             assert_close_to_exact_roots(sys_, float(r[0]), tuple(map(float, r[1:4])))
 

@@ -65,6 +65,11 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(vdp, State(1.0, 0.1, 0.1), 1.0, 1e-9)
 
+    @pytest.mark.parametrize("s0", [State(0.0, math.inf, 0.1), State(0.0, 0.1, math.nan)])
+    def test_rejects_non_finite_start(self, vdp, s0):
+        with pytest.raises(ValueError, match="^initial state must be finite$"):
+            integrate(vdp, s0, 1.0, 1e-9)
+
     def test_rejects_out_of_range_tol(self, vdp):
         with pytest.raises(ValueError):
             integrate(vdp, State(0.0, 0.1, 0.1), 1.0, 1e-2)
@@ -690,6 +695,16 @@ class TestIntegrationErrorState:
             integrate(stiff, State(0.0, 1.0, 1.0), 1.0, 1e-9)
         e = info.value
         assert (e.t, e.x, e.y) == (0.0, 1.0, 1.0)
+        assert 0.0 < e.h < 1e-14
+        assert e.accepted == 0 and e.rejected >= 10
+
+    def test_stall_where_y_dominates(self):
+        # |y| > |x|: the stall test reads y's growth, not x's
+        stiff = make_system([0, 1e14], [0, 1], 0.05)
+        with pytest.raises(IntegrationError, match="^integration stalled \\(stiffness\\)$") as info:
+            integrate(stiff, State(0.0, 0.5, 1.0), 1.0, 1e-9)
+        e = info.value
+        assert (e.t, e.x, e.y) == (0.0, 0.5, 1.0)
         assert 0.0 < e.h < 1e-14
         assert e.accepted == 0 and e.rejected >= 10
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,7 @@ from flowcurv.energy import H_polynomial
 from flowcurv.poly import Polynomial, real_roots, signs_on
 from flowcurv.system import make_system
 
-from conftest import CONFIGS
+from conftest import CONFIGS, REPO
 
 sympy = pytest.importorskip("sympy")
 
@@ -22,13 +25,24 @@ def _exact(p: Polynomial) -> sympy.Poly:
     return sympy.Poly([sympy.Rational(n, p.den) for n in reversed(p.num)], x)
 
 
+def nearest_float(r: Fraction) -> float:
+    """The float nearest r, ties to the lower."""
+    below = float(r)
+    if below > r:
+        below = math.nextafter(below, -math.inf)
+    above = math.nextafter(below, math.inf)
+    return below if r - Fraction(below) <= Fraction(above) - r else above
+
+
 def sympy_oracle(p: Polynomial, lo: float, hi: float,
                  eps=sympy.Rational(1, 2 ** 120)) -> tuple[list[float], set[int]]:
     """p's distinct roots in [lo, hi] as nearest floats, and its signs on (lo, hi].
 
-    From sympy's exact isolating intervals, refined to width eps; the
-    signs are the exact signs at one rational point between each pair of
-    consecutive roots, and 0 when a root lies in (lo, hi].
+    From sympy's exact isolating intervals, refined to width eps; a root
+    is the nearest float (ties to the lower) to its interval's midpoint,
+    which is the root itself for a rational root.  The signs are the exact
+    signs at one rational point between each pair of consecutive roots,
+    and 0 when a root lies in (lo, hi].
     """
     q = _exact(p)
     lo_q, hi_q = sympy.Rational(*lo.as_integer_ratio()), sympy.Rational(*hi.as_integer_ratio())
@@ -39,7 +53,7 @@ def sympy_oracle(p: Polynomial, lo: float, hi: float,
         if a != b and (a <= lo_q <= b or a <= hi_q <= b):
             raise AssertionError("an isolating interval straddles lo or hi")
         mid = (a + b) / 2
-        roots.append(float(Fraction(int(mid.p), int(mid.q))))
+        roots.append(nearest_float(Fraction(int(mid.p), int(mid.q))))
         if not a == b == lo_q:
             zero = {0}
         if lo_q < a and b < hi_q:
@@ -140,3 +154,71 @@ class TestDerivedPolynomialsAgainstSympy:
                  (sys_.G, Gs), (H_polynomial(sys_), gs ** 2 - 2 * Gs * sympy.diff(gs, x))]
         for got, want in pairs:
             assert _exact(got).all_coeffs() == sympy.Poly(sympy.expand(want), x).all_coeffs()
+
+
+def at(value: Fraction) -> Polynomial:
+    """x - value, exactly."""
+    return Polynomial._exact([-value.numerator, value.denominator], value.denominator)
+
+
+ULP = Fraction(math.ulp(1.5))  # the floats 1.5 and 1.5 + ULP are adjacent
+
+
+class TestPointsAgainstSympy:
+    """Windows reaching float max, and roots at or between adjacent floats."""
+
+    @pytest.mark.parametrize("coeffs, lo, hi", [([1.5e308, -2.5, 1e-308], 0.0, 1.7e308),
+                                                 ([1.5e308, 2.5, 1e-308], -1.7e308, 0.0)],
+                             ids=["positive", "mirrored"])
+    def test_window_reaching_float_max(self, coeffs, lo, hi):
+        # p = 1e-308 x**2 -+ 2.5 x + 1.5e308 has roots near +-1e308 and
+        # +-1.5e308; bisecting the window passes midpoints beyond 8.99e307,
+        # where the float a + b overflows.  A subprocess with a timeout
+        # turns a hang into a failure.
+        code = ("from flowcurv.poly import Polynomial, real_roots, signs_on\n"
+                f"p = Polynomial({coeffs!r})\n"
+                f"print(repr((real_roots(p, {lo!r}, {hi!r}),"
+                f" sorted(signs_on(p, {lo!r}, {hi!r})))))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=30, env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+        assert out.returncode == 0, out.stderr
+        roots, signs = eval(out.stdout)
+        want_roots, want_signs = sympy_oracle(Polynomial(coeffs), lo, hi)
+        assert len(roots) == 2
+        assert roots == want_roots
+        assert set(signs) == want_signs == {-1, 0, 1}
+
+    @pytest.mark.parametrize("below", [1.5, 1.5 + math.ulp(1.5)], ids=["even", "odd"])
+    def test_root_at_a_tie_is_the_lower_float(self, below):
+        # the tie point between below and the next float; float() of it
+        # would round to the even one, which is the upper for an odd below.
+        # The second window's first bisection midpoint is the tie itself.
+        p = at(Fraction(below) + ULP / 2) * Polynomial([1.0, 0.0, 1.0])
+        ulp = math.ulp(1.5)
+        for lo, hi in [(1.0, 2.0), (below - ulp, below + 2 * ulp)]:
+            roots, signs = sympy_oracle(p, lo, hi)
+            assert real_roots(p, lo, hi) == roots == [below]
+            assert signs_on(p, lo, hi) == signs == {-1, 0, 1}
+
+    @pytest.mark.parametrize("eighths, want", [((2, 6), [1.5, 1.5 + math.ulp(1.5)]),
+                                                ((1, 3), [1.5, 1.5])],
+                             ids=["either_side", "same_side"])
+    def test_two_roots_between_adjacent_floats(self, eighths, want):
+        # two distinct roots strictly between 1.5 and 1.5 + ULP: one entry each
+        p = at(Fraction(3, 2) + ULP * eighths[0] / 8) * at(Fraction(3, 2) + ULP * eighths[1] / 8)
+        for lo, hi in [(1.0, 2.0), (1.5, 1.5 + math.ulp(1.5))]:
+            roots, signs = sympy_oracle(p, lo, hi)
+            assert real_roots(p, lo, hi) == roots == want
+            assert signs_on(p, lo, hi) == signs == {1, 0, -1}
+
+    @pytest.mark.parametrize("roots, lo, hi", [((1, 3), 0.0, 4.0), ((1, 2, 3), 0.0, 4.0),
+                                               ((-3, -1), -4.0, 0.0)])
+    def test_root_hit_by_a_bisection_midpoint(self, roots, lo, hi):
+        # the midpoints 2, 1 and 3 of [0, 4] are roots: the isolating split
+        # moves off a root, and the nearest-root bisection lands on one
+        p = Polynomial([1.0])
+        for r in roots:
+            p = p * Polynomial([-r, 1.0])
+        want_roots, want_signs = sympy_oracle(p, lo, hi)
+        assert real_roots(p, lo, hi) == want_roots == [float(r) for r in roots]
+        assert signs_on(p, lo, hi) == want_signs

@@ -138,6 +138,11 @@ class TestAssumptions:
         assert not rep.assumption_I.holds
         assert "odd" in rep.assumption_I.detail
 
+    def test_zero_g_fails_I(self):
+        rep = check_assumptions(make_system([0, -1, 0, 1 / 3], [0.0], 0.05))
+        assert not rep.assumption_I.holds
+        assert "g is identically zero" in rep.assumption_I.detail
+
     def test_lipschitz_witness_reported(self, llibre_mereu):
         rep = check_assumptions(llibre_mereu, x_max=10.0)
         assert rep.assumption_II.holds
@@ -149,6 +154,18 @@ class TestAssumptions:
         rep = check_assumptions(sys_)
         assert not rep.assumption_III.holds
 
+
+    def test_zero_F_fails_III_and_IV(self):
+        rep = check_assumptions(make_system([0.0], [0, 1], 0.05))
+        assert not rep.assumption_III.holds and rep.assumption_III.witness == 0.0
+        assert not rep.assumption_IV.holds and rep.positive_zero_a is None
+        assert rep.assumption_IV.detail == "F is identically zero"
+
+    def test_two_positive_zeros_fail_IV(self):
+        # F = x^5 - 3x^3 + 2x = x(x^2 - 1)(x^2 - 2): zeros 1 and sqrt(2)
+        rep = check_assumptions(make_system([0, 2, 0, -3, 0, 1], [0, 1], 0.05))
+        assert not rep.assumption_IV.holds and rep.positive_zero_a is None
+        assert rep.assumption_IV.detail == "F has 2 positive zeros in (0, 10.0]"
 
     def test_gprime_flag_is_exact_at_a_touching_zero(self):
         # g = x^3: g' = 3x^2 >= 0 touches 0 at x = 0
