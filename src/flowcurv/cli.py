@@ -144,19 +144,18 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The flowcurv parser, built once per process (parsing leaves it unchanged).
+def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
+    """The flowcurv parser, built once per process and command (parsing leaves it unchanged).
 
     Every subcommand takes --config, --out and --dump-config and the
     override flags _COMMANDS gives it; an override left out is absent from
     the namespace.  No flag is abbreviated, or study's --eps-list would
-    take a mistyped --eps.
+    take a mistyped --eps.  Given a command, only that subcommand gets
+    its flags, -h included; the others keep their names and help lines
+    for usage and help.  main builds the parser for the command its first
+    argument names, which is the subcommand argparse dispatches to, since
+    each add_argument costs a CLI start about 30 us.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="path to the system JSON config")
-    common.add_argument("--out", default=None, help="output file (default: stdout)")
-    common.add_argument("--dump-config", action="store_true",
-                        help="print the merged config JSON and exit")
     parser = argparse.ArgumentParser(
         prog="flowcurv",
         description="Slow-manifold, curvature and energy analysis of planar "
@@ -164,7 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, fields) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text, parents=[common], allow_abbrev=False)
+        dispatched = command in (None, name)
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False, add_help=dispatched)
+        if not dispatched:
+            continue
+        sp.add_argument("--config", required=True, help="path to the system JSON config")
+        sp.add_argument("--out", default=None, help="output file (default: stdout)")
+        sp.add_argument("--dump-config", action="store_true",
+                        help="print the merged config JSON and exit")
         for field in fields:
             hint = "comma-separated decreasing eps values" if field == "eps_list" else None
             sp.add_argument(f"--{field.replace('_', '-')}", type=_SCALAR_FIELDS.get(field, str),
@@ -268,7 +274,8 @@ _COMMANDS = {
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = _sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         cfg = _merge_config(args)
     except ValueError as exc:  # a ConfigError included

@@ -34,22 +34,25 @@ import math
 from typing import NamedTuple
 
 from .poly import compile_factory
-from .system import POLYNOMIALS, Jet, LienardSystem, compile_writer
+from .system import POLYNOMIALS, Jet, LienardSystem, compile_writer, expression
+
+
+# The invariance identity's residual over eps and the jet's fields:
+# dphi/dt - (trace(J)*phi + det((dJ/dt) Xdot, Xdot)), with trace(J) = -f/eps
+# and (dJ/dt) Xdot = ((-f'*xdot/eps)*xdot, (-g''*xdot)*xdot).  The nine
+# checks' loop (verify) reads this text too.
+LIE_RESIDUAL = ("phi_dot - ((-f / eps) * phi"
+                " + ((-fp * xdot / eps) * xdot * ydot - (-gpp * xdot) * xdot * xdot))")
 
 
 def lie_residual(eps: float, j: Jet) -> float:
-    """Residual of dphi/dt = trace(J)*phi + det((dJ/dt) Xdot, Xdot) at a jet.
+    """Residual of dphi/dt = trace(J)*phi + det((dJ/dt) Xdot, Xdot) at a jet (LIE_RESIDUAL).
 
     This is the invariance (cofactor) identity of the curvature zero set;
     it holds algebraically, so the residual is floating-point noise:
     |residual| <= 1e-9 * max(1, |dphi/dt|) at every finite state.
     """
-    xd = j.xdot
-    tr = -j.f / eps
-    w0 = (-j.fp * xd / eps) * xd
-    w1 = (-j.gpp * xd) * xd
-    det = w0 * j.ydot - w1 * xd
-    return j.phi_dot - (tr * j.phi + det)
+    return eval(expression(LIE_RESIDUAL), {"eps": eps}, j._asdict())
 
 
 class ManifoldBranch(NamedTuple):
@@ -60,7 +63,9 @@ class ManifoldBranch(NamedTuple):
     fold_excluded is True and no branch is reported.  A negative
     discriminant f**2 - 4 eps g' also yields no branches but is not a
     fold; where g(x) evaluates to 0 both roots are 0.  Where g'(x)
-    evaluates to 0 the quadratic is linear and u_fast is None.
+    evaluates to 0 the quadratic is linear and u_fast is None.  Where
+    g'(x) is not finite (and neither f(x) nor g(x) is 0), u_slow, u_fast
+    and y_slow are nan: the float values cannot decide the branch.
     """
 
     x: float
@@ -84,6 +89,11 @@ class ManifoldBranch(NamedTuple):
 # scaled back by scale: |f| where f * f overflows (|f| >= 2**512), else
 # the larger of |f| and 2 sqrt(eps |g'|).  A disc of -inf is negative as
 # it stands.  A nan disc takes the root path, so its row is refused.
+# Where g' is not finite (and g is not 0), no float disc decides whether a
+# branch exists (a g' of +inf reads as disc = -inf, no branch, though the
+# exact branch may be finite): both roots are nan, a row the writer
+# refuses.  A g that is not finite needs no test: disc does not read it,
+# and a root g w that it makes inf or nan is refused as it stands.
 # Where g is 0, both roots u = g w are zeros whatever the sign of disc,
 # signed as g times w: w_slow has the sign of -f, w_fast that of -f g'.
 # Signs alone form them, since a w that overflows would make g w the nan
@@ -97,6 +107,8 @@ elif g == 0.0:
     u_slow = g * copysign(1.0, -f)
     if gp != 0.0:
         u_fast = u_slow * copysign(1.0, gp)
+elif not gp - gp == 0.0:
+    u_slow = u_fast = nan
 else:
     scale, disc = 1.0, f * f - 4.0 * eps * gp
     if not disc < inf:
@@ -113,7 +125,8 @@ else:
                 u_slow, u_fast = u_fast, u_slow
 if u_slow is not None:
     y_slow = F + u_slow"""
-_BRANCH_ENV = {"sqrt": math.sqrt, "copysign": math.copysign, "inf": math.inf}
+_BRANCH_ENV = {"sqrt": math.sqrt, "copysign": math.copysign, "inf": math.inf,
+               "nan": math.nan}
 
 
 slow_branches = compile_factory([], [
@@ -163,7 +176,8 @@ _CSV_ROW = [
 
 _manifold_writer = compile_writer(
     "x_lo, step, n", ["for i in range(n):", "    x = x_lo + i * step"],
-    lambda: [*_BRANCH_TEMPLATE.splitlines(), *_CSV_ROW], MANIFOLD_CSV_HEADER, "manifold csv",
+    lambda: ["F = F(x)", "f = f(x)", "g = g(x)", "gp = gp(x)", *_BRANCH_TEMPLATE.splitlines(),
+             *_CSV_ROW], MANIFOLD_CSV_HEADER, "manifold csv",
     {**_BRANCH_ENV, "_overflow": _overflow})
 
 

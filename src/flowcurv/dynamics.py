@@ -51,16 +51,19 @@ reads (system.compile_writer): one loop whose row computes the jet
 columns from the lines of system.JET_FORMULAS they need, with inline
 Horner code for those five, so a row calls no Python function and builds
 no jet.
+extract_vicinity's scan over the orbit is generated the same way, once
+per zero pattern of F, f, g and g': one loop over the x and y columns
+with inline Horner code and curvature._BRANCH_TEMPLATE's steps, which
+calls no Python function per sample.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from typing import NamedTuple
 
-from .curvature import slow_branches
+from .curvature import _BRANCH_ENV, _BRANCH_TEMPLATE
 from .poly import signs_on
 from .system import (LienardSystem, State, compile_writer, jet_code, positive_zeros_of_F,
                      specialized)
@@ -196,8 +199,12 @@ class VicinitySegment(NamedTuple):
 
 
 def _weighted(row: "tuple[float, ...]", c: str) -> str:
-    """Source of h * (w1 * k1c + w2 * k2c + ...), summed left to right."""
-    terms = " + ".join(f"({w!r}) * k{j}{c}" for j, w in enumerate(row, 1) if w)
+    """Source of h * (w1 * k1c + w2 * k2c + ...), summed left to right.
+
+    A negative weight needs no parentheses: unary minus binds tighter
+    than *, and the code compiles to the same bytecode, parsed faster.
+    """
+    terms = " + ".join(f"{w!r} * k{j}{c}" for j, w in enumerate(row, 1) if w)
     return f"h * ({terms})"
 
 
@@ -404,13 +411,15 @@ def _mirrored(half: Trajectory) -> Trajectory:
     shifted to (T_h + t, x, y), follows, so the orbit ends at
     (2 T_h, x_h, y_h) with twice the half's step counts.
     """
-    th = half.t[-1]
-    ts = half.t.obj[:]
-    ts.extend(map(th.__add__, half.t[1:]))
-    xs, ys = array("d", map(operator.neg, half.x)), array("d", map(operator.neg, half.y))
+    t, x, y = half.t.obj, half.x.obj, half.y.obj  # the arrays the columns view
+    th = t[-1]
+    ts = t[:]
+    ts.fromlist([th + v for v in t[1:]])
+    xs = array("d", [-v for v in x])
     xs[0] = 0.0
-    xs.extend(half.x[1:])
-    ys.extend(half.y[1:])
+    xs += x[1:]
+    ys = array("d", [-v for v in y])
+    ys += y[1:]
     return Trajectory._of_arrays(ts, xs, ys, 2 * half.accepted_steps,
                                  2 * half.rejected_steps, half.tol_used)
 
@@ -472,6 +481,8 @@ def find_limit_cycle(
         if abs(iterates[-1] - iterates[-2]) <= tol:
             converged = True
             break
+    # the mirror's |x| values are the half pass's, so its largest is the orbit's
+    amplitude_x = max(map(abs, orbit.x))
     if half:
         orbit = _mirrored(orbit)
 
@@ -479,11 +490,53 @@ def find_limit_cycle(
         period=orbit.t[-1],
         section_value=iterates[-1],
         orbit=orbit,
-        amplitude_x=max(map(abs, orbit.x)),
+        amplitude_x=amplitude_x,
         converged=converged,
         iterations=len(iterates) - 1,
         iterates=tuple(iterates),
     )
+
+
+def _scan_lines() -> "list[str]":
+    """The vicinity scan's factory body (see system.specialized).
+
+    The scan is scan(xs, ys, x_min, band) -> (lo, hi, nearest): the first
+    of the longest runs xs[lo:hi] of samples that qualify, and the
+    smallest distance d = |y - y_ref(x)| of a sample in the descending
+    window (x >= x_min, xdot = (y - F(x))/eps < 0), inf when none is.  A
+    window sample qualifies when d <= band; a sample outside the window
+    never does, whatever the band.  y_ref is the slow branch, from
+    curvature._BRANCH_TEMPLATE's steps, or F(x) where it has none.  Only
+    window samples evaluate F and, below xdot's test, f, g and g'.
+    """
+    lines = [
+        "def scan(xs, ys, x_min, band):",
+        "    best_lo = best_hi = lo = 0",  # runs are index ranges [lo, i)
+        "    nearest = inf",
+        "    for i, (x, y) in enumerate(zip(xs, ys)):",
+        "        if not x < x_min:",
+        "            F = F(x)",
+        "            if not (y - F) / eps >= 0.0:",
+        "                f = f(x)",
+        "                g = g(x)",
+        "                gp = gp(x)",
+        *(f"                {line}" for line in _BRANCH_TEMPLATE.splitlines()),
+        "                d = abs(y - (F if y_slow is None else y_slow))",
+        "                if d < nearest:",
+        "                    nearest = d",
+        "                if d <= band:",
+        "                    continue",
+        "        if i - lo > best_hi - best_lo:",
+        "            best_lo, best_hi = lo, i",
+        "        lo = i + 1",
+        "    if len(xs) - lo > best_hi - best_lo:",
+        "        best_lo, best_hi = lo, len(xs)",
+        "    return best_lo, best_hi, nearest",
+    ]
+    return [f"    {line}" for line in lines] + ["    return scan"]
+
+
+_scan = specialized(_scan_lines, "vicinity scan", _BRANCH_ENV)
 
 
 def extract_vicinity(
@@ -499,8 +552,11 @@ def extract_vicinity(
     which the cycle crosses) with xdot < 0, and |y - y_ref(x)| <= c*eps,
     where y_ref is the slow branch or, where it has none (no real root of
     the branch quadratic, a fold included), the critical manifold it
-    degenerates toward.  A caller's x_min that is not at most
-    max x of traj (NaN included) is an input error and raises ValueError.
+    degenerates toward.  A sample outside the window never qualifies, so
+    c = inf takes the longest run of window samples.  The samples are
+    scanned by the system's compiled scan (_scan_lines).  A caller's x_min
+    that is not at most max x of traj (NaN included) is an input error and
+    raises ValueError.
     Raises IntegrationError when no sample qualifies (naming c*eps and the
     nearest window sample's distance when some sample is in the window),
     or when the default finds several zeros, or none while F is not
@@ -516,31 +572,8 @@ def extract_vicinity(
         if len(zeros) > 1 or (not zeros and top > 0.0 and -1 not in signs_on(sys.F, 0.0, top)):
             raise IntegrationError("cannot locate the positive zero of F")
         x_min = zeros[0] + VICINITY_MARGIN if zeros else math.inf  # a lies beyond the orbit
-    eps, values = sys.eps, sys.values
-    band = c * eps
-
-    def offset(x: float, y: float) -> float:
-        """|y - y_ref(x)| in the descending window, inf outside it."""
-        if x < x_min:
-            return math.inf
-        Fx = values(x)[0]
-        if (y - Fx) / eps >= 0.0:
-            return math.inf
-        y_slow = slow_branches(sys, x).y_slow
-        return abs(y - (Fx if y_slow is None else y_slow))
-
-    # Runs are index ranges [lo, i); the first of the longest wins.
-    best_lo = best_hi = lo = 0
-    nearest = math.inf
-    for i, (x, y) in enumerate(zip(traj.x, traj.y)):
-        d = offset(x, y)
-        nearest = d if d < nearest else nearest
-        if not d <= band:
-            if i - lo > best_hi - best_lo:
-                best_lo, best_hi = lo, i
-            lo = i + 1
-    if len(traj.x) - lo > best_hi - best_lo:
-        best_lo, best_hi = lo, len(traj.x)
+    band = c * sys.eps
+    best_lo, best_hi, nearest = _scan(sys)(traj.x, traj.y, x_min, band)
     if best_lo == best_hi:
         if nearest == math.inf:
             raise IntegrationError("trajectory does not visit the slow vicinity (integrate longer)")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Literal, NamedTuple
 
 from .poly import Polynomial, extreme_values, signs_on
-from .system import JET_FORMULAS, Jet, LienardSystem, State, jet
+from .system import JET_FORMULAS, Jet, LienardSystem, State, expression, jet
 
 CaseLabel = Literal["CASE1_H_NONNEG", "CASE2_H_NONPOS", "MIXED"]
 SignLabel = Literal["NONNEG", "NONPOS", "MIXED"]
@@ -32,16 +32,14 @@ class CaseClassification(NamedTuple):
     c1_witness: float | None
 
 
-_H = compile(dict(JET_FORMULAS)["H"], "<H>", "eval")
-
-
 def H_polynomial(sys: LienardSystem) -> Polynomial:
     """The case function H = G'**2 - 2*G*G'' = g**2 - 2*G*g' as an exact polynomial.
 
     The jet table's H, evaluated on the system's polynomials instead of
     their values at a point; Polynomial arithmetic is exact.
     """
-    return eval(_H, {name: getattr(sys, name) for name in _H.co_names})
+    code = expression(dict(JET_FORMULAS)["H"])
+    return eval(code, {name: getattr(sys, name) for name in code.co_names})
 
 
 def _c1_witness(sys: LienardSystem, x_max: float, case: CaseLabel) -> float | None:
@@ -92,9 +90,14 @@ def curvature_energy_residual(eps: float, j: Jet) -> float:
     return eps * j.phi - (2.0 * j.gp * j.E + j.H - j.f * j.xdot * j.ydot)
 
 
+# d/dt(2*g'(x)*E + H) over the jet's fields; the nine checks' loop
+# (verify) reads this text too.
+RELATION_RATE = "2.0 * gpp * xdot * E + 2.0 * gp * dEdt + dHdt"
+
+
 def relation_rate(j: Jet) -> float:
-    """d/dt(2*g'(x)*E + H) in closed form: 2*g''*xdot*E + 2*g'*dE/dt + dH/dt."""
-    return 2.0 * j.gpp * j.xdot * j.E + 2.0 * j.gp * j.dEdt + j.dHdt
+    """d/dt(2*g'(x)*E + H) in closed form, RELATION_RATE: 2*g''*xdot*E + 2*g'*dE/dt + dH/dt."""
+    return eval(expression(RELATION_RATE), {}, j._asdict())
 
 
 def relation_rate_residual(eps: float, j: Jet) -> float:

@@ -6,16 +6,17 @@ The model is the planar two-timescale system
 
 with polynomial F and g.  A system holds eps, F, g and G (an
 antiderivative of g).  When it is built it derives f = F', f', g' and
-g'' once, and binds one evaluator of all seven: ``sys.values(x)``
-returns (F, f, f', g, g', g'', G) at x, bit-identical to
-``Polynomial.__call__``.
+g'' once.  One evaluator of all seven, bound on first use:
+``sys.values(x)`` returns (F, f, f', g, g', g'', G) at x, bit-identical
+to ``Polynomial.__call__``.
 
 Generated code writes a polynomial's value at v as the call P(v), and
 ``specialized`` alone turns such code into a system's: it expands each
 call into Horner code without zero terms, compiles the code on first use
 once per zero pattern of the polynomials it calls, and binds it to the
-system's coefficients.  The evaluator, the march kernel in ``dynamics``
-and both CSV writers are built this way.
+system's coefficients.  The evaluator, the march kernel and the
+vicinity scan in ``dynamics``, the checks' loop in ``verify`` and both
+CSV writers are built this way.
 
 The jet's derived quantities (velocity, acceleration, third
 derivatives, curvature, energy, H and their rates) are one ordered table
@@ -26,8 +27,11 @@ compiled from the whole table when this module loads and calls
 paper's identities, the sign checks) is a field of the jet or an
 expression in its fields, and ``energy.H_polynomial`` evaluates the
 table's H on the exact polynomials.  ``jet`` reads a ``State``.  ``jet_code``
-picks the lines a subset of the fields needs, and ``compile_writer``
-builds a CSV writer around them, such as the one in ``dynamics``.
+picks the lines a subset of the fields needs, of this table or of one
+that extends it (the checks' margins in ``verify``), and
+``compile_writer`` builds a CSV writer around them, such as the one in
+``dynamics``.  ``expression`` compiles a formula's text once for the
+per-point functions that evaluate it on a jet.
 
 Every record in the package is a ``typing.NamedTuple``: immutable, with
 its fields in a fixed order, compared and printed by them.
@@ -60,6 +64,9 @@ POLYNOMIALS = ("F", "f", "fp", "g", "gp", "gpp", "G")
 
 # A call P(v), P one of POLYNOMIALS and v a name; re compiles it on first use.
 _CALL = rf"\b({'|'.join(POLYNOMIALS)})\((\w+)\)"
+# Blanks for the operators and brackets of a formula's text, which holds no
+# string or attribute: what is left, split, is its names and numbers.
+_OPERATORS = str.maketrans("()+-*/%<>=!,.", " " * 13)
 
 
 def specialized(make_lines, label: str, env: "dict | None" = None):
@@ -112,22 +119,18 @@ def compile_writer(signature: str, loop: "list[str]", row, header: str, label: s
     The writer, write(<signature>), returns the header line, one line per
     pass of the loop and a final newline, as one text.  loop is the for
     statement and any lines after it that bind x; row() returns the rest
-    of the loop body, which reads the polynomials' values at x by name and
-    hands each line to ``append``.  Each value it reads is computed inline
-    before it, so a pass calls no Python function and builds no record;
-    env holds the other names the row reads.
+    of the loop body, which computes the polynomials' values it reads
+    inline, as P = P(x), and hands each line to ``append``, so a pass calls
+    no Python function and builds no record; env holds the other names
+    the row reads.
     """
     def lines() -> "list[str]":
-        body = row()
-        read = compile("\n".join(["for _ in ():", *(f"    {line}" for line in body)]),
-                       f"<{label} row>", "exec").co_names
         return [
             f"    def write({signature}):",
             "        lines = [HEADER]",
             "        append = lines.append",
             *(f"        {line}" for line in loop),
-            *(f"            {p} = {p}(x)" for p in POLYNOMIALS if p in read),
-            *(f"            {line}" for line in body),
+            *(f"            {line}" for line in row()),
             "        append('')  # the final newline, without a second copy of the text",
             "        return '\\n'.join(lines)",
             "    return write"]
@@ -150,11 +153,13 @@ class LienardSystem(_LienardFields):
     float) and G' = g.  The integration constant of G is free here
     (make_system pins G(0) = 0); constructing with a shifted G is how
     quadratic-potential families with nonzero offset are modelled.
-    Construction then derives f = F', fp = f', gp = g' and gpp = g'' once
-    and binds ``values``, the compiled evaluator of the seven polynomials
-    (see specialized).  These five are attributes, not fields, so
-    equality and repr see only the four fields.  Instances are immutable,
-    and ``_replace`` builds through the same validation.
+    Construction then derives f = F', fp = f', gp = g' and gpp = g'' once;
+    ``values``, the compiled evaluator of the seven polynomials (see
+    specialized), is bound on first use, so a run that never evaluates
+    them at a point (verify, classify) compiles no evaluator.  These five
+    are attributes, not fields, so equality and repr see only the four
+    fields.  Instances are immutable, and ``_replace`` builds through the
+    same validation.
     """
 
     f: Polynomial
@@ -172,12 +177,16 @@ class LienardSystem(_LienardFields):
         self = super().__new__(cls, float(eps), F, g, G)
         f, gp = F.derivative(), g.derivative()
         vars(self).update(f=f, fp=f.derivative(), gp=gp, gpp=gp.derivative())
-        vars(self)["values"] = _evaluator(self)
         return self
+
+    @functools.cached_property
+    def values(self):
+        """The compiled evaluator of the seven polynomials, bound on first use."""
+        return _evaluator(self)
 
     @classmethod
     def _make(cls, iterable):
-        """Build through __new__, so ``_replace`` validates and compiles again."""
+        """Build through __new__, so ``_replace`` validates again and binds afresh."""
         return cls(*iterable)
 
     def __setattr__(self, name, value):
@@ -235,14 +244,31 @@ Jet.__doc__ = """The seven polynomial values at x and every closed form built on
     """
 
 
-def jet_code(fields: "Iterable[str]") -> "list[str]":
-    """The JET_FORMULAS assignments the named jet fields need, in table order."""
+@functools.cache
+def expression(text: str):
+    """A formula's text compiled for eval, once per process.
+
+    A per-point function (curvature.lie_residual, for one) evaluates the
+    code on a namespace of the jet's fields.
+    """
+    return compile(text, "<formula>", "eval")
+
+
+def jet_code(fields: "Iterable[str]", formulas=JET_FORMULAS) -> "list[str]":
+    """Code lines computing the named fields at (x, y) for system.specialized.
+
+    P = P(x) for each polynomial value the fields need, in POLYNOMIALS
+    order, then the assignments they need, in table order.  formulas is a
+    table like JET_FORMULAS, (name, expression) pairs each reading only the
+    names above it, eps, y and the polynomial values; a caller extends
+    JET_FORMULAS with its own rows after the jet's.
+    """
     need, lines = set(fields), []
-    for name, expr in reversed(JET_FORMULAS):
+    for name, expr in reversed(formulas):
         if name in need:
-            need.update(compile(expr, "<jet>", "eval").co_names)
+            need.update(expr.translate(_OPERATORS).split())
             lines.append(f"{name} = {expr}")
-    return lines[::-1]
+    return [f"{p} = {p}(x)" for p in POLYNOMIALS if p in need] + lines[::-1]
 
 
 def jet(sys: LienardSystem, s: State) -> Jet:

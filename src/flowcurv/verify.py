@@ -11,8 +11,12 @@ convergence_study measures how fast the limit cycle's slow descent
 approaches (a) the curvature zero-set branch and (b) the critical
 manifold as eps shrinks, and fits log-log slopes.
 
-The nine checks are one table, _CHECKS; the reports are immutable
-NamedTuple records, like every record in the package.
+The nine checks are one table, _CHECKS, of margin expressions over the
+jet's fields: evaluate_checks runs them in one loop that is compiled, like
+the CSV writers, once per zero pattern of the system's polynomials
+(system.specialized), and sample_margins evaluates the same text at one
+state.  The reports are immutable NamedTuple records, like every record
+in the package.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
-from .curvature import lie_residual, slow_branches
+from .curvature import LIE_RESIDUAL, slow_branches
 from .dynamics import IntegrationError, LimitCycle, extract_vicinity, find_limit_cycle
-from .energy import relation_rate
-from .system import LienardSystem, State, jet
+from .energy import RELATION_RATE
+from .system import JET_FORMULAS, LienardSystem, State, expression, jet, jet_code, specialized
 
 LIE_RESIDUAL_TOL = 1e-8
 
@@ -39,22 +43,56 @@ STUDY_TOL = 1e-10
 _HERMITE_NEWTON_STEPS = 3
 
 
-# The nine checks in report order: id -> (signed margin at the jet j of a
-# system with this eps, positive where the check holds; whether a zero
-# margin passes).
-_CHECKS = {
-    "XDOT_NEG": (lambda eps, j: -j.xdot, False),
-    "YDOT_NEG": (lambda eps, j: -j.ydot, False),
-    "XDDOT_NEG": (lambda eps, j: -j.xddot, False),
-    "YDDOT_POS": (lambda eps, j: j.yddot, False),
-    "PHI_NONNEG": (lambda eps, j: j.phi, True),
-    "PHIDOT_POS": (lambda eps, j: j.phi_dot, False),
-    "DEDT_NEG": (lambda eps, j: -j.dEdt, False),
-    "EQ56_BOUND": (lambda eps, j: -relation_rate(j), False),
-    "LIE_RESIDUAL": (lambda eps, j: LIE_RESIDUAL_TOL
-                     - abs(lie_residual(eps, j)) / max(1.0, abs(j.phi_dot)), False),
-}
-CHECK_IDS = tuple(_CHECKS)
+# The nine checks in report order: (id, signed margin over eps, the jet's
+# fields, lie_residual and relation_rate, positive where the check holds;
+# whether a zero margin passes).  Both the per-sample margins and the
+# checks' loop are built from this text.
+_CHECKS = (
+    ("XDOT_NEG", "-xdot", False),
+    ("YDOT_NEG", "-ydot", False),
+    ("XDDOT_NEG", "-xddot", False),
+    ("YDDOT_POS", "yddot", False),
+    ("PHI_NONNEG", "phi", True),
+    ("PHIDOT_POS", "phi_dot", False),
+    ("DEDT_NEG", "-dEdt", False),
+    ("EQ56_BOUND", "-relation_rate", False),
+    ("LIE_RESIDUAL", "LIE_RESIDUAL_TOL - abs(lie_residual) / max(1.0, abs(phi_dot))", False),
+)
+CHECK_IDS = tuple(cid for cid, _, _ in _CHECKS)
+# The margins' table rows after the jet's: the two quantities the margins
+# read, each the text its function (curvature.lie_residual,
+# energy.relation_rate) evaluates, then one row per check.
+_MARGIN_FORMULAS = (("lie_residual", LIE_RESIDUAL), ("relation_rate", RELATION_RATE),
+                    *((cid, margin) for cid, margin, _ in _CHECKS))
+
+
+def _tally_lines() -> "list[str]":
+    """The checks' loop's factory body (see system.specialized).
+
+    The loop is tally(samples): for each check in _CHECKS's order, the
+    number of samples whose margin passes and the smallest margin, which
+    starts at inf and is replaced only by a margin that compares less, so
+    a NaN never is.  Each sample's margins are the lines of
+    system.jet_code over the jet table extended by _MARGIN_FORMULAS, its
+    polynomial values inline Horner code.
+    """
+    body = jet_code(CHECK_IDS, (*JET_FORMULAS, *_MARGIN_FORMULAS))
+    for cid, _, zero_passes in _CHECKS:
+        body += [f"passed_{cid} += {cid} {'>=' if zero_passes else '>'} 0.0",
+                 f"if {cid} < least_{cid}:",
+                 f"    least_{cid} = {cid}"]
+    return [
+        "    def tally(samples):",
+        f"        {' = '.join(f'passed_{cid}' for cid in CHECK_IDS)} = 0",
+        f"        {' = '.join(f'least_{cid}' for cid in CHECK_IDS)} = inf",
+        "        for _, x, y in samples:",
+        *(f"            {line}" for line in body),
+        f"        return {', '.join(f'(passed_{cid}, least_{cid})' for cid in CHECK_IDS)}",
+        "    return tally"]
+
+
+_tally = specialized(_tally_lines, "nine checks", {"inf": math.inf,
+                                                    "LIE_RESIDUAL_TOL": LIE_RESIDUAL_TOL})
 
 
 class CheckResult(NamedTuple):
@@ -97,27 +135,27 @@ class MinorskyReport(NamedTuple):
 
 
 def sample_margins(sys: LienardSystem, s: State) -> dict[str, float]:
-    """Signed margins (positive = satisfied) of the nine checks at one state."""
-    j = jet(sys, s)
-    return {cid: margin(sys.eps, j) for cid, (margin, _) in _CHECKS.items()}
+    """Signed margins (positive = satisfied) of the nine checks at one state.
+
+    _MARGIN_FORMULAS evaluated in order on the state's jet.
+    """
+    names = {"eps": sys.eps, "LIE_RESIDUAL_TOL": LIE_RESIDUAL_TOL, **jet(sys, s)._asdict()}
+    for name, expr in _MARGIN_FORMULAS:
+        names[name] = eval(expression(expr), names)
+    return {cid: names[cid] for cid in CHECK_IDS}
 
 
 def evaluate_checks(sys: LienardSystem, samples: "tuple[State, ...]") -> dict[str, CheckResult]:
-    """Run all nine checks at every sample, one jet per sample.
+    """Run all nine checks at every sample, in the system's compiled loop (_tally_lines).
 
     A margin passes when positive, or when zero for a check whose zero
     passes (PHI_NONNEG).  A NaN margin fails and is never the minimum, which
-    is inf when there are no samples.
+    is inf when there are no samples.  Each margin is bit for bit
+    sample_margins's.
     """
-    eps = sys.eps
-    jets = [jet(sys, s) for s in samples]
-    results = {}
-    for cid, (margin, zero_passes) in _CHECKS.items():
-        ms = [margin(eps, j) for j in jets]
-        passed = sum(m >= 0.0 if zero_passes else m > 0.0 for m in ms)
-        # min keeps its first item until a later one compares less: NaN never does
-        results[cid] = CheckResult(passed, len(ms) - passed, min([math.inf, *ms]))
-    return results
+    n = len(samples)
+    return {cid: CheckResult(passed, n - passed, least)
+            for cid, (passed, least) in zip(CHECK_IDS, _tally(sys)(samples))}
 
 
 def minorsky_report(

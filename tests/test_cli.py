@@ -504,25 +504,26 @@ def test_import_loads_no_numpy():
     assert out.strip() == "[]"
 
 
-def test_cold_verify_compiles_one_kernel_and_one_evaluator():
+def test_cold_verify_compiles_one_kernel_one_scan_and_one_check_loop():
     # Each generated function costs an exec compile on every CLI start: a
-    # fresh verify compiles the march kernel and the evaluator once each,
-    # and neither verify nor classify compiles a CSV writer, which is
-    # compiled on first use.
+    # fresh verify compiles the march kernel, the vicinity scan and the
+    # checks' loop once each, and classify compiles none of them again.
+    # Neither compiles the evaluator, which verify and classify never call,
+    # or a CSV writer: each is compiled on first use.
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     code = ("import contextlib, io\n"
-            "from flowcurv import cli, curvature, dynamics, system\n"
+            "from flowcurv import cli, curvature, dynamics, system, verify\n"
+            "units = (dynamics._kernel, dynamics._scan, verify._tally, system._evaluator,\n"
+            "         dynamics._trajectory_writer, curvature._manifold_writer)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = cli.main(['verify', '--config', 'configs/llibre_mereu.json'])\n"
+            "    after_verify = [u.cache_info().misses for u in units]\n"
             "    rc_classify = cli.main(['classify', '--config', 'configs/llibre_mereu.json'])\n"
-            "print(rc, rc_classify, dynamics._kernel.cache_info().misses,\n"
-            "      system._evaluator.cache_info().misses,\n"
-            "      dynamics._trajectory_writer.cache_info().currsize,\n"
-            "      curvature._manifold_writer.cache_info().currsize)")
+            "print(rc, rc_classify, *after_verify, *(u.cache_info().misses for u in units))")
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=REPO, capture_output=True,
                          text=True, check=True).stdout
     # verify exits 1 here: the settling layer fails PHIDOT_POS (see 05a)
-    assert out.split() == ["1", "0", "1", "1", "0", "0"]
+    assert out.split() == ["1", "0", *"111000", *"111000"]
 
 
 HELP = {

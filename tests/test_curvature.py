@@ -258,6 +258,27 @@ class TestSlowBranches:
         assert br.x == 1.0 and not br.fold_excluded
         assert_close_to_exact_roots(sys_, 1.0, (br.y_slow, br.u_slow, br.u_fast))
 
+    def test_infinite_gprime_is_refused_not_read_as_no_branch(self):
+        # g = 1e300 x**3 at x = 1e10: g and g' are inf in floats, so the plain
+        # disc f*f - 4*eps*g' is -inf, though the exact one (1e200 - 1.2e21)
+        # is positive and u_slow ~ -eps*g/f = -1e-70.  The row is nan, which
+        # the writer refuses: no float decides it, and "no branch" is wrong.
+        sys_ = make_system([0, 1e100], [0, 0, 0, 1e300], 1e-300)
+        assert sys_.gp(1e10) == math.inf
+        br = slow_branches(sys_, 1e10)
+        assert br.x == 1e10 and not br.fold_excluded
+        assert all(math.isnan(v) for v in (br.u_slow, br.u_fast, br.y_slow))
+        with pytest.raises(ValueError, match=r"^the slow-branch row at x=10000000000\.0 "
+                                             r"overflows float range$"):
+            format_manifold_csv(sys_, 1e10, 2e10, 2)
+        # where g alone is not finite, the disc, which does not read g, still
+        # decides: a root g*w is then not finite, a row refused as it stands,
+        # and a negative disc (f**2 - 4*eps*g' < 0) is no branch
+        assert sys_.g(1e3) == math.inf and math.isfinite(sys_.gp(1e3))
+        assert not math.isfinite(slow_branches(sys_, 1e3).y_slow)
+        no_root = make_system([0, 1e-10], [0, 0, 0, 1e300], 1.0)
+        assert slow_branches(no_root, 1e3)[1:] == (None, None, None, False)
+
     def test_eps_to_zero_recovers_critical_manifold(self):
         for eps in (1e-3, 1e-5, 1e-8):
             sys_ = make_system([0, -1, 0, 1 / 3], [0, 1], eps)

@@ -20,6 +20,7 @@ from flowcurv import (
     jet,
     make_system,
     minorsky_report,
+    slow_branches,
 )
 from flowcurv import curvature, dynamics
 from flowcurv.curvature import format_manifold_csv
@@ -929,6 +930,103 @@ class TestExtractVicinity:
                                      array("d", [0.0, 0.0]), 1, 0, 1e-9)
         with pytest.raises(IntegrationError, match=r"slow vicinity \(integrate longer\)"):
             extract_vicinity(traj, sys_, 1.0)
+
+
+def reference_vicinity(traj, sys_, c, x_min):
+    """extract_vicinity for a resolved x_min by a per-sample offset loop.
+
+    Each sample's distance comes from the evaluator and slow_branches; a
+    sample outside the descending window breaks the run whatever the band.
+    """
+    band = c * sys_.eps
+
+    def offset(x, y):
+        """|y - y_ref(x)| in the descending window, None outside it."""
+        if x < x_min:
+            return None
+        Fx = sys_.values(x)[0]
+        if (y - Fx) / sys_.eps >= 0.0:
+            return None
+        y_slow = slow_branches(sys_, x).y_slow
+        return abs(y - (Fx if y_slow is None else y_slow))
+
+    runs, run, nearest = [], [], math.inf
+    for i, (x, y) in enumerate(zip(traj.x, traj.y)):
+        d = offset(x, y)
+        if d is not None and d < nearest:
+            nearest = d
+        if d is not None and d <= band:
+            run.append(i)
+        else:
+            runs.append(run)
+            run = []
+    runs.append(run)
+    best = max(runs, key=len)  # the first of the longest
+    if not best:
+        if nearest == math.inf:
+            raise IntegrationError("trajectory does not visit the slow vicinity (integrate longer)")
+        raise IntegrationError(
+            f"trajectory does not visit the slow vicinity: no descending sample lies within"
+            f" band*eps = {band:.3g} of the slow branch (the nearest lies {nearest:.3g} from it)")
+    samples = tuple(traj.samples[best[0]:best[-1] + 1])
+    xs = [s.x for s in samples]
+    return dynamics.VicinitySegment(samples, (min(xs), max(xs)), band)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except IntegrationError as e:
+        return ("raises", str(e))
+
+
+class TestVicinityScanAgainstReference:
+    """The compiled scan against the per-sample loop of reference_vicinity."""
+
+    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.02, 0.01, 0.005])
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
+    def test_cycles(self, name, eps):
+        sys_ = system_from_config(name, eps=eps)
+        orbit = find_limit_cycle(sys_, 1.0, 1e-9, integ_tol=1e-9).orbit
+        top = max(orbit.x)
+        default = check_assumptions(sys_).positive_zero_a + dynamics.VICINITY_MARGIN
+        for x_min in (None, -0.5, 1.0, top):
+            for c in (1.0, 60.0, 1e-9, 1e300, math.inf):
+                want = outcome(reference_vicinity, orbit, sys_, c,
+                               default if x_min is None else x_min)
+                got = outcome(extract_vicinity, orbit, sys_, c, x_min=x_min)
+                assert got == want, (x_min, c)
+        # the error names the band and the nearest window sample's distance
+        assert "nearest lies" in outcome(extract_vicinity, orbit, sys_, 1e-12)[1]
+
+    def test_short_runs_and_special_samples(self, vdp):
+        # runs broken by out-of-window, off-band, fold and NaN samples
+        xs = [1.2, 1.1, 1.0, 0.9, 0.8, 2.0, 1.5, math.nan, 1.4, 1.3, -1.0, 1.9, 1.8]
+        ys = [vdp.F(x) - 0.01 for x in xs]
+        ys[5] = vdp.F(2.0) + 0.5  # ascending: outside the window
+        ys[9] = vdp.F(1.3) - 1.0  # far from the branch
+        traj = Trajectory._of_arrays(array("d", range(len(xs))), array("d", xs),
+                                     array("d", ys), len(xs) - 1, 0, 1e-9)
+        for x_min in (0.5, -2.0, 1.35):
+            for c in (1.0, 0.3, 30.0, math.inf):
+                assert (outcome(extract_vicinity, traj, vdp, c, x_min=x_min)
+                        == outcome(reference_vicinity, traj, vdp, c, x_min)), (x_min, c)
+
+
+class TestInfiniteBand:
+    def test_only_window_samples_qualify(self, vdp):
+        # With band*eps = inf, a sample outside the descending window, whose
+        # distance is no number, must still break the run: the orbit's x
+        # reaches -2.02, and XDOT_NEG fails off the window.
+        cycle = find_limit_cycle(vdp, 1.0, 1e-9)
+        seg = extract_vicinity(cycle.orbit, vdp, math.inf)
+        floor = check_assumptions(vdp).positive_zero_a + dynamics.VICINITY_MARGIN
+        assert len(seg.samples) < len(cycle.orbit.x)
+        assert all(s.x >= floor and jet(vdp, s).xdot < 0.0 for s in seg.samples)
+        assert seg == extract_vicinity(cycle.orbit, vdp, 1e300)._replace(band_width=math.inf)
+        report = minorsky_report(vdp, cycle, math.inf)
+        assert report.checks["XDOT_NEG"].fail_count == 0
+        assert report.n_points == len(seg.samples)
 
 
 class TestTrajectoryCsv:

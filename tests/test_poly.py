@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowcurv import poly
 from flowcurv.poly import (Polynomial, coefficient_names, compile_factory, horner_source,
                            real_roots, signs_on)
 
@@ -280,6 +282,129 @@ class TestExactDecisions:
         # g = 1e160 x squares to an infinite coefficient in H
         with pytest.raises(ValueError, match="finite coefficients"):
             decide(Polynomial([0, 1e160]) * Polynomial([0, 1e160]))
+
+
+def bisected_root(q, a, b, sb):
+    """The float nearest the root of q in (a, b), ties to the lower, by bisection alone.
+
+    The exact bisection _nearest_root falls back to, kept here as its reference.
+    """
+    while True:
+        below, above = a[0] / (1 << a[1]), b[0] / (1 << b[1])
+        if below == above:
+            return below
+        if above == math.nextafter(below, math.inf):
+            mid = poly._midpoint(poly._dyadic(below), poly._dyadic(above))
+            if poly._cmp(mid, a) <= 0:
+                return above
+            if poly._cmp(mid, b) >= 0:
+                return below
+            return below if poly._sign_at(q, mid) in (0, sb) else above
+        m = poly._midpoint(a, b)
+        s = poly._sign_at(q, m)
+        if s == 0:
+            a, b = ((m[0] << 1076) - 1, m[1] + 1076), m
+        elif s == sb:
+            b = m
+        else:
+            a = m
+
+
+def exactly(value: Fraction) -> Polynomial:
+    """x - value, exactly."""
+    return Polynomial._exact([-value.numerator, value.denominator], value.denominator)
+
+
+def product(*factors: Polynomial) -> Polynomial:
+    p = Polynomial([1.0])
+    for f in factors:
+        p = p * f
+    return p
+
+
+ULP = Fraction(math.ulp(1.5))  # 1.5 and 1.5 + ULP are adjacent floats
+MILL = [math.comb(7, k) * (-1) ** (7 - k) - (k == 0) * 2.0 ** -40 for k in range(8)]
+# (polynomial, lo, hi): ties, roots an ulp apart or inside one float's cell,
+# roots a bisection midpoint hits, windows reaching float max, a root at
+# zero, ill-conditioned and huge-spread roots, and the bundled F's.
+ROOT_FAMILIES = [
+    (product(exactly(Fraction(1.5) + ULP / 2), Polynomial([1.0, 0, 1.0])), 1.0, 2.0),
+    (product(exactly(Fraction(1.5) + 3 * ULP / 2), Polynomial([1.0, 0, 1.0])), 1.0, 2.0),
+    (product(exactly(Fraction(1.5) + ULP / 2), Polynomial([1.0, 0, 1.0])),
+     1.5 - math.ulp(1.5), 1.5 + 2 * math.ulp(1.5)),
+    (product(exactly(Fraction(1.5)), exactly(Fraction(1.5) + ULP)), 1.0, 2.0),
+    (product(exactly(Fraction(1.5) + ULP / 4), exactly(Fraction(1.5) + 3 * ULP / 4)), 1.0, 2.0),
+    (product(exactly(Fraction(1.5) + ULP / 8), exactly(Fraction(1.5) + 3 * ULP / 8)), 1.0, 2.0),
+    (product(Polynomial([-1.0, 1.0]), Polynomial([-3.0, 1.0])), 0.0, 4.0),
+    (product(Polynomial([-1.0, 1.0]), Polynomial([-2.0, 1.0]), Polynomial([-3.0, 1.0])), 0.0, 4.0),
+    (product(Polynomial([3.0, 1.0]), Polynomial([1.0, 1.0])), -4.0, 0.0),
+    (Polynomial([1.5e308, -2.5, 1e-308]), 0.0, 1.7e308),
+    (Polynomial([1.5e308, 2.5, 1e-308]), -1.7e308, 0.0),
+    (Polynomial([-1e308, 0, 1e-308]), 0.0, 1.7e308),
+    (Polynomial([0.0, 2.0]), -10.0, 10.0),
+    (Polynomial([0.0, 1.0, 0.0, 1.0]), -3.0, 10.0),
+    (Polynomial(MILL), 0.0, 2.0),
+    (Polynomial([-2.0, 2.0 ** 28, -2.0 ** 53, 0, 0, 0, 0, 0, 1.0]), 0.0, 1.0),
+    (Polynomial([-1e-10, 0, 1e300]), 1e-300, 1.0),
+    (F_VDP, -10.0, 10.0),
+    (F_LM, -10.0, 10.0),
+    (F_LM.derivative(), -10.0, 10.0),
+]
+
+
+def brackets():
+    for p, lo, hi in ROOT_FAMILIES:
+        iso = poly._isolate(p, lo, hi)
+        for a, b, sb in iso.brackets:
+            yield iso.q, a, b, sb
+
+
+class TestNearestRootAgainstBisection:
+    """_nearest_root's certified float guess against the exact bisection, bit for bit."""
+
+    def test_families(self, monkeypatch):
+        guesses = []
+        guess = poly._float_guess
+
+        def recorded(*args):
+            guesses.append(guess(*args))
+            return guesses[-1]
+
+        monkeypatch.setattr(poly, "_float_guess", recorded)
+        taken = fallen_back = 0
+        for q, a, b, sb in brackets():
+            want = bisected_root(q, a, b, sb)
+            got = poly._nearest_root(q, a, b, sb)
+            assert got.hex() == want.hex(), (q, a, b)
+            if guesses and guesses[-1] is not None and guesses[-1].hex() == got.hex() and got:
+                taken += 1
+            else:
+                fallen_back += 1
+            guesses.clear()
+        # both paths run: guesses that are certified, and ones that fail
+        # (no float Newton near float max, a root at zero, ties)
+        assert taken >= 10 and fallen_back >= 5, (taken, fallen_back)
+
+    def test_wrong_guesses_are_refused(self, monkeypatch):
+        # any guess, right or wrong, ends at the bisection's float
+        for q, a, b, sb in brackets():
+            want = bisected_root(q, a, b, sb)
+            candidates = [want, -want, 0.0, -0.0, None, a[0] / (1 << a[1]), b[0] / (1 << b[1])]
+            up = down = want
+            for _ in range(3):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+                candidates += [up, down]
+            for candidate in candidates:
+                monkeypatch.setattr(poly, "_float_guess", lambda *args: candidate)
+                assert poly._nearest_root(q, a, b, sb).hex() == want.hex(), (q, a, b, candidate)
+
+    def test_real_roots_unchanged_by_the_guess(self, monkeypatch):
+        def found():
+            return [[r.hex() for r in real_roots(p, lo, hi)] for p, lo, hi in ROOT_FAMILIES]
+
+        with_guess = found()
+        monkeypatch.setattr(poly, "_float_guess", lambda *args: None)
+        assert found() == with_guess
 
 
 class TestSerialization:

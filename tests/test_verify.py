@@ -1,12 +1,13 @@
 import json
 import math
+import struct
 
 import pytest
 
-from flowcurv import (LimitCycle, convergence_study, extract_vicinity, find_limit_cycle,
-                      make_system)
+from flowcurv import (LimitCycle, State, convergence_study, extract_vicinity, find_limit_cycle,
+                      jet, lie_residual, make_system)
 from flowcurv import verify
-from flowcurv.system import Jet
+from flowcurv.energy import relation_rate
 from flowcurv.verify import (CHECK_IDS, N_PROBE, CheckResult, _descent_ys, _slope,
                              _step_interpolant, evaluate_checks, minorsky_report,
                              sample_margins)
@@ -92,13 +93,14 @@ class TestMinorskyReport:
 
 
 class TestEvaluateChecks:
-    def test_zero_and_nan_margins(self, vdp, monkeypatch):
-        # Each sample stands for its own jet.  At the all-zero jet every
-        # margin but LIE_RESIDUAL's (1e-8) is a signed zero, and only
-        # PHI_NONNEG passes at zero; at the all-NaN jet every margin is NaN,
-        # a failure that never becomes the minimum.
-        monkeypatch.setattr(verify, "jet", lambda sys_, s: s)
-        zero, nan = Jet(*[0.0] * len(Jet._fields)), Jet(*[math.nan] * len(Jet._fields))
+    def test_zero_and_nan_margins(self, vdp):
+        # At the origin every margin but LIE_RESIDUAL's (1e-8) is a signed
+        # zero, and only PHI_NONNEG passes at zero; at (nan, nan) every
+        # margin is NaN, a failure that never becomes the minimum.
+        zero, nan = State(0.0, 0.0, 0.0), State(0.0, math.nan, math.nan)
+        assert all(m == 0.0 for cid, m in sample_margins(vdp, zero).items()
+                   if cid != "LIE_RESIDUAL")
+        assert all(math.isnan(m) for m in sample_margins(vdp, nan).values())
         results = evaluate_checks(vdp, (nan, zero))
         assert list(results) == list(CHECK_IDS)
         for cid, r in results.items():
@@ -119,6 +121,61 @@ class TestEvaluateChecks:
             ms = [m[cid] for m in margins]
             passed = sum(m >= 0.0 if cid == "PHI_NONNEG" else m > 0.0 for m in ms)
             assert r == (passed, len(ms) - passed, min(ms)), cid
+
+
+def reference_checks(sys_, samples):
+    """The nine checks by a plain loop over sample_margins, with min's NaN rule."""
+    margins = [sample_margins(sys_, s) for s in samples]
+    out = {}
+    for cid in CHECK_IDS:
+        ms = [m[cid] for m in margins]
+        passed = sum(m >= 0.0 if cid == "PHI_NONNEG" else m > 0.0 for m in ms)
+        out[cid] = (passed, len(ms) - passed, min([math.inf, *ms]))
+    return out
+
+
+def bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+class TestCheckLoopAgainstSampleMargins:
+    """The compiled loop against a plain loop over sample_margins, bit for bit."""
+
+    @pytest.mark.parametrize("eps", [0.1, 0.02, 0.005])
+    @pytest.mark.parametrize("name", ["vdp", "llibre_mereu"])
+    @pytest.mark.parametrize("band, x_min", [(1.0, None), (60.0, -0.5)])
+    def test_cycle_vicinities(self, name, eps, band, x_min):
+        sys_ = system_from_config(name, eps=eps)
+        cycle = find_limit_cycle(sys_, 1.0, 1e-9, integ_tol=1e-9)
+        samples = extract_vicinity(cycle.orbit, sys_, band, x_min=x_min).samples
+        got = evaluate_checks(sys_, samples)
+        for cid, want in reference_checks(sys_, samples).items():
+            assert got[cid][:2] == want[:2], cid
+            assert bits(got[cid].min_margin) == bits(want[2]), cid
+
+    def test_special_samples(self, both_systems):
+        # signed zeros, NaN, inf and subnormal coordinates, alone and mixed
+        # with ordinary samples, and no samples at all
+        odd = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e300, 1.5, -2.0]
+        states = [State(0.0, x, y) for x in odd for y in odd]
+        for sys_ in both_systems:
+            for samples in ((), tuple(states), tuple(states[::-1]), tuple(states[40:45])):
+                got = evaluate_checks(sys_, samples)
+                for cid, want in reference_checks(sys_, samples).items():
+                    assert got[cid][:2] == want[:2], cid
+                    assert bits(got[cid].min_margin) == bits(want[2]), cid
+
+    def test_margins_are_the_table_over_the_jet(self, vdp):
+        # sample_margins reads the one table; lie_residual and relation_rate
+        # are its quantities' texts evaluated on the jet
+        s = State(0.0, 1.9, -0.4)
+        j = jet(vdp, s)
+        m = sample_margins(vdp, s)
+        assert bits(m["EQ56_BOUND"]) == bits(-relation_rate(j))
+        assert bits(m["LIE_RESIDUAL"]) == bits(
+            verify.LIE_RESIDUAL_TOL - abs(lie_residual(vdp.eps, j)) / max(1.0, abs(j.phi_dot)))
+        assert [bits(m[cid]) for cid in ("XDOT_NEG", "PHI_NONNEG", "PHIDOT_POS", "DEDT_NEG")] == [
+            bits(-j.xdot), bits(j.phi), bits(j.phi_dot), bits(-j.dEdt)]
 
 
 def rescan_descent_y_at(sys_, traj, x_probe):
