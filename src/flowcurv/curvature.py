@@ -18,14 +18,14 @@ where f(x) evaluates to 0, the linear limit where g'(x) does.
 
 The solver's steps are one straight body, _BRANCH_TEMPLATE, written
 once and used as written: it assigns the row's values, and each solver
-compiled from it adds only what it does with them.  ``slow_branches``
-is compiled when this module loads; it reads F, f, g and g' from one
-call of the system's compiled evaluator (``sys.values``) and returns a
-NamedTuple row.  The one slow-manifold table, ``format_manifold_csv``,
-is compiled on first use once per zero pattern of F, f, g and g', the
-polynomials it reads (system.compile_writer): one loop over the grid
-with inline Horner code for those four, the body, one overflow test and
-one appended line, without a per-row call, record or second pass.
+built from it adds only what it does with them.  Each is compiled on
+first use once per zero pattern of F, f, g and g', the polynomials it
+reads, with inline Horner code for those four (system.specialized).
+``slow_branches`` is the system's unit that returns the body's values
+at x as a NamedTuple row.  The one slow-manifold table,
+``format_manifold_csv``, is one loop over the grid
+(system.compile_writer) running the body, one overflow test and one
+appended line, without a per-row call, record or second pass.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .poly import compile_factory
-from .system import POLYNOMIALS, Jet, LienardSystem, compile_writer, expression
+from .system import Jet, LienardSystem, compile_writer, expression, specialized
 
 
 # The invariance identity's residual over eps and the jet's fields:
@@ -129,18 +128,25 @@ _BRANCH_ENV = {"sqrt": math.sqrt, "copysign": math.copysign, "inf": math.inf,
                "nan": math.nan}
 
 
-slow_branches = compile_factory([], [
-    "    def slow_branches(sys, x):",
-    "        eps = sys.eps",
-    f"        {', '.join(POLYNOMIALS)} = sys.values(x)",
-    *(f"        {line}" for line in _BRANCH_TEMPLATE.splitlines()),
-    "        return ManifoldBranch(x, u_slow, u_fast, y_slow, fold)",
-    "    return slow_branches"], "slow_branches",
-    {**_BRANCH_ENV, "ManifoldBranch": ManifoldBranch, "__name__": __name__})()
-slow_branches.__doc__ = """The ManifoldBranch of g'(x) u**2 + f(x)g(x) u + eps g(x)**2 = 0 at x.
+# The polynomial values the body reads, then the body: the lines of every
+# solver built from _BRANCH_TEMPLATE but the vicinity scan, which evaluates
+# f, g and g' only where it needs them.
+_BRANCH_LINES = ["F = F(x)", "f = f(x)", "g = g(x)", "gp = gp(x)",
+                 *_BRANCH_TEMPLATE.splitlines()]
 
-    One sys.values call, then _BRANCH_TEMPLATE's steps.
+_branch = specialized(lambda: [
+    "    def slow_branches(x):",
+    *(f"        {line}" for line in _BRANCH_LINES),
+    "        return ManifoldBranch(x, u_slow, u_fast, y_slow, fold)",
+    "    return slow_branches"], "slow branches", {**_BRANCH_ENV, "ManifoldBranch": ManifoldBranch})
+
+
+def slow_branches(sys: LienardSystem, x: float) -> ManifoldBranch:
+    """The ManifoldBranch of g'(x) u**2 + f(x)g(x) u + eps g(x)**2 = 0 at x.
+
+    _BRANCH_TEMPLATE's steps in the system's unit (see system.specialized).
     """
+    return _branch(sys)(x)
 
 
 def _grid_step(x_lo: float, x_hi: float, n: int) -> float:
@@ -176,8 +182,7 @@ _CSV_ROW = [
 
 _manifold_writer = compile_writer(
     "x_lo, step, n", ["for i in range(n):", "    x = x_lo + i * step"],
-    lambda: ["F = F(x)", "f = f(x)", "g = g(x)", "gp = gp(x)", *_BRANCH_TEMPLATE.splitlines(),
-             *_CSV_ROW], MANIFOLD_CSV_HEADER, "manifold csv",
+    lambda: [*_BRANCH_LINES, *_CSV_ROW], MANIFOLD_CSV_HEADER, "manifold csv",
     {**_BRANCH_ENV, "_overflow": _overflow})
 
 

@@ -18,7 +18,7 @@ call once per pass.  Its entry slope and six DP5(4) stages are
 straight-line code, every F and g evaluation a Horner expression without
 its zero terms; the PI controller, the blow-up tests and the column
 appends run in the same frame, so a step calls nothing but sqrt and the
-appends.  Like the evaluator and the CSV writers, it is built by
+appends.  Like the jet and the CSV writers, it is built by
 system.specialized, once per zero pattern of F and g, the polynomials
 it reads.  Every pass steps towards a t_end; a section pass stops
 instead at the first upward x = 0 crossing, located on the crossing
@@ -603,7 +603,7 @@ _trajectory_writer = compile_writer("ts, xs, ys", ["for t, x, y in zip(ts, xs, y
 def format_trajectory_csv(sys: LienardSystem, traj: Trajectory) -> str:
     """CSV export with derivative and diagnostic columns computed per sample.
 
-    The rows are bit for bit those of system.jet_at at each sample,
+    The rows are bit for bit those of system.jet at each sample,
     written by the system's compiled writer (system.compile_writer).
     """
     return _trajectory_writer(sys)(traj.t, traj.x, traj.y)

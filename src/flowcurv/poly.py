@@ -65,20 +65,6 @@ def horner_source(desc: "Sequence[str | None]", x: str) -> str:
     return src
 
 
-def compile_factory(params: Sequence[str], body: Sequence[str], label: str,
-                    env: "dict | None" = None):
-    """Compile ``def factory(*params)`` with the given body lines and return it.
-
-    The body lines are indented one level; ``env`` holds the names the
-    generated code reads besides its parameters.  The label names the code
-    in tracebacks.
-    """
-    src = "\n".join([f"def factory({', '.join(params)}):", *body])
-    namespace = dict(env or {})
-    exec(compile(src, f"<{label}>", "exec"), namespace)
-    return namespace["factory"]
-
-
 class Polynomial:
     """Immutable univariate polynomial with exact rational coefficients.
 
@@ -125,6 +111,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return Polynomial._exact, (list(self.num), self.den)
 
     @property
     def is_zero(self) -> bool:
@@ -301,7 +290,7 @@ def _variations(chain: list[list[int]], x: tuple[int, int]) -> tuple[int, int]:
 
 
 def _interval(lo: float, hi: float) -> tuple[float, float]:
-    lo, hi = float(lo), float(hi)
+    lo, hi = float(lo) + 0.0, float(hi) + 0.0  # a -0.0 end, returned as a root, is +0.0
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("root isolation requires finite lo < hi")
     return lo, hi
@@ -408,30 +397,37 @@ def _float_guess(q: list[int], sb: int, below: float, above: float) -> "float | 
 
 
 def _nearest_root(q: list[int], a: tuple[int, int], b: tuple[int, int], sb: int) -> float:
-    """The float nearest the one root r of q in (a, b), ties to the lower.
+    """The float nearest the one root r of q in (a, b), ties to the lower; +0.0 for zero.
 
     q has sign sb just left of b, so sb on (r, b) and -sb on (a, r): r
     is simple, as q is square-free.  A float guess (_float_guess) is r's
     when r lies above the midpoint between it and the float below and at
     or below the midpoint between it and the float above, two exact signs
-    (a midpoint outside (a, b) is on its side of r already).  A zero guess
-    is never taken, since bisection gives a root at zero its sign.
-    Otherwise bisection keeps r in (a, b], with sign sb on (r, b), until a
-    and b round to one float, which is r's, or to two adjacent floats,
-    where the sign at their midpoint decides.  A midpoint that is r ends
-    the bisection: a moves below r by less than half of any gap between
-    floats, so a rounds to r's nearest float, or to the lower one where r
-    is a tie.
+    (a midpoint outside (a, b) is on its side of r already); otherwise
+    _bisected_root finds r's float.  Either way a zero comes back as +0.0.
     """
     below, above = a[0] / (1 << a[1]), b[0] / (1 << b[1])  # int division rounds correctly
     r = _float_guess(q, sb, below, above) if below != above else None
-    if r and abs(r) < float_info.max:
+    if r is not None and abs(r) < float_info.max:
         point = _dyadic(r)
         low = _midpoint(_dyadic(math.nextafter(r, -math.inf)), point)
         high = _midpoint(point, _dyadic(math.nextafter(r, math.inf)))
         if ((_cmp(low, a) <= 0 or (_cmp(low, b) < 0 and _sign_at(q, low) == -sb))
                 and (_cmp(high, b) >= 0 or (_cmp(high, a) > 0 and _sign_at(q, high) in (0, sb)))):
-            return r
+            return r + 0.0
+    return _bisected_root(q, a, b, sb) + 0.0
+
+
+def _bisected_root(q: list[int], a: tuple[int, int], b: tuple[int, int], sb: int) -> float:
+    """_nearest_root's float by exact bisection alone; a zero may come back as -0.0.
+
+    Bisection keeps r in (a, b], with sign sb on (r, b), until a and b
+    round to one float, which is r's, or to two adjacent floats, where the
+    sign at their midpoint decides.  A midpoint that is r ends the
+    bisection: a moves below r by less than half of any gap between
+    floats, so a rounds to r's nearest float, or to the lower one where r
+    is a tie.
+    """
     while True:
         below, above = a[0] / (1 << a[1]), b[0] / (1 << b[1])  # int division rounds correctly
         if below == above:
@@ -458,7 +454,7 @@ def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
 
     The roots are isolated exactly, so the list has one entry per distinct
     root, whatever its multiplicity or its distance to the next one.  Each
-    entry is the float nearest its root (ties to the lower).
+    entry is the float nearest its root (ties to the lower), a zero +0.0.
 
     Raises:
         ValueError: for the zero polynomial, or if lo < hi fails or either

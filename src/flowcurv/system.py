@@ -6,32 +6,31 @@ The model is the planar two-timescale system
 
 with polynomial F and g.  A system holds eps, F, g and G (an
 antiderivative of g).  When it is built it derives f = F', f', g' and
-g'' once.  One evaluator of all seven, bound on first use:
-``sys.values(x)`` returns (F, f, f', g, g', g'', G) at x, bit-identical
-to ``Polynomial.__call__``.
+g'' once.
 
 Generated code writes a polynomial's value at v as the call P(v), and
 ``specialized`` alone turns such code into a system's: it expands each
-call into Horner code without zero terms, compiles the code on first use
-once per zero pattern of the polynomials it calls, and binds it to the
-system's coefficients.  The evaluator, the march kernel and the
-vicinity scan in ``dynamics``, the checks' loop in ``verify`` and both
-CSV writers are built this way.
+call into Horner code without zero terms, bit-identical to
+``Polynomial.__call__``, compiles the code on first use once per zero
+pattern of the polynomials it calls, and binds it to the system's
+coefficients once per system.  The jet, the slow branch in
+``curvature``, the march kernel and the vicinity scan in ``dynamics``,
+the checks' loop in ``verify`` and both CSV writers are built this way,
+so importing the package compiles no code.
 
 The jet's derived quantities (velocity, acceleration, third
 derivatives, curvature, energy, H and their rates) are one ordered table
 of expressions, JET_FORMULAS, each written once.  Code is generated from
-it, never written beside it: ``jet_at``, the one point evaluator, is
-compiled from the whole table when this module loads and calls
-``values`` once at a point (x, y); every closed form downstream (the
-paper's identities, the sign checks) is a field of the jet or an
+it, never written beside it: ``jet``, the one point evaluator, is the
+system's unit built from the whole table; every closed form downstream
+(the paper's identities, the sign checks) is a field of the jet or an
 expression in its fields, and ``energy.H_polynomial`` evaluates the
-table's H on the exact polynomials.  ``jet`` reads a ``State``.  ``jet_code``
-picks the lines a subset of the fields needs, of this table or of one
-that extends it (the checks' margins in ``verify``), and
-``compile_writer`` builds a CSV writer around them, such as the one in
-``dynamics``.  ``expression`` compiles a formula's text once for the
-per-point functions that evaluate it on a jet.
+table's H on the exact polynomials.  ``jet_code`` picks the lines a
+subset of the fields needs, of this table or of one that extends it (the
+checks' margins in ``verify``), and ``compile_writer`` builds a CSV
+writer around them, such as the one in ``dynamics``.  ``expression``
+compiles a formula's text once for the per-point functions that evaluate
+it on a jet.
 
 Every record in the package is a ``typing.NamedTuple``: immutable, with
 its fields in a fixed order, compared and printed by them.
@@ -46,8 +45,8 @@ from collections.abc import Iterable
 from sys import float_info
 from typing import NamedTuple
 
-from .poly import (Polynomial, coefficient_names, compile_factory, extreme_values,
-                   horner_source, real_roots, signs_on)
+from .poly import (Polynomial, coefficient_names, extreme_values, horner_source, real_roots,
+                   signs_on)
 
 
 class State(NamedTuple):
@@ -58,8 +57,8 @@ class State(NamedTuple):
     y: float
 
 
-# The seven polynomials of a system, in the order values(x) returns them and
-# the jet holds them; the jet and CSV rows name each one's value at x this way.
+# The seven polynomials of a system, in the order the jet holds them; the jet
+# and CSV rows name each one's value at x this way.
 POLYNOMIALS = ("F", "f", "fp", "g", "gp", "gpp", "G")
 
 # A call P(v), P one of POLYNOMIALS and v a name; re compiles it on first use.
@@ -72,14 +71,16 @@ _OPERATORS = str.maketrans("()+-*/%<>=!,.", " " * 13)
 def specialized(make_lines, label: str, env: "dict | None" = None):
     """bind(sys): the function that make_lines() builds, for sys.
 
-    make_lines() returns the body of a factory (poly.compile_factory)
-    returning the function, in which P(v) is P's value at v (see _CALL).
-    On first use one re.split cuts the body at its calls; each compile
-    joins the pieces with poly.horner_source over P's nonzero
-    coefficients, which, with eps, become the factory's parameters, so
-    every value is bit-identical to Polynomial.__call__.  The body
-    compiles once per zero pattern (which coefficients are nonzero) of the
-    polynomials it calls; bind.cache_info counts compiles.
+    make_lines() returns the body, indented one level, of a factory
+    returning the function, in which P(v) is P's value at v (see _CALL);
+    env holds the other names the code reads.  On first use one re.split
+    cuts the body at its calls; each compile joins the pieces with
+    poly.horner_source over P's nonzero coefficients, which, with eps,
+    become the factory's parameters, so every value is bit-identical to
+    Polynomial.__call__.  The body compiles once per zero pattern (which
+    coefficients are nonzero) of the polynomials it calls, under the label
+    in tracebacks; bind.cache_info counts compiles.  The bound function is
+    kept in the system, keyed by bind, so each unit binds once per system.
     """
     @functools.cache
     def source() -> "tuple[list[str], list[str]]":
@@ -91,25 +92,25 @@ def specialized(make_lines, label: str, env: "dict | None" = None):
     def factory(patterns: "tuple[tuple[bool, ...], ...]"):
         parts, called = source()
         names = {p: coefficient_names(pattern, p) for p, pattern in zip(called, patterns)}
-        return compile_factory(
-            [c for cs in names.values() for c in cs if c] + ["eps"],
-            [parts[0] + "".join(horner_source(names[p], v) + code for p, v, code
-                                in zip(parts[1::3], parts[2::3], parts[3::3]))],
-            f"{label} {'-'.join(str(len(pattern)) for pattern in patterns)}", env)
+        params = [c for cs in names.values() for c in cs if c] + ["eps"]
+        body = parts[0] + "".join(horner_source(names[p], v) + code for p, v, code
+                                  in zip(parts[1::3], parts[2::3], parts[3::3]))
+        namespace = dict(env or {})
+        exec(compile(f"def factory({', '.join(params)}):\n{body}",
+                     f"<{label} {'-'.join(str(len(pattern)) for pattern in patterns)}>",
+                     "exec"), namespace)
+        return namespace["factory"]
 
     def bind(sys: "LienardSystem"):
-        descs = [getattr(sys, p).desc for p in source()[1]]
-        return factory(tuple(tuple(map(bool, d)) for d in descs))(
-            *(c for d in descs for c in d if c), sys.eps)
+        bound = sys._bound.get(bind)
+        if bound is None:
+            descs = [getattr(sys, p).desc for p in source()[1]]
+            bound = sys._bound[bind] = factory(tuple(tuple(map(bool, d)) for d in descs))(
+                *(c for d in descs for c in d if c), sys.eps)
+        return bound
 
     bind.cache_info = factory.cache_info
     return bind
-
-
-_evaluator = specialized(lambda: [
-    "    def values(x):",
-    f"        return {', '.join(f'{p}(x)' for p in POLYNOMIALS)}",
-    "    return values"], "evaluator")
 
 
 def compile_writer(signature: str, loop: "list[str]", row, header: str, label: str,
@@ -153,19 +154,19 @@ class LienardSystem(_LienardFields):
     float) and G' = g.  The integration constant of G is free here
     (make_system pins G(0) = 0); constructing with a shifted G is how
     quadratic-potential families with nonzero offset are modelled.
-    Construction then derives f = F', fp = f', gp = g' and gpp = g'' once;
-    ``values``, the compiled evaluator of the seven polynomials (see
-    specialized), is bound on first use, so a run that never evaluates
-    them at a point (verify, classify) compiles no evaluator.  These five
-    are attributes, not fields, so equality and repr see only the four
-    fields.  Instances are immutable, and ``_replace`` builds through the
-    same validation.
+    Construction then derives f = F', fp = f', gp = g' and gpp = g'' once,
+    and starts ``_bound``, the system's generated units by their binder
+    (see specialized), empty.  These are attributes, not fields, so
+    equality and repr see only the four fields.  Instances are immutable;
+    ``_replace``, pickle and copy build through the same validation, so
+    the attributes are derived and bound afresh.
     """
 
     f: Polynomial
     fp: Polynomial
     gp: Polynomial
     gpp: Polynomial
+    _bound: dict
 
     def __new__(cls, eps, F, g, G):
         if not (isinstance(eps, (int, float)) and eps > 0):
@@ -176,18 +177,16 @@ class LienardSystem(_LienardFields):
             raise ValueError("G must be an antiderivative of g")
         self = super().__new__(cls, float(eps), F, g, G)
         f, gp = F.derivative(), g.derivative()
-        vars(self).update(f=f, fp=f.derivative(), gp=gp, gpp=gp.derivative())
+        vars(self).update(f=f, fp=f.derivative(), gp=gp, gpp=gp.derivative(), _bound={})
         return self
-
-    @functools.cached_property
-    def values(self):
-        """The compiled evaluator of the seven polynomials, bound on first use."""
-        return _evaluator(self)
 
     @classmethod
     def _make(cls, iterable):
         """Build through __new__, so ``_replace`` validates again and binds afresh."""
         return cls(*iterable)
+
+    def __reduce__(self):
+        return LienardSystem, tuple(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LienardSystem is immutable: cannot assign {name!r}")
@@ -271,19 +270,16 @@ def jet_code(fields: "Iterable[str]", formulas=JET_FORMULAS) -> "list[str]":
     return [f"{p} = {p}(x)" for p in POLYNOMIALS if p in need] + lines[::-1]
 
 
-def jet(sys: LienardSystem, s: State) -> Jet:
-    """The jet at state s (see jet_at)."""
-    return jet_at(sys, s.x, s.y)
-
-
-jet_at = compile_factory([], [
-    "    def jet_at(sys, x, y):",
-    "        eps = sys.eps",
-    f"        {', '.join(POLYNOMIALS)} = sys.values(x)",
-    *(f"        {name} = {expr}" for name, expr in JET_FORMULAS),
+_jet = specialized(lambda: [
+    "    def jet(x, y):",
+    *(f"        {line}" for line in jet_code(Jet._fields)),
     f"        return Jet({', '.join(Jet._fields)})",
-    "    return jet_at"], "jet_at", {"Jet": Jet, "__name__": __name__})()
-jet_at.__doc__ = """The jet at (x, y): one sys.values call, then JET_FORMULAS in order."""
+    "    return jet"], "jet", {"Jet": Jet})
+
+
+def jet(sys: LienardSystem, s: State) -> Jet:
+    """The jet at state s: the system's unit of JET_FORMULAS in order (see specialized)."""
+    return _jet(sys)(s.x, s.y)
 
 
 class AssumptionCheck(NamedTuple):

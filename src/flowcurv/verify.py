@@ -206,16 +206,14 @@ def _step_interpolant(sys: LienardSystem, t0, x0, y0, t1, x1, y1):
     """y as a function of x on the cubic Hermite interpolant of one step.
 
     x and y are cubics in s = (t - t0)/(t1 - t0), fixed by the step's end
-    values and the field's slopes there (one sys.values call per end).  A
+    values and the field's slopes there, from F and g at each end.  A
     probe abscissa is found by Newton's method on x(s) from the chord
     point; the interpolant's error is O(h**4), where the chord's is O(h**2).
     """
     h, eps = t1 - t0, sys.eps
-    F0, _, _, g0, _, _, _ = sys.values(x0)
-    F1, _, _, g1, _, _, _ = sys.values(x1)
     # h times the slopes dx/dt and dy/dt at each end
-    ax0, ay0 = h * (y0 - F0) / eps, -h * g0
-    ax1, ay1 = h * (y1 - F1) / eps, -h * g1
+    ax0, ay0 = h * (y0 - sys.F(x0)) / eps, -h * sys.g(x0)
+    ax1, ay1 = h * (y1 - sys.F(x1)) / eps, -h * sys.g(x1)
     dx, dy = x1 - x0, y1 - y0
 
     def y_at(px: float) -> float:
@@ -306,7 +304,7 @@ def convergence_study(
                     f"probe window probe_lo={lo}, probe_hi={hi} is not inside the "
                     f"orbit's descent, x in [{d_lo:.6g}, {d_hi:.6g}], at eps={eps}")
             worst = max(worst, abs(y_traj - br.y_slow))
-            worst_crit = max(worst_crit, abs(y_traj - sys_e.values(br.x)[0]))
+            worst_crit = max(worst_crit, abs(y_traj - sys_e.F(br.x)))
         dists.append(worst)
         dists_crit.append(worst_crit)
 

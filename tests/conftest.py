@@ -131,7 +131,7 @@ def both_systems(vdp, llibre_mereu):
 
 def traced_peak(fn, *args):
     """fn(*args) and the peak of the memory it allocated, in bytes (tracemalloc)."""
-    fn(*args)  # warm-up: a compiled evaluator is cached, not counted
+    fn(*args)  # warm-up: a compiled unit is cached, not counted
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -505,25 +505,37 @@ def test_import_loads_no_numpy():
 
 
 def test_cold_verify_compiles_one_kernel_one_scan_and_one_check_loop():
-    # Each generated function costs an exec compile on every CLI start: a
-    # fresh verify compiles the march kernel, the vicinity scan and the
-    # checks' loop once each, and classify compiles none of them again.
-    # Neither compiles the evaluator, which verify and classify never call,
-    # or a CSV writer: each is compiled on first use.
+    # Each generated function costs an exec compile on every CLI start:
+    # importing the package compiles none, a fresh verify compiles the march
+    # kernel, the vicinity scan and the checks' loop once each, and classify
+    # compiles none of them again.  Neither compiles the jet, the slow
+    # branch or a CSV writer, which verify and classify never call: each is
+    # compiled on first use.  Every compile of a generated unit passes
+    # builtins.compile a label ending in its zero pattern, "<name 6-4>".
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    code = ("import contextlib, io\n"
+    code = ("import builtins, contextlib, io, re\n"
+            "units = []\n"
+            "plain = builtins.compile\n"
+            "def counted(source, filename, *args, **kwargs):\n"
+            "    if re.fullmatch(r'<[\\w ]+ \\d+(-\\d+)*>', str(filename)):\n"
+            "        units.append(filename.split()[0])\n"
+            "    return plain(source, filename, *args, **kwargs)\n"
+            "builtins.compile = counted\n"
             "from flowcurv import cli, curvature, dynamics, system, verify\n"
-            "units = (dynamics._kernel, dynamics._scan, verify._tally, system._evaluator,\n"
-            "         dynamics._trajectory_writer, curvature._manifold_writer)\n"
+            "binders = (dynamics._kernel, dynamics._scan, verify._tally, system._jet,\n"
+            "           curvature._branch, dynamics._trajectory_writer, curvature._manifold_writer)\n"
+            "at_import = [b.cache_info().misses for b in binders] + [len(units)]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = cli.main(['verify', '--config', 'configs/llibre_mereu.json'])\n"
-            "    after_verify = [u.cache_info().misses for u in units]\n"
+            "    after_verify = [b.cache_info().misses for b in binders]\n"
             "    rc_classify = cli.main(['classify', '--config', 'configs/llibre_mereu.json'])\n"
-            "print(rc, rc_classify, *after_verify, *(u.cache_info().misses for u in units))")
+            "print(rc, rc_classify, *at_import, *after_verify,\n"
+            "      *(b.cache_info().misses for b in binders), *units)")
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=REPO, capture_output=True,
                          text=True, check=True).stdout
     # verify exits 1 here: the settling layer fails PHIDOT_POS (see 05a)
-    assert out.split() == ["1", "0", *"111000", *"111000"]
+    assert out.split() == ["1", "0", *"00000000", *"1110000", *"1110000",
+                           "<dp5", "<vicinity", "<nine"]
 
 
 HELP = {

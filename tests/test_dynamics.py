@@ -552,9 +552,9 @@ odd_coeffs = st.lists(st.one_of(st.just(0.0), st.floats(min_value=-10, max_value
 def test_generated_horner_of_odd_polynomials_is_bitwise_odd(F, g, x):
     # The half pass rests on this: round-to-nearest is sign-symmetric, so the
     # Horner code of an odd F and g, which the march kernel shares with the
-    # evaluator, gives the negated value at -x bit for bit.
-    values = make_system(F, g, 0.1).values
-    at_x, at_minus_x = values(x), values(-x)
+    # jet, gives the negated value at -x bit for bit.
+    sys_ = make_system(F, g, 0.1)
+    at_x, at_minus_x = jet(sys_, State(0.0, x, 0.0)), jet(sys_, State(0.0, -x, 0.0))
     for i in (0, 3):  # F and g
         if at_x[i] != 0.0:
             assert at_minus_x[i].hex() == (-at_x[i]).hex()
@@ -935,7 +935,7 @@ class TestExtractVicinity:
 def reference_vicinity(traj, sys_, c, x_min):
     """extract_vicinity for a resolved x_min by a per-sample offset loop.
 
-    Each sample's distance comes from the evaluator and slow_branches; a
+    Each sample's distance comes from Polynomial.__call__ and slow_branches; a
     sample outside the descending window breaks the run whatever the band.
     """
     band = c * sys_.eps
@@ -944,7 +944,7 @@ def reference_vicinity(traj, sys_, c, x_min):
         """|y - y_ref(x)| in the descending window, None outside it."""
         if x < x_min:
             return None
-        Fx = sys_.values(x)[0]
+        Fx = sys_.F(x)
         if (y - Fx) / sys_.eps >= 0.0:
             return None
         y_slow = slow_branches(sys_, x).y_slow

@@ -1,5 +1,6 @@
-"""The derivative jet against a symbolic oracle, the compiled evaluator it
-reads against Polynomial.__call__, and the work both do per point."""
+"""The derivative jet against a symbolic oracle, its polynomial values and
+the generated writers against Polynomial.__call__, and the work they do per
+point."""
 
 import math
 from array import array
@@ -9,12 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowcurv import State, integrate, jet, make_system
+from flowcurv import State, curvature, integrate, jet, make_system
 from flowcurv.curvature import MANIFOLD_CSV_HEADER, format_manifold_csv, slow_branches
 from flowcurv.dynamics import (TRAJECTORY_CSV_HEADER, Trajectory, extract_vicinity,
                                format_trajectory_csv)
-from flowcurv.system import jet_at
 from flowcurv.poly import Polynomial
+from flowcurv.system import _jet
 from flowcurv.verify import sample_margins
 
 from conftest import load_config, sweep_states, system_from_config
@@ -92,55 +93,55 @@ def count_evaluations(monkeypatch):
     return calls
 
 
-def count_evaluator_calls(sys_):
-    """Wrap sys_.values (a fresh system: the wrapper is never removed)."""
+def count_unit_calls(sys_, unit):
+    """Wrap the unit bound in sys_ (a fresh system: the wrapper is never removed)."""
     calls = []
-    plain = sys_.values
+    plain = unit(sys_)
 
-    def counted(x):
-        calls.append(x)
-        return plain(x)
+    def counted(*args):
+        calls.append(args)
+        return plain(*args)
 
-    object.__setattr__(sys_, "values", counted)
+    sys_._bound[unit] = counted
     return calls
 
 
-# The seven polynomials are evaluated by one compiled evaluator call per
-# point; Polynomial.__call__ is not reached at all.
+# The seven polynomials are evaluated inline by one call of the system's jet
+# unit per point; Polynomial.__call__ is not reached at all.
 def test_check_sample_evaluates_seven_polynomials(monkeypatch):
     sys_ = system_from_config("llibre_mereu")
     calls = count_evaluations(monkeypatch)
-    values_calls = count_evaluator_calls(sys_)
+    jet_calls = count_unit_calls(sys_, _jet)
     sample_margins(sys_, State(0.0, 1.5, -0.2))
     assert len(calls) == 0
-    assert values_calls == [1.5]
+    assert jet_calls == [(1.5, -0.2)]
 
 
 # The CSV writers compile the Horner code of the polynomials their rows read
-# into their loops: neither calls Polynomial.__call__ or the evaluator.
+# into their loops: neither calls Polynomial.__call__.
 def test_csv_row_evaluates_seven_polynomials(monkeypatch):
     sys_ = system_from_config("llibre_mereu")
     samples = tuple(State(0.1 * i, 1.5 - 0.01 * i, -0.2) for i in range(10))
     traj = Trajectory._of_arrays(*(array("d", col) for col in zip(*samples)), 9, 0, 1e-9)
     calls = count_evaluations(monkeypatch)
-    values_calls = count_evaluator_calls(sys_)
     text = format_trajectory_csv(sys_, traj)
     assert len(text.strip().split("\n")) == 11
     text = format_manifold_csv(sys_, -2.0, 2.0, 41)
     assert len(text.strip().split("\n")) == 42
     assert len(calls) == 0
-    assert values_calls == []
 
 
+# A row is one call of the system's slow-branch unit, which evaluates F, f,
+# g and g' inline.
 def test_branch_table_row_is_one_evaluator_call(monkeypatch):
     sys_ = system_from_config("vdp")
     calls = count_evaluations(monkeypatch)
-    values_calls = count_evaluator_calls(sys_)
+    branch_calls = count_unit_calls(sys_, curvature._branch)
     xs = [-2.0 + 0.1 * i for i in range(41)]
     for x in xs:
         slow_branches(sys_, x)
     assert len(calls) == 0
-    assert values_calls == xs
+    assert branch_calls == [(x,) for x in xs]
 
 
 def test_vicinity_evaluates_no_polynomial(monkeypatch):
@@ -151,7 +152,7 @@ def test_vicinity_evaluates_no_polynomial(monkeypatch):
     assert len(calls) == 0
 
 
-# --- the compiled evaluator against Polynomial.__call__ ---------------------
+# --- the jet's polynomial values against Polynomial.__call__ ---------------
 
 EVAL_XS = (-1e30, -1234.5, -2.0, -0.7, -1e-300, -0.0, 0.0, 1e-300, 0.3, 1.0,
            1.7320508075688774, 5.5, 987.25, 1e30)
@@ -178,7 +179,7 @@ def test_evaluator_is_bitwise_polynomial_call(name):
     if name == "shifted_G":
         assert sys_.G(0.0) == 2.5
     for x in EVAL_XS + tuple(s.x for s in sweep_states(40, -40.0, 40.0)):
-        got = sys_.values(x)
+        got = jet(sys_, State(0.0, x, 0.5))[:7]
         want = tuple(p(x) for p in polys)
         assert all(math.isfinite(v) for v in want), (name, x)
         assert [v.hex() for v in got] == [v.hex() for v in want], (name, x)
@@ -188,10 +189,10 @@ def test_evaluator_code_is_shared_by_zero_pattern():
     a = make_system([0.0, -1.0, 0.0, 1 / 3], [0.0, 1.0], 0.05)
     b = make_system([0.0, -2.0, 0.0, 0.25], [0.0, 3.0], 0.01)
     c = make_system([1.0, -2.0, 0.5, 0.25], [0.0, 3.0], 0.01)  # same counts, other zeros
-    assert a.values is not b.values
-    assert a.values.__code__ is b.values.__code__
-    assert c.values.__code__ is not a.values.__code__
-    assert a.values(2.0) != b.values(2.0)
+    assert _jet(a) is not _jet(b)
+    assert _jet(a).__code__ is _jet(b).__code__
+    assert _jet(c).__code__ is not _jet(a).__code__
+    assert _jet(a)(2.0, 0.5) != _jet(b)(2.0, 0.5)
 
 
 # --- the CSV writers against a reference from Polynomial.__call__ -----------
@@ -290,11 +291,11 @@ def trajectory_of(ts, xs, ys):
     return Trajectory._of_arrays(array("d", ts), array("d", xs), array("d", ys), 0, 0, 1e-9)
 
 
-def jet_at_csv(sys_, traj):
-    """The trajectory CSV from one jet_at call per sample."""
+def jet_csv(sys_, traj):
+    """The trajectory CSV from one jet call per sample."""
     lines = [TRAJECTORY_CSV_HEADER]
     for t, x, y in zip(traj.t, traj.x, traj.y):
-        j = jet_at(sys_, x, y)
+        j = jet(sys_, State(t, x, y))
         lines.append(",".join(map(repr, (t, x, y, j.xdot, j.ydot, j.phi, j.E, j.dEdt))))
     return "\n".join(lines) + "\n"
 
@@ -420,6 +421,6 @@ def writer_example(f):
 def test_compiled_writers_match_the_per_point_path(sys_args, grid, samples):
     sys_ = make_system(*sys_args)
     traj = trajectory_of(*zip(*samples))
-    assert first_difference(format_trajectory_csv(sys_, traj), jet_at_csv(sys_, traj)) is None
+    assert first_difference(format_trajectory_csv(sys_, traj), jet_csv(sys_, traj)) is None
     got, want = outcome(format_manifold_csv, sys_, *grid), outcome(slow_branches_csv, sys_, *grid)
     assert first_difference(got, want) is None

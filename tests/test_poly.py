@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcurv import poly
-from flowcurv.poly import (Polynomial, coefficient_names, compile_factory, horner_source,
-                           real_roots, signs_on)
+from flowcurv.poly import Polynomial, coefficient_names, horner_source, real_roots, signs_on
 
 F_VDP = Polynomial([0, -1, 0, 1 / 3])
 F_LM = Polynomial([0, -1, 0, 1 / 3, 0, 1 / 5])
@@ -64,9 +63,8 @@ class TestHornerSource:
         p = Polynomial(coeffs)
         names = coefficient_names(tuple(map(bool, p.desc)), "c")
         assert names.count(None) == p.desc.count(0.0)
-        at = compile_factory([c for c in names if c],
-                             [f"    return lambda x: {horner_source(names, 'x')}"],
-                             "horner test")(*filter(None, p.desc))
+        at = eval(f"lambda x: {horner_source(names, 'x')}",
+                  {name: c for name, c in zip(names, p.desc) if name})
         assert at(x).hex() == p(x).hex()
 
 
@@ -287,19 +285,20 @@ class TestExactDecisions:
 def bisected_root(q, a, b, sb):
     """The float nearest the root of q in (a, b), ties to the lower, by bisection alone.
 
-    The exact bisection _nearest_root falls back to, kept here as its reference.
+    The exact bisection _nearest_root falls back to, kept here as its
+    reference; a zero is +0.0, as _nearest_root gives it on either path.
     """
     while True:
         below, above = a[0] / (1 << a[1]), b[0] / (1 << b[1])
         if below == above:
-            return below
+            return below + 0.0
         if above == math.nextafter(below, math.inf):
             mid = poly._midpoint(poly._dyadic(below), poly._dyadic(above))
             if poly._cmp(mid, a) <= 0:
-                return above
+                return above + 0.0
             if poly._cmp(mid, b) >= 0:
-                return below
-            return below if poly._sign_at(q, mid) in (0, sb) else above
+                return below + 0.0
+            return (below if poly._sign_at(q, mid) in (0, sb) else above) + 0.0
         m = poly._midpoint(a, b)
         s = poly._sign_at(q, m)
         if s == 0:
@@ -376,13 +375,13 @@ class TestNearestRootAgainstBisection:
             want = bisected_root(q, a, b, sb)
             got = poly._nearest_root(q, a, b, sb)
             assert got.hex() == want.hex(), (q, a, b)
-            if guesses and guesses[-1] is not None and guesses[-1].hex() == got.hex() and got:
+            if guesses and guesses[-1] is not None and guesses[-1].hex() == got.hex():
                 taken += 1
             else:
                 fallen_back += 1
             guesses.clear()
         # both paths run: guesses that are certified, and ones that fail
-        # (no float Newton near float max, a root at zero, ties)
+        # (no float Newton near float max, ties)
         assert taken >= 10 and fallen_back >= 5, (taken, fallen_back)
 
     def test_wrong_guesses_are_refused(self, monkeypatch):
@@ -405,6 +404,22 @@ class TestNearestRootAgainstBisection:
         with_guess = found()
         monkeypatch.setattr(poly, "_float_guess", lambda *args: None)
         assert found() == with_guess
+
+    @pytest.mark.parametrize("guess", ["float", "none"])
+    def test_a_root_at_zero_is_positive_zero_in_every_window(self, monkeypatch, guess):
+        # whether a bisection midpoint hits 0 or the ends close in on it, and
+        # whether the guess or the bisection finds it, a zero is +0.0; so is
+        # a window's end that is a root, -0.0 included
+        if guess == "none":
+            monkeypatch.setattr(poly, "_float_guess", lambda *args: None)
+        his = [10.0, 3.0, 1.0, 0.7, 1e-300, 5e-324]
+        windows = ([(-lo, hi) for lo in his for hi in his]
+                   + [(-0.0, 1.0), (0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0)])
+        for p in (Polynomial([0.0, 2.0]), Polynomial([0.0, -1.0, 0.0, 1.0]), F_LM,
+                  Polynomial([0.0, 0.0, 0.0, 1.0])):
+            for lo, hi in windows:
+                zeros = [r for r in real_roots(p, lo, hi) if r == 0.0]
+                assert [r.hex() for r in zeros] == ["0x0.0p+0"], (p, lo, hi)
 
 
 class TestSerialization:

@@ -1,13 +1,17 @@
 """The package's records: immutable NamedTuples with pinned fields."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
 import flowcurv
-from flowcurv import (State, check_assumptions, classify_case, extract_vicinity,
-                      find_limit_cycle, integrate, minorsky_report)
+from flowcurv import (LienardSystem, Polynomial, State, check_assumptions, classify_case,
+                      extract_vicinity, find_limit_cycle, integrate, jet, make_system,
+                      minorsky_report)
 from flowcurv.cli import ConfigError, RunConfig
+from flowcurv.system import _jet
 from flowcurv.verify import ConvergenceStudy
 
 from conftest import load_config
@@ -75,17 +79,38 @@ def test_public_api_is_pinned():
 
 
 def test_system_evaluator_is_read_only_and_replace_revalidates(vdp):
-    for name in ("values", "f", "fp", "gp", "gpp"):
+    for name in ("f", "fp", "gp", "gpp", "_bound"):
         with pytest.raises(AttributeError):
             setattr(vdp, name, getattr(vdp, name))
         with pytest.raises(AttributeError):
             delattr(vdp, name)
+    s = State(0.0, 2.0, 0.5)
     faster = vdp._replace(eps=0.1)
     assert faster.eps == 0.1 and faster.F == vdp.F
-    assert faster.values is not vdp.values
-    assert faster.values(2.0) == vdp.values(2.0)
+    # a unit binds once per system, and afresh for the new eps
+    assert _jet(vdp) is _jet(vdp)
+    assert _jet(faster) is not _jet(vdp)
+    assert jet(faster, s)[:7] == jet(vdp, s)[:7] and jet(faster, s) != jet(vdp, s)
     with pytest.raises(ValueError, match="eps must be positive"):
         vdp._replace(eps=0.0)
+
+
+@pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy,
+                                   copy.copy], ids=["pickle", "deepcopy", "copy"])
+def test_system_and_polynomial_round_trip(clone):
+    # the copy is rebuilt through __new__: derived polynomials and bound
+    # units are made afresh, not copied
+    sys_ = make_system([0.0, -1.0, 0.0, 1 / 3], [0.0, 1.0, 0.0, 1 / 3], 0.05)
+    s = State(0.0, 1.5, -0.2)
+    before = jet(sys_, s)
+    assert _jet in sys_._bound
+    again = clone(sys_)
+    assert again == sys_ and type(again) is LienardSystem
+    assert again.f == sys_.f and again.gpp == sys_.gpp
+    assert again._bound is not sys_._bound
+    assert [v.hex() for v in jet(again, s)] == [v.hex() for v in before]
+    G = Polynomial._exact([0, 0, 3, 0, 1], 6)  # coefficients no float holds
+    assert clone(G) == G and clone(G).coeffs == G.coeffs
 
 
 class TestRunConfig:

@@ -277,7 +277,7 @@ class TestConvergenceStudy:
         base = system_from_config(name)
         lo, hi = window
         probes = [lo + (hi - lo) * i / (N_PROBE - 1) for i in range(N_PROBE)]
-        limit = max(abs(g * g * fp / f**4) for _, f, fp, g, *_ in map(base.values, probes))
+        limit = max(abs(base.g(x) ** 2 * base.fp(x) / base.f(x) ** 4) for x in probes)
         study = convergence_study(base, [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001], window)
         ratios = [d / e**2 for d, e in zip(study.distances, study.eps_values)]
         assert all(b > a for a, b in zip(ratios[:-1], ratios[1:]))
