@@ -1,11 +1,11 @@
-"""The curvature function's invariance identity, and the slow branch.
+"""The slow branch of the curvature function's zero set.
 
 The curvature function phi is det(acceleration, velocity) along the
 flow; its zero set is a first-order (in eps) approximation of the slow
 invariant manifold.  For the Lienard field it collapses to closed
-polynomial forms: phi and its rate are fields of ``system.jet``, and
-``lie_residual`` checks the invariance identity on a jet.  Setting phi
-to zero at fixed x gives a quadratic in u = y - F(x):
+polynomial forms: phi, its rate and the residual of the zero set's
+invariance identity are fields of ``system.jet``.  Setting phi to zero
+at fixed x gives a quadratic in u = y - F(x):
 
     g'(x) u**2 + f(x) g(x) u + eps g(x)**2 = 0.
 
@@ -33,25 +33,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .system import Jet, LienardSystem, compile_writer, expression, specialized
-
-
-# The invariance identity's residual over eps and the jet's fields:
-# dphi/dt - (trace(J)*phi + det((dJ/dt) Xdot, Xdot)), with trace(J) = -f/eps
-# and (dJ/dt) Xdot = ((-f'*xdot/eps)*xdot, (-g''*xdot)*xdot).  The nine
-# checks' loop (verify) reads this text too.
-LIE_RESIDUAL = ("phi_dot - ((-f / eps) * phi"
-                " + ((-fp * xdot / eps) * xdot * ydot - (-gpp * xdot) * xdot * xdot))")
-
-
-def lie_residual(eps: float, j: Jet) -> float:
-    """Residual of dphi/dt = trace(J)*phi + det((dJ/dt) Xdot, Xdot) at a jet (LIE_RESIDUAL).
-
-    This is the invariance (cofactor) identity of the curvature zero set;
-    it holds algebraically, so the residual is floating-point noise:
-    |residual| <= 1e-9 * max(1, |dphi/dt|) at every finite state.
-    """
-    return eval(expression(LIE_RESIDUAL), {"eps": eps}, j._asdict())
+from .system import LienardSystem, compile_writer, specialized
 
 
 class ManifoldBranch(NamedTuple):

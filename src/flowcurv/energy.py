@@ -1,4 +1,4 @@
-"""Energy balance, the case function H, and curvature-energy residuals.
+"""Energy balance and the case function H.
 
 The energy along the flow is E = eps*xdot**2/2 + G(x) (kinetic plus
 potential) and decays at the closed-form rate dE/dt = -f(x)*xdot**2.
@@ -7,8 +7,10 @@ The sign of H = G'**2 - 2*G*G'' splits systems into a sub-linear-g case
 g(x) >= C1*(x + C2)); H vanishes identically exactly for quadratic
 potentials G = (C1/2)(x + C2)**2.
 
-The identity residuals take the system's eps and a jet (system.jet) and
-evaluate both sides in closed form, so their contracts are at the 1e-9
+The energy, its rate, H, its rate and the curvature-energy identities
+(the relation eps*phi = 2*g'*E + H - f*xdot*ydot, its rate and the
+y-form energy law) are rows of system.JET_FORMULAS: a residual is a field
+of the jet, evaluated in closed form, so its contract is at the 1e-9
 relative level rather than being limited by finite differencing.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 from typing import Literal, NamedTuple
 
 from .poly import Polynomial, extreme_values, signs_on
-from .system import JET_FORMULAS, Jet, LienardSystem, State, expression, jet
+from .system import JET_FORMULAS, LienardSystem, State, expression, jet
 
 CaseLabel = Literal["CASE1_H_NONNEG", "CASE2_H_NONPOS", "MIXED"]
 SignLabel = Literal["NONNEG", "NONPOS", "MIXED"]
@@ -80,47 +82,6 @@ def classify_case(sys: LienardSystem, x_max: float = 10.0) -> CaseClassification
         Gppp_sign=g3_sign,
         c1_witness=_c1_witness(sys, x_max, label),
     )
-
-
-def curvature_energy_residual(eps: float, j: Jet) -> float:
-    """Residual of eps*phi = 2*g'(x)*E + H(x) - f(x)*xdot*ydot at a jet.
-
-    Exact identity; contract |residual| <= 1e-9 * max(1, |eps*phi|).
-    """
-    return eps * j.phi - (2.0 * j.gp * j.E + j.H - j.f * j.xdot * j.ydot)
-
-
-# d/dt(2*g'(x)*E + H) over the jet's fields; the nine checks' loop
-# (verify) reads this text too.
-RELATION_RATE = "2.0 * gpp * xdot * E + 2.0 * gp * dEdt + dHdt"
-
-
-def relation_rate(j: Jet) -> float:
-    """d/dt(2*g'(x)*E + H) in closed form, RELATION_RATE: 2*g''*xdot*E + 2*g'*dE/dt + dH/dt."""
-    return eval(expression(RELATION_RATE), {}, j._asdict())
-
-
-def relation_rate_residual(eps: float, j: Jet) -> float:
-    """Residual of d/dt(2*g'(x)*E + H) = 2*f(x)*xdot*yddot + eps*g''(x)*xdot**3 at a jet.
-
-    The left side is relation_rate.  The g''-cubed term on the right is
-    the Jacobian-rate contribution to the curvature rate; dropping it (as a
-    pure 2*f*xdot*yddot right side would) breaks the identity whenever
-    g'' != 0.  Contract: |residual| <= 1e-9 relative to the larger side.
-    """
-    rhs = 2.0 * j.f * j.xdot * j.yddot + eps * j.gpp * j.xdot ** 3
-    return relation_rate(j) - rhs
-
-
-def appendix_residual(eps: float, j: Jet, y: float) -> float:
-    """Residual of d/dt(y**2/2 + eps*G(x)) = F(x)*ydot at the jet of the state (x, y).
-
-    This is the alternative (y-based) energy form; its decay law is
-    equivalent to dE/dt = -f*xdot**2.  The jet does not hold y, so the
-    state's y comes alongside it.  Contract: 1e-9 relative.
-    """
-    lhs = y * j.ydot + eps * j.g * j.xdot
-    return lhs - j.F * j.ydot
 
 
 def total_energy(sys: LienardSystem, s: State) -> float:

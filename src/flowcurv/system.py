@@ -19,18 +19,18 @@ the checks' loop in ``verify`` and both CSV writers are built this way,
 so importing the package compiles no code.
 
 The jet's derived quantities (velocity, acceleration, third
-derivatives, curvature, energy, H and their rates) are one ordered table
-of expressions, JET_FORMULAS, each written once.  Code is generated from
-it, never written beside it: ``jet``, the one point evaluator, is the
-system's unit built from the whole table; every closed form downstream
-(the paper's identities, the sign checks) is a field of the jet or an
-expression in its fields, and ``energy.H_polynomial`` evaluates the
+derivatives, curvature, energy, H and their rates) and the paper's
+identities on them (their residuals, and the rate the checks read) are
+one ordered table of expressions, JET_FORMULAS, each written once, the
+only place a closed form on the jet is.  Code is generated from it,
+never written beside it: ``jet``, the one point evaluator, is the
+system's unit built from the whole table; the sign checks are
+expressions in its fields, and ``energy.H_polynomial`` evaluates the
 table's H on the exact polynomials.  ``jet_code`` picks the lines a
 subset of the fields needs, of this table or of one that extends it (the
 checks' margins in ``verify``), and ``compile_writer`` builds a CSV
 writer around them, such as the one in ``dynamics``.  ``expression``
-compiles a formula's text once for the per-point functions that evaluate
-it on a jet.
+compiles a formula's text once for eval.
 
 Every record in the package is a ``typing.NamedTuple``: immutable, with
 its fields in a fixed order, compared and printed by them.
@@ -216,7 +216,17 @@ def make_system(
 # POLYNOMIALS) and the quantities above it.  The third derivatives apply the
 # Jacobian J = [[-f/eps, 1/eps], [-g', 0]] to the acceleration and add
 # dJ/dt = [[-f'*xdot/eps, 0], [-g''*xdot, 0]] applied to the velocity,
-# expanded entrywise.
+# expanded entrywise.  The rows after dHdt are the paper's identities on the
+# flow, each an exact algebraic identity whose residual is rounding noise
+# (contract: 1e-9 relative to its sides):
+# - lie_residual: the invariance identity of the curvature zero set,
+#   dphi/dt - (trace(J)*phi + det((dJ/dt) Xdot, Xdot));
+# - relation_rate: d/dt(2*g'*E + H), which the checks' EQ56_BOUND reads;
+# - curvature_energy_residual: eps*phi - (2*g'*E + H - f*xdot*ydot);
+# - relation_rate_residual: that rate less 2*f*xdot*yddot +
+#   eps*g''*xdot**3, the last term the Jacobian rate's share (the cube is a
+#   product, which overflows to inf where a float power would raise);
+# - appendix_residual: the y-form energy law d/dt(y**2/2 + eps*G) - F*ydot.
 JET_FORMULAS = (
     ("xdot", "(y - F) / eps"),
     ("ydot", "-g"),
@@ -230,6 +240,13 @@ JET_FORMULAS = (
     ("dEdt", "-f * xdot * xdot"),
     ("H", "g * g - 2.0 * G * gp"),
     ("dHdt", "-2.0 * G * gpp * xdot"),
+    ("lie_residual", "phi_dot - ((-f / eps) * phi"
+                     " + ((-fp * xdot / eps) * xdot * ydot - (-gpp * xdot) * xdot * xdot))"),
+    ("relation_rate", "2.0 * gpp * xdot * E + 2.0 * gp * dEdt + dHdt"),
+    ("curvature_energy_residual", "eps * phi - (2.0 * gp * E + H - f * xdot * ydot)"),
+    ("relation_rate_residual",
+     "relation_rate - (2.0 * f * xdot * yddot + eps * gpp * xdot * xdot * xdot)"),
+    ("appendix_residual", "y * ydot + eps * g * xdot - F * ydot"),
 )
 
 Jet = NamedTuple("Jet", [(name, float)
@@ -238,7 +255,8 @@ Jet.__doc__ = """The seven polynomial values at x and every closed form built on
 
     phi = det(Xddot, Xdot) is the curvature function, E = eps*xdot**2/2 + G
     the energy, H = g**2 - 2*G*g' the case function; the *dot/*dt fields
-    are time derivatives along the flow.  The fields after the seven
+    are time derivatives along the flow, and the *_residual fields the
+    paper's identities, zero up to rounding.  The fields after the seven
     values are JET_FORMULAS's, in its order.
     """
 
@@ -247,8 +265,9 @@ Jet.__doc__ = """The seven polynomial values at x and every closed form built on
 def expression(text: str):
     """A formula's text compiled for eval, once per process.
 
-    A per-point function (curvature.lie_residual, for one) evaluates the
-    code on a namespace of the jet's fields.
+    ``verify.sample_margins`` evaluates a check's margin this way on a
+    namespace of the jet's fields, ``energy.H_polynomial`` the table's H
+    on the system's polynomials.
     """
     return compile(text, "<formula>", "eval")
 

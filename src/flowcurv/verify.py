@@ -12,11 +12,12 @@ approaches (a) the curvature zero-set branch and (b) the critical
 manifold as eps shrinks, and fits log-log slopes.
 
 The nine checks are one table, _CHECKS, of margin expressions over the
-jet's fields: evaluate_checks runs them in one loop that is compiled, like
-the CSV writers, once per zero pattern of the system's polynomials
-(system.specialized), and sample_margins evaluates the same text at one
-state.  The reports are immutable NamedTuple records, like every record
-in the package.
+jet's fields alone (the relation rate and the invariance residual among
+them, rows of system.JET_FORMULAS): evaluate_checks runs them in one
+loop that is compiled, like the CSV writers, once per zero pattern of
+the system's polynomials (system.specialized), and sample_margins
+evaluates the same text at one state.  The reports are immutable
+NamedTuple records, like every record in the package.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
-from .curvature import LIE_RESIDUAL, slow_branches
+from .curvature import slow_branches
 from .dynamics import IntegrationError, LimitCycle, extract_vicinity, find_limit_cycle
-from .energy import RELATION_RATE
 from .system import JET_FORMULAS, LienardSystem, State, expression, jet, jet_code, specialized
 
 LIE_RESIDUAL_TOL = 1e-8
@@ -43,10 +43,9 @@ STUDY_TOL = 1e-10
 _HERMITE_NEWTON_STEPS = 3
 
 
-# The nine checks in report order: (id, signed margin over eps, the jet's
-# fields, lie_residual and relation_rate, positive where the check holds;
-# whether a zero margin passes).  Both the per-sample margins and the
-# checks' loop are built from this text.
+# The nine checks in report order: (id, signed margin over the jet's
+# fields, positive where the check holds; whether a zero margin passes).
+# Both the per-sample margins and the checks' loop are built from this text.
 _CHECKS = (
     ("XDOT_NEG", "-xdot", False),
     ("YDOT_NEG", "-ydot", False),
@@ -59,11 +58,6 @@ _CHECKS = (
     ("LIE_RESIDUAL", "LIE_RESIDUAL_TOL - abs(lie_residual) / max(1.0, abs(phi_dot))", False),
 )
 CHECK_IDS = tuple(cid for cid, _, _ in _CHECKS)
-# The margins' table rows after the jet's: the two quantities the margins
-# read, each the text its function (curvature.lie_residual,
-# energy.relation_rate) evaluates, then one row per check.
-_MARGIN_FORMULAS = (("lie_residual", LIE_RESIDUAL), ("relation_rate", RELATION_RATE),
-                    *((cid, margin) for cid, margin, _ in _CHECKS))
 
 
 def _tally_lines() -> "list[str]":
@@ -73,10 +67,10 @@ def _tally_lines() -> "list[str]":
     number of samples whose margin passes and the smallest margin, which
     starts at inf and is replaced only by a margin that compares less, so
     a NaN never is.  Each sample's margins are the lines of
-    system.jet_code over the jet table extended by _MARGIN_FORMULAS, its
+    system.jet_code over the jet table extended by one row per check, its
     polynomial values inline Horner code.
     """
-    body = jet_code(CHECK_IDS, (*JET_FORMULAS, *_MARGIN_FORMULAS))
+    body = jet_code(CHECK_IDS, (*JET_FORMULAS, *((cid, margin) for cid, margin, _ in _CHECKS)))
     for cid, _, zero_passes in _CHECKS:
         body += [f"passed_{cid} += {cid} {'>=' if zero_passes else '>'} 0.0",
                  f"if {cid} < least_{cid}:",
@@ -137,12 +131,10 @@ class MinorskyReport(NamedTuple):
 def sample_margins(sys: LienardSystem, s: State) -> dict[str, float]:
     """Signed margins (positive = satisfied) of the nine checks at one state.
 
-    _MARGIN_FORMULAS evaluated in order on the state's jet.
+    _CHECKS's margins evaluated on the state's jet.
     """
-    names = {"eps": sys.eps, "LIE_RESIDUAL_TOL": LIE_RESIDUAL_TOL, **jet(sys, s)._asdict()}
-    for name, expr in _MARGIN_FORMULAS:
-        names[name] = eval(expression(expr), names)
-    return {cid: names[cid] for cid in CHECK_IDS}
+    names = {"LIE_RESIDUAL_TOL": LIE_RESIDUAL_TOL, **jet(sys, s)._asdict()}
+    return {cid: eval(expression(margin), names) for cid, margin, _ in _CHECKS}
 
 
 def evaluate_checks(sys: LienardSystem, samples: "tuple[State, ...]") -> dict[str, CheckResult]:

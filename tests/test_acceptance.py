@@ -12,14 +12,10 @@ from flowcurv import (
     State,
     check_assumptions,
     classify_case,
-    curvature_energy_residual,
     extract_vicinity,
     find_limit_cycle,
     jet,
-    lie_residual,
     make_system,
-    relation_rate_residual,
-    appendix_residual,
     slow_branches,
     convergence_study,
 )
@@ -72,7 +68,7 @@ def test_criterion_01_lie_invariance_identity(systems):
     for sys_ in systems.values():
         for s in sweep_states(1000):
             j = jet(sys_, s)
-            rel = abs(lie_residual(sys_.eps, j)) / max(1.0, abs(j.phi_dot))
+            rel = abs(j.lie_residual) / max(1.0, abs(j.phi_dot))
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 1.0
@@ -85,12 +81,12 @@ def test_criterion_02_curvature_energy_identities(systems):
     for sys_ in systems.values():
         for s in sweep_states(1000):
             j = jet(sys_, s)
-            r50 = abs(curvature_energy_residual(sys_.eps, j))
+            r50 = abs(j.curvature_energy_residual)
             worst50 = max(worst50, r50 / max(1.0, abs(sys_.eps * j.phi)))
             x = s.x
             xd = (s.y - sys_.F(x)) / sys_.eps
             rhs = 2.0 * sys_.f(x) * xd * (-sys_.gp(x) * xd) + sys_.eps * sys_.gpp(x) * xd**3
-            r55 = abs(relation_rate_residual(sys_.eps, j))
+            r55 = abs(j.relation_rate_residual)
             worst55 = max(worst55, r55 / max(1.0, abs(rhs)))
     ok = worst50 <= 1e-9 and worst55 <= 1e-9
     assert report("02", "curvature-energy relation and its rate", ok,
@@ -243,7 +239,7 @@ def test_criterion_09_energy_decay_oracle():
             checked += 1
         lhs = s.y * (-sys_.g(s.x)) + sys_.eps * sys_.g(s.x) * (s.y - sys_.F(s.x)) / sys_.eps
         worst_app = max(
-            worst_app, abs(appendix_residual(sys_.eps, j, s.y)) / max(1.0, abs(lhs))
+            worst_app, abs(j.appendix_residual) / max(1.0, abs(lhs))
         )
     ok = worst_fd <= 1e-3 and worst_app <= 1e-9 and checked > 100
     assert report("09", "energy decay law against finite differences", ok,

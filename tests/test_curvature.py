@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcurv import State, jet, lie_residual, make_system, slow_branches
+from flowcurv import State, jet, make_system, slow_branches
 from flowcurv.curvature import MANIFOLD_CSV_HEADER, format_manifold_csv
 
 from conftest import jacobian, jacobian_rate, propagate, sweep_states, traced_peak
@@ -121,17 +121,17 @@ class TestPhiDot:
 class TestLieIdentity:
     def test_reference_point(self, vdp):
         j = jet(vdp, S_REF)
-        assert abs(lie_residual(vdp.eps, j)) <= 1e-9 * max(1.0, abs(j.phi_dot))
+        assert abs(j.lie_residual) <= 1e-9 * max(1.0, abs(j.phi_dot))
 
     def test_equilibrium_exact_zero(self, vdp):
-        assert lie_residual(vdp.eps, jet(vdp, State(0.0, 0.0, 0.0))) == 0.0
+        assert jet(vdp, State(0.0, 0.0, 0.0)).lie_residual == 0.0
 
     def test_sweep_both_systems(self, both_systems):
         for sys_ in both_systems:
             worst = 0.0
             for s in sweep_states(100):
                 j = jet(sys_, s)
-                rel = abs(lie_residual(sys_.eps, j)) / max(1.0, abs(j.phi_dot))
+                rel = abs(j.lie_residual) / max(1.0, abs(j.phi_dot))
                 worst = max(worst, rel)
             assert worst <= 1e-9
 

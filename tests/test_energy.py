@@ -1,15 +1,14 @@
+import math
+
 import pytest
 
 from flowcurv import (
     H_polynomial,
     Polynomial,
     State,
-    appendix_residual,
     classify_case,
-    curvature_energy_residual,
     jet,
     make_system,
-    relation_rate_residual,
 )
 from flowcurv.energy import H_rate, energy_rate, total_energy
 
@@ -113,6 +112,14 @@ class TestClassifyCase:
         assert cls.c1_witness == pytest.approx(1.0, rel=1e-12)
         assert cls.Gppp_sign == "NONNEG"
 
+    def test_no_linear_bound_witness_without_g_of_zero_zero(self):
+        # g = x + 1/2 has g(0) != 0, so g(x)/x is no polynomial: no witness;
+        # H = (x + 1/2)**2 - 2*(x**2/2 + x/2) = 1/4
+        cls = classify_case(make_system([0, -1, 0, 1 / 3], [0.5, 1], 0.05))
+        assert cls.case_label == "CASE1_H_NONNEG"
+        assert cls.H_poly == Polynomial([0.25])
+        assert cls.c1_witness is None
+
     def test_superlinear_cubic_is_case2(self):
         sys_ = make_system([0, -1, 0, 1 / 3], [0, 1, 0, 1], 0.05)  # g = x + x^3
         assert classify_case(sys_).case_label == "CASE2_H_NONPOS"
@@ -137,19 +144,19 @@ class TestClassifyCase:
 class TestCurvatureEnergyRelation:
     def test_reference_point(self, vdp):
         j = jet(vdp, S_REF)
-        r = curvature_energy_residual(vdp.eps, j)
+        r = j.curvature_energy_residual
         assert abs(r) <= 1e-9 * max(1.0, abs(vdp.eps * j.phi))
         # both sides independently
         assert vdp.eps * j.phi == pytest.approx(2.0055555556, rel=1e-9)
 
     def test_equilibrium(self, vdp):
-        assert curvature_energy_residual(vdp.eps, jet(vdp, State(0.0, 0.0, 0.0))) == 0.0
+        assert jet(vdp, State(0.0, 0.0, 0.0)).curvature_energy_residual == 0.0
 
     def test_sweep_both_systems(self, both_systems):
         for sys_ in both_systems:
             for s in sweep_states(1000):
                 j = jet(sys_, s)
-                r = curvature_energy_residual(sys_.eps, j)
+                r = j.curvature_energy_residual
                 assert abs(r) <= 1e-9 * max(1.0, abs(sys_.eps * j.phi))
 
 
@@ -159,12 +166,21 @@ class TestRelationRate:
         xdot = (s.y - vdp.F(s.x)) / vdp.eps
         lhs = 2.0 * vdp.gp(s.x) * jet(vdp, s).dEdt  # g'' = 0, dH/dt = 0
         assert lhs == pytest.approx(-2 / 3, rel=1e-9)
-        assert relation_rate_residual(vdp.eps, jet(vdp, s)) == pytest.approx(0.0, abs=1e-12)
+        assert jet(vdp, s).relation_rate_residual == pytest.approx(0.0, abs=1e-12)
         assert xdot == pytest.approx(-1 / 3, rel=1e-9)
 
     def test_zero_velocity(self, vdp):
         s = State(0.0, 1.4, vdp.F(1.4))
-        assert relation_rate_residual(vdp.eps, jet(vdp, s)) == pytest.approx(0.0, abs=1e-13)
+        assert jet(vdp, s).relation_rate_residual == pytest.approx(0.0, abs=1e-13)
+
+    def test_overflowing_cube_is_a_float(self, vdp, llibre_mereu):
+        # xdot**3 overflows at these finite states (xdot = -4e110 and
+        # -6.7e108): the row's cube is a product, which overflows to inf
+        # like every other field, where a float power would raise
+        j = jet(llibre_mereu, State(0.0, 1e22, 0.0))
+        assert j.xdot == pytest.approx(-4e110) and math.isnan(j.relation_rate_residual)
+        j = jet(vdp, State(0.0, 1e36, 0.0))  # g'' = 0: the cube's term is 0
+        assert vdp.eps == 0.05 and j.relation_rate_residual == 0.0
 
     def test_sweep_both_systems(self, both_systems):
         for sys_ in both_systems:
@@ -173,13 +189,13 @@ class TestRelationRate:
                 xdot = (s.y - sys_.F(x)) / sys_.eps
                 rhs = (2.0 * sys_.f(x) * xdot * (-sys_.gp(x) * xdot)
                        + sys_.eps * sys_.gpp(x) * xdot**3)
-                r = relation_rate_residual(sys_.eps, jet(sys_, s))
+                r = jet(sys_, s).relation_rate_residual
                 assert abs(r) <= 1e-9 * max(1.0, abs(rhs))
 
 
 class TestAppendixIdentity:
     def test_reference_point(self, vdp):
-        r = appendix_residual(vdp.eps, jet(vdp, S_REF), S_REF.y)
+        r = jet(vdp, S_REF).appendix_residual
         assert r == pytest.approx(0.0, abs=1e-12)
         # left side value for the record
         xdot, ydot = (-1 / 3, -2.0)
@@ -188,12 +204,12 @@ class TestAppendixIdentity:
         )
 
     def test_equilibrium(self, vdp):
-        assert appendix_residual(vdp.eps, jet(vdp, State(0.0, 0.0, 0.0)), 0.0) == 0.0
+        assert jet(vdp, State(0.0, 0.0, 0.0)).appendix_residual == 0.0
 
     def test_sweep_both_systems(self, both_systems):
         for sys_ in both_systems:
             for s in sweep_states(1000):
-                r = appendix_residual(sys_.eps, jet(sys_, s), s.y)
+                r = jet(sys_, s).appendix_residual
                 scale = max(1.0, abs(sys_.F(s.x) * sys_.g(s.x)))
                 assert abs(r) <= 1e-9 * scale
 
@@ -203,7 +219,7 @@ class TestAppendixIdentity:
         for sys_ in both_systems:
             for s in sweep_states(300):
                 j = jet(sys_, s)
-                r = appendix_residual(sys_.eps, j, s.y)
+                r = j.appendix_residual
                 assert abs(r) <= 1e-10 * max(1.0, abs(j.E))
 
 

@@ -1,6 +1,6 @@
-"""The derivative jet against a symbolic oracle, its polynomial values and
-the generated writers against Polynomial.__call__, and the work they do per
-point."""
+"""The derivative jet against a symbolic oracle, its identity rows proved
+by sympy, its polynomial values and the generated writers against
+Polynomial.__call__, and the work they do per point."""
 
 import math
 from array import array
@@ -15,7 +15,7 @@ from flowcurv.curvature import MANIFOLD_CSV_HEADER, format_manifold_csv, slow_br
 from flowcurv.dynamics import (TRAJECTORY_CSV_HEADER, Trajectory, extract_vicinity,
                                format_trajectory_csv)
 from flowcurv.poly import Polynomial
-from flowcurv.system import _jet
+from flowcurv.system import JET_FORMULAS, _jet
 from flowcurv.verify import sample_margins
 
 from conftest import load_config, sweep_states, system_from_config
@@ -27,14 +27,17 @@ ORACLE_SYSTEMS = {
 }
 
 
-def symbolic_jet(F_coeffs, g_coeffs, eps):
-    """Every jet field as the terms of a sympy polynomial in x, y.
+# The table's identity rows: each residual is the zero polynomial.
+RESIDUALS = {name: text for name, text in JET_FORMULAS if name.endswith("_residual")}
+
+
+def symbolic_fields(F_coeffs, g_coeffs, eps):
+    """Every jet field but the residuals as a sympy polynomial in x, y.
 
     Coefficients and eps enter as the exact rationals of their floats.
     Time derivatives are Lie derivatives along the field, and H is built
     from its definition G'**2 - 2*G*G'' with G the antiderivative of g
     vanishing at 0, so no closed form of the numeric code is reused.
-    Returns each field's terms (i, j, c), meaning c*x**i*y**j.
     """
     sp = pytest.importorskip("sympy")
     x, y = sp.symbols("x y")
@@ -59,8 +62,16 @@ def symbolic_jet(F_coeffs, g_coeffs, eps):
         "xdddot": ddt(xddot), "ydddot": ddt(yddot),
         "phi": phi, "phi_dot": ddt(phi), "E": E, "dEdt": ddt(E), "H": H, "dHdt": ddt(H),
     }
+    fields["relation_rate"] = ddt(2 * fields["gp"] * E + H)
+    return fields
+
+
+def symbolic_jet(F_coeffs, g_coeffs, eps):
+    """symbolic_fields as terms (i, j, c), meaning c*x**i*y**j, per field."""
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
     return {k: [(i, j, Fraction(int(c.p), int(c.q))) for (i, j), c in sp.Poly(v, x, y).terms()]
-            for k, v in fields.items()}
+            for k, v in symbolic_fields(F_coeffs, g_coeffs, eps).items()}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
@@ -71,7 +82,7 @@ def test_jet_matches_symbolic_oracle(name):
     for s in sweep_states(50):
         X, Y = Fraction(s.x), Fraction(s.y)
         got = jet(sys_, s)._asdict()
-        assert set(got) == set(terms_of)
+        assert set(got) == set(terms_of) | set(RESIDUALS)
         for field, terms in terms_of.items():
             values = [c * X**i * Y**j for i, j, c in terms]
             # 1e-12 of the largest term of the expanded polynomial; one that
@@ -79,6 +90,20 @@ def test_jet_matches_symbolic_oracle(name):
             scale = max(map(abs, values), default=0)
             assert abs(Fraction(got[field]) - sum(values)) <= Fraction(1e-12) * scale, (
                 name, field, s)
+
+
+# Each identity row's text, read by sympy over the oracle's fields with its
+# float literals as exact rationals, expands to exactly 0: the row states an
+# identity of the flow, not one of the numeric code's other rows.
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_identity_rows_are_zero_polynomials(name):
+    sp = pytest.importorskip("sympy")
+    F_coeffs, g_coeffs, eps = ORACLE_SYSTEMS[name]
+    fields = {**symbolic_fields(F_coeffs, g_coeffs, eps),
+              "y": sp.Symbol("y"), "eps": sp.Rational(Fraction(eps))}
+    assert len(RESIDUALS) == 4
+    for row, text in RESIDUALS.items():
+        assert sp.expand(sp.sympify(text, locals=fields, rational=True)) == 0, (name, row)
 
 
 def count_evaluations(monkeypatch):

@@ -138,6 +138,11 @@ class TestCanonicalForm:
     def test_zero_degree_is_sentinel(self):
         assert Polynomial().degree is None
 
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficient_rejected(self, c):
+        with pytest.raises(ValueError, match="a Polynomial needs finite coefficients"):
+            Polynomial([1.0, c])
+
 
 class TestRealRoots:
     def test_f_roots(self):

@@ -19,10 +19,8 @@ from conftest import load_config
 # The public API: a name joins or leaves only with an edit here.
 ALL = {
     "H_polynomial", "IntegrationError", "LienardSystem", "LimitCycle", "Polynomial", "State",
-    "appendix_residual", "check_assumptions", "classify_case", "convergence_study",
-    "curvature_energy_residual", "extract_vicinity", "find_limit_cycle", "integrate", "jet",
-    "lie_residual", "make_system", "minorsky_report", "relation_rate_residual",
-    "slow_branches",
+    "check_assumptions", "classify_case", "convergence_study", "extract_vicinity",
+    "find_limit_cycle", "integrate", "jet", "make_system", "minorsky_report", "slow_branches",
 }
 
 FIELDS = {

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcurv import LienardSystem, Polynomial, State, check_assumptions, jet, make_system
-from flowcurv.system import specialized
+from flowcurv.system import positive_zeros_of_F, specialized
 
 from conftest import jacobian, jacobian_rate, propagate, system_from_config
 
@@ -160,6 +160,7 @@ class TestAssumptions:
         assert not rep.assumption_III.holds and rep.assumption_III.witness == 0.0
         assert not rep.assumption_IV.holds and rep.positive_zero_a is None
         assert rep.assumption_IV.detail == "F is identically zero"
+        assert positive_zeros_of_F(make_system([0.0], [0, 1], 0.05)) == []
 
     def test_two_positive_zeros_fail_IV(self):
         # F = x^5 - 3x^3 + 2x = x(x^2 - 1)(x^2 - 2): zeros 1 and sqrt(2)

@@ -4,10 +4,9 @@ import struct
 
 import pytest
 
-from flowcurv import (LimitCycle, State, convergence_study, extract_vicinity, find_limit_cycle,
-                      jet, lie_residual, make_system)
-from flowcurv import verify
-from flowcurv.energy import relation_rate
+from flowcurv import (IntegrationError, LimitCycle, State, convergence_study, extract_vicinity,
+                      find_limit_cycle, jet, make_system)
+from flowcurv import dynamics, verify
 from flowcurv.verify import (CHECK_IDS, N_PROBE, CheckResult, _descent_ys, _slope,
                              _step_interpolant, evaluate_checks, minorsky_report,
                              sample_margins)
@@ -166,14 +165,14 @@ class TestCheckLoopAgainstSampleMargins:
                     assert bits(got[cid].min_margin) == bits(want[2]), cid
 
     def test_margins_are_the_table_over_the_jet(self, vdp):
-        # sample_margins reads the one table; lie_residual and relation_rate
-        # are its quantities' texts evaluated on the jet
+        # sample_margins reads the one table over the jet's fields, of
+        # which relation_rate and lie_residual are two
         s = State(0.0, 1.9, -0.4)
         j = jet(vdp, s)
         m = sample_margins(vdp, s)
-        assert bits(m["EQ56_BOUND"]) == bits(-relation_rate(j))
+        assert bits(m["EQ56_BOUND"]) == bits(-j.relation_rate)
         assert bits(m["LIE_RESIDUAL"]) == bits(
-            verify.LIE_RESIDUAL_TOL - abs(lie_residual(vdp.eps, j)) / max(1.0, abs(j.phi_dot)))
+            verify.LIE_RESIDUAL_TOL - abs(j.lie_residual) / max(1.0, abs(j.phi_dot)))
         assert [bits(m[cid]) for cid in ("XDOT_NEG", "PHI_NONNEG", "PHIDOT_POS", "DEDT_NEG")] == [
             bits(-j.xdot), bits(j.phi), bits(j.phi_dot), bits(-j.dEdt)]
 
@@ -257,6 +256,11 @@ class TestConvergenceStudy:
     def test_non_decreasing_list_rejected(self, vdp):
         with pytest.raises(ValueError, match="decreasing"):
             convergence_study(vdp, [0.05, 0.1], (1.6, 1.9))
+
+    def test_unconverged_cycle_raises(self, vdp, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_PASSES", 1)
+        with pytest.raises(IntegrationError, match="limit cycle did not converge at eps=0.1"):
+            convergence_study(vdp, [0.1, 0.05], (1.6, 1.9))
 
     def test_tiny_eps_rejected(self, vdp):
         with pytest.raises(ValueError, match="0.0001"):
