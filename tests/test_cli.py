@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -536,6 +537,117 @@ def test_cold_verify_compiles_one_kernel_one_scan_and_one_check_loop():
     # verify exits 1 here: the settling layer fails PHIDOT_POS (see 05a)
     assert out.split() == ["1", "0", *"00000000", *"1110000", *"1110000",
                            "<dp5", "<vicinity", "<nine"]
+
+
+# The outputs whose bytes "same behaviour" means: the reports' stdout
+# literally, and the SHA-256 of the CSVs (simulate from (0.1, 0.1) to t = 20,
+# manifold on [-2, 2] with 4001 rows) and of the three scripts' stdout at their
+# defaults.  The study pins are the convergence study at STUDY_TOL, the slow
+# descent read between samples included.  A change to any of these shows
+# here; one that is meant must restate them.
+REPORT_PINS = {
+    ("verify", "vdp"): (
+        1,
+        '{"system": "vdp", "eps": 0.05, "band": 1.0, "n_points": 48, '
+        '"checks": {"XDOT_NEG": {"pass": 48, "fail": 0, "min_margin": 0.05291274791460632}, '
+        '"YDOT_NEG": {"pass": 48, "fail": 0, "min_margin": 1.8343044538418576}, '
+        '"XDDOT_NEG": {"pass": 48, "fail": 0, "min_margin": 0.4208854521867833}, '
+        '"YDDOT_POS": {"pass": 48, "fail": 0, "min_margin": 0.05291274791460632}, '
+        '"PHI_NONNEG": {"pass": 48, "fail": 0, "min_margin": 1.2959755816155123}, '
+        '"PHIDOT_POS": {"pass": 21, "fail": 27, "min_margin": -4645.498277309211}, '
+        '"DEDT_NEG": {"pass": 48, "fail": 0, "min_margin": 0.008650420652896512}, '
+        '"EQ56_BOUND": {"pass": 48, "fail": 0, "min_margin": 0.017300841305793024}, '
+        '"LIE_RESIDUAL": {"pass": 48, "fail": 0, "min_margin": 9.999987638636062e-09}}, '
+        '"overall": false, "assumptions": {"I": {"holds": true, "witness": -1.0, '
+        '"detail": "f even, g odd, x*g > 0, f(0) < 0"}, "II": {"holds": true, "witness": 1.0, '
+        '"detail": "polynomials are locally Lipschitz; |g\'| <= 1 on the window"}, '
+        '"III": {"holds": true, "witness": 0.3333333333333333, '
+        '"detail": "leading term is an odd power with positive coefficient"}, '
+        '"IV": {"holds": true, "witness": 1.7320508075688774, '
+        '"detail": "single positive zero a = 1.73205081, F monotone increasing beyond it"}, '
+        '"positive_zero_a": 1.7320508075688774, "gprime_nonneg": {"holds": true, '
+        '"witness": 1.0, "detail": "min g\' on [0, x_max] = 1"}}}\n'),
+    ("verify", "llibre_mereu"): (
+        1,
+        '{"system": "llibre_mereu", "eps": 0.05, "band": 1.0, "n_points": 34, '
+        '"checks": {"XDOT_NEG": {"pass": 34, "fail": 0, "min_margin": 0.018209493690206635}, '
+        '"YDOT_NEG": {"pass": 34, "fail": 0, "min_margin": 2.1656060412262774}, '
+        '"XDDOT_NEG": {"pass": 34, "fail": 0, "min_margin": 0.41731505870825636}, '
+        '"YDDOT_POS": {"pass": 34, "fail": 0, "min_margin": 0.05428042738366988}, '
+        '"PHI_NONNEG": {"pass": 34, "fail": 0, "min_margin": 1.653112789410038}, '
+        '"PHIDOT_POS": {"pass": 9, "fail": 25, "min_margin": -10303.419110289318}, '
+        '"DEDT_NEG": {"pass": 34, "fail": 0, "min_margin": 0.0016263600365555276}, '
+        '"EQ56_BOUND": {"pass": 34, "fail": 0, "min_margin": 0.009696838000897545}, '
+        '"LIE_RESIDUAL": {"pass": 34, "fail": 0, "min_margin": 9.999978361747423e-09}}, '
+        '"overall": false, "assumptions": {"I": {"holds": true, "witness": -1.0, '
+        '"detail": "f even, g odd, x*g > 0, f(0) < 0"}, "II": {"holds": true, "witness": 101.0, '
+        '"detail": "polynomials are locally Lipschitz; |g\'| <= 101 on the window"}, '
+        '"III": {"holds": true, "witness": 0.2, '
+        '"detail": "leading term is an odd power with positive coefficient"}, '
+        '"IV": {"holds": true, "witness": 1.2461822407708776, '
+        '"detail": "single positive zero a = 1.24618224, F monotone increasing beyond it"}, '
+        '"positive_zero_a": 1.2461822407708776, "gprime_nonneg": {"holds": true, '
+        '"witness": 1.0, "detail": "min g\' on [0, x_max] = 1"}}}\n'),
+    ("classify", "vdp"): (
+        0,
+        '{"case": "CASE1_H_NONNEG", "H_coeffs": [], "C1_witness": 1.0, '
+        '"Gppp_sign": "NONPOS"}\n'),
+    ("classify", "llibre_mereu"): (
+        0,
+        '{"case": "CASE2_H_NONPOS", "H_coeffs": [0.0, 0.0, 0.0, 0.0, -0.5, 0.0, '
+        '-0.05555555555555555], "C1_witness": 1.0, "Gppp_sign": "NONNEG"}\n'),
+    ("study", "vdp"): (
+        0,
+        '{"eps_values": [0.1, 0.05, 0.025], "distances": [0.011358237151759543, '
+        '0.0030528662962490127, 0.0008044534341993814], "fitted_order": 1.909793108226298, '
+        '"distances_critical": [0.09580698076978367, 0.0493284653985091, 0.025105533514388767], '
+        '"fitted_order_critical": 0.9660626974056843}\n'),
+    ("study", "llibre_mereu"): (
+        0,
+        '{"eps_values": [0.1, 0.05, 0.025], "distances": [0.002794877873809526, '
+        '0.000717257560526402, 0.00018232670989312694], "fitted_order": 1.9690937073496235, '
+        '"distances_critical": [0.05579835974222294, 0.02825187684041741, 0.01422307680832427], '
+        '"fitted_order_critical": 0.9859945615640128}\n'),
+}
+CSV_PINS = {
+    ("simulate", "vdp"):
+        "e697859308e0ad0a73830b0a16a5b49b184f4915a0601d13c2828c8282284cb9",
+    ("simulate", "llibre_mereu"):
+        "5def464a0d72fd693ea0ceeadd5304588b2554143480234e70ca0078b6e61eae",
+    ("manifold", "vdp"):
+        "479c4e6b4e71eab382eb9ebf89144788dda888ac2a7bef5033d3ab9aadf9f84f",
+    ("manifold", "llibre_mereu"):
+        "0715715b08ee524f6cf82ed0e6d7fd7becfd02fd47a8329b965ae21758475963",
+}
+SCRIPT_PINS = {
+    "minorsky_sweep": "2d6b48ea8457136359864b533ae96c62008c68795376fad1f83022ff2b0aeeb8",
+    "order_study": "a700e61703833aab5c28a36705a777770322076bca2979f24054071cb8c99b11",
+    "period_amplitude": "355854cc0df6c9dd580224f84d8f143bda60049396aeb8eeeccc27d7542814bc",
+}
+
+
+class TestOutputPins:
+    @pytest.mark.parametrize("command, name", list(REPORT_PINS))
+    def test_report_stdout(self, command, name, capsys):
+        # llibre_mereu's cycle does not reach study's default window [1.6, 1.9]
+        lm_study = (command, name) == ("study", "llibre_mereu")
+        extra = ["--probe-lo", "1.3", "--probe-hi", "1.38"] if lm_study else []
+        rc = main([command, "--config", str(CONFIGS / f"{name}.json"), *extra])
+        assert (rc, capsys.readouterr().out) == REPORT_PINS[command, name]
+
+    @pytest.mark.parametrize("command, name", list(CSV_PINS))
+    def test_csv_digest(self, command, name, capsys):
+        extra = {"simulate": ["--x0", "0.1", "--y0", "0.1", "--t-end", "20"],
+                 "manifold": ["--x-lo", "-2", "--x-hi", "2", "--n", "4001"]}[command]
+        assert main([command, "--config", str(CONFIGS / f"{name}.json"), *extra]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CSV_PINS[command, name]
+
+    @pytest.mark.parametrize("script", list(SCRIPT_PINS))
+    def test_script_stdout_digest(self, script):
+        out = subprocess.run([sys.executable, str(REPO / "scripts" / f"{script}.py")],
+                             capture_output=True, check=True).stdout
+        assert hashlib.sha256(out).hexdigest() == SCRIPT_PINS[script]
 
 
 HELP = {
