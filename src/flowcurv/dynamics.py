@@ -9,8 +9,8 @@ so the explicit step damps the stiff mode (rate -f/eps) that the
 PHIDOT_POS check amplifies.  Without it, on F = x**3/192 - x, g = x/64 at
 eps 0.05, PHIDOT_POS fails at all 705 of 705 vicinity samples instead of
 29 of 2231, while a certify pass over both bundled systems attempts
-32,976 steps instead of 37,605 and a vdp pass at eps 1e-4 (tol 1e-10)
-16,145 instead of 81,649.
+17,353 steps instead of 19,705 and vdp's converged half-period pass at
+eps 1e-4 (tol 1e-10) 8,073 instead of 40,826.
 
 Each system gets one march kernel: the whole stepping loop of `_march`
 in one generated function, which `integrate` and the cycle search both
@@ -55,12 +55,16 @@ extract_vicinity's scan over the orbit is generated the same way, once
 per zero pattern of F, f, g and g': one loop over the x and y columns
 with inline Horner code and curvature._BRANCH_TEMPLATE's steps, which
 calls no Python function per sample.
+Between its samples an orbit is read in two places: the section
+crossing, on its step's dense output, and the study's descent
+(_descent_ys), on each step's cubic Hermite interpolant.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .curvature import _BRANCH_ENV, _BRANCH_TEMPLATE
@@ -127,8 +131,9 @@ VICINITY_MARGIN = 0.1
 # passes at every eps from 0.005 down to 5e-5, and convergence_study's
 # branch distance over eps**2 stays within 0.3% of its eps = 0.001 value
 # down to 1e-4 (vdp 1.3785-1.3827, llibre_mereu 0.2972-0.2975).  At 1e-4
-# a pass takes 64,000-82,000 steps and the smallest distance is still 30
-# times the integration tolerance of 1e-10; at 5e-5 it was only 7.7 times.
+# a full period takes 64,000-82,000 steps (a half-period pass 32,000-49,000)
+# and the smallest distance is still 30 times the integration tolerance of
+# 1e-10; at 5e-5 it was only 7.7 times.
 EPS_FLOOR = 1e-4
 
 
@@ -495,6 +500,53 @@ def find_limit_cycle(
         iterations=len(iterates) - 1,
         iterates=tuple(iterates),
     )
+
+
+def _descent_ys(sys: LienardSystem, traj: Trajectory, probes: "list[float]"
+                ) -> "tuple[list[float | None], tuple[float, float]]":
+    """y on the orbit's descent (x decreasing) at each probe abscissa, and the x-range walked.
+
+    One walk along the orbit serves every probe; `probes` must be
+    ascending.  A probe takes y from the cubic Hermite interpolant of the
+    first descending step whose x-span holds it, and stays None when no
+    step does.  On a step, x and y are cubics in s = (t - t0)/(t1 - t0),
+    fixed by the step's end values and the field's slopes there, from F and
+    g at each end; x(s) = probe is solved by three Newton steps from the
+    chord point.  The interpolant's error is O(h**4), where the chord's is
+    O(h**2).  The walk stops once every probe has its y, so the x-range of
+    the descending steps it walked is the whole descent's when some probe
+    has none.
+    """
+    ys: "list[float | None]" = [None] * len(probes)
+    left, lo, hi, eps = len(probes), math.inf, -math.inf, sys.eps
+    it = zip(traj.t, traj.x, traj.y)
+    t0, x0, y0 = next(it)
+    for t1, x1, y1 in it:
+        if x1 < x0:
+            lo, hi = (x1 if x1 < lo else lo), (x0 if x0 > hi else hi)
+            ax0 = None
+            for i in range(bisect_left(probes, x1), bisect_right(probes, x0)):
+                if ys[i] is None:
+                    if ax0 is None:
+                        # h times the slopes dx/dt and dy/dt at each end
+                        h = t1 - t0
+                        ax0, ay0 = h * (y0 - sys.F(x0)) / eps, -h * sys.g(x0)
+                        ax1, ay1 = h * (y1 - sys.F(x1)) / eps, -h * sys.g(x1)
+                        dx, dy = x1 - x0, y1 - y0
+                    px = probes[i]
+                    s = (x0 - px) / (x0 - x1)
+                    for _ in range(3):
+                        b = (1.0 - 2.0 * s) * dx + (s - 1.0) * ax0 + s * ax1
+                        x_s = x0 + s * (dx + (s - 1.0) * b)
+                        dx_ds = dx + (2.0 * s - 1.0) * b + s * (s - 1.0) * (ax0 + ax1 - 2.0 * dx)
+                        s -= (x_s - px) / dx_ds
+                    ys[i] = y0 + s * (dy + (s - 1.0) * ((1.0 - 2.0 * s) * dy + (s - 1.0) * ay0
+                                                        + s * ay1))
+                    left -= 1
+            if not left:
+                break
+        t0, x0, y0 = t1, x1, y1
+    return ys, (lo, hi)
 
 
 def _scan_lines() -> "list[str]":

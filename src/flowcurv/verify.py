@@ -9,7 +9,8 @@ report is the product, and `overall` is simply "no check failed".
 
 convergence_study measures how fast the limit cycle's slow descent
 approaches (a) the curvature zero-set branch and (b) the critical
-manifold as eps shrinks, and fits log-log slopes.
+manifold as eps shrinks, and fits log-log slopes; dynamics reads the
+descent between its samples.
 
 The nine checks are one table, _CHECKS, of margin expressions over the
 jet's fields alone (the relation rate and the invariance residual among
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .curvature import slow_branches
-from .dynamics import IntegrationError, LimitCycle, extract_vicinity, find_limit_cycle
+from .dynamics import (IntegrationError, LimitCycle, _descent_ys, extract_vicinity,
+                       find_limit_cycle)
 from .system import JET_FORMULAS, LienardSystem, State, expression, jet, jet_code, specialized
 
 LIE_RESIDUAL_TOL = 1e-8
@@ -38,9 +39,6 @@ N_PROBE = 25
 
 # Return-map and integration tolerance of every cycle convergence_study finds.
 STUDY_TOL = 1e-10
-
-# Newton steps that solve a step's Hermite cubic x(s) = probe from the chord point.
-_HERMITE_NEWTON_STEPS = 3
 
 
 # The nine checks in report order: (id, signed margin over the jet's
@@ -194,64 +192,6 @@ class ConvergenceStudy(NamedTuple):
     fitted_order_critical: float
 
 
-def _step_interpolant(sys: LienardSystem, t0, x0, y0, t1, x1, y1):
-    """y as a function of x on the cubic Hermite interpolant of one step.
-
-    x and y are cubics in s = (t - t0)/(t1 - t0), fixed by the step's end
-    values and the field's slopes there, from F and g at each end.  A
-    probe abscissa is found by Newton's method on x(s) from the chord
-    point; the interpolant's error is O(h**4), where the chord's is O(h**2).
-    """
-    h, eps = t1 - t0, sys.eps
-    # h times the slopes dx/dt and dy/dt at each end
-    ax0, ay0 = h * (y0 - sys.F(x0)) / eps, -h * sys.g(x0)
-    ax1, ay1 = h * (y1 - sys.F(x1)) / eps, -h * sys.g(x1)
-    dx, dy = x1 - x0, y1 - y0
-
-    def y_at(px: float) -> float:
-        s = (x0 - px) / (x0 - x1)
-        for _ in range(_HERMITE_NEWTON_STEPS):
-            b = (1.0 - 2.0 * s) * dx + (s - 1.0) * ax0 + s * ax1
-            x_s = x0 + s * (dx + (s - 1.0) * b)
-            dx_ds = dx + (2.0 * s - 1.0) * b + s * (s - 1.0) * (ax0 + ax1 - 2.0 * dx)
-            s -= (x_s - px) / dx_ds
-        return y0 + s * (dy + (s - 1.0) * ((1.0 - 2.0 * s) * dy + (s - 1.0) * ay0 + s * ay1))
-
-    return y_at
-
-
-def _descent_ys(sys: LienardSystem, traj, probes: "list[float]") -> "list[float | None]":
-    """Interpolate y on the slow descent (x decreasing) at each probe abscissa.
-
-    One walk along the orbit serves every probe: a probe takes its value
-    from the cubic Hermite interpolant (_step_interpolant) of the first
-    descending step whose x-span holds it, and stays None when no step
-    does.  `probes` must be ascending.
-    """
-    ys: "list[float | None]" = [None] * len(probes)
-    left = len(probes)
-    it = zip(traj.t, traj.x, traj.y)
-    t0, x0, y0 = next(it)
-    for t1, x1, y1 in it:
-        if x1 < x0:
-            y_at = None
-            for i in range(bisect_left(probes, x1), bisect_right(probes, x0)):
-                if ys[i] is None:
-                    y_at = y_at or _step_interpolant(sys, t0, x0, y0, t1, x1, y1)
-                    ys[i] = y_at(probes[i])
-                    left -= 1
-            if not left:
-                break
-        t0, x0, y0 = t1, x1, y1
-    return ys
-
-
-def _descent_x_range(traj) -> tuple[float, float]:
-    """The x-range the orbit covers while x decreases."""
-    xs = [x for x0, x1 in zip(traj.x[:-1], traj.x[1:]) if x1 < x0 for x in (x0, x1)]
-    return min(xs), max(xs)
-
-
 def convergence_study(
     sys: LienardSystem,
     eps_list: "list[float]",
@@ -288,13 +228,13 @@ def convergence_study(
         cycle = find_limit_cycle(sys_e, y_guess, STUDY_TOL, integ_tol=STUDY_TOL)
         if not cycle.converged:
             raise IntegrationError(f"limit cycle did not converge at eps={eps}")
+        ys, (d_lo, d_hi) = _descent_ys(sys_e, cycle.orbit, probes)
+        if None in ys:
+            raise ValueError(
+                f"probe window probe_lo={lo}, probe_hi={hi} is not inside the "
+                f"orbit's descent, x in [{d_lo:.6g}, {d_hi:.6g}], at eps={eps}")
         worst = worst_crit = 0.0
-        for br, y_traj in zip(brs, _descent_ys(sys_e, cycle.orbit, probes)):
-            if y_traj is None:
-                d_lo, d_hi = _descent_x_range(cycle.orbit)
-                raise ValueError(
-                    f"probe window probe_lo={lo}, probe_hi={hi} is not inside the "
-                    f"orbit's descent, x in [{d_lo:.6g}, {d_hi:.6g}], at eps={eps}")
+        for br, y_traj in zip(brs, ys):
             worst = max(worst, abs(y_traj - br.y_slow))
             worst_crit = max(worst_crit, abs(y_traj - sys_e.F(br.x)))
         dists.append(worst)

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,18 @@ class TestArithmetic:
     def test_scale(self):
         assert (Polynomial([1, 2]) * 3.0).coeffs == (3.0, 6.0)
         assert (3.0 * Polynomial([1, 2])).coeffs == (3.0, 6.0)
+
+    def test_foreign_operand_reflected_subtraction_repr_and_immutability(self):
+        p = Polynomial([1e-20, 2.0])
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(p, "a")
+        # exact: 1.0 - 1e-20 rounds to 1.0, yet adding p back gives 1
+        q = 1.0 - p
+        assert q.coeffs == (1.0, -2.0) and q + p == Polynomial([1.0])
+        assert repr(p) == "Polynomial([1e-20, 2.0])"
+        with pytest.raises(AttributeError, match="immutable"):
+            p.num = (1,)
 
 
 class TestCanonicalForm:

@@ -1,15 +1,16 @@
 import json
 import math
 import struct
+from array import array
 
 import pytest
 
 from flowcurv import (IntegrationError, LimitCycle, State, convergence_study, extract_vicinity,
                       find_limit_cycle, jet, make_system)
 from flowcurv import dynamics, verify
-from flowcurv.verify import (CHECK_IDS, N_PROBE, CheckResult, _descent_ys, _slope,
-                             _step_interpolant, evaluate_checks, minorsky_report,
-                             sample_margins)
+from flowcurv.dynamics import Trajectory, _descent_ys
+from flowcurv.verify import (CHECK_IDS, N_PROBE, CheckResult, _slope, evaluate_checks,
+                             minorsky_report, sample_margins)
 
 from conftest import halton, system_from_config
 
@@ -177,12 +178,18 @@ class TestCheckLoopAgainstSampleMargins:
             bits(-j.xdot), bits(j.phi), bits(j.phi_dot), bits(-j.dEdt)]
 
 
+def step_y_at(sys_, s0, s1, x_probe):
+    """y at x_probe on the cubic Hermite interpolant of the one step s0 -> s1."""
+    traj = Trajectory._of_arrays(*(array("d", ends) for ends in zip(s0, s1)), 1, 0, 0.0)
+    return _descent_ys(sys_, traj, [x_probe])[0][0]
+
+
 def rescan_descent_y_at(sys_, traj, x_probe):
     """y on the slow descent at x_probe by a scan from the orbit's start per probe."""
     samples = traj.samples
     for s0, s1 in zip(samples[:-1], samples[1:]):
         if s1.x < s0.x and s1.x <= x_probe <= s0.x:
-            return _step_interpolant(sys_, *s0, *s1)(x_probe)
+            return step_y_at(sys_, s0, s1, x_probe)
     return None
 
 
@@ -193,16 +200,12 @@ class TestDescentInterpolation:
         sys_ = system_from_config(name, eps=eps)
         cycle = find_limit_cycle(sys_, 1.0, 1e-10)
         probes = [lo + (hi - lo) * i / (N_PROBE - 1) for i in range(N_PROBE)]
-        got = _descent_ys(sys_, cycle.orbit, probes)
+        got, _ = _descent_ys(sys_, cycle.orbit, probes)
         want = [rescan_descent_y_at(sys_, cycle.orbit, px) for px in probes]
         assert None not in got
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_first_descending_step_wins_and_misses_stay_none(self, vdp):
-        from array import array
-
-        from flowcurv.dynamics import Trajectory
-
         # Two descents over x in [0, 2]; a probe on a sample takes the
         # earlier step's endpoint; 3.0 lies on no descending step.  Steps of
         # 1e-9 keep the field's slopes from moving the cubic off the chord
@@ -212,10 +215,14 @@ class TestDescentInterpolation:
         ts = array("d", [i * 1e-9 for i in range(len(xs))])
         traj = Trajectory._of_arrays(ts, xs, ys, 4, 0, 1e-9)
         probes = [0.5, 1.0, 1.5, 3.0]
-        got = _descent_ys(vdp, traj, probes)
+        got, x_range = _descent_ys(vdp, traj, probes)
         assert got == [rescan_descent_y_at(vdp, traj, px) for px in probes]
         assert got[1] == 1.0 and got[3] is None
         assert got[:3] == pytest.approx([1.5, 1.0, 0.5], abs=1e-6)
+        # a probe without a step makes the walk cover the whole descent;
+        # one found on the first step ends it there
+        assert x_range == (0.0, 2.0)
+        assert _descent_ys(vdp, traj, [1.5])[1] == (1.0, 2.0)
 
     @pytest.mark.parametrize("name, x_probe", [("vdp", 1.75), ("llibre_mereu", 1.34)])
     def test_step_interpolant_matches_scipy_hermite_spline(self, name, x_probe):
@@ -234,7 +241,7 @@ class TestDescentInterpolation:
                                                 [[e.x, e.y] for e in ends], slopes)
         t_probe = optimize.brentq(lambda t: spline(t)[0] - x_probe, ends[0].t, ends[1].t,
                                   xtol=1e-15, rtol=1e-15)
-        got = _step_interpolant(sys_, *ends[0], *ends[1])(x_probe)
+        got = step_y_at(sys_, *ends, x_probe)
         assert ends[1].t - ends[0].t > 1e-3  # a step long enough for the cubic to count
         assert got == pytest.approx(spline(t_probe)[1], rel=0, abs=1e-13)
 
