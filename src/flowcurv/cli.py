@@ -144,17 +144,13 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 @functools.cache
-def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
-    """The flowcurv parser, built once per process and command (parsing leaves it unchanged).
+def build_parser() -> argparse.ArgumentParser:
+    """The flowcurv parser, built once per process (parsing leaves it unchanged).
 
     Every subcommand takes --config, --out and --dump-config and the
     override flags _COMMANDS gives it; an override left out is absent from
     the namespace.  No flag is abbreviated, or study's --eps-list would
-    take a mistyped --eps.  Given a command, only that subcommand gets
-    its flags, -h included; the others keep their names and help lines
-    for usage and help.  main builds the parser for the command its first
-    argument names, which is the subcommand argparse dispatches to, since
-    each add_argument costs a CLI start about 30 us.
+    take a mistyped --eps.
     """
     parser = argparse.ArgumentParser(
         prog="flowcurv",
@@ -163,10 +159,7 @@ def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, fields) in _COMMANDS.items():
-        dispatched = command in (None, name)
-        sp = sub.add_parser(name, help=help_text, allow_abbrev=False, add_help=dispatched)
-        if not dispatched:
-            continue
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.add_argument("--config", required=True, help="path to the system JSON config")
         sp.add_argument("--out", default=None, help="output file (default: stdout)")
         sp.add_argument("--dump-config", action="store_true",
@@ -274,8 +267,7 @@ _COMMANDS = {
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    argv = _sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
     except ValueError as exc:  # a ConfigError included

@@ -26,7 +26,6 @@ import functools
 import math
 from collections.abc import Iterable, Sequence
 from itertools import zip_longest
-from sys import float_info
 from typing import NamedTuple
 
 
@@ -355,90 +354,28 @@ def _isolate(p: Polynomial, lo: float, hi: float) -> _Isolation:
     return _Isolation(c, q, brackets, s_lo == 0, s_hi == 0)
 
 
-# Float steps _float_guess takes at most.
-_GUESS_STEPS = 60
-
-
-def _float_guess(q: list[int], sb: int, below: float, above: float) -> "float | None":
-    """A float near the root of q in [below, above] by safeguarded Newton steps in floats.
-
-    q has sign sb right of the root and -sb left of it.  From the window's
-    midpoint, each step evaluates q (its coefficients rounded to floats)
-    and q' by Horner, stops where q's float value is 0, moves the window's
-    end on the side its float sign gives, and takes the Newton point, or
-    the window's midpoint where that is not strictly inside.  None when
-    q's coefficients do not fit a float.  The guess is only a guess:
-    _nearest_root certifies it exactly or discards it.
-    """
-    try:
-        cs = [float(k) for k in q]
-    except OverflowError:
-        return None
-    lo, hi = below, above
-    x = 0.5 * lo + 0.5 * hi
-    for _ in range(_GUESS_STEPS):
-        p = dp = 0.0
-        for c in cs:
-            dp = dp * x + p
-            p = p * x + c
-        if p == 0.0:
-            break
-        if (p > 0.0) == (sb > 0):
-            hi = x
-        else:
-            lo = x
-        step = x - p / dp if dp else math.nan
-        if not lo < step < hi:
-            step = 0.5 * lo + 0.5 * hi
-        if step == x:
-            break
-        x = step
-    return x
-
-
 def _nearest_root(q: list[int], a: tuple[int, int], b: tuple[int, int], sb: int) -> float:
     """The float nearest the one root r of q in (a, b), ties to the lower; +0.0 for zero.
 
     q has sign sb just left of b, so sb on (r, b) and -sb on (a, r): r
-    is simple, as q is square-free.  A float guess (_float_guess) is r's
-    when r lies above the midpoint between it and the float below and at
-    or below the midpoint between it and the float above, two exact signs
-    (a midpoint outside (a, b) is on its side of r already); otherwise
-    _bisected_root finds r's float.  Either way a zero comes back as +0.0.
-    """
-    below, above = a[0] / (1 << a[1]), b[0] / (1 << b[1])  # int division rounds correctly
-    r = _float_guess(q, sb, below, above) if below != above else None
-    if r is not None and abs(r) < float_info.max:
-        point = _dyadic(r)
-        low = _midpoint(_dyadic(math.nextafter(r, -math.inf)), point)
-        high = _midpoint(point, _dyadic(math.nextafter(r, math.inf)))
-        if ((_cmp(low, a) <= 0 or (_cmp(low, b) < 0 and _sign_at(q, low) == -sb))
-                and (_cmp(high, b) >= 0 or (_cmp(high, a) > 0 and _sign_at(q, high) in (0, sb)))):
-            return r + 0.0
-    return _bisected_root(q, a, b, sb) + 0.0
-
-
-def _bisected_root(q: list[int], a: tuple[int, int], b: tuple[int, int], sb: int) -> float:
-    """_nearest_root's float by exact bisection alone; a zero may come back as -0.0.
-
-    Bisection keeps r in (a, b], with sign sb on (r, b), until a and b
-    round to one float, which is r's, or to two adjacent floats, where the
-    sign at their midpoint decides.  A midpoint that is r ends the
-    bisection: a moves below r by less than half of any gap between
-    floats, so a rounds to r's nearest float, or to the lower one where r
-    is a tie.
+    is simple, as q is square-free.  Exact bisection keeps r in (a, b],
+    with sign sb on (r, b), until a and b round to one float, which is
+    r's, or to two adjacent floats, where the sign at their midpoint
+    decides.  A midpoint that is r ends the bisection: a moves below r by
+    less than half of any gap between floats, so a rounds to r's nearest
+    float, or to the lower one where r is a tie.
     """
     while True:
         below, above = a[0] / (1 << a[1]), b[0] / (1 << b[1])  # int division rounds correctly
         if below == above:
-            return below
+            return below + 0.0
         if above == math.nextafter(below, math.inf):
             mid = _midpoint(_dyadic(below), _dyadic(above))
             if _cmp(mid, a) <= 0:
-                return above
+                return above + 0.0
             if _cmp(mid, b) >= 0:
-                return below
-            return below if _sign_at(q, mid) in (0, sb) else above
+                return below + 0.0
+            return (below if _sign_at(q, mid) in (0, sb) else above) + 0.0
         m = _midpoint(a, b)
         s = _sign_at(q, m)
         if s == 0:  # r = m; a = m - 2**-(e + 1076), nearer than half the least float gap

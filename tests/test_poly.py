@@ -300,33 +300,6 @@ class TestExactDecisions:
             decide(Polynomial([0, 1e160]) * Polynomial([0, 1e160]))
 
 
-def bisected_root(q, a, b, sb):
-    """The float nearest the root of q in (a, b), ties to the lower, by bisection alone.
-
-    The exact bisection _nearest_root falls back to, kept here as its
-    reference; a zero is +0.0, as _nearest_root gives it on either path.
-    """
-    while True:
-        below, above = a[0] / (1 << a[1]), b[0] / (1 << b[1])
-        if below == above:
-            return below + 0.0
-        if above == math.nextafter(below, math.inf):
-            mid = poly._midpoint(poly._dyadic(below), poly._dyadic(above))
-            if poly._cmp(mid, a) <= 0:
-                return above + 0.0
-            if poly._cmp(mid, b) >= 0:
-                return below + 0.0
-            return (below if poly._sign_at(q, mid) in (0, sb) else above) + 0.0
-        m = poly._midpoint(a, b)
-        s = poly._sign_at(q, m)
-        if s == 0:
-            a, b = ((m[0] << 1076) - 1, m[1] + 1076), m
-        elif s == sb:
-            b = m
-        else:
-            a = m
-
-
 def exactly(value: Fraction) -> Polynomial:
     """x - value, exactly."""
     return Polynomial._exact([-value.numerator, value.denominator], value.denominator)
@@ -376,60 +349,33 @@ def brackets():
             yield iso.q, a, b, sb
 
 
-class TestNearestRootAgainstBisection:
-    """_nearest_root's certified float guess against the exact bisection, bit for bit."""
+class TestNearestRoot:
+    """_nearest_root's exact bisection; test_poly_oracle checks its floats against sympy."""
 
-    def test_families(self, monkeypatch):
-        guesses = []
-        guess = poly._float_guess
+    def test_bisection_work_is_bounded(self, monkeypatch):
+        # one sign per halving: a bracket lies within float range, at most
+        # 2**1025 wide, and stops halving once narrower than the least gap
+        # between floats, 2**-1074; one more sign splits two adjacent
+        # floats.  The counter fails past the bound, so a bisection that
+        # creeps one float at a time fails instead of hanging.
+        bound = 1025 + 1074 + 1
+        found = list(brackets())
+        sign_at, calls = poly._sign_at, 0
 
-        def recorded(*args):
-            guesses.append(guess(*args))
-            return guesses[-1]
+        def counted(c, x):
+            nonlocal calls
+            calls += 1
+            assert calls <= bound
+            return sign_at(c, x)
 
-        monkeypatch.setattr(poly, "_float_guess", recorded)
-        taken = fallen_back = 0
-        for q, a, b, sb in brackets():
-            want = bisected_root(q, a, b, sb)
-            got = poly._nearest_root(q, a, b, sb)
-            assert got.hex() == want.hex(), (q, a, b)
-            if guesses and guesses[-1] is not None and guesses[-1].hex() == got.hex():
-                taken += 1
-            else:
-                fallen_back += 1
-            guesses.clear()
-        # both paths run: guesses that are certified, and ones that fail
-        # (no float Newton near float max, ties)
-        assert taken >= 10 and fallen_back >= 5, (taken, fallen_back)
+        monkeypatch.setattr(poly, "_sign_at", counted)
+        for q, a, b, sb in found:
+            calls = 0
+            poly._nearest_root(q, a, b, sb)
 
-    def test_wrong_guesses_are_refused(self, monkeypatch):
-        # any guess, right or wrong, ends at the bisection's float
-        for q, a, b, sb in brackets():
-            want = bisected_root(q, a, b, sb)
-            candidates = [want, -want, 0.0, -0.0, None, a[0] / (1 << a[1]), b[0] / (1 << b[1])]
-            up = down = want
-            for _ in range(3):
-                up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
-                candidates += [up, down]
-            for candidate in candidates:
-                monkeypatch.setattr(poly, "_float_guess", lambda *args: candidate)
-                assert poly._nearest_root(q, a, b, sb).hex() == want.hex(), (q, a, b, candidate)
-
-    def test_real_roots_unchanged_by_the_guess(self, monkeypatch):
-        def found():
-            return [[r.hex() for r in real_roots(p, lo, hi)] for p, lo, hi in ROOT_FAMILIES]
-
-        with_guess = found()
-        monkeypatch.setattr(poly, "_float_guess", lambda *args: None)
-        assert found() == with_guess
-
-    @pytest.mark.parametrize("guess", ["float", "none"])
-    def test_a_root_at_zero_is_positive_zero_in_every_window(self, monkeypatch, guess):
-        # whether a bisection midpoint hits 0 or the ends close in on it, and
-        # whether the guess or the bisection finds it, a zero is +0.0; so is
-        # a window's end that is a root, -0.0 included
-        if guess == "none":
-            monkeypatch.setattr(poly, "_float_guess", lambda *args: None)
+    def test_a_root_at_zero_is_positive_zero_in_every_window(self):
+        # whether a bisection midpoint hits 0 or the ends close in on it, a
+        # zero is +0.0; so is a window's end that is a root, -0.0 included
         his = [10.0, 3.0, 1.0, 0.7, 1e-300, 5e-324]
         windows = ([(-lo, hi) for lo in his for hi in his]
                    + [(-0.0, 1.0), (0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0)])

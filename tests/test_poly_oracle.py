@@ -16,6 +16,7 @@ from flowcurv.poly import Polynomial, real_roots, signs_on
 from flowcurv.system import make_system
 
 from conftest import CONFIGS, REPO
+from test_poly import ROOT_FAMILIES
 
 sympy = pytest.importorskip("sympy")
 
@@ -126,6 +127,18 @@ class TestExactDecisionsAgainstSympy:
         p = Polynomial([-1e-10, 0, 1e300])
         assert (real_roots(p, 1e-300, 1.0)
                 == sympy_oracle(p, 1e-300, 1.0, eps=sympy.Rational(1, 2 ** 1100))[0])
+
+
+class TestRootFamiliesAgainstSympy:
+    def test_nearest_floats_bit_for_bit(self):
+        # test_poly's hand-picked families.  eps shrinks with the window's
+        # least nonzero end, so the isolating intervals resolve the ends and
+        # round every root at least that large to its nearest float.
+        for p, lo, hi in ROOT_FAMILIES:
+            scale = min([1.0] + [abs(v) for v in (lo, hi) if v])
+            eps = sympy.Rational(*scale.as_integer_ratio()) / 2 ** 120
+            want = sympy_oracle(p, lo, hi, eps)[0]
+            assert [r.hex() for r in real_roots(p, lo, hi)] == [r.hex() for r in want], (p, lo, hi)
 
 
 # G = integral of g has the coefficient 0.21/6, which is not a float
