@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -76,6 +77,17 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(cfg), "--x0", "1e5", "--t-end", "1"])
         assert rc == 3
         assert capsys.readouterr().err == "numerical failure: blow-up\n"
+
+    def test_far_start_ends_at_the_step_budget(self, monkeypatch, capsys):
+        # From y0 = 1e9 the climb stiffens and never reaches t_end = 100: the
+        # budget, the base plus the 10,000 steps the 0.2*eps cap needs, ends
+        # it with exit 3.  A smaller base keeps the run short.
+        monkeypatch.setattr(dynamics, "_PASS_STEP_BUDGET", 3000)
+        rc = main(["simulate", "--config", VDP, "--y0", "1e9", "--t-end", "100"])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: no arrival at t_end within 13000 steps\n"
 
 
 class TestManifold:
@@ -156,6 +168,39 @@ class TestManifold:
             terms = (gp * w * w, f * w, eps)
             assert abs(sum(terms)) <= 1e-12 * sum(map(abs, terms))
 
+    @pytest.mark.parametrize("doc, x_lo, x_hi", [
+        (None, "1e40", "2e40"),
+        ({"name": "big_eps_gprime", "F": [0, 1e100], "g": [0, -1e300], "eps": 1e10}, "1", "2"),
+    ], ids=["f_squared", "eps_gprime"])
+    def test_rows_where_a_product_overflows_are_finite(self, doc, x_lo, x_hi, tmp_path, capsys):
+        # f*f overflows (|f| >= 2**512 at x = 1e40 on llibre_mereu), or
+        # 4*eps*g' does (eps = 1e10, g' = -1e300), while every exact value is
+        # finite: a header and two rows of finite values
+        cfg = LM
+        if doc is not None:
+            cfg = tmp_path / "big.json"
+            cfg.write_text(json.dumps(doc))
+        assert main(["manifold", "--config", str(cfg), "--x-lo", x_lo, "--x-hi", x_hi,
+                     "--n", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = out.split("\n")[1:-1]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(v)) for r in rows for v in r.split(",")[:4]), rows
+
+    def test_infinite_gprime_row_exits_2(self, tmp_path, capsys):
+        # g = 1e300 x**3 at x = 1e10: g' is inf in floats, so no float decides
+        # the branch, though the exact one is finite
+        cfg = tmp_path / "inf_gprime.json"
+        cfg.write_text(json.dumps({"name": "inf_gprime", "F": [0, 1e100],
+                                   "g": [0, 0, 0, 1e300], "eps": 1e-300}))
+        assert main(["manifold", "--config", str(cfg), "--x-lo", "1e10", "--x-hi", "2e10",
+                     "--n", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("config error: the slow-branch row at x=10000000000.0 "
+                       "overflows float range\n")
+
     def test_range_wider_than_float_range_exits_2(self, capsys):
         # the step (x_hi - x_lo)/(n - 1) overflows: the range is named, not a row at x=nan
         rc = main(["manifold", "--config", VDP, "--x-lo=-1e308", "--x-hi", "1e308", "--n", "3"])
@@ -193,6 +238,24 @@ class TestVerify:
         assert rc == 3
         assert capsys.readouterr().err == (
             "numerical failure: no return to the section within 1000000 steps\n")
+
+    def test_window_reaching_float_max_ends_in_a_blow_up(self, tmp_path, capsys):
+        # assumption IV's window reaches float max: root isolation has no
+        # float midpoint to overflow, so verify ends at the orbit's blow-up
+        # instead of bisecting one ulp at a time
+        cfg = tmp_path / "huge_window.json"
+        cfg.write_text(json.dumps({"name": "huge_window", "F": [0, -1e308, 0, 1e-308],
+                                   "g": [0, 1], "eps": 0.05}))
+        assert main(["verify", "--config", str(cfg), "--x-max", "1.7e308"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: blow-up\n"
+
+    def test_zero_band_flag_exits_2(self, capsys):
+        assert main(["verify", "--config", VDP, "--band", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: band must be positive\n"
 
     def test_unconverged_search_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(dynamics, "MAX_PASSES", 1)
@@ -503,6 +566,23 @@ def test_import_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_every_import_is_standard_library():
+    # The runtime needs only the standard library, on every code path: each
+    # absolute import in the package, a lazy one inside a function included,
+    # names a standard-library module.
+    for path in sorted((REPO / "src" / "flowcurv").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (
+                    f"{path.name}:{node.lineno} imports {name}")
 
 
 def test_cold_verify_compiles_one_kernel_one_scan_and_one_check_loop():

@@ -316,7 +316,8 @@ ULP = Fraction(math.ulp(1.5))  # 1.5 and 1.5 + ULP are adjacent floats
 MILL = [math.comb(7, k) * (-1) ** (7 - k) - (k == 0) * 2.0 ** -40 for k in range(8)]
 # (polynomial, lo, hi): ties, roots an ulp apart or inside one float's cell,
 # roots a bisection midpoint hits, windows reaching float max, a root at
-# zero, ill-conditioned and huge-spread roots, and the bundled F's.
+# zero, roots 1e-7 apart, ill-conditioned and huge-spread roots, and the
+# bundled F's.
 ROOT_FAMILIES = [
     (product(exactly(Fraction(1.5) + ULP / 2), Polynomial([1.0, 0, 1.0])), 1.0, 2.0),
     (product(exactly(Fraction(1.5) + 3 * ULP / 2), Polynomial([1.0, 0, 1.0])), 1.0, 2.0),
@@ -333,6 +334,7 @@ ROOT_FAMILIES = [
     (Polynomial([-1e308, 0, 1e-308]), 0.0, 1.7e308),
     (Polynomial([0.0, 2.0]), -10.0, 10.0),
     (Polynomial([0.0, 1.0, 0.0, 1.0]), -3.0, 10.0),
+    (product(Polynomial([-1.0, 1.0]), Polynomial([-(1.0 + 1e-7), 1.0])), 0.0, 3.0),
     (Polynomial(MILL), 0.0, 2.0),
     (Polynomial([-2.0, 2.0 ** 28, -2.0 ** 53, 0, 0, 0, 0, 0, 1.0]), 0.0, 1.0),
     (Polynomial([-1e-10, 0, 1e300]), 1e-300, 1.0),

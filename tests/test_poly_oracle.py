@@ -16,7 +16,7 @@ from flowcurv.poly import Polynomial, real_roots, signs_on
 from flowcurv.system import make_system
 
 from conftest import CONFIGS, REPO
-from test_poly import ROOT_FAMILIES
+from test_poly import ROOT_FAMILIES, ULP, exactly
 
 sympy = pytest.importorskip("sympy")
 
@@ -111,24 +111,6 @@ class TestSympyOracle:
         assert signs_on(p, lo, hi) == signs
 
 
-class TestExactDecisionsAgainstSympy:
-    """The hand-picked cases of test_poly.TestExactDecisions, checked by the oracle."""
-
-    @pytest.mark.parametrize("p, lo, hi", [
-        (Polynomial([-1.0, 1]) * Polynomial([-(1.0 + 1e-7), 1]), 0.0, 3.0),
-        (Polynomial([-2.0, 2.0 ** 28, -2.0 ** 53, 0, 0, 0, 0, 0, 1.0]), 0.0, 1.0),
-        (Polynomial([math.comb(7, k) * (-1) ** (7 - k) - (k == 0) * 2.0 ** -40
-                     for k in range(8)]), 0.0, 2.0),
-    ], ids=["roots_1e7_apart", "mignotte", "ill_conditioned"])
-    def test_roots_match(self, p, lo, hi):
-        assert real_roots(p, lo, hi) == sympy_oracle(p, lo, hi)[0]
-
-    def test_huge_coefficient_spread(self):
-        p = Polynomial([-1e-10, 0, 1e300])
-        assert (real_roots(p, 1e-300, 1.0)
-                == sympy_oracle(p, 1e-300, 1.0, eps=sympy.Rational(1, 2 ** 1100))[0])
-
-
 class TestRootFamiliesAgainstSympy:
     def test_nearest_floats_bit_for_bit(self):
         # test_poly's hand-picked families.  eps shrinks with the window's
@@ -137,8 +119,9 @@ class TestRootFamiliesAgainstSympy:
         for p, lo, hi in ROOT_FAMILIES:
             scale = min([1.0] + [abs(v) for v in (lo, hi) if v])
             eps = sympy.Rational(*scale.as_integer_ratio()) / 2 ** 120
-            want = sympy_oracle(p, lo, hi, eps)[0]
-            assert [r.hex() for r in real_roots(p, lo, hi)] == [r.hex() for r in want], (p, lo, hi)
+            roots, signs = sympy_oracle(p, lo, hi, eps)
+            assert [r.hex() for r in real_roots(p, lo, hi)] == [r.hex() for r in roots], (p, lo, hi)
+            assert signs_on(p, lo, hi) == signs, (p, lo, hi)
 
 
 # G = integral of g has the coefficient 0.21/6, which is not a float
@@ -169,16 +152,13 @@ class TestDerivedPolynomialsAgainstSympy:
             assert _exact(got).all_coeffs() == sympy.Poly(sympy.expand(want), x).all_coeffs()
 
 
-def at(value: Fraction) -> Polynomial:
-    """x - value, exactly."""
-    return Polynomial._exact([-value.numerator, value.denominator], value.denominator)
-
-
-ULP = Fraction(math.ulp(1.5))  # the floats 1.5 and 1.5 + ULP are adjacent
-
-
 class TestPointsAgainstSympy:
-    """Windows reaching float max, and roots at or between adjacent floats."""
+    """Windows reaching float max, and windows whose ends are the floats
+    around roots at or between adjacent floats.
+
+    The family loop above checks the same polynomials' roots and signs on
+    the windows of test_poly.ROOT_FAMILIES.
+    """
 
     @pytest.mark.parametrize("coeffs, lo, hi", [([1.5e308, -2.5, 1e-308], 0.0, 1.7e308),
                                                  ([1.5e308, 2.5, 1e-308], -1.7e308, 0.0)],
@@ -187,51 +167,34 @@ class TestPointsAgainstSympy:
         # p = 1e-308 x**2 -+ 2.5 x + 1.5e308 has roots near +-1e308 and
         # +-1.5e308; bisecting the window passes midpoints beyond 8.99e307,
         # where the float a + b overflows.  A subprocess with a timeout
-        # turns a hang into a failure.
+        # turns a hang into a failure; the family loop checks the roots.
         code = ("from flowcurv.poly import Polynomial, real_roots, signs_on\n"
                 f"p = Polynomial({coeffs!r})\n"
-                f"print(repr((real_roots(p, {lo!r}, {hi!r}),"
-                f" sorted(signs_on(p, {lo!r}, {hi!r})))))")
+                f"real_roots(p, {lo!r}, {hi!r}), signs_on(p, {lo!r}, {hi!r})")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              timeout=30, env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
         assert out.returncode == 0, out.stderr
-        roots, signs = eval(out.stdout)
-        want_roots, want_signs = sympy_oracle(Polynomial(coeffs), lo, hi)
-        assert len(roots) == 2
-        assert roots == want_roots
-        assert set(signs) == want_signs == {-1, 0, 1}
 
-    @pytest.mark.parametrize("below", [1.5, 1.5 + math.ulp(1.5)], ids=["even", "odd"])
+    # ROOT_FAMILIES holds the even case's windows and the odd case's [1, 2]
+    @pytest.mark.parametrize("below", [1.5 + math.ulp(1.5)], ids=["odd"])
     def test_root_at_a_tie_is_the_lower_float(self, below):
         # the tie point between below and the next float; float() of it
         # would round to the even one, which is the upper for an odd below.
-        # The second window's first bisection midpoint is the tie itself.
-        p = at(Fraction(below) + ULP / 2) * Polynomial([1.0, 0.0, 1.0])
-        ulp = math.ulp(1.5)
-        for lo, hi in [(1.0, 2.0), (below - ulp, below + 2 * ulp)]:
-            roots, signs = sympy_oracle(p, lo, hi)
-            assert real_roots(p, lo, hi) == roots == [below]
-            assert signs_on(p, lo, hi) == signs == {-1, 0, 1}
+        # The window's first bisection midpoint is the tie itself.
+        p = exactly(Fraction(below) + ULP / 2) * Polynomial([1.0, 0.0, 1.0])
+        lo, hi = below - math.ulp(1.5), below + 2 * math.ulp(1.5)
+        roots, signs = sympy_oracle(p, lo, hi)
+        assert real_roots(p, lo, hi) == roots == [below]
+        assert signs_on(p, lo, hi) == signs == {-1, 0, 1}
 
     @pytest.mark.parametrize("eighths, want", [((2, 6), [1.5, 1.5 + math.ulp(1.5)]),
                                                 ((1, 3), [1.5, 1.5])],
                              ids=["either_side", "same_side"])
     def test_two_roots_between_adjacent_floats(self, eighths, want):
         # two distinct roots strictly between 1.5 and 1.5 + ULP: one entry each
-        p = at(Fraction(3, 2) + ULP * eighths[0] / 8) * at(Fraction(3, 2) + ULP * eighths[1] / 8)
-        for lo, hi in [(1.0, 2.0), (1.5, 1.5 + math.ulp(1.5))]:
-            roots, signs = sympy_oracle(p, lo, hi)
-            assert real_roots(p, lo, hi) == roots == want
-            assert signs_on(p, lo, hi) == signs == {1, 0, -1}
-
-    @pytest.mark.parametrize("roots, lo, hi", [((1, 3), 0.0, 4.0), ((1, 2, 3), 0.0, 4.0),
-                                               ((-3, -1), -4.0, 0.0)])
-    def test_root_hit_by_a_bisection_midpoint(self, roots, lo, hi):
-        # the midpoints 2, 1 and 3 of [0, 4] are roots: the isolating split
-        # moves off a root, and the nearest-root bisection lands on one
-        p = Polynomial([1.0])
-        for r in roots:
-            p = p * Polynomial([-r, 1.0])
-        want_roots, want_signs = sympy_oracle(p, lo, hi)
-        assert real_roots(p, lo, hi) == want_roots == [float(r) for r in roots]
-        assert signs_on(p, lo, hi) == want_signs
+        p = (exactly(Fraction(3, 2) + ULP * eighths[0] / 8)
+             * exactly(Fraction(3, 2) + ULP * eighths[1] / 8))
+        lo, hi = 1.5, 1.5 + math.ulp(1.5)
+        roots, signs = sympy_oracle(p, lo, hi)
+        assert real_roots(p, lo, hi) == roots == want
+        assert signs_on(p, lo, hi) == signs == {1, 0, -1}
