@@ -116,11 +116,10 @@ _BRANCH_ENV = {"sqrt": math.sqrt, "copysign": math.copysign, "inf": math.inf,
 _BRANCH_LINES = ["F = F(x)", "f = f(x)", "g = g(x)", "gp = gp(x)",
                  *_BRANCH_TEMPLATE.splitlines()]
 
-_branch = specialized(lambda: [
-    "    def slow_branches(x):",
-    *(f"        {line}" for line in _BRANCH_LINES),
-    "        return ManifoldBranch(x, u_slow, u_fast, y_slow, fold)",
-    "    return slow_branches"], "slow branches", {**_BRANCH_ENV, "ManifoldBranch": ManifoldBranch})
+_branch = specialized(
+    "slow_branches(x)",
+    lambda: [*_BRANCH_LINES, "return ManifoldBranch(x, u_slow, u_fast, y_slow, fold)"],
+    "slow branches", {**_BRANCH_ENV, "ManifoldBranch": ManifoldBranch})
 
 
 def slow_branches(sys: LienardSystem, x: float) -> ManifoldBranch:

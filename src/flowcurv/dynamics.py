@@ -214,7 +214,7 @@ def _weighted(row: "tuple[float, ...]", c: str) -> str:
 
 
 def _kernel_lines() -> "list[str]":
-    """The march kernel's factory body (see system.specialized).
+    """The march kernel's body (see system.specialized).
 
     The kernel is march(t, x, y, h_max, tol, t_end, section, budget,
     t_append, x_append, y_append): the whole error-controlled loop of
@@ -238,88 +238,86 @@ def _kernel_lines() -> "list[str]":
                    f"k{i}y = -g({xs})"]
     stages += [f"ex = {_weighted(_DP_E, 'x')}", f"ey = {_weighted(_DP_E, 'y')}"]
     fail = "t=t, x=x, y=y, h=h, accepted=accepted, rejected=rejected"
-    lines = [
-        "def march(t, x, y, h_max, tol, t_end, section, budget, t_append, x_append, y_append):",
-        "    k1x = (y - F(x)) / eps",
-        "    k1y = -g(x)",
-        "    hp = h_max",
-        "    err_prev = 1.0",
-        "    accepted = rejected = bad = 0",
-        "    while True:",
-        "        h = hp",
-        "        capped = t + h >= t_end",
-        "        if capped:",
-        "            h = t_end - t",
-        f"            if h < {_H_MIN!r}:",
-        "                # Remaining span is below timestep resolution: snap.",
-        "                t = t_end",
-        "                t_append(t)",
-        "                x_append(x)",
-        "                y_append(y)",
-        "                break",
+    return [
+        "k1x = (y - F(x)) / eps",
+        "k1y = -g(x)",
+        "hp = h_max",
+        "err_prev = 1.0",
+        "accepted = rejected = bad = 0",
+        "while True:",
+        "    h = hp",
+        "    capped = t + h >= t_end",
+        "    if capped:",
+        "        h = t_end - t",
         f"        if h < {_H_MIN!r}:",
-        "            raise _underflow(bad, t, x, y, k1x, k1y, h, accepted, rejected)",
-        *(f"        {line}" for line in stages),
+        "            # Remaining span is below timestep resolution: snap.",
+        "            t = t_end",
+        "            t_append(t)",
+        "            x_append(x)",
+        "            y_append(y)",
+        "            break",
+        f"    if h < {_H_MIN!r}:",
+        "        raise _underflow(bad, t, x, y, k1x, k1y, h, accepted, rejected)",
+        *(f"    {line}" for line in stages),
         # v - v == 0.0 holds exactly for finite v.  Below, abs and the
         # clamps are conditionals, not calls, and the constants literals:
         # this runs per step.
-        "        if not (xn - xn == 0.0 and yn - yn == 0.0 and ex - ex == 0.0 and ey - ey == 0.0):",
-        "            bad += 1",
-        "            rejected += 1",
-        "            if bad > 30:",
-        f"                raise IntegrationError('blow-up', {fail})",
-        "            hp = h * 0.2",
-        f"            hp = {_H_MIN * 0.5!r} if hp < {_H_MIN * 0.5!r} else hp",
-        "            continue",
-        "        try:",
-        "            err = sqrt(0.5 * ((ex / (tol * (1.0 + (x if x >= 0.0 else -x)))) ** 2"
+        "    if not (xn - xn == 0.0 and yn - yn == 0.0 and ex - ex == 0.0 and ey - ey == 0.0):",
+        "        bad += 1",
+        "        rejected += 1",
+        "        if bad > 30:",
+        f"            raise IntegrationError('blow-up', {fail})",
+        "        hp = h * 0.2",
+        f"        hp = {_H_MIN * 0.5!r} if hp < {_H_MIN * 0.5!r} else hp",
+        "        continue",
+        "    try:",
+        "        err = sqrt(0.5 * ((ex / (tol * (1.0 + (x if x >= 0.0 else -x)))) ** 2"
         " + (ey / (tol * (1.0 + (y if y >= 0.0 else -y)))) ** 2))",
-        "        except OverflowError:",
-        f"            raise IntegrationError('blow-up', {fail}) from None",
-        "        e = 1e-10 if err < 1e-10 else err",
-        "        if err > 1.0:",
-        "            rejected += 1",
-        f"            fac = {_SAFETY!r} * e ** {-_ALPHA!r}",
-        "            hp = h * (0.2 if fac < 0.2 else 1.0 if fac > 1.0 else fac)",
-        "            continue",
-        "        bad = 0",
-        "        accepted += 1",
-        "        tn = t_end if capped else t + h",
-        f"        if xn > {_BLOWUP_LIMIT!r} or xn < {-_BLOWUP_LIMIT!r}"
+        "    except OverflowError:",
+        f"        raise IntegrationError('blow-up', {fail}) from None",
+        "    e = 1e-10 if err < 1e-10 else err",
+        "    if err > 1.0:",
+        "        rejected += 1",
+        f"        fac = {_SAFETY!r} * e ** {-_ALPHA!r}",
+        "        hp = h * (0.2 if fac < 0.2 else 1.0 if fac > 1.0 else fac)",
+        "        continue",
+        "    bad = 0",
+        "    accepted += 1",
+        "    tn = t_end if capped else t + h",
+        f"    if xn > {_BLOWUP_LIMIT!r} or xn < {-_BLOWUP_LIMIT!r}"
         f" or yn > {_BLOWUP_LIMIT!r} or yn < {-_BLOWUP_LIMIT!r}:",
-        "            raise IntegrationError('blow-up', t=tn, x=xn, y=yn, h=h,"
+        "        raise IntegrationError('blow-up', t=tn, x=xn, y=yn, h=h,"
         " accepted=accepted, rejected=rejected)",
-        f"        fac = {_SAFETY!r} * e ** {-_ALPHA!r} * err_prev ** {_BETA!r}",
-        "        err_prev = e",
-        "        hp = h * (0.2 if fac <= 0.2 else 5.0 if fac >= 5.0 else fac)",
-        f"        hp = {_H_MIN!r} if hp < {_H_MIN!r} else h_max if hp > h_max else hp",
-        "        if section and x < 0.0 <= xn and 0.5 * (y + yn) > 0.0:",
-        "            tc, xc, yc = _crossing(t, h, x, y, k1x, k1y, xn, yn, k7x, k7y,"
+        f"    fac = {_SAFETY!r} * e ** {-_ALPHA!r} * err_prev ** {_BETA!r}",
+        "    err_prev = e",
+        "    hp = h * (0.2 if fac <= 0.2 else 5.0 if fac >= 5.0 else fac)",
+        f"    hp = {_H_MIN!r} if hp < {_H_MIN!r} else h_max if hp > h_max else hp",
+        "    if section and x < 0.0 <= xn and 0.5 * (y + yn) > 0.0:",
+        "        tc, xc, yc = _crossing(t, h, x, y, k1x, k1y, xn, yn, k7x, k7y,"
         f" {_weighted(_DP_D, 'x')}, {_weighted(_DP_D, 'y')})",
-        "            t_append(tc)",
-        "            x_append(xc)",
-        "            y_append(yc)",
-        "            return accepted, rejected",
-        "        t = tn",
-        "        x = xn",
-        "        y = yn",
-        "        k1x = k7x",
-        "        k1y = k7y",
-        "        t_append(t)",
-        "        x_append(x)",
-        "        y_append(y)",
-        "        if not t < t_end:",
-        "            break",
-        "        if accepted + rejected > budget:",
-        "            goal = 'return to the section' if section else 'arrival at t_end'",
-        "            raise IntegrationError(f'no {goal} within {budget} steps',",
-        "                                   t=t, x=x, y=y, h=hp, accepted=accepted, rejected=rejected)",
-        "    if section:",
-        "        raise IntegrationError('no return to the section within the safety horizon',",
+        "        t_append(tc)",
+        "        x_append(xc)",
+        "        y_append(yc)",
+        "        return accepted, rejected",
+        "    t = tn",
+        "    x = xn",
+        "    y = yn",
+        "    k1x = k7x",
+        "    k1y = k7y",
+        "    t_append(t)",
+        "    x_append(x)",
+        "    y_append(y)",
+        "    if not t < t_end:",
+        "        break",
+        "    if accepted + rejected > budget:",
+        "        goal = 'return to the section' if section else 'arrival at t_end'",
+        "        raise IntegrationError(f'no {goal} within {budget} steps',",
         "                               t=t, x=x, y=y, h=hp, accepted=accepted, rejected=rejected)",
-        "    return accepted, rejected",
+        "if section:",
+        "    raise IntegrationError('no return to the section within the safety horizon',",
+        "                           t=t, x=x, y=y, h=hp, accepted=accepted, rejected=rejected)",
+        "return accepted, rejected",
     ]
-    return [f"    {line}" for line in lines] + ["    return march"]
 
 
 def _underflow(bad, t, x, y, k1x, k1y, h, accepted, rejected) -> IntegrationError:
@@ -368,9 +366,10 @@ def _crossing(t, h, x, y, k1x, k1y, xn, yn, k7x, k7y, dx, dy) -> "tuple[float, f
     return t + hi * h, _dense(cx, hi), _dense(cy, hi)
 
 
-_kernel = specialized(_kernel_lines, "dp5 march", {
-    "sqrt": math.sqrt, "IntegrationError": IntegrationError,
-    "_underflow": _underflow, "_crossing": _crossing})
+_kernel = specialized(
+    "march(t, x, y, h_max, tol, t_end, section, budget, t_append, x_append, y_append)",
+    _kernel_lines, "dp5 march", {"sqrt": math.sqrt, "IntegrationError": IntegrationError,
+                                 "_underflow": _underflow, "_crossing": _crossing})
 
 
 def _march(sys: LienardSystem, s0: State, tol: float, t_end: float | None = None) -> Trajectory:
@@ -550,7 +549,7 @@ def _descent_ys(sys: LienardSystem, traj: Trajectory, probes: "list[float]"
 
 
 def _scan_lines() -> "list[str]":
-    """The vicinity scan's factory body (see system.specialized).
+    """The vicinity scan's body (see system.specialized).
 
     The scan is scan(xs, ys, x_min, band) -> (lo, hi, nearest): the first
     of the longest runs xs[lo:hi] of samples that qualify, and the
@@ -561,34 +560,32 @@ def _scan_lines() -> "list[str]":
     curvature._BRANCH_TEMPLATE's steps, or F(x) where it has none.  Only
     window samples evaluate F and, below xdot's test, f, g and g'.
     """
-    lines = [
-        "def scan(xs, ys, x_min, band):",
-        "    best_lo = best_hi = lo = 0",  # runs are index ranges [lo, i)
-        "    nearest = inf",
-        "    for i, (x, y) in enumerate(zip(xs, ys)):",
-        "        if not x < x_min:",
-        "            F = F(x)",
-        "            if not (y - F) / eps >= 0.0:",
-        "                f = f(x)",
-        "                g = g(x)",
-        "                gp = gp(x)",
-        *(f"                {line}" for line in _BRANCH_TEMPLATE.splitlines()),
-        "                d = abs(y - (F if y_slow is None else y_slow))",
-        "                if d < nearest:",
-        "                    nearest = d",
-        "                if d <= band:",
-        "                    continue",
-        "        if i - lo > best_hi - best_lo:",
-        "            best_lo, best_hi = lo, i",
-        "        lo = i + 1",
-        "    if len(xs) - lo > best_hi - best_lo:",
-        "        best_lo, best_hi = lo, len(xs)",
-        "    return best_lo, best_hi, nearest",
+    return [
+        "best_lo = best_hi = lo = 0",  # runs are index ranges [lo, i)
+        "nearest = inf",
+        "for i, (x, y) in enumerate(zip(xs, ys)):",
+        "    if not x < x_min:",
+        "        F = F(x)",
+        "        if not (y - F) / eps >= 0.0:",
+        "            f = f(x)",
+        "            g = g(x)",
+        "            gp = gp(x)",
+        *(f"            {line}" for line in _BRANCH_TEMPLATE.splitlines()),
+        "            d = abs(y - (F if y_slow is None else y_slow))",
+        "            if d < nearest:",
+        "                nearest = d",
+        "            if d <= band:",
+        "                continue",
+        "    if i - lo > best_hi - best_lo:",
+        "        best_lo, best_hi = lo, i",
+        "    lo = i + 1",
+        "if len(xs) - lo > best_hi - best_lo:",
+        "    best_lo, best_hi = lo, len(xs)",
+        "return best_lo, best_hi, nearest",
     ]
-    return [f"    {line}" for line in lines] + ["    return scan"]
 
 
-_scan = specialized(_scan_lines, "vicinity scan", _BRANCH_ENV)
+_scan = specialized("scan(xs, ys, x_min, band)", _scan_lines, "vicinity scan", _BRANCH_ENV)
 
 
 def extract_vicinity(

@@ -8,15 +8,16 @@ with polynomial F and g.  A system holds eps, F, g and G (an
 antiderivative of g).  When it is built it derives f = F', f', g' and
 g'' once.
 
-Generated code writes a polynomial's value at v as the call P(v), and
-``specialized`` alone turns such code into a system's: it expands each
-call into Horner code without zero terms, bit-identical to
-``Polynomial.__call__``, compiles the code on first use once per zero
-pattern of the polynomials it calls, and binds it to the system's
-coefficients once per system.  The jet, the slow branch in
-``curvature``, the march kernel and the vicinity scan in ``dynamics``,
-the checks' loop in ``verify`` and both CSV writers are built this way,
-so importing the package compiles no code.
+Generated code is a unit's statements, which write a polynomial's value
+at v as the call P(v), and ``specialized`` alone turns them into a
+system's unit: it writes the unit's frame, expands each call into Horner
+code without zero terms, bit-identical to ``Polynomial.__call__``,
+compiles the code on first use once per zero pattern of the polynomials
+it calls, and binds it to the system's coefficients once per system.
+The jet, the slow branch in ``curvature``, the march kernel and the
+vicinity scan in ``dynamics``, the checks' loop in ``verify`` and both
+CSV writers are built this way, so importing the package compiles no
+code.
 
 The jet's derived quantities (velocity, acceleration, third
 derivatives, curvature, energy, H and their rates) and the paper's
@@ -68,24 +69,27 @@ _CALL = rf"\b({'|'.join(POLYNOMIALS)})\((\w+)\)"
 _OPERATORS = str.maketrans("()+-*/%<>=!,.", " " * 13)
 
 
-def specialized(make_lines, label: str, env: "dict | None" = None):
-    """bind(sys): the function that make_lines() builds, for sys.
+def specialized(prototype: str, make_body, label: str, env: "dict | None" = None):
+    """bind(sys): the unit that prototype, name(parameters), declares, for sys.
 
-    make_lines() returns the body, indented one level, of a factory
-    returning the function, in which P(v) is P's value at v (see _CALL);
-    env holds the other names the code reads.  On first use one re.split
-    cuts the body at its calls; each compile joins the pieces with
-    poly.horner_source over P's nonzero coefficients, which, with eps,
-    become the factory's parameters, so every value is bit-identical to
-    Polynomial.__call__.  The body compiles once per zero pattern (which
-    coefficients are nonzero) of the polynomials it calls, under the label
-    in tracebacks; bind.cache_info counts compiles.  The bound function is
-    kept in the system, keyed by bind, so each unit binds once per system.
+    make_body() returns the body: the unit's statements, unindented, in
+    which P(v) is P's value at v (see _CALL); env holds the other names
+    they read.  specialized alone frames them, as a factory that defines
+    the unit and returns it.  On first use one re.split cuts that text at
+    its calls; each compile joins the pieces with poly.horner_source over
+    P's nonzero coefficients, which, with eps, become the factory's
+    parameters, so every value is bit-identical to Polynomial.__call__.
+    The factory compiles once per zero pattern (which coefficients are
+    nonzero) of the polynomials it calls, under the label in tracebacks;
+    bind.cache_info counts compiles.  The bound function is kept in the
+    system, keyed by bind, so each unit binds once per system.
     """
     @functools.cache
     def source() -> "tuple[list[str], list[str]]":
+        lines = [f"    def {prototype}:", *(f"        {line}" for line in make_body()),
+                 f"    return {prototype.partition('(')[0]}"]
         # code, P, v, code, P, v, ..., code: each call's name and argument
-        parts = re.split(_CALL, "\n".join(make_lines()))
+        parts = re.split(_CALL, "\n".join(lines))
         return parts, [p for p in POLYNOMIALS if p in parts[1::3]]
 
     @functools.cache
@@ -125,18 +129,15 @@ def compile_writer(signature: str, loop: "list[str]", row, header: str, label: s
     no Python function and builds no record; env holds the other names
     the row reads.
     """
-    def lines() -> "list[str]":
-        return [
-            f"    def write({signature}):",
-            "        lines = [HEADER]",
-            "        append = lines.append",
-            *(f"        {line}" for line in loop),
-            *(f"            {line}" for line in row()),
-            "        append('')  # the final newline, without a second copy of the text",
-            "        return '\\n'.join(lines)",
-            "    return write"]
+    def body() -> "list[str]":
+        return ["lines = [HEADER]",
+                "append = lines.append",
+                *loop,
+                *(f"    {line}" for line in row()),
+                "append('')  # the final newline, without a second copy of the text",
+                "return '\\n'.join(lines)"]
 
-    return specialized(lines, label, {**(env or {}), "HEADER": header})
+    return specialized(f"write({signature})", body, label, {**(env or {}), "HEADER": header})
 
 
 class _LienardFields(NamedTuple):
@@ -289,11 +290,9 @@ def jet_code(fields: "Iterable[str]", formulas=JET_FORMULAS) -> "list[str]":
     return [f"{p} = {p}(x)" for p in POLYNOMIALS if p in need] + lines[::-1]
 
 
-_jet = specialized(lambda: [
-    "    def jet(x, y):",
-    *(f"        {line}" for line in jet_code(Jet._fields)),
-    f"        return Jet({', '.join(Jet._fields)})",
-    "    return jet"], "jet", {"Jet": Jet})
+_jet = specialized("jet(x, y)", lambda: [*jet_code(Jet._fields),
+                                          f"return Jet({', '.join(Jet._fields)})"],
+                   "jet", {"Jet": Jet})
 
 
 def jet(sys: LienardSystem, s: State) -> Jet:

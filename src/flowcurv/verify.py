@@ -59,7 +59,7 @@ CHECK_IDS = tuple(cid for cid, _, _ in _CHECKS)
 
 
 def _tally_lines() -> "list[str]":
-    """The checks' loop's factory body (see system.specialized).
+    """The checks' loop's body (see system.specialized).
 
     The loop is tally(samples): for each check in _CHECKS's order, the
     number of samples whose margin passes and the smallest margin, which
@@ -68,23 +68,20 @@ def _tally_lines() -> "list[str]":
     system.jet_code over the jet table extended by one row per check, its
     polynomial values inline Horner code.
     """
-    body = jet_code(CHECK_IDS, (*JET_FORMULAS, *((cid, margin) for cid, margin, _ in _CHECKS)))
+    sample = jet_code(CHECK_IDS, (*JET_FORMULAS, *((cid, margin) for cid, margin, _ in _CHECKS)))
     for cid, _, zero_passes in _CHECKS:
-        body += [f"passed_{cid} += {cid} {'>=' if zero_passes else '>'} 0.0",
+        sample += [f"passed_{cid} += {cid} {'>=' if zero_passes else '>'} 0.0",
                  f"if {cid} < least_{cid}:",
                  f"    least_{cid} = {cid}"]
-    return [
-        "    def tally(samples):",
-        f"        {' = '.join(f'passed_{cid}' for cid in CHECK_IDS)} = 0",
-        f"        {' = '.join(f'least_{cid}' for cid in CHECK_IDS)} = inf",
-        "        for _, x, y in samples:",
-        *(f"            {line}" for line in body),
-        f"        return {', '.join(f'(passed_{cid}, least_{cid})' for cid in CHECK_IDS)}",
-        "    return tally"]
+    return [f"{' = '.join(f'passed_{cid}' for cid in CHECK_IDS)} = 0",
+            f"{' = '.join(f'least_{cid}' for cid in CHECK_IDS)} = inf",
+            "for _, x, y in samples:",
+            *(f"    {line}" for line in sample),
+            f"return {', '.join(f'(passed_{cid}, least_{cid})' for cid in CHECK_IDS)}"]
 
 
-_tally = specialized(_tally_lines, "nine checks", {"inf": math.inf,
-                                                    "LIE_RESIDUAL_TOL": LIE_RESIDUAL_TOL})
+_tally = specialized("tally(samples)", _tally_lines, "nine checks",
+                     {"inf": math.inf, "LIE_RESIDUAL_TOL": LIE_RESIDUAL_TOL})
 
 
 class CheckResult(NamedTuple):

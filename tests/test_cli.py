@@ -231,13 +231,16 @@ class TestVerify:
         assert doc["overall"] is False
         assert rc == 1
 
-    def test_far_guess_ends_at_the_step_budget(self, capsys):
+    def test_far_guess_ends_at_the_step_budget(self, monkeypatch, capsys):
         # From y = 1e9 the first pass stiffens without bound; the step
-        # budget ends it with exit 3 instead of running until killed.
+        # budget ends it with exit 3 instead of running until killed.  The
+        # shipped budget is pinned here; a smaller one keeps the run short.
+        assert dynamics._PASS_STEP_BUDGET == 1_000_000
+        monkeypatch.setattr(dynamics, "_PASS_STEP_BUDGET", 3000)
         rc = main(["verify", "--config", VDP, "--y-guess", "1e9"])
         assert rc == 3
         assert capsys.readouterr().err == (
-            "numerical failure: no return to the section within 1000000 steps\n")
+            "numerical failure: no return to the section within 3000 steps\n")
 
     def test_window_reaching_float_max_ends_in_a_blow_up(self, tmp_path, capsys):
         # assumption IV's window reaches float max: root isolation has no
